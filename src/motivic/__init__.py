@@ -2,20 +2,19 @@
 vanishing-cycle module, and the Hilbert scheme of four points on affine
 3-space, cross-verified against exhaustive finite-field point counts."""
 
-from .laurent import (BettiPoly, LaurentPoly2, PowerSeries1, dualize, eval_at,
-                      format_poly, parse_poly, poly_add, poly_mul, q_power,
-                      self_dual_convert, shift_apply, twist_apply)
+from .laurent import (BettiPoly, LaurentPoly2, PowerSeries1, dualize,
+                      format_poly, parse_poly, q_power, self_dual_convert,
+                      shift_apply, twist_apply)
 from .skew import (GF, INTEGERS, CoeffDomain, SkewMatrix, check_equivariance,
                    pfaffian, skew_rank, stratum_dim)
-from .counting import (CountReport, Enumeration, count_by_rank,
-                       count_pf_fibre, count_pf_values, gaussian_binomial,
-                       katz_check, scan_skew)
+from .counting import (count_by_rank, count_pf_fibre, count_pf_values,
+                       gaussian_binomial, scan_skew)
 from .spaces import (dimension, ec, ec_traced, format_space_expr,
                      kind_convert, parse_space_expr)
 from .weights import (CompFactor, FilteredHodgeObject, StalkTable, ec_ic_X,
                       ec_of_object, ec_vanishing_cycles,
                       twist_bookkeeping_check, vanishing_cycle_object)
-from .hilb4 import (Partition, PlanePartition, dt_invariant, ec_hilb4_total,
+from .hilb4 import (PlanePartition, dt_invariant, ec_hilb4_total,
                     goettsche_coeff, hilb_line, macmahon_series,
                     plane_partitions, singular_fixed_point_residual)
 from .suites import SuiteContext, emit_report, run_suite

@@ -10,14 +10,15 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .counting import CountReport, scan_skew
-from .errors import CapExceededError, ConsistencyError, ParseError
-from .hilb4 import (HILB4_TOTAL_QUOTED, dt_invariant, ec_hilb4_total,
-                    goettsche_coeff, hilb4_strata, macmahon_series)
+from .counting import scan_skew
+from .errors import CapExceededError, ConsistencyError
+from .hilb4 import (dt_invariant, ec_hilb4_total, goettsche_coeff,
+                    hilb4_strata, macmahon_series)
 from .laurent import format_poly, parse_poly
 from .spaces import dimension, ec_traced, format_space_expr, parse_space_expr
-from .suites import (KATZ_FAMILIES, SUITE_NAMES, SuiteContext, canonical_json,
-                     emit_report, run_suite)
+from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, KATZ_FAMILIES,
+                     SUITE_NAMES, SuiteContext, canonical_json, emit_report,
+                     run_suite)
 
 
 def _add_format(p):
@@ -25,8 +26,15 @@ def _add_format(p):
                    help="output format")
 
 
+def _worker_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
+    return value
+
+
 def _add_scan_flags(p):
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_worker_count, default=1,
                    help="worker processes for exhaustive scans")
     p.add_argument("--cap", type=int, default=None,
                    help="enumeration cap (default 10^8; env MOTIVIC_CAP)")
@@ -127,10 +135,14 @@ def _cmd_epoly(args):
                   for s in steps]
     lines.append(format_poly(value))
     if args.at:
-        x0, y0 = (Fraction(v) for v in args.at)
-        payload["value_at"] = {"x": str(x0), "y": str(y0),
-                               "value": str(value.eval_at(x0, y0))}
-        lines.append(f"value at ({x0}, {y0}): {value.eval_at(x0, y0)}")
+        try:
+            x0, y0 = (Fraction(v) for v in args.at)
+            at = value.eval_at(x0, y0)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"--at {' '.join(args.at)}: division by zero") from None
+        payload["value_at"] = {"x": str(x0), "y": str(y0), "value": str(at)}
+        lines.append(f"value at ({x0}, {y0}): {at}")
     _emit(payload, args.format, lines)
     return 0
 
@@ -150,12 +162,10 @@ def _cmd_count_fibre(args):
     scan = scan_skew(args.n, args.p, "hist", args.cap, args.workers)
     c = args.value % args.p
     observed = scan.pf_counts[c]
-    report = CountReport(label=f"pf-fibre-n{args.n}-c{c}", p=args.p,
-                         observed=observed, predicted=None,
-                         predicted_value=None, match=None,
-                         enumeration_size=scan.total, elapsed=scan.elapsed)
-    payload = report.to_json_dict()
-    payload.update({"n": args.n, "value": c})
+    payload = {"label": f"pf-fibre-n{args.n}-c{c}", "n": args.n, "p": args.p,
+               "value": c, "observed": observed, "predicted": None,
+               "predicted_value": None, "match": None,
+               "enumeration_size": scan.total}
     _emit(payload, args.format,
           [f"#{{Pf = {c}}} = {observed} of {scan.total}"])
     return 0
@@ -192,27 +202,26 @@ def _cmd_report(args):
 
 def _cmd_hilb4(args):
     total = ec_hilb4_total()
-    quoted = parse_poly(HILB4_TOTAL_QUOTED)
+    match = total == parse_poly(HILB4_TOTAL_QUOTED)
     if args.what == "total":
         payload = {"total": format_poly(total),
                    "quoted": HILB4_TOTAL_QUOTED,
-                   "match": total == quoted,
+                   "match": match,
                    "euler": str(total.eval_at(1, 1))}
         _emit(payload, args.format, [format_poly(total)])
-        return 0
+        return 0 if match else 1
     strata = hilb4_strata()
     rows = []
     for s in strata:
         d = s.to_json_dict()
-        d["match"] = True  # each constructor verifies its quoted form
+        d["match"] = s.contribution == parse_poly(HILB4_STRATA_QUOTED[s.label])
         rows.append(d)
-    payload = {"strata": rows, "total": format_poly(total),
-               "match": total == quoted}
+    payload = {"strata": rows, "total": format_poly(total), "match": match}
     lines = [f"{s.label}: {format_poly(s.contribution)}   [{s.citation}]"
              for s in strata]
     lines.append(f"total: {format_poly(total)}")
     _emit(payload, args.format, lines)
-    return 0
+    return 0 if match and all(d["match"] for d in rows) else 1
 
 
 def _cmd_dt(args):
@@ -247,13 +256,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:

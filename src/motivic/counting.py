@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, ConsistencyError
-from .laurent import LaurentPoly2, _u_div_exact, _u_mul, format_poly
+from .laurent import LaurentPoly2, _u_div_exact, _u_mul
 from .skew import _is_prime, _pair_index, _pairings, bareiss_det
 
 DEFAULT_CAP = 10 ** 8
@@ -34,44 +34,6 @@ _CHUNK = 1 << 17
 def default_cap():
     raw = os.environ.get("MOTIVIC_CAP")
     return int(raw) if raw else DEFAULT_CAP
-
-
-@dataclass
-class CountReport:
-    """One oracle comparison: observed count vs. predicted polynomial value."""
-
-    label: str
-    p: int
-    observed: int
-    predicted: LaurentPoly2 | None
-    predicted_value: int | None
-    match: bool | None
-    enumeration_size: int
-    elapsed: float
-
-    def to_json_dict(self, include_timing=False):
-        d = {
-            "label": self.label,
-            "p": self.p,
-            "observed": self.observed,
-            "predicted": None if self.predicted is None
-            else format_poly(self.predicted),
-            "predicted_value": self.predicted_value,
-            "match": self.match,
-            "enumeration_size": self.enumeration_size,
-        }
-        if include_timing:
-            d["elapsed_seconds"] = self.elapsed
-        return d
-
-
-@dataclass(frozen=True)
-class Enumeration:
-    """Directive naming one of the supported exhaustive counts."""
-
-    kind: str  # "all" | "pf_fibre" | "pf_nonzero" | "rank_le" | "rank_eq"
-    n: int
-    value: int | None = None
 
 
 @dataclass
@@ -192,7 +154,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     """Scan all 2n x 2n skew matrices over F_p.
 
     mode "hist" tallies Pfaffian values only; mode "full" also buckets by
-    rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap.
+    rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap.  At
+    most os.cpu_count() worker processes are forked.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -210,7 +173,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     t0 = time.perf_counter()
     _tables(n)  # built before forking so workers inherit it
     args = [(n, p, lo, hi, want_rank, spot_stride)
-            for lo, hi in _split_ranges(total, workers)]
+            for lo, hi in _split_ranges(total,
+                                        min(workers, os.cpu_count() or 1))]
     if len(args) == 1:
         parts = [_scan_range(args[0])]
     else:
@@ -272,36 +236,3 @@ def gaussian_binomial(n, k):
         den = _u_mul(den, {0: 1, i: -1})
     quot = _u_div_exact(num, den)
     return LaurentPoly2({(d, d): c for d, c in quot.items()})
-
-
-def resolve_enumeration(counter, scan):
-    """Observed count for a directive, read off a completed scan."""
-    if counter.kind == "all":
-        return scan.total
-    if counter.kind == "pf_fibre":
-        return scan.pf_counts[counter.value % scan.p]
-    if counter.kind == "pf_nonzero":
-        return scan.total - scan.pf_counts[0]
-    if counter.kind in ("rank_le", "rank_eq"):
-        if scan.rank_counts is None:
-            raise ValueError("scan was run without rank bucketing")
-        if counter.kind == "rank_eq":
-            return scan.rank_counts[counter.value]
-        return sum(c for r, c in scan.rank_counts.items()
-                   if r <= counter.value)
-    raise ValueError(f"unknown enumeration kind {counter.kind!r}")
-
-
-def katz_check(label, predicted, p, counter, cap=None, workers=1, scan=None):
-    """Compare an exhaustive count against a predicted polynomial at xy = p."""
-    need_rank = counter.kind in ("rank_le", "rank_eq")
-    if scan is None:
-        scan = scan_skew(counter.n, p, "full" if need_rank else "hist",
-                         cap, workers)
-    observed = resolve_enumeration(counter, scan)
-    predicted_value = predicted.eval_q(p)
-    return CountReport(
-        label=label, p=p, observed=observed, predicted=predicted,
-        predicted_value=predicted_value,
-        match=(observed == predicted_value),
-        enumeration_size=scan.total, elapsed=scan.elapsed)

@@ -192,14 +192,6 @@ Q = q_power(1)
 
 # -- the four transformation rules ------------------------------------------
 
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
 def shift_apply(p, k):
     """Shift rule: multiply by (-1)^k."""
     return -p if k % 2 else p
@@ -218,18 +210,6 @@ def dualize(p):
 def self_dual_convert(p, n):
     """Self-dual conversion: (x*y)^n * p(1/x, 1/y); involutive for fixed n."""
     return q_power(n) * dualize(p)
-
-
-def eval_at(p, x0, y0):
-    return p.eval_at(x0, y0)
-
-
-def eval_q(p, q0):
-    return p.eval_q(q0)
-
-
-def is_tate(p):
-    return p.is_tate()
 
 
 # -- textual form -------------------------------------------------------------
@@ -282,23 +262,21 @@ def format_poly(p):
 MAX_INPUT_BYTES = 64 * 1024
 
 
-class _PolyScanner:
-    _SYMBOLS = "+-*^()"
+class Lexer:
+    """Tokenizer shared by the polynomial and space-expression grammars.
 
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+    Tokens are (kind, text, line, column) tuples: each character of
+    `symbols` as its own kind, INT for digit runs, NAME for identifiers, and
+    a final EOF.  Inputs over MAX_INPUT_BYTES are refused before scanning.
+    """
+
+    def __init__(self, text, symbols):
+        if len(text.encode()) > MAX_INPUT_BYTES:
+            raise ParseError("input exceeds 64 KiB", 1, 1)
         self.tokens = []
-        self._scan()
-        self.i = 0
-
-    def _scan(self):
-        text = self.text
-        n = len(text)
-        pos = 0
         line, col = 1, 1
+        pos = 0
+        n = len(text)
         while pos < n:
             ch = text[pos]
             if ch == "\n":
@@ -310,6 +288,11 @@ class _PolyScanner:
                 pos += 1
                 col += 1
                 continue
+            if ch in symbols:
+                self.tokens.append((ch, ch, line, col))
+                pos += 1
+                col += 1
+                continue
             if ch.isdigit():
                 start = pos
                 while pos < n and text[pos].isdigit():
@@ -317,18 +300,16 @@ class _PolyScanner:
                 self.tokens.append(("INT", text[start:pos], line, col))
                 col += pos - start
                 continue
-            if ch in "xy":
-                self.tokens.append(("VAR", ch, line, col))
-                pos += 1
-                col += 1
-                continue
-            if ch in self._SYMBOLS:
-                self.tokens.append((ch, ch, line, col))
-                pos += 1
-                col += 1
+            if ch.isalpha():
+                start = pos
+                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                    pos += 1
+                self.tokens.append(("NAME", text[start:pos], line, col))
+                col += pos - start
                 continue
             raise ParseError(f"unexpected character {ch!r}", line, col)
         self.tokens.append(("EOF", "", line, col))
+        self.i = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -345,6 +326,11 @@ class _PolyScanner:
                              tok[2], tok[3])
         return tok
 
+    def expect_eof(self):
+        tok = self.peek()
+        if tok[0] != "EOF":
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+
 
 def parse_poly(text):
     """Parse the canonical polynomial syntax into a LaurentPoly2.
@@ -356,13 +342,9 @@ def parse_poly(text):
         factor := base ['^' ['-'] INT]
         base   := INT | 'x' | 'y' | '(' poly ')'
     """
-    if len(text.encode()) > MAX_INPUT_BYTES:
-        raise ParseError("input exceeds 64 KiB", 1, 1)
-    sc = _PolyScanner(text)
+    sc = Lexer(text, "+-*^()xy")
     p = _parse_sum(sc)
-    tok = sc.peek()
-    if tok[0] != "EOF":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+    sc.expect_eof()
     return p
 
 
@@ -411,8 +393,8 @@ def _parse_base(sc):
     kind = tok[0]
     if kind == "INT":
         return const(int(tok[1]))
-    if kind == "VAR":
-        return X if tok[1] == "x" else Y
+    if kind in ("x", "y"):
+        return X if kind == "x" else Y
     if kind == "(":
         p = _parse_sum(sc)
         sc.expect(")")

@@ -12,11 +12,11 @@ and converts at the leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .counting import gaussian_binomial
 from .errors import (MissingDimensionError, MissingInclusionError, ParseError)
-from .laurent import (BettiPoly, ONE, _u_div_exact, _u_mul, const,
+from .laurent import (BettiPoly, Lexer, ONE, _u_div_exact, _u_mul, const,
                       format_poly, q_power, self_dual_convert)
 
 
@@ -165,29 +165,9 @@ class Disjoint(SpaceExpr):
 # -- dimensions ----------------------------------------------------------------
 
 def dimension(e):
-    if isinstance(e, Point):
-        return 0
-    if isinstance(e, Affine):
-        return e.n
-    if isinstance(e, Torus):
-        return 1
-    if isinstance(e, Proj):
-        return e.n
-    if isinstance(e, Grass):
-        return e.k * (e.n - e.k)
-    if isinstance(e, GLGroup):
-        return e.m * e.m
-    if isinstance(e, SpGroup):
-        n = e.m // 2
-        return n * (2 * n + 1)
-    if isinstance(e, HomSpaceM):
-        return e.n * (2 * e.n - 1)
-    if isinstance(e, MilnorFibreF):
-        return 2 * e.n * e.n - e.n - 1
-    if isinstance(e, PfaffianHypersurface):
-        return e.n * (2 * e.n - 1) - 1
-    if isinstance(e, ConeOverPlucker):
-        return dimension(e.inner) + 1
+    leaf = _LEAF_OF.get(type(e))
+    if leaf is not None:
+        return leaf.dim(*leaf.args(e))
     if isinstance(e, (Product, FibrationTotal)):
         a, b = _children(e)
         return dimension(a) + dimension(b)
@@ -292,30 +272,53 @@ def betti_grassmannian(k=2, n=6):
     return BettiPoly(_u_div_exact(num, den))
 
 
+class _Leaf:
+    """One leaf of the grammar: its node class, its smooth dimension and its
+    catalog entry (stated polynomial, compact?) as functions of the node's
+    fields in grammar argument order.  Leaves that _ec expands by rule have
+    no catalog entry."""
+
+    def __init__(self, name, cls, dim, entry=None):
+        self.name = name
+        self.cls = cls
+        self.dim = dim
+        self.entry = entry
+        self.params = tuple(f.name for f in fields(cls))
+
+    def args(self, e):
+        return [getattr(e, p) for p in self.params]
+
+
+LEAVES = {leaf.name: leaf for leaf in (
+    _Leaf("point", Point, lambda: 0, lambda: (ONE, True)),
+    _Leaf("torus", Torus, lambda: 1, lambda: (q_power(1) - ONE, True)),
+    _Leaf("affine", Affine, lambda n: n, lambda n: (q_power(n), True)),
+    _Leaf("proj", Proj, lambda n: n,
+          lambda n: (sum((q_power(i) for i in range(n + 1)), const(0)), True)),
+    _Leaf("grass", Grass, lambda k, n: k * (n - k),
+          lambda k, n: (gaussian_binomial(n, k), True)),
+    _Leaf("gl", GLGroup, lambda m: m * m, lambda m: (catalog_e_GL(m), False)),
+    _Leaf("sp", SpGroup, lambda m: m // 2 * (m + 1),
+          lambda m: (catalog_e_Sp(m // 2), False)),
+    _Leaf("homM", HomSpaceM, lambda n: n * (2 * n - 1),
+          lambda n: (catalog_e_M(n), False)),
+    _Leaf("milnorF", MilnorFibreF, lambda n: 2 * n * n - n - 1,
+          lambda n: (catalog_e_F(n), False)),
+    _Leaf("pfhyp", PfaffianHypersurface, lambda n: n * (2 * n - 1) - 1),
+    _Leaf("cone", ConeOverPlucker, lambda inner: dimension(inner) + 1),
+)}
+
+_LEAF_OF = {leaf.cls: leaf for leaf in LEAVES.values()}
+
+
 def catalog_entry(e):
     """The stated polynomial and kind tag of a catalog leaf."""
-    if isinstance(e, Point):
-        return ONE, EKind(compact=True, smooth_dim=0)
-    if isinstance(e, Affine):
-        return q_power(e.n), EKind(compact=True, smooth_dim=e.n)
-    if isinstance(e, Torus):
-        return q_power(1) - ONE, EKind(compact=True, smooth_dim=1)
-    if isinstance(e, Proj):
-        p = sum((q_power(i) for i in range(e.n + 1)), const(0))
-        return p, EKind(compact=True, smooth_dim=e.n)
-    if isinstance(e, Grass):
-        return (gaussian_binomial(e.n, e.k),
-                EKind(compact=True, smooth_dim=dimension(e)))
-    if isinstance(e, GLGroup):
-        return catalog_e_GL(e.m), EKind(compact=False, smooth_dim=e.m * e.m)
-    if isinstance(e, SpGroup):
-        return catalog_e_Sp(e.m // 2), EKind(compact=False,
-                                             smooth_dim=dimension(e))
-    if isinstance(e, HomSpaceM):
-        return catalog_e_M(e.n), EKind(compact=False, smooth_dim=dimension(e))
-    if isinstance(e, MilnorFibreF):
-        return catalog_e_F(e.n), EKind(compact=False, smooth_dim=dimension(e))
-    raise KeyError(f"no catalog entry for {format_space_expr(e)}")
+    leaf = _LEAF_OF.get(type(e))
+    if leaf is None or leaf.entry is None:
+        raise KeyError(f"no catalog entry for {format_space_expr(e)}")
+    args = leaf.args(e)
+    stated, compact = leaf.entry(*args)
+    return stated, EKind(compact=compact, smooth_dim=leaf.dim(*args))
 
 
 # -- closed inclusions -------------------------------------------------------------
@@ -423,82 +426,11 @@ def _ec(e, steps):
 # Leaves: point, torus, affine(n), proj(n), grass(k,n), gl(m), sp(m),
 # homM(n), milnorF(n), pfhyp(n), cone(grass(k,n)), fib(base; fibre).
 
-MAX_INPUT_BYTES = 64 * 1024
-
-_SYMBOLS = "*+\\();,"
-
-
-class _Scanner:
-    def __init__(self, text):
-        self.tokens = []
-        line, col = 1, 1
-        pos = 0
-        n = len(text)
-        while pos < n:
-            ch = text[pos]
-            if ch == "\n":
-                pos += 1
-                line += 1
-                col = 1
-                continue
-            if ch in " \t\r":
-                pos += 1
-                col += 1
-                continue
-            if ch.isdigit():
-                start = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                self.tokens.append(("INT", text[start:pos], line, col))
-                col += pos - start
-                continue
-            if ch.isalpha():
-                start = pos
-                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                    pos += 1
-                self.tokens.append(("NAME", text[start:pos], line, col))
-                col += pos - start
-                continue
-            if ch in _SYMBOLS:
-                self.tokens.append((ch, ch, line, col))
-                pos += 1
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("EOF", "", line, col))
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}",
-                             tok[2], tok[3])
-        return tok
-
-
-_LEAF_ARITY = {
-    "point": 0, "torus": 0, "affine": 1, "proj": 1, "grass": 2, "gl": 1,
-    "sp": 1, "homM": 1, "milnorF": 1, "pfhyp": 1, "cone": 1, "fib": 2,
-}
-
-
 def parse_space_expr(text):
     """Parse the space-expression grammar; round-trips with the printer."""
-    if len(text.encode()) > MAX_INPUT_BYTES:
-        raise ParseError("input exceeds 64 KiB", 1, 1)
-    sc = _Scanner(text)
+    sc = Lexer(text, "*+\\();,")
     e = _parse_expr(sc)
-    tok = sc.peek()
-    if tok[0] != "EOF":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+    sc.expect_eof()
     return e
 
 
@@ -539,38 +471,31 @@ def _parse_atom(sc):
     if tok[0] != "NAME":
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
     name = tok[1]
-    if name not in _LEAF_ARITY:
+    leaf = LEAVES.get(name)
+    if leaf is None and name != "fib":
         raise ParseError(f"unknown space {name!r}", tok[2], tok[3])
-    arity = _LEAF_ARITY[name]
-    if arity == 0:
-        return Point() if name == "point" else Torus()
+    if leaf is not None and not leaf.params:
+        return leaf.cls()
     sc.expect("(")
     try:
-        if name == "cone":
+        if name == "fib":
+            base = _parse_expr(sc)
+            sc.expect(";")
+            ctor, args = FibrationTotal, [base, _parse_expr(sc)]
+        elif name == "cone":
             inner = _parse_atom(sc)
             if not isinstance(inner, Grass):
                 raise ParseError("cone(...) takes a Grassmannian",
                                  tok[2], tok[3])
-            sc.expect(")")
-            return ConeOverPlucker(inner)
-        if name == "fib":
-            base = _parse_expr(sc)
-            sc.expect(";")
-            fibre = _parse_expr(sc)
-            sc.expect(")")
-            return FibrationTotal(base, fibre)
-        if name == "grass":
-            k = _parse_int(sc)
-            sc.expect(",")
-            n = _parse_int(sc)
-            sc.expect(")")
-            return Grass(k, n)
-        v = _parse_int(sc)
+            ctor, args = ConeOverPlucker, [inner]
+        else:
+            args = [_parse_int(sc)]
+            for _ in leaf.params[1:]:
+                sc.expect(",")
+                args.append(_parse_int(sc))
+            ctor = leaf.cls
         sc.expect(")")
-        ctor = {"affine": Affine, "proj": Proj, "gl": GLGroup, "sp": SpGroup,
-                "homM": HomSpaceM, "milnorF": MilnorFibreF,
-                "pfhyp": PfaffianHypersurface}[name]
-        return ctor(v)
+        return ctor(*args)
     except ValueError as exc:
         raise ParseError(str(exc), tok[2], tok[3]) from None
 
@@ -582,28 +507,10 @@ def format_space_expr(e):
 
 # precedence levels: 0 sum/complement, 1 product, 2 atom
 def _fmt(e, level):
-    if isinstance(e, Point):
-        return "point"
-    if isinstance(e, Torus):
-        return "torus"
-    if isinstance(e, Affine):
-        return f"affine({e.n})"
-    if isinstance(e, Proj):
-        return f"proj({e.n})"
-    if isinstance(e, Grass):
-        return f"grass({e.k},{e.n})"
-    if isinstance(e, GLGroup):
-        return f"gl({e.m})"
-    if isinstance(e, SpGroup):
-        return f"sp({e.m})"
-    if isinstance(e, HomSpaceM):
-        return f"homM({e.n})"
-    if isinstance(e, MilnorFibreF):
-        return f"milnorF({e.n})"
-    if isinstance(e, PfaffianHypersurface):
-        return f"pfhyp({e.n})"
-    if isinstance(e, ConeOverPlucker):
-        return f"cone({_fmt(e.inner, 2)})"
+    leaf = _LEAF_OF.get(type(e))
+    if leaf is not None:
+        args = ",".join(map(str, leaf.args(e)))
+        return f"{leaf.name}({args})" if args else leaf.name
     if isinstance(e, FibrationTotal):
         return f"fib({_fmt(e.base, 0)}; {_fmt(e.fibre, 0)})"
     if isinstance(e, Product):

@@ -83,7 +83,6 @@ class FilteredHodgeObject:
     increasing; E-polynomials are additive over the factors."""
 
     factors: tuple
-    ambient_shift: int = 0
     assumptions: tuple = ()
 
     def __post_init__(self):
@@ -170,7 +169,6 @@ def vanishing_cycle_object():
             CompFactor("X", ICModule(CONE_X), shift=0, twist=-3, weight=15),
             CompFactor("origin", PointModule(), shift=0, twist=-8, weight=16),
         ),
-        ambient_shift=15,
         assumptions=(MONODROMY_ASSUMPTION,),
     )
 
@@ -261,7 +259,6 @@ def phi4_restricted_object():
             CompFactor("V4", ICModule(v4), shift=0, twist=0, weight=12),
             CompFactor("S4", ConstantModule(s4), shift=3, twist=-5, weight=13),
         ),
-        ambient_shift=12,
     )
 
 

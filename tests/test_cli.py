@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from motivic.cli import main
+from motivic.laurent import q_power
 from motivic.suites import (SuiteContext, SuiteResult, emit_report,
                             run_suite)
 
@@ -39,6 +41,12 @@ def test_epoly_rational_evaluation(capsys):
     assert json.loads(out)["value_at"]["value"] == "-5/6"
 
 
+def test_epoly_zero_denominator_exit_2(capsys):
+    code, out, err = run(capsys, "epoly", "point", "--at", "1/0", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_epoly_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "epoly", "nosuch(3)")
     assert code == 2
@@ -67,6 +75,15 @@ def test_count_cap_refusal_exit_3(capsys):
     code, _, err = run(capsys, "count", "rank", "--n", "3", "--p", "5")
     assert code == 3
     assert "exceeds cap" in err
+
+
+def test_workers_below_one_exit_2(capsys):
+    for argv in (("count", "rank", "--n", "1", "--p", "2"),
+                 ("verify", "dt"), ("report", "--suites", "dt")):
+        for w in ("0", "-1"):
+            code, out, err = run(capsys, *argv, "--workers", w)
+            assert code == 2 and out == ""
+            assert "--workers" in err
 
 
 def test_count_nonprime_exit_2(capsys):
@@ -131,6 +148,21 @@ def test_hilb4_strata(capsys):
     # three stratum rows plus the total row in text form
     code, out, _ = run(capsys, "hilb4", "strata")
     assert len(out.strip().splitlines()) == 4
+
+
+def test_hilb4_mismatch_exit_1(capsys, monkeypatch):
+    import motivic.hilb4 as h4
+    monkeypatch.setattr(h4, "contribution_L4", lambda: q_power(6))
+    code, out, _ = run(capsys, "hilb4", "strata", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert [s["match"] for s in payload["strata"]] == [True, False, True]
+    assert payload["match"] is False
+    code, out, _ = run(capsys, "hilb4", "total", "--format", "json")
+    assert code == 1 and json.loads(out)["match"] is False
+    # the suite reports FAIL rows instead of aborting
+    code, out, _ = run(capsys, "verify", "hilb4")
+    assert code == 1 and "[FAIL] hilb4: module contribution of L4" in out
 
 
 def test_dt_count(capsys):
@@ -200,6 +232,13 @@ def test_json_reports_byte_identical_across_runs(capsys):
         _, out, _ = run(capsys, "verify", "mhm", "--format", "json")
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_report_p2_matches_golden(capsys):
+    golden = Path(__file__).parent / "golden" / "report_p2.json"
+    code, out, _ = run(capsys, "report", "--p", "2", "--format", "json")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_katz_byte_identical_across_worker_counts(capsys):

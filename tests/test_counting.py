@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from motivic.counting import (CountReport, Enumeration, count_by_rank,
-                              count_pf_fibre, count_pf_values, default_cap,
-                              gaussian_binomial, katz_check, scan_skew)
+from motivic import counting
+from motivic.counting import (count_by_rank, count_pf_fibre, count_pf_values,
+                              default_cap, gaussian_binomial, scan_skew)
 from motivic.errors import CapExceededError
 from motivic.laurent import ONE, q_power
 from motivic.skew import GF, SkewMatrix, pfaffian, skew_rank
@@ -140,38 +140,35 @@ def test_worker_counts_merge_identically():
         assert s.total == base.total
 
 
+def test_workers_capped_at_cpu_count(monkeypatch):
+    # n = 1, p = 5 has five matrices, so even an uncapped scan forks at most
+    # five processes
+    parts = []
+    split = counting._split_ranges
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(counting, "_split_ranges",
+                        lambda total, n: parts.append(n) or split(total, n))
+    s = scan_skew(1, 5, "hist", workers=64)
+    assert parts == [1]
+    assert s.pf_counts == {v: 1 for v in range(5)}
+
+
 def test_spot_check_runs():
     s = scan_skew(2, 3, "hist", workers=1)
     assert s.spot_checked == (3 ** 6 + 99) // 100
 
 
-def test_katz_check_reports():
-    cone = ec(ConeOverPlucker(Grass(2, 6)))
-    rep = katz_check("coneGr26", cone, 2, Enumeration("rank_le", 3, 2))
-    assert isinstance(rep, CountReport)
-    assert rep.observed == 652 and rep.predicted_value == 652 and rep.match
-    assert rep.enumeration_size == 32768
-
-    rep = katz_check("skewAll", q_power(15), 2, Enumeration("all", 3))
-    assert rep.observed == 32768 and rep.match
-
-    rep = katz_check("milnorF3", ec(MilnorFibreF(3)), 2,
-                     Enumeration("pf_fibre", 3, value=1))
-    assert rep.observed == 13888 and rep.match
-
-    rep = katz_check("mismatch", q_power(15), 2,
-                     Enumeration("pf_fibre", 3, value=1))
-    assert not rep.match
-
-    d = rep.to_json_dict()
-    assert d["match"] is False and "elapsed_seconds" not in d
-    assert "elapsed_seconds" in rep.to_json_dict(include_timing=True)
-
-
-def test_katz_check_shared_scan():
+def test_scan_counts_match_ec_predictions():
     scan = scan_skew(3, 2, "full")
-    r1 = katz_check("nonzero", ec(MilnorFibreF(3)) * (q_power(1) - ONE), 2,
-                    Enumeration("pf_nonzero", 3), scan=scan)
-    r2 = katz_check("rank6", ec(MilnorFibreF(3)) * (q_power(1) - ONE), 2,
-                    Enumeration("rank_eq", 3, value=6), scan=scan)
-    assert r1.match and r2.match and r1.observed == r2.observed == 13888
+    assert scan.total == 32768 == q_power(15).eval_q(2)
+    cone = ec(ConeOverPlucker(Grass(2, 6)))
+    assert scan.rank_counts[0] + scan.rank_counts[2] == 652 == cone.eval_q(2)
+    assert scan.pf_counts[1] == 13888 == ec(MilnorFibreF(3)).eval_q(2)
+    assert scan.pf_counts[1] != q_power(15).eval_q(2)
+
+
+def test_one_scan_serves_every_count():
+    scan = scan_skew(3, 2, "full")
+    predicted = (ec(MilnorFibreF(3)) * (q_power(1) - ONE)).eval_q(2)
+    nonzero = scan.total - scan.pf_counts[0]
+    assert nonzero == scan.rank_counts[6] == predicted == 13888

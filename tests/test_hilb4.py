@@ -1,15 +1,16 @@
 import pytest
 
 from motivic.errors import CapExceededError
-from motivic.hilb4 import (HILB4_TOTAL_QUOTED, Partition, PlanePartition,
-                           collinear_in_plane, contribution_L4, dt_invariant,
-                           ec_L4, ec_P4_minus_L4, ec_V4_contribution,
+from motivic.hilb4 import (PlanePartition, collinear_in_plane,
+                           contribution_L4, dt_invariant, ec_L4,
+                           ec_P4_minus_L4, ec_V4_contribution,
                            ec_hilb4_total, goettsche_coeff, goettsche_series,
                            hilb4_strata, hilb_line, macmahon_series,
                            partitions, plane_partitions,
                            singular_fixed_point_residual,
                            smooth_fixed_point_poly)
 from motivic.laurent import ONE, parse_poly, q_power
+from motivic.suites import HILB4_TOTAL_QUOTED
 
 MACMAHON = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500]
 
@@ -19,12 +20,10 @@ def test_partitions():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
                                    (1, 1, 1, 1)]
     assert len(list(partitions(10))) == 42
-    p = Partition((3, 1))
-    assert p.weight == 4 and p.length == 2
-    with pytest.raises(ValueError):
-        Partition((1, 3))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+    for n in range(8):
+        for parts in partitions(n):
+            assert sum(parts) == n and all(v > 0 for v in parts)
+            assert list(parts) == sorted(parts, reverse=True)
 
 
 def test_goettsche_pinned_coefficient():

@@ -6,9 +6,8 @@ import pytest
 from motivic.errors import ConsistencyError, ParseError
 from motivic.laurent import (BettiPoly, LaurentPoly2, ONE, PowerSeries1, Q,
                              X, Y, ZERO, _u_div_exact, _u_mul, const, dualize,
-                             eval_at, format_poly, monomial, parse_poly,
-                             poly_add, poly_mul, q_power, self_dual_convert,
-                             shift_apply, twist_apply)
+                             format_poly, monomial, parse_poly, q_power,
+                             self_dual_convert, shift_apply, twist_apply)
 
 rng = random.Random(98141)
 
@@ -29,14 +28,14 @@ def test_zero_coefficients_never_stored():
 
 def test_add_cancellation():
     assert q_power(7) + (-1) * q_power(7) == ZERO
-    assert poly_add(ONE + q_power(3), q_power(3)) == ONE + 2 * q_power(3)
+    assert (ONE + q_power(3)) + q_power(3) == ONE + 2 * q_power(3)
 
 
 def test_mul_examples():
     lhs = (ONE - q_power(3)) * (ONE - q_power(5))
     assert lhs == ONE - q_power(3) - q_power(5) + q_power(8)
     p = random_poly()
-    assert poly_mul(p, ONE) == p
+    assert p * ONE == p
     chain = q_power(4) * q_power(2) * (ONE + Q + q_power(2))
     assert chain == q_power(6) + q_power(7) + q_power(8)
 
@@ -88,14 +87,14 @@ def test_self_dual_convert():
 
 def test_eval_at():
     p = q_power(9) + q_power(7) + q_power(5) - q_power(4) - q_power(2)
-    assert eval_at(p, 2, 1) == 652
-    assert eval_at(ZERO, 3, 7) == 0
-    assert eval_at(X * Y ** 2, Fraction(1, 2), 3) == Fraction(9, 2)
+    assert p.eval_at(2, 1) == 652
+    assert ZERO.eval_at(3, 7) == 0
+    assert (X * Y ** 2).eval_at(Fraction(1, 2), 3) == Fraction(9, 2)
 
 
 def test_eval_at_zero_division():
     with pytest.raises(ZeroDivisionError):
-        eval_at(q_power(-1), 0, 1)
+        q_power(-1).eval_at(0, 1)
 
 
 def test_eval_q():
@@ -125,7 +124,7 @@ def test_eval_multiplicative():
     for _ in range(50):
         p, q = random_poly(), random_poly()
         a, b = Fraction(rng.randint(1, 5)), Fraction(rng.randint(1, 5), 2)
-        assert eval_at(p * q, a, b) == eval_at(p, a, b) * eval_at(q, a, b)
+        assert (p * q).eval_at(a, b) == p.eval_at(a, b) * q.eval_at(a, b)
 
 
 def test_pow():

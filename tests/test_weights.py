@@ -18,7 +18,6 @@ def test_vanishing_cycle_object_shape():
     obj = vanishing_cycle_object()
     assert obj.weights() == [14, 15, 16]
     assert obj.kinds_palindromic()
-    assert obj.ambient_shift == 15
     kinds = [type(f.kind).__name__ for f in obj.factors]
     assert kinds == ["PointModule", "ICModule", "PointModule"]
     assert [f.twist for f in obj.factors] == [-7, -3, -8]
