@@ -7,8 +7,7 @@ from .laurent import (BettiPoly, LaurentPoly2, PowerSeries1, dualize,
                       shift_apply, twist_apply)
 from .skew import (GF, INTEGERS, CoeffDomain, SkewMatrix, check_equivariance,
                    pfaffian, skew_rank, stratum_dim)
-from .counting import (count_by_rank, count_pf_fibre, count_pf_values,
-                       gaussian_binomial, scan_skew)
+from .counting import gaussian_binomial, scan_skew
 from .spaces import (dimension, ec, ec_traced, format_space_expr,
                      kind_convert, parse_space_expr)
 from .weights import (CompFactor, FilteredHodgeObject, StalkTable, ec_ic_X,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .counting import scan_skew
 from .errors import CapExceededError, ConsistencyError
 from .hilb4 import (dt_invariant, ec_hilb4_total, goettsche_coeff,
-                    hilb4_strata, macmahon_series)
+                    goettsche_series, hilb4_strata, macmahon_series)
 from .laurent import format_poly, parse_poly
 from .spaces import dimension, ec_traced, format_space_expr, parse_space_expr
 from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, KATZ_FAMILIES,
@@ -37,7 +37,7 @@ def _add_scan_flags(p):
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="worker processes for exhaustive scans")
     p.add_argument("--cap", type=int, default=None,
-                   help="enumeration cap (default 10^8; env MOTIVIC_CAP)")
+                   help="enumeration cap (default 10^8)")
 
 
 def build_parser():
@@ -243,9 +243,14 @@ def _cmd_dt(args):
 
 def _cmd_goettsche(args):
     value = goettsche_coeff(args.n)
-    payload = {"n": args.n, "ec": format_poly(value), "routes_agree": True}
-    _emit(payload, args.format, [format_poly(value)])
-    return 0
+    series = goettsche_series(args.n).coeff(args.n)
+    agree = value == series
+    payload = {"n": args.n, "ec": format_poly(value), "routes_agree": agree}
+    lines = [format_poly(value)]
+    if not agree:
+        lines.append(f"generating function gives {format_poly(series)}")
+    _emit(payload, args.format, lines)
+    return 0 if agree else 1
 
 
 def main(argv=None):
@@ -258,6 +263,9 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
     except CapExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -31,11 +31,6 @@ SPOT_STRIDE = 100
 _CHUNK = 1 << 17
 
 
-def default_cap():
-    raw = os.environ.get("MOTIVIC_CAP")
-    return int(raw) if raw else DEFAULT_CAP
-
-
 @dataclass
 class ScanResult:
     n: int
@@ -165,7 +160,7 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         raise ValueError(f"unknown scan mode {mode!r}")
     m = n * (2 * n - 1)
     total = p ** m
-    cap = default_cap() if cap is None else cap
+    cap = DEFAULT_CAP if cap is None else cap
     if total > cap:
         raise CapExceededError(
             f"enumeration of {total} = {p}^{m} matrices exceeds cap {cap}")
@@ -207,21 +202,6 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     return ScanResult(n=n, p=p, total=total, pf_counts=pf_counts,
                       rank_counts=rank_counts, spot_checked=checked,
                       elapsed=time.perf_counter() - t0)
-
-
-def count_by_rank(n, p, cap=None, workers=1):
-    """Exhaustive rank histogram {even rank: count}; counts sum to p^(n(2n-1))."""
-    return scan_skew(n, p, "full", cap, workers).rank_counts
-
-
-def count_pf_values(n, p, cap=None, workers=1):
-    """Exhaustive Pfaffian-value histogram {c: #{Pf = c}} over F_p."""
-    return scan_skew(n, p, "hist", cap, workers).pf_counts
-
-
-def count_pf_fibre(n, p, c, cap=None, workers=1):
-    """#{A skew 2n x 2n over F_p : Pf(A) = c}."""
-    return count_pf_values(n, p, cap, workers)[c % p]
 
 
 def gaussian_binomial(n, k):

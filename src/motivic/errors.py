@@ -24,7 +24,7 @@ class WeightRuleError(ValueError):
 
 
 class MissingInclusionError(ValueError):
-    """A complement was evaluated without a registered closed inclusion."""
+    """A complement was evaluated without a recognized closed inclusion."""
 
 
 class MissingDimensionError(ValueError):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, ConsistencyError
+from .errors import CapExceededError
 from .laurent import (LaurentPoly2, ONE, PowerSeries1, const, format_poly,
                       parse_poly, q_power, shift_apply, twist_apply)
 from .spaces import (Affine, ConeOverPlucker, FibrationTotal, Grass, Product,
@@ -15,6 +15,7 @@ from .spaces import (Affine, ConeOverPlucker, FibrationTotal, Grass, Product,
 from .weights import ec_vanishing_cycles, phi4_restricted_object
 
 PLANE_PARTITION_CAP = 12
+GOETTSCHE_CAP = 40
 
 
 # -- partitions and plane partitions ----------------------------------------------
@@ -81,9 +82,7 @@ def _rows_below(bound, budget):
 
 def plane_partitions(m, cap=PLANE_PARTITION_CAP):
     """Exhaustive, duplicate-free list of plane partitions of weight m, in
-    lexicographic depth-first order over row profiles.  The count is
-    cross-checked against the generating-function coefficient; disagreement
-    is fatal."""
+    lexicographic depth-first order over row profiles."""
     if m < 0:
         raise ValueError("weight must be >= 0")
     if m > cap:
@@ -105,11 +104,6 @@ def plane_partitions(m, cap=PLANE_PARTITION_CAP):
     for w in range(m, 0, -1):
         for first in partitions(w):
             rec([first], first, m - w)
-    expected = macmahon_series(m).integer_coefficients()[m]
-    if len(out) != expected:
-        raise ConsistencyError(
-            f"enumerated {len(out)} plane partitions of weight {m}, "
-            f"generating function says {expected}")
     return out
 
 
@@ -147,21 +141,18 @@ def goettsche_series(order):
 
 
 def goettsche_coeff(n):
-    """E_c of the Hilbert scheme of n points on the affine plane, computed
-    two ways that must agree: the z^n series coefficient, and the partition
-    statistic sum of q^(n + length)."""
+    """E_c of the Hilbert scheme of n points on the affine plane by the
+    partition statistic: the sum over partitions of n of q^(n + length).
+    The other route is goettsche_series(n).coeff(n)."""
     if n < 0:
         raise ValueError("need n >= 0")
-    via_series = goettsche_series(max(n, 1)).coeff(n)
-    via_partitions = const(0)
+    if n > GOETTSCHE_CAP:
+        raise CapExceededError(
+            f"partition sum for n = {n} exceeds cap {GOETTSCHE_CAP}")
+    total = const(0)
     for parts in partitions(n):
-        via_partitions = via_partitions + q_power(n + len(parts))
-    if via_series != via_partitions:
-        raise ConsistencyError(
-            f"generating-function and partition-statistic routes disagree "
-            f"for n={n}: {format_poly(via_series)} vs "
-            f"{format_poly(via_partitions)}")
-    return via_series
+        total = total + q_power(n + len(parts))
+    return total
 
 
 # -- strata of the Hilbert scheme of four points -------------------------------------

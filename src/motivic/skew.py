@@ -258,34 +258,10 @@ def bareiss_det(rows):
     return sign * M[n - 1][n - 1]
 
 
-def _gauss_det_modp(rows, p):
-    n = len(rows)
-    M = [[v % p for v in r] for r in rows]
-    det = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if M[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det = det * M[col][col] % p
-        inv = pow(M[col][col], -1, p)
-        for r in range(col + 1, n):
-            f = M[r][col] * inv % p
-            if f:
-                M[r] = [(v - f * w) % p for v, w in zip(M[r], M[col])]
-    return det % p
-
-
 def mat_det(rows, domain=INTEGERS):
-    if domain.is_field:
-        return _gauss_det_modp(rows, domain.p)
-    return bareiss_det(rows)
+    """Determinant over the domain: the exact integer determinant, reduced
+    mod p over F_p."""
+    return domain.normalize(bareiss_det(rows))
 
 
 def _mat_mul(A, B, domain):

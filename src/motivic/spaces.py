@@ -2,7 +2,7 @@
 
 Expression trees of geometric spaces are evaluated to compactly supported
 E-polynomials by structural recursion: catalog leaves, products and Zariski
-locally trivial fibrations multiply, complements of registered closed
+locally trivial fibrations multiply, complements of recognized closed
 inclusions subtract, disjoint unions add.  The catalog stores each entry in
 the form its source states it (ordinary E for the group-theoretic spaces
 and the Milnor fibre, Betti polynomials for the compact ones) together with
@@ -145,7 +145,7 @@ class FibrationTotal(SpaceExpr):
 
 @dataclass(frozen=True)
 class Complement(SpaceExpr):
-    """whole minus closed; requires a registered closed inclusion or an
+    """whole minus closed; requires a recognized closed inclusion or an
     explicit note asserting one."""
 
     whole: SpaceExpr
@@ -323,17 +323,8 @@ def catalog_entry(e):
 
 # -- closed inclusions -------------------------------------------------------------
 
-_registered_inclusions = set()
-
-
-def register_closed_inclusion(whole, closed):
-    _registered_inclusions.add((whole, closed))
-
-
 def closed_inclusion_note(whole, closed):
     """A note naming the recognized closed inclusion, or None."""
-    if (whole, closed) in _registered_inclusions:
-        return "registered inclusion"
     if isinstance(closed, Point) and not isinstance(
             whole, (Product, FibrationTotal, Complement, Disjoint)):
         return "point in a variety"
@@ -399,7 +390,7 @@ def _ec(e, steps):
         note = e.note or closed_inclusion_note(e.whole, e.closed)
         if note is None:
             raise MissingInclusionError(
-                f"no registered closed inclusion of "
+                f"no recognized closed inclusion of "
                 f"{format_space_expr(e.closed)} in "
                 f"{format_space_expr(e.whole)}")
         value = _ec(e.whole, steps) - _ec(e.closed, steps)

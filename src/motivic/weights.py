@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (ConsistencyError, MissingBasePolynomialError,
-                     WeightRuleError)
-from .laurent import const, format_poly, q_power, self_dual_convert, \
-    shift_apply
+from .errors import MissingBasePolynomialError, WeightRuleError
+from .laurent import const, q_power, self_dual_convert, shift_apply
 from .spaces import (Affine, ConeOverPlucker, Grass, Product, SpaceExpr,
                      dimension, ec, format_space_expr)
 
@@ -224,27 +222,20 @@ def _sum_factors(obj, base, compact):
 
 
 def ec_vanishing_cycles(route):
-    """(E, E_c) of the vanishing-cycle module on X by the requested route;
-    both routes are always computed and must agree bit-exactly.
+    """(E, E_c) of the vanishing-cycle module on X by the named route.
 
     Route "stalk-stratum": ordinary E from the Milnor-fibre stalk table via
     the conic structure, then E_c by the self-dual conversion with n = 15
     (monodromy-trivial self-duality).  Route "weight-filtration": sum the
-    three composition factors.
+    three composition factors.  The mhm suite compares the two.
     """
-    if route not in ("stalk-stratum", "weight-filtration"):
-        raise ValueError(f"unknown route {route!r}")
-    e_stalk = milnor_fibre_stalk_table().e_poly()
-    ec_stalk = self_dual_convert(e_stalk, 15)
-    obj = vanishing_cycle_object()
-    e_wt = e_of_object(obj)
-    ec_wt = ec_of_object(obj)
-    if e_stalk != e_wt or ec_stalk != ec_wt:
-        raise ConsistencyError(
-            "stalk-stratum and weight-filtration routes disagree: "
-            f"E {format_poly(e_stalk)} vs {format_poly(e_wt)}, "
-            f"E_c {format_poly(ec_stalk)} vs {format_poly(ec_wt)}")
-    return e_stalk, ec_stalk
+    if route == "stalk-stratum":
+        e = milnor_fibre_stalk_table().e_poly()
+        return e, self_dual_convert(e, 15)
+    if route == "weight-filtration":
+        obj = vanishing_cycle_object()
+        return e_of_object(obj), ec_of_object(obj)
+    raise ValueError(f"unknown route {route!r}")
 
 
 def phi4_restricted_object():
@@ -263,8 +254,8 @@ def phi4_restricted_object():
 
 
 def twist_bookkeeping_check(m):
-    """Verify the shift/twist ledger of the Hilbert-scheme module for small
-    m and return it as a record.
+    """The shift/twist ledger of the Hilbert-scheme module for small m, as
+    a record.
 
     The ambient smooth space has dimension 2m^2 + m and the module carries
     the twist (m^2 - m).  For m <= 3 the quadratic-form reduction cancels
@@ -279,25 +270,14 @@ def twist_bookkeeping_check(m):
     twist = m * m - m
     record = {"m": m, "dim": dim, "twist": twist}
     if m <= 3:
-        hilb_dim = 3 * m
-        if dim - 2 * twist != hilb_dim:
-            raise ConsistencyError(
-                f"twist ledger for m={m}: {dim} - 2*{twist} != {hilb_dim}")
-        record.update({"hilb_dim": hilb_dim, "trivial": True,
+        record.update({"hilb_dim": dim - 2 * twist, "trivial": True,
                        "lemma13_l": twist, "residual": "[0](0)"})
     if m == 4:
         l = 9
         reduced = dim - 2 * l
-        if reduced != 18 or reduced - 3 != 15:
-            raise ConsistencyError("twist ledger for m=4: reduction must "
-                                   "land in 18 = 15 + 3 dimensions")
-        residual_twist = twist - l
-        residual_shift = reduced - 15
-        if (residual_shift, residual_twist) != (3, 3):
-            raise ConsistencyError("twist ledger for m=4: net restriction "
-                                   "must be [3](3)")
+        shift = reduced - 15
         record.update({"lemma13_l": l, "embed_dim": reduced,
-                       "residual_shift": residual_shift,
-                       "residual_twist": residual_twist,
-                       "residual": "[3](3)", "trivial": False})
+                       "residual_shift": shift, "residual_twist": twist - l,
+                       "residual": f"[{shift}]({twist - l})",
+                       "trivial": False})
     return record

@@ -7,6 +7,7 @@ from motivic.cli import main
 from motivic.laurent import q_power
 from motivic.suites import (SuiteContext, SuiteResult, emit_report,
                             run_suite)
+from motivic.weights import StalkTable
 
 
 def run(capsys, *argv):
@@ -47,6 +48,13 @@ def test_epoly_zero_denominator_exit_2(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_epoly_deep_nesting_exit_2(capsys):
+    expr = "(" * 3000 + "point" + ")" * 3000
+    code, out, err = run(capsys, "epoly", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_epoly_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "epoly", "nosuch(3)")
     assert code == 2
@@ -69,6 +77,12 @@ def test_count_fibre_json(capsys):
     payload = json.loads(out)
     assert payload["observed"] == 13888
     assert payload["enumeration_size"] == 32768
+    # the value is normalised mod p
+    code, out, _ = run(capsys, "count", "pfaffian-fibre", "--n", "2",
+                       "--p", "3", "--value", "-1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 2 and payload["observed"] == 234
 
 
 def test_count_cap_refusal_exit_3(capsys):
@@ -185,6 +199,52 @@ def test_goettsche(capsys):
     code, out, _ = run(capsys, "goettsche", "--n", "4")
     assert code == 0
     assert out.strip() == "(x*y)^5 + 2*(x*y)^6 + (x*y)^7 + (x*y)^8"
+
+
+def test_goettsche_cap_exit_3(capsys):
+    code, out, err = run(capsys, "goettsche", "--n", "41")
+    assert code == 3 and out == ""
+    assert err.startswith("refused:") and len(err.splitlines()) == 1
+
+
+def test_goettsche_route_disagreement_fails(capsys, monkeypatch):
+    import motivic.cli as cli
+    import motivic.hilb4 as h4
+    real = h4.goettsche_coeff
+
+    def broken(n):
+        return real(n) + q_power(n) if n == 4 else real(n)
+
+    monkeypatch.setattr(h4, "goettsche_coeff", broken)
+    monkeypatch.setattr(cli, "goettsche_coeff", broken)
+    res = run_suite("hilb4")
+    failed = {c.description: c for c in res.checks if not c.passed}
+    agree = failed["generating-function and partition-statistic routes "
+                   "agree, n <= 10"]
+    assert (agree.expected, agree.observed) == ("11", "10")
+    assert "strictly planar contribution" in failed
+    assert any(d.startswith("four points on the affine plane")
+               for d in failed)
+    code, out, _ = run(capsys, "goettsche", "--n", "4", "--format", "json")
+    assert code == 1 and json.loads(out)["routes_agree"] is False
+    code, out, _ = run(capsys, "goettsche", "--n", "4")
+    assert code == 1 and out.splitlines()[1] == \
+        "generating function gives (x*y)^5 + 2*(x*y)^6 + (x*y)^7 + (x*y)^8"
+    code, out, _ = run(capsys, "goettsche", "--n", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["routes_agree"] is True
+
+
+def test_mhm_route_disagreement_fails(capsys, monkeypatch):
+    import motivic.weights as weights
+    monkeypatch.setattr(weights, "milnor_fibre_stalk_table",
+                        lambda: StalkTable.of({0: [(1, -8)]}))
+    res = run_suite("mhm")
+    failed = {c.description for c in res.checks if not c.passed}
+    assert {"ordinary E: stalk-stratum route equals weight-filtration route",
+            "E_c: stalk-stratum route equals weight-filtration route"} \
+        <= failed
+    code, out, _ = run(capsys, "verify", "mhm")
+    assert code == 1 and "[FAIL] mhm: E_c: stalk-stratum route" in out
 
 
 def test_report_subset(capsys):

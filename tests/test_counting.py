@@ -4,8 +4,7 @@ from itertools import product
 import pytest
 
 from motivic import counting
-from motivic.counting import (count_by_rank, count_pf_fibre, count_pf_values,
-                              default_cap, gaussian_binomial, scan_skew)
+from motivic.counting import DEFAULT_CAP, gaussian_binomial, scan_skew
 from motivic.errors import CapExceededError
 from motivic.laurent import ONE, q_power
 from motivic.skew import GF, SkewMatrix, pfaffian, skew_rank
@@ -33,23 +32,24 @@ def test_gaussian_binomial_basics():
 
 def test_count_by_rank_2x2():
     # smallest case: a single free entry, rank 2 iff it is nonzero
-    assert count_by_rank(1, 5) == {0: 1, 2: 4}
-    assert count_pf_values(1, 3) == {0: 1, 1: 1, 2: 1}
+    assert scan_skew(1, 5).rank_counts == {0: 1, 2: 4}
+    assert scan_skew(1, 3, "hist").pf_counts == {0: 1, 1: 1, 2: 1}
 
 
 def test_count_by_rank_4x4():
-    assert count_by_rank(2, 2) == {0: 1, 2: 35, 4: 28}
-    counts3 = count_by_rank(2, 3)
+    counts2 = scan_skew(2, 2).rank_counts
+    assert counts2 == {0: 1, 2: 35, 4: 28}
+    counts3 = scan_skew(2, 3).rank_counts
     assert counts3 == {0: 1, 2: 260, 4: 468}
     assert sum(counts3.values()) == 3 ** 6
     # rank <= 2 locus is the cone over Gr(2,4)
-    for p, counts in ((2, count_by_rank(2, 2)), (3, counts3)):
+    for p, counts in ((2, counts2), (3, counts3)):
         assert counts[0] + counts[2] == \
             1 + (p - 1) * gaussian_binomial(4, 2).eval_q(p)
 
 
 def test_count_by_rank_6x6_f2():
-    counts = count_by_rank(3, 2)
+    counts = scan_skew(3, 2).rank_counts
     assert sum(counts.values()) == 2 ** 15 == 32768
     assert counts[0] == 1
     assert counts[0] + counts[2] == 652
@@ -57,22 +57,20 @@ def test_count_by_rank_6x6_f2():
 
 
 def test_count_pf_values():
-    assert count_pf_values(2, 2) == {0: 36, 1: 28}
-    assert count_pf_values(2, 3) == {0: 261, 1: 234, 2: 234}
-    v = count_pf_values(3, 2)
-    assert v == {0: 18880, 1: 13888}
+    assert scan_skew(2, 2, "hist").pf_counts == {0: 36, 1: 28}
+    assert scan_skew(2, 3, "hist").pf_counts == {0: 261, 1: 234, 2: 234}
+    assert scan_skew(3, 2, "hist").pf_counts == {0: 18880, 1: 13888}
 
 
 def test_count_pf_fibre():
-    assert count_pf_fibre(2, 2, 1) == 28
-    assert count_pf_fibre(2, 3, 1) == 234
-    assert count_pf_fibre(3, 2, 1) == 13888
-    assert count_pf_fibre(2, 3, -1) == 234  # value normalised mod p
+    assert scan_skew(2, 2, "hist").pf_counts[1] == 28
+    assert scan_skew(2, 3, "hist").pf_counts[1] == 234
+    assert scan_skew(3, 2, "hist").pf_counts[1] == 13888
 
 
 def test_fibration_triviality_identity():
     for n, p in ((2, 2), (2, 3), (2, 5)):
-        v = count_pf_values(n, p)
+        v = scan_skew(n, p, "hist").pf_counts
         total = p ** (n * (2 * n - 1))
         nonzero = total - v[0]
         assert nonzero == (p - 1) * v[1]
@@ -82,9 +80,9 @@ def test_fibration_triviality_identity():
 def test_scan_matches_predictions_small():
     # double-entry bookkeeping: closed form at q = p vs exhaustive scan
     for p in (2, 3):
-        v = count_pf_values(2, p)
+        v = scan_skew(2, p, "hist").pf_counts
         assert v[1] == (q_power(5) - q_power(2)).eval_q(p)
-    assert count_pf_fibre(3, 2, 1) == \
+    assert scan_skew(3, 2, "hist").pf_counts[1] == \
         (q_power(14) - q_power(11) - q_power(9) + q_power(6)).eval_q(2)
 
 
@@ -94,9 +92,9 @@ def test_rank_buckets_agree_with_gaussian_elimination():
         got = {0: 0, 2: 0, 4: 0}
         for entries in product(range(p), repeat=6):
             got[skew_rank(SkewMatrix(4, entries, GF(p)))] += 1
-        assert got == count_by_rank(2, p)
+        assert got == scan_skew(2, p).rank_counts
     # bucket totals plus a random sample pointwise on 6x6 over F_3
-    counts = count_by_rank(3, 3)
+    counts = scan_skew(3, 3).rank_counts
     assert sum(counts.values()) == 3 ** 15
     for _ in range(200):
         entries = [rng.randrange(3) for _ in range(15)]
@@ -106,25 +104,17 @@ def test_rank_buckets_agree_with_gaussian_elimination():
 
 
 def test_cap_refusal():
+    assert DEFAULT_CAP == 10 ** 8
     with pytest.raises(CapExceededError) as exc:
-        count_by_rank(3, 5)
+        scan_skew(3, 5)
     assert "30517578125" in str(exc.value)
     with pytest.raises(CapExceededError):
-        count_pf_values(2, 2, cap=10)
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("MOTIVIC_CAP", "10")
-    assert default_cap() == 10
-    with pytest.raises(CapExceededError):
-        count_pf_values(2, 2)
-    monkeypatch.delenv("MOTIVIC_CAP")
-    assert default_cap() == 10 ** 8
+        scan_skew(2, 2, "hist", cap=10)
 
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        count_by_rank(2, 4)
+        scan_skew(2, 4)
     with pytest.raises(ValueError):
         scan_skew(0, 2)
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import pytest
 
 from motivic.errors import CapExceededError
-from motivic.hilb4 import (PlanePartition, collinear_in_plane,
+from motivic.hilb4 import (GOETTSCHE_CAP, PlanePartition, collinear_in_plane,
                            contribution_L4, dt_invariant, ec_L4,
                            ec_P4_minus_L4, ec_V4_contribution,
                            ec_hilb4_total, goettsche_coeff, goettsche_series,
@@ -36,12 +36,20 @@ def test_goettsche_pinned_coefficient():
 def test_goettsche_routes_agree_up_to_ten():
     series = goettsche_series(10)
     for n in range(11):
-        coeff = goettsche_coeff(n)  # raises if the two routes disagree
+        coeff = goettsche_coeff(n)  # the partition-statistic route
         assert coeff == series.coeff(n)
         # partition statistic: exponents run from n+1 to 2n for n >= 1
         if n:
             assert sorted(a for a, _ in coeff.terms) == \
                 sorted(set(range(n + 1, 2 * n + 1)))
+
+
+def test_goettsche_cap():
+    assert GOETTSCHE_CAP == 40
+    with pytest.raises(CapExceededError):
+        goettsche_coeff(GOETTSCHE_CAP + 1)
+    with pytest.raises(ValueError):
+        goettsche_coeff(-1)
 
 
 def test_hilb_line():

@@ -14,7 +14,7 @@ from motivic.spaces import (Affine, Complement, ConeOverPlucker, Disjoint,
                             catalog_e_GL, catalog_e_M, catalog_e_Sp,
                             catalog_entry, closed_inclusion_note, dimension,
                             ec, ec_traced, format_space_expr, kind_convert,
-                            parse_space_expr, register_closed_inclusion)
+                            parse_space_expr)
 
 rng = random.Random(77113)
 
@@ -131,14 +131,16 @@ def test_complement_and_disjoint():
     assert ec(both) == q_power(2) + q_power(1) - ONE
 
 
-def test_complement_requires_registered_inclusion():
+def test_complement_requires_recognized_inclusion():
     bad = Complement(Grass(2, 6), Proj(3))
     with pytest.raises(MissingInclusionError):
         ec(bad)
     assert closed_inclusion_note(Grass(2, 6), Proj(3)) is None
-    register_closed_inclusion(Grass(2, 6), Proj(3))
-    assert ec(Complement(Grass(2, 6), Proj(3))) == \
-        ec(Grass(2, 6)) - ec(Proj(3))
+    asserted = Complement(Grass(2, 6), Proj(3), note="a linear P^3")
+    assert ec(asserted) == ec(Grass(2, 6)) - ec(Proj(3))
+    # the note asserted the inclusion for that expression only
+    with pytest.raises(MissingInclusionError):
+        ec(bad)
     noted = Complement(Grass(2, 8), Proj(1), note="Schubert cell closure")
     assert ec(noted) == ec(Grass(2, 8)) - ec(Proj(1))
 

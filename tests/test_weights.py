@@ -76,6 +76,15 @@ def test_routes_agree_and_match_quoted():
         ec_vanishing_cycles("nope")
 
 
+def test_routes_are_computed_independently(monkeypatch):
+    import motivic.weights as weights
+    monkeypatch.setattr(weights, "milnor_fibre_stalk_table",
+                        lambda: StalkTable.of({0: [(1, -8)]}))
+    assert ec_vanishing_cycles("stalk-stratum")[0] == q_power(8)
+    assert ec_vanishing_cycles("weight-filtration")[0] == \
+        parse_poly("(x*y)^3 * ((x*y)^5 - (x*y)^2 - 1)")
+
+
 def test_route_self_duality_and_euler():
     e, e_c = ec_vanishing_cycles("stalk-stratum")
     assert self_dual_convert(e, 15) == e_c
