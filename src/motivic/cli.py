@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from .counting import scan_skew
 from .errors import CapExceededError, ConsistencyError
-from .hilb4 import (dt_invariant, ec_hilb4_total, goettsche_coeff,
-                    goettsche_series, hilb4_strata, macmahon_series)
+from .hilb4 import (PLANE_PARTITION_CAP, PLANE_PARTITION_MAX, dt_invariant,
+                    ec_hilb4_total, goettsche_coeff, goettsche_series,
+                    hilb4_strata, macmahon_series)
 from .laurent import format_poly, parse_poly
 from .spaces import dimension, ec_traced, format_space_expr, parse_space_expr
 from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, KATZ_FAMILIES,
@@ -92,8 +93,10 @@ def build_parser():
     p = sub.add_parser("dt", help="plane-partition counting")
     p.add_argument("what", choices=("count",))
     p.add_argument("--m", type=int, default=4, help="partition weight")
-    p.add_argument("--cap", type=int, default=12,
-                   help="largest weight the enumerator will attempt")
+    p.add_argument("--cap", type=int, default=PLANE_PARTITION_CAP,
+                   help="largest weight the enumerator will attempt "
+                        f"(default {PLANE_PARTITION_CAP}, at most "
+                        f"{PLANE_PARTITION_MAX})")
     _add_format(p)
     p.set_defaults(func=_cmd_dt)
 

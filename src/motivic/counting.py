@@ -2,13 +2,31 @@
 truth against E-polynomial predictions evaluated at xy = p.
 
 Matrices are enumerated by a mixed-radix integer index over the n(2n-1) free
-upper-triangle entries; decoding an index range is the unit of work, so
-scans parallelise over disjoint ranges and merge tallies by summation,
-bit-identically for any worker count.  Ranks are read off from principal
-Pfaffian minors (the rank of a skew matrix is the largest size of a nonzero
-principal sub-Pfaffian), evaluated vectorially with numpy; a 1% stride
-sample of every scan is re-checked against an independent integer
-determinant (Pf^2 = det).
+upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
+digits.  The index splits into a row-0 part, which takes L = p^(2n-1)
+values, and a tail: each block of L consecutive indices shares one tail.
+A slab of at most `_CHUNK` matrices is a run of whole blocks, or a piece of
+one block at either end of a range or where L > `_CHUNK`.  Its row-0 digits
+are decoded once as a (2n-1) x width table and its tail digits once per
+block.
+
+By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
+the Pfaffian is a linear form in row 0 whose coefficients are Pfaffians of
+the tail, so the Pfaffians of a slab are one (blocks x (2n-1)) @
+((2n-1) x width) integer product.  Ranks are read off from principal
+sub-Pfaffians (the rank of a skew matrix is the largest size of a nonzero
+one): a 2k-minor through index 0 is again a linear form in row 0, and one
+that avoids index 0 is a per-block boolean, so the row-0 forms are only
+evaluated in blocks whose tail has no nonzero 2k-minor.  Coefficients and
+digits lie in [0, p), so every product is a small non-negative integer;
+there is no float.
+
+The matrices whose global index is a multiple of `SPOT_STRIDE` are
+re-checked against an independent integer determinant (Pf^2 = det mod p):
+they are decoded afresh from their indices, and their determinants come from
+a batched fraction-free elimination that shares no code with the Pfaffian
+path.  Scans parallelise over disjoint index ranges and merge tallies by
+summation, bit-identically for any worker count.
 """
 
 from __future__ import annotations
@@ -24,11 +42,12 @@ import numpy as np
 
 from .errors import CapExceededError, ConsistencyError
 from .laurent import LaurentPoly2, _u_div_exact, _u_mul
-from .skew import _is_prime, _pair_index, _pairings, bareiss_det
+from .skew import SkewMatrix, _is_prime, _pair_index
 
 DEFAULT_CAP = 10 ** 8
 SPOT_STRIDE = 100
 _CHUNK = 1 << 17
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass
@@ -42,95 +61,189 @@ class ScanResult:
     elapsed: float
 
 
+def _check_int64(n, p, total):
+    """Refuse a scan whose int64 arithmetic could overflow.  The largest
+    quantities are the matrix index, below p^(n(2n-1)), and the numerators
+    a*d - b*c of the spot check's elimination, where a, b, c, d are minors
+    of order at most 2n-1 with entries below p in size, so each is at most
+    the Hadamard bound ((p-1) sqrt(2n-1))^(2n-1).  The row-0 forms, at most
+    (2n-1)(p-1)^2, are smaller."""
+    r = 2 * n - 1
+    if total - 1 > _INT64_MAX or 2 * (p - 1) ** (2 * r) * r ** r > _INT64_MAX:
+        raise CapExceededError(
+            f"a scan of {2 * n}x{2 * n} matrices over F_{p} would overflow "
+            f"int64 arithmetic")
+
+
 @lru_cache(maxsize=None)
-def _tables(n):
-    """Pfaffian term tables for size 2n, as entry-index tuples."""
+def _plan(n):
+    """Index recipes of the first-row factoring for size 2n.
+
+    Returns (pairs, avoid, forms): `pairs` maps (i, j), 1 <= i < j, to its
+    tail digit; for 1 <= k < n, `avoid[k]` lists the 2k-subsets of
+    {1, ..., 2n-1}; for 1 <= k <= n, `forms[k]` has, for each
+    (2k-1)-subset S, the terms (row-0 digit, sign, S without j) of
+    Pf({0} + S) = sum_j sign a_0j Pf(S without j).  `forms[n]` is the
+    Pfaffian itself.
+    """
     size = 2 * n
+    rest = range(1, size)
+    pairs = {(i, j): _pair_index(i, j, size) - (size - 1)
+             for i, j in combinations(rest, 2)}
+    avoid = {k: tuple(combinations(rest, 2 * k)) for k in range(1, n)}
+    forms = {k: tuple(tuple((j - 1, 1 if pos % 2 == 0 else -1,
+                             s[:pos] + s[pos + 1:])
+                            for pos, j in enumerate(s))
+                      for s in combinations(rest, 2 * k - 1))
+             for k in range(1, n + 1)}
+    return pairs, avoid, forms
 
-    def terms_for(subset):
-        return tuple(
-            (sign, tuple(_pair_index(i, j, size) for (i, j) in pairs))
-            for sign, pairs in _pairings(subset))
 
-    pf_terms = terms_for(tuple(range(size)))
-    minors = {k: tuple(terms_for(s) for s in combinations(range(size), 2 * k))
-              for k in range(2, n)}
-    return pf_terms, minors
+def _digits(values, p, count):
+    """The `count` least significant base-p digits of an int64 array."""
+    out = []
+    for _ in range(count):
+        out.append(values % p)
+        values = values // p
+    return out
 
 
-def _eval_terms(E, terms):
-    acc = None
-    for sign, ts in terms:
-        prod = E[ts[0]]
-        for t in ts[1:]:
-            prod = prod * E[t]
-        if acc is None:
-            acc = prod if sign > 0 else -prod
-        elif sign > 0:
-            acc = acc + prod
+def _tail_pfaffians(tail, pairs, p, blocks):
+    """Sub-Pfaffians mod p of the tail (the matrix without row and column
+    0), as a function of the index subset returning one value per block;
+    the first-row recursion, memoised."""
+    memo = {(): np.ones(blocks, dtype=np.int64)}
+
+    def pf(s):
+        if s not in memo:
+            acc = 0
+            for pos, j in enumerate(s[1:]):
+                term = tail[pairs[s[0], j]] * pf(s[1:pos + 1] + s[pos + 2:])
+                acc = acc - term if pos % 2 else acc + term
+            memo[s] = acc % p
+        return memo[s]
+
+    return pf
+
+
+def _coefficients(form, pf, p, blocks, width0):
+    """Row-0 coefficients mod p of one form, a row per selected block."""
+    out = np.zeros((blocks.size, width0), dtype=np.int64)
+    for digit, sign, sub in form:
+        c = pf(sub)[blocks]
+        out[:, digit] = c if sign > 0 else -c % p
+    return out
+
+
+def _slabs(lo, hi, width):
+    """Cover [lo, hi) in index order by rectangles (h0, h1, r0, r1), tails
+    h0 <= h < h1 times row-0 values r0 <= r < r1, of at most _CHUNK
+    matrices each: runs of whole blocks, or one piece of a block."""
+    pos = lo
+    while pos < hi:
+        h, r = divmod(pos, width)
+        if r == 0 and width <= _CHUNK and hi - pos >= width:
+            h1 = min(h + _CHUNK // width, hi // width)
+            yield h, h1, 0, width
+            pos = h1 * width
         else:
-            acc = acc - prod
-    return acc
+            r1 = min(width, r + _CHUNK, r + hi - pos)
+            yield h, h + 1, r, r1
+            pos += r1 - r
 
 
-def _lifted_det(digits, size):
-    # signed integer lift: upper entries as stored, lower negated
-    M = [[0] * size for _ in range(size)]
-    t = 0
-    for i in range(size):
-        for j in range(i + 1, size):
-            M[i][j] = digits[t]
-            M[j][i] = -digits[t]
-            t += 1
-    return bareiss_det(M)
+def _skew_stack(digits, size):
+    """The (N, size, size) integer lifts of upper-triangle digit arrays:
+    upper entries as stored, lower entries negated."""
+    M = np.zeros((digits[0].size, size, size), dtype=np.int64)
+    for (i, j), d in zip(combinations(range(size), 2), digits):
+        M[:, i, j] = d
+        M[:, j, i] = -d
+    return M
+
+
+def _batched_det(M):
+    """Exact determinants of an (N, s, s) int64 stack by fraction-free
+    elimination, the recursion of `skew.bareiss_det`: where a pivot is zero,
+    that matrix swaps in its first row below with a nonzero entry."""
+    count, s, _ = M.shape
+    M = np.ascontiguousarray(M.transpose(1, 2, 0))  # batch axis innermost
+    sign = np.ones(count, dtype=np.int64)
+    prev = None
+    for k in range(s - 1):
+        col = M[k:, k] != 0
+        found = col.any(axis=0)
+        row = k + col.argmax(axis=0)
+        swap = np.flatnonzero(found & (row != k))
+        if swap.size:
+            top = M[k, :, swap]
+            M[k, :, swap] = M[row[swap], :, swap]
+            M[row[swap], :, swap] = top
+            sign[swap] = -sign[swap]
+        if not found.all():
+            M[:, :, ~found] = 0  # no pivot: determinant 0, and it stays 0
+        pivot = np.where(found, M[k, k], 1)
+        step = (M[k + 1:, k + 1:] * pivot
+                - M[k + 1:, k, None] * M[k, None, k + 1:])
+        M[k + 1:, k + 1:] = step if prev is None else step // prev
+        prev = pivot
+    return sign * M[s - 1, s - 1]
 
 
 def _scan_range(args):
     n, p, lo, hi, want_rank, spot_stride = args
     size = 2 * n
-    m = n * (2 * n - 1)
-    pf_terms, minors = _tables(n)
+    width0 = size - 1
+    block = p ** width0
+    m = n * width0
+    pairs, avoid, forms = _plan(n)
+    if want_rank and n > 1:
+        # x % p != 0 for every value a row-0 form can take
+        nonzero = np.arange(width0 * (p - 1) ** 2 + 1) % p != 0
     hist = np.zeros(p, dtype=np.int64)
     ck = [0] * n  # ck[k-1] = #matrices with some nonzero 2k-sub-Pfaffian
     checked = 0
     violations = 0
-    pos = lo
-    while pos < hi:
-        top = min(pos + _CHUNK, hi)
-        idx = np.arange(pos, top, dtype=np.int64)
-        E = []
-        rest = idx
-        for _ in range(m):
-            E.append(rest % p)
-            rest = rest // p
-        pf_mod = _eval_terms(E, pf_terms) % p
+    first_bad = None
+    for h0, h1, r0, r1 in _slabs(lo, hi, block):
+        row0 = np.array(_digits(np.arange(r0, r1, dtype=np.int64), p, width0))
+        width = r1 - r0
+        blocks = np.arange(h1 - h0)
+        pf = _tail_pfaffians(
+            _digits(np.arange(h0, h1, dtype=np.int64), p, m - width0),
+            pairs, p, blocks.size)
+        pf_mod = ((_coefficients(forms[n][0], pf, p, blocks, width0) @ row0)
+                  % p).ravel()
         hist += np.bincount(pf_mod, minlength=p)
         if want_rank:
-            if n > 1:
-                nz = E[0] != 0
-                for t in range(1, m):
-                    nz = nz | (E[t] != 0)
-                ck[0] += int(nz.sum())
-            for k in range(2, n):
-                any_k = None
-                for terms in minors[k]:
-                    b = (_eval_terms(E, terms) % p) != 0
-                    any_k = b if any_k is None else (any_k | b)
-                ck[k - 1] += int(any_k.sum())
-            ck[n - 1] += int((pf_mod != 0).sum())
+            for k in range(1, n):
+                tail_hit = np.zeros(blocks.size, dtype=bool)
+                for s in avoid[k]:
+                    tail_hit |= pf(s) != 0
+                ck[k - 1] += int(tail_hit.sum()) * width
+                rest = np.flatnonzero(~tail_hit)
+                if rest.size:
+                    hit = np.zeros((rest.size, width), dtype=bool)
+                    for form in forms[k]:
+                        hit |= nonzero[
+                            _coefficients(form, pf, p, rest, width0) @ row0]
+                    ck[k - 1] += int(hit.sum())
         if spot_stride:
-            sel = np.nonzero(idx % spot_stride == 0)[0]
+            start = h0 * block + r0
+            sel = np.arange(-(-start // spot_stride) * spot_stride,
+                            start + pf_mod.size, spot_stride, dtype=np.int64)
             if sel.size:
-                digs = np.stack([E[t][sel] for t in range(m)], axis=1).tolist()
-                pfs = pf_mod[sel].tolist()
-                for row, pfv in zip(digs, pfs):
-                    det = _lifted_det(row, size)
-                    if (det - pfv * pfv) % p:
-                        violations += 1
+                pfv = pf_mod[sel - start]
+                det = _batched_det(_skew_stack(_digits(sel, p, m), size))
+                bad = np.flatnonzero((det - pfv * pfv) % p)
+                if bad.size and first_bad is None:
+                    first_bad = int(sel[bad[0]])
+                violations += int(bad.size)
                 checked += int(sel.size)
-        pos = top
-    return {"hist": hist.tolist(), "ck": ck,
-            "checked": checked, "violations": violations}
+    if want_rank:
+        ck[n - 1] = hi - lo - int(hist[0])
+    return {"hist": hist.tolist(), "ck": ck, "checked": checked,
+            "violations": violations, "first_bad": first_bad}
 
 
 def _split_ranges(total, parts):
@@ -149,8 +262,10 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     """Scan all 2n x 2n skew matrices over F_p.
 
     mode "hist" tallies Pfaffian values only; mode "full" also buckets by
-    rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap.  At
-    most os.cpu_count() worker processes are forked.
+    rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap or the
+    scan's int64 arithmetic could overflow, and ConsistencyError, naming the
+    lowest-index offender, when a sampled matrix fails Pf^2 = det.  At most
+    os.cpu_count() worker processes are forked.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -164,9 +279,10 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     if total > cap:
         raise CapExceededError(
             f"enumeration of {total} = {p}^{m} matrices exceeds cap {cap}")
+    _check_int64(n, p, total)
     want_rank = mode == "full"
     t0 = time.perf_counter()
-    _tables(n)  # built before forking so workers inherit it
+    _plan(n)  # built before forking so workers inherit it
     args = [(n, p, lo, hi, want_rank, spot_stride)
             for lo, hi in _split_ranges(total,
                                         min(workers, os.cpu_count() or 1))]
@@ -180,14 +296,21 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     ck = [0] * n
     checked = 0
     violations = 0
+    bad = []
     for part in parts:
         hist = [a + b for a, b in zip(hist, part["hist"])]
         ck = [a + b for a, b in zip(ck, part["ck"])]
         checked += part["checked"]
         violations += part["violations"]
+        if part["first_bad"] is not None:
+            bad.append(part["first_bad"])
     if violations:
+        first = min(bad)
+        A = SkewMatrix(2 * n, [first // p ** t % p for t in range(m)])
         raise ConsistencyError(
-            f"Pf^2 = det failed on {violations} of {checked} sampled matrices")
+            f"Pf^2 = det failed on {violations} of {checked} sampled "
+            f"matrices; the first is index {first} at (n, p) = ({n}, {p}): "
+            f"{A!r}")
     if sum(hist) != total:
         raise ConsistencyError("Pfaffian histogram does not sum to the scan size")
     pf_counts = {v: hist[v] for v in range(p)}

@@ -15,6 +15,9 @@ from .spaces import (Affine, ConeOverPlucker, FibrationTotal, Grass, Product,
 from .weights import ec_vanishing_cycles, phi4_restricted_object
 
 PLANE_PARTITION_CAP = 12
+# hard maximum weight: weight 20 has 75,278 plane partitions and takes
+# about 1.5 s; the count grows about 1.6x per unit of weight
+PLANE_PARTITION_MAX = 20
 GOETTSCHE_CAP = 40
 
 
@@ -82,9 +85,14 @@ def _rows_below(bound, budget):
 
 def plane_partitions(m, cap=PLANE_PARTITION_CAP):
     """Exhaustive, duplicate-free list of plane partitions of weight m, in
-    lexicographic depth-first order over row profiles."""
+    lexicographic depth-first order over row profiles.  Refuses m above
+    the cap, and any cap above PLANE_PARTITION_MAX, with CapExceededError."""
     if m < 0:
         raise ValueError("weight must be >= 0")
+    if cap > PLANE_PARTITION_MAX:
+        raise CapExceededError(
+            f"plane-partition cap {cap} exceeds the hard maximum weight "
+            f"{PLANE_PARTITION_MAX}")
     if m > cap:
         raise CapExceededError(
             f"plane-partition enumeration of weight {m} exceeds cap {cap}")

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from motivic import counting
 from motivic.cli import main
 from motivic.laurent import q_power
 from motivic.suites import (SuiteContext, SuiteResult, emit_report,
@@ -89,6 +90,17 @@ def test_count_cap_refusal_exit_3(capsys):
     code, _, err = run(capsys, "count", "rank", "--n", "3", "--p", "5")
     assert code == 3
     assert "exceeds cap" in err
+
+
+def test_count_int64_overflow_exit_3(capsys, monkeypatch):
+    # the cap admits 751^6 matrices, but the spot check's int64 elimination
+    # could overflow, so the scan is refused before it starts
+    monkeypatch.setattr(counting, "_split_ranges",
+                        lambda *args: pytest.fail("the scan started"))
+    code, _, err = run(capsys, "count", "rank", "--n", "2", "--p", "751",
+                       "--cap", str(10 ** 18))
+    assert code == 3
+    assert "overflow int64" in err
 
 
 def test_workers_below_one_exit_2(capsys):
@@ -193,6 +205,13 @@ def test_dt_count(capsys):
 def test_dt_cap_exit_3(capsys):
     code, _, err = run(capsys, "dt", "count", "--m", "40")
     assert code == 3
+
+
+def test_dt_cap_above_hard_maximum_exit_3(capsys):
+    for argv in (("--m", "30", "--cap", "30"), ("--m", "4", "--cap", "21")):
+        code, out, err = run(capsys, "dt", "count", *argv)
+        assert code == 3 and out == ""
+        assert "hard maximum weight 20" in err
 
 
 def test_goettsche(capsys):

@@ -1,13 +1,16 @@
 import random
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 from motivic import counting
 from motivic.counting import DEFAULT_CAP, gaussian_binomial, scan_skew
-from motivic.errors import CapExceededError
+from motivic.errors import CapExceededError, ConsistencyError
 from motivic.laurent import ONE, q_power
-from motivic.skew import GF, SkewMatrix, pfaffian, skew_rank
+from motivic.skew import (GF, SkewMatrix, bareiss_det, parse_skew_literal,
+                          pfaffian, skew_rank)
 from motivic.spaces import ConeOverPlucker, Grass, MilnorFibreF, ec
 
 rng = random.Random(33190)
@@ -162,3 +165,97 @@ def test_one_scan_serves_every_count():
     predicted = (ec(MilnorFibreF(3)) * (q_power(1) - ONE)).eval_q(2)
     nonzero = scan.total - scan.pf_counts[0]
     assert nonzero == scan.rank_counts[6] == predicted == 13888
+
+
+def _scan_tally(n, p, lo, hi, spot_stride=counting.SPOT_STRIDE):
+    part = counting._scan_range((n, p, lo, hi, True, spot_stride))
+    assert part["violations"] == 0 and part["first_bad"] is None
+    return part["hist"], part["ck"], part["checked"]
+
+
+def test_scan_matches_pointwise_oracle():
+    # every matrix through skew.pfaffian and skew.skew_rank, tallied
+    for n, p in ((2, 3), (1, 7)):
+        pf = dict.fromkeys(range(p), 0)
+        rank = dict.fromkeys(range(0, 2 * n + 1, 2), 0)
+        for entries in product(range(p), repeat=n * (2 * n - 1)):
+            A = SkewMatrix(2 * n, entries, GF(p))
+            pf[pfaffian(A)] += 1
+            rank[skew_rank(A)] += 1
+        s = scan_skew(n, p)
+        assert s.pf_counts == pf
+        assert s.rank_counts == rank
+
+
+@pytest.mark.parametrize("chunk", [20, 200, counting._CHUNK])
+def test_range_partitions_sum_to_whole_scan(monkeypatch, chunk):
+    # cuts fall inside row-0 blocks of p^(2n-1) = 27, 32 and 101 matrices;
+    # a chunk of 20 is smaller than every block, so row 0 itself is split
+    whole = {(n, p): _scan_tally(n, p, 0, p ** (n * (2 * n - 1)))
+             for n, p in ((2, 3), (3, 2), (1, 101))}
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    for (n, p), want in whole.items():
+        total = p ** (n * (2 * n - 1))
+        for _ in range(3):
+            cuts = sorted(rng.sample(range(1, total), 6))
+            edges = [0] + cuts + [total]
+            parts = [_scan_tally(n, p, lo, hi)
+                     for lo, hi in zip(edges, edges[1:])]
+            assert [sum(c) for c in zip(*(h for h, _, _ in parts))] == want[0]
+            assert [sum(c) for c in zip(*(k for _, k, _ in parts))] == want[1]
+            assert sum(c for _, _, c in parts) == want[2]
+
+
+def test_batched_det_matches_bareiss():
+    np_rng = np.random.default_rng(33190)
+    for size in (4, 6):
+        M = np_rng.integers(-3, 4, (300, size, size))
+        M[:40, :, 0] = 0                      # singular: zero column
+        M[40:80, 1] = M[40:80, 0]             # singular: equal rows
+        M[80:160, 0, 0] = 0                   # first pivot needs a swap
+        M[160:200, :2, :2] = 0                # second pivot needs a swap too
+        upper = np.triu(M[200:], 1)           # skew: zero diagonal
+        M[200:] = upper - upper.transpose(0, 2, 1)
+        got = counting._batched_det(M).tolist()
+        assert got == [bareiss_det(A.tolist()) for A in M]
+        assert got.count(0) >= 80
+
+
+def test_spot_stride_zero_skips_the_spot_check():
+    s = scan_skew(2, 3, "full", spot_stride=0)
+    assert s.spot_checked == 0
+    base = scan_skew(2, 3, "full")
+    assert (s.pf_counts, s.rank_counts) == (base.pf_counts, base.rank_counts)
+
+
+def test_spot_check_failure_names_first_offender(monkeypatch):
+    # a determinant off by one wherever entry (0, 1) is 2; sampled indices
+    # are multiples of 100, and entry (0, 1) is the lowest base-3 digit
+    det = counting._batched_det
+    monkeypatch.setattr(counting, "_batched_det",
+                        lambda M: det(M) + (M[:, 0, 1] == 2))
+    sampled = range(0, 3 ** 6, counting.SPOT_STRIDE)
+    bad = [i for i in sampled if i % 3 == 2]
+    with pytest.raises(ConsistencyError) as exc:
+        scan_skew(2, 3, "hist", workers=2)
+    message = str(exc.value)
+    assert f"failed on {len(bad)} of {len(sampled)} sampled" in message
+    assert f"index {bad[0]} at (n, p) = (2, 3)" in message
+    literal = re.search(r"skew\d+ \[[^\]]*\]", message).group()
+    A = parse_skew_literal(literal, GF(3))
+    assert A.upper == tuple(bad[0] // 3 ** t % 3 for t in range(6))
+    assert A.entry(0, 1) == 2
+
+
+def test_int64_overflow_refused_before_scanning(monkeypatch):
+    monkeypatch.setattr(counting, "_split_ranges",
+                        lambda *args: pytest.fail("the scan started"))
+    # the cap admits 751^6 and 19^15 matrices; int64 could overflow in the
+    # spot check's elimination (n = 2) or in the matrix index (n = 3)
+    with pytest.raises(CapExceededError, match="overflow int64"):
+        scan_skew(2, 751, "hist", cap=10 ** 18)
+    with pytest.raises(CapExceededError, match="overflow int64"):
+        scan_skew(3, 19, "hist", cap=10 ** 20)
+    # the largest admitted primes; n = 1 is admitted up to the default cap
+    for n, p in ((1, 2147483647), (2, 743), (3, 17), (1, 99999989)):
+        counting._check_int64(n, p, p ** (n * (2 * n - 1)))
