@@ -166,8 +166,7 @@ def _cmd_count_fibre(args):
     c = args.value % args.p
     observed = scan.pf_counts[c]
     payload = {"label": f"pf-fibre-n{args.n}-c{c}", "n": args.n, "p": args.p,
-               "value": c, "observed": observed, "predicted": None,
-               "predicted_value": None, "match": None,
+               "value": c, "observed": observed,
                "enumeration_size": scan.total}
     _emit(payload, args.format,
           [f"#{{Pf = {c}}} = {observed} of {scan.total}"])

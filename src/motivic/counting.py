@@ -34,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -50,12 +51,36 @@ _CHUNK = 1 << 17
 _INT64_MAX = (1 << 63) - 1
 
 
+class PfCounts(Mapping):
+    """Read-only map from each value v in [0, p) to #{Pf = v}, held as one
+    tuple of counts; it compares equal to the dict with the same items."""
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, counts):
+        self._counts = tuple(counts)
+
+    def __getitem__(self, v):
+        if isinstance(v, int) and 0 <= v < len(self._counts):
+            return self._counts[v]
+        raise KeyError(v)
+
+    def __iter__(self):
+        return iter(range(len(self._counts)))
+
+    def __len__(self):
+        return len(self._counts)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 @dataclass
 class ScanResult:
     n: int
     p: int
     total: int
-    pf_counts: dict
+    pf_counts: PfCounts
     rank_counts: dict | None
     spot_checked: int
     elapsed: float
@@ -201,7 +226,8 @@ def _scan_range(args):
         # x % p != 0 for every value a row-0 form can take
         nonzero = np.arange(width0 * (p - 1) ** 2 + 1) % p != 0
     hist = np.zeros(p, dtype=np.int64)
-    ck = [0] * n  # ck[k-1] = #matrices with some nonzero 2k-sub-Pfaffian
+    # ck[k-1] = #matrices with some nonzero 2k-sub-Pfaffian
+    ck = np.zeros(n, dtype=np.int64)
     checked = 0
     violations = 0
     first_bad = None
@@ -214,7 +240,10 @@ def _scan_range(args):
             pairs, p, blocks.size)
         pf_mod = ((_coefficients(forms[n][0], pf, p, blocks, width0) @ row0)
                   % p).ravel()
-        hist += np.bincount(pf_mod, minlength=p)
+        # counted over the slab's own value range, not all of [0, p)
+        low = int(pf_mod.min())
+        tally = np.bincount(pf_mod - low if low else pf_mod)
+        hist[low:low + tally.size] += tally
         if want_rank:
             for k in range(1, n):
                 tail_hit = np.zeros(blocks.size, dtype=bool)
@@ -242,7 +271,7 @@ def _scan_range(args):
                 checked += int(sel.size)
     if want_rank:
         ck[n - 1] = hi - lo - int(hist[0])
-    return {"hist": hist.tolist(), "ck": ck, "checked": checked,
+    return {"hist": hist, "ck": ck, "checked": checked,
             "violations": violations, "first_bad": first_bad}
 
 
@@ -292,14 +321,14 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(args)) as pool:
             parts = pool.map(_scan_range, args)
-    hist = [0] * p
-    ck = [0] * n
+    hist = np.zeros(p, dtype=np.int64)
+    ck = np.zeros(n, dtype=np.int64)
     checked = 0
     violations = 0
     bad = []
     for part in parts:
-        hist = [a + b for a, b in zip(hist, part["hist"])]
-        ck = [a + b for a, b in zip(ck, part["ck"])]
+        hist += part.pop("hist")  # freed as merged: each histogram is O(p)
+        ck += part["ck"]
         checked += part["checked"]
         violations += part["violations"]
         if part["first_bad"] is not None:
@@ -311,11 +340,12 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
             f"Pf^2 = det failed on {violations} of {checked} sampled "
             f"matrices; the first is index {first} at (n, p) = ({n}, {p}): "
             f"{A!r}")
-    if sum(hist) != total:
+    if int(hist.sum()) != total:
         raise ConsistencyError("Pfaffian histogram does not sum to the scan size")
-    pf_counts = {v: hist[v] for v in range(p)}
+    pf_counts = PfCounts(hist.tolist())
     rank_counts = None
     if want_rank:
+        ck = ck.tolist()
         rank_counts = {0: total - ck[0]}
         for k in range(1, n + 1):
             above = ck[k] if k < n else 0

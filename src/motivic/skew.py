@@ -143,39 +143,35 @@ def parse_skew_literal(text, domain=INTEGERS):
 # -- Pfaffian ------------------------------------------------------------------
 
 def pfaffian(A):
-    """Pfaffian by recursive expansion along the first row:
+    """Pfaffian as the sum over the pairings of {0, ..., size-1}:
 
-        Pf(A) = sum_{j>=2} (-1)^j a_{1j} Pf(A with rows/columns 1, j removed)
+        Pf(A) = sum over pairings P of sign(P) * prod_{(i, j) in P} a_ij
 
-    normalised so that the 4x4 matrix with upper entries (a,b,c,d,e,f)
-    yields a*f - b*e + c*d.
+    with i < j in each pair, normalised so that the 4x4 matrix with upper
+    entries (a,b,c,d,e,f) yields a*f - b*e + c*d.
     """
-    return A.domain.normalize(_pf_rec(A, tuple(range(A.size))))
+    upper = A.upper
+    total = 0
+    for sign, slots in _upper_terms(A.size):
+        term = sign
+        for s in slots:
+            term *= upper[s]
+        total += term
+    return A.domain.normalize(total)
 
 
-def _pf_rec(A, idx):
-    if not idx:
-        return 1
-    if len(idx) == 2:
-        return A.entry(idx[0], idx[1])
-    i0 = idx[0]
-    rest = idx[1:]
-    acc = 0
-    for pos, j in enumerate(rest):
-        a = A.entry(i0, j)
-        if a == 0:
-            continue
-        sub = rest[:pos] + rest[pos + 1:]
-        term = a * _pf_rec(A, sub)
-        acc += term if pos % 2 == 0 else -term
-    return A.domain.normalize(acc)
+@lru_cache(maxsize=None)
+def _upper_terms(size):
+    # each pairing as (sign, positions of its pairs in the upper triangle)
+    return tuple((sign, tuple(_pair_index(i, j, size) for i, j in pairs))
+                 for sign, pairs in pfaffian_pairings(size))
 
 
 @lru_cache(maxsize=None)
 def pfaffian_pairings(size):
-    """All (sign, pairing) terms of the size x size Pfaffian, generated by
-    the same first-row recursion as :func:`pfaffian`.  The number of terms
-    is (size-1)!! for even size."""
+    """All (sign, pairing) terms of the size x size Pfaffian, by the
+    first-row recursion Pf = sum_j (-1)^(j-1) a_0j Pf(without 0, j); each
+    pair (i, j) has i < j.  There are (size-1)!! terms for even size."""
     return _pairings(tuple(range(size)))
 
 

@@ -12,7 +12,9 @@ and converts at the leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .counting import gaussian_binomial
 from .errors import (MissingDimensionError, MissingInclusionError, ParseError)
@@ -30,103 +32,21 @@ class SpaceExpr:
 
 
 @dataclass(frozen=True)
-class Point(SpaceExpr):
-    pass
+class Leaf(SpaceExpr):
+    """A catalog leaf `name(args...)`, checked against its LEAVES row."""
 
-
-@dataclass(frozen=True)
-class Affine(SpaceExpr):
-    n: int
+    name: str
+    args: tuple = ()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("affine dimension must be >= 0")
-
-
-@dataclass(frozen=True)
-class Torus(SpaceExpr):
-    """The one-dimensional torus C^*."""
-
-
-@dataclass(frozen=True)
-class Proj(SpaceExpr):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("projective dimension must be >= 0")
-
-
-@dataclass(frozen=True)
-class Grass(SpaceExpr):
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got grass({self.k},{self.n})")
-
-
-@dataclass(frozen=True)
-class GLGroup(SpaceExpr):
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("gl(m) needs m >= 1")
-
-
-@dataclass(frozen=True)
-class SpGroup(SpaceExpr):
-    m: int  # Sp(m, C) with m even
-
-    def __post_init__(self):
-        if self.m < 2 or self.m % 2:
-            raise ValueError("sp(m) needs even m >= 2")
-
-
-@dataclass(frozen=True)
-class HomSpaceM(SpaceExpr):
-    """GL(2n)/Sp(2n): the open locus of nondegenerate skew 2n x 2n matrices."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("homM(n) needs n >= 1")
-
-
-@dataclass(frozen=True)
-class MilnorFibreF(SpaceExpr):
-    """The global Milnor fibre {Pf = 1} of the 2n x 2n Pfaffian."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("milnorF(n) needs n >= 2")
-
-
-@dataclass(frozen=True)
-class PfaffianHypersurface(SpaceExpr):
-    """{Pf = 0} inside the space of 2n x 2n skew matrices."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("pfhyp(n) needs n >= 1")
-
-
-@dataclass(frozen=True)
-class ConeOverPlucker(SpaceExpr):
-    """Affine cone over a Grassmannian in its Pluecker embedding."""
-
-    inner: Grass
-
-    def __post_init__(self):
-        if not isinstance(self.inner, Grass):
-            raise ValueError("cone(...) takes a Grassmannian")
+        row = LEAVES.get(self.name)
+        if row is None:
+            raise ValueError(f"unknown space {self.name!r}")
+        if len(self.args) != row.arity:
+            raise TypeError(f"{self.name} takes {row.arity} argument(s), "
+                            f"got {len(self.args)}")
+        if not row.valid(*self.args):
+            raise ValueError(row.error.format(*self.args))
 
 
 @dataclass(frozen=True)
@@ -165,9 +85,8 @@ class Disjoint(SpaceExpr):
 # -- dimensions ----------------------------------------------------------------
 
 def dimension(e):
-    leaf = _LEAF_OF.get(type(e))
-    if leaf is not None:
-        return leaf.dim(*leaf.args(e))
+    if isinstance(e, Leaf):
+        return LEAVES[e.name].dim(*e.args)
     if isinstance(e, (Product, FibrationTotal)):
         a, b = _children(e)
         return dimension(a) + dimension(b)
@@ -209,28 +128,27 @@ def kind_convert(p, frm, to):
 
 # -- the catalog -----------------------------------------------------------------
 
+def _one_minus_q_product(exponents):
+    """The product of (1 - q^e) over the exponents, in order."""
+    acc = ONE
+    for e in exponents:
+        acc = acc * (ONE - q_power(e))
+    return acc
+
+
 def catalog_e_GL(m):
     """Ordinary E of GL(m, C): product of (1 - q^i) for i = 1..m."""
-    acc = ONE
-    for i in range(1, m + 1):
-        acc = acc * (ONE - q_power(i))
-    return acc
+    return _one_minus_q_product(range(1, m + 1))
 
 
 def catalog_e_Sp(n):
     """Ordinary E of Sp(2n, C): product of (1 - q^(2i)) for i = 1..n."""
-    acc = ONE
-    for i in range(1, n + 1):
-        acc = acc * (ONE - q_power(2 * i))
-    return acc
+    return _one_minus_q_product(range(2, 2 * n + 1, 2))
 
 
 def catalog_e_M(n):
     """Ordinary E of GL(2n)/Sp(2n): product of (1 - q^odd), odd = 1..2n-1."""
-    acc = ONE
-    for i in range(1, 2 * n, 2):
-        acc = acc * (ONE - q_power(i))
-    return acc
+    return _one_minus_q_product(range(1, 2 * n, 2))
 
 
 def catalog_e_F(n):
@@ -238,10 +156,7 @@ def catalog_e_F(n):
     for i = 2..n; equals catalog_e_M(n) divided by E(C^*)."""
     if n < 2:
         raise ValueError("catalog_e_F needs n >= 2")
-    acc = ONE
-    for i in range(2, n + 1):
-        acc = acc * (ONE - q_power(2 * i - 1))
-    return acc
+    return _one_minus_q_product(range(3, 2 * n, 2))
 
 
 def catalog_betti_F(n):
@@ -272,73 +187,103 @@ def betti_grassmannian(k=2, n=6):
     return BettiPoly(_u_div_exact(num, den))
 
 
-class _Leaf:
-    """One leaf of the grammar: its node class, its smooth dimension and its
-    catalog entry (stated polynomial, compact?) as functions of the node's
-    fields in grammar argument order.  Leaves that _ec expands by rule have
+class LeafRow(NamedTuple):
+    """One leaf of the grammar, as functions of its arguments in grammar
+    order: whether they are valid (if not, the ValueError text is `error`
+    formatted with them), its smooth dimension and its catalog entry
+    (stated polynomial, compact?).  Leaves that _ec expands by rule have
     no catalog entry."""
 
-    def __init__(self, name, cls, dim, entry=None):
-        self.name = name
-        self.cls = cls
-        self.dim = dim
-        self.entry = entry
-        self.params = tuple(f.name for f in fields(cls))
-
-    def args(self, e):
-        return [getattr(e, p) for p in self.params]
+    arity: int
+    valid: Callable
+    error: str
+    dim: Callable
+    entry: Callable | None = None
 
 
-LEAVES = {leaf.name: leaf for leaf in (
-    _Leaf("point", Point, lambda: 0, lambda: (ONE, True)),
-    _Leaf("torus", Torus, lambda: 1, lambda: (q_power(1) - ONE, True)),
-    _Leaf("affine", Affine, lambda n: n, lambda n: (q_power(n), True)),
-    _Leaf("proj", Proj, lambda n: n,
-          lambda n: (sum((q_power(i) for i in range(n + 1)), const(0)), True)),
-    _Leaf("grass", Grass, lambda k, n: k * (n - k),
-          lambda k, n: (gaussian_binomial(n, k), True)),
-    _Leaf("gl", GLGroup, lambda m: m * m, lambda m: (catalog_e_GL(m), False)),
-    _Leaf("sp", SpGroup, lambda m: m // 2 * (m + 1),
-          lambda m: (catalog_e_Sp(m // 2), False)),
-    _Leaf("homM", HomSpaceM, lambda n: n * (2 * n - 1),
-          lambda n: (catalog_e_M(n), False)),
-    _Leaf("milnorF", MilnorFibreF, lambda n: 2 * n * n - n - 1,
-          lambda n: (catalog_e_F(n), False)),
-    _Leaf("pfhyp", PfaffianHypersurface, lambda n: n * (2 * n - 1) - 1),
-    _Leaf("cone", ConeOverPlucker, lambda inner: dimension(inner) + 1),
-)}
+LEAVES = {
+    "point": LeafRow(0, lambda: True, "", lambda: 0, lambda: (ONE, True)),
+    # the one-dimensional torus C^*
+    "torus": LeafRow(0, lambda: True, "", lambda: 1,
+                     lambda: (q_power(1) - ONE, True)),
+    "affine": LeafRow(1, lambda n: n >= 0, "affine dimension must be >= 0",
+                      lambda n: n, lambda n: (q_power(n), True)),
+    "proj": LeafRow(
+        1, lambda n: n >= 0, "projective dimension must be >= 0", lambda n: n,
+        lambda n: (sum((q_power(i) for i in range(n + 1)), const(0)), True)),
+    "grass": LeafRow(2, lambda k, n: 0 <= k <= n,
+                     "need 0 <= k <= n, got grass({},{})",
+                     lambda k, n: k * (n - k),
+                     lambda k, n: (gaussian_binomial(n, k), True)),
+    "gl": LeafRow(1, lambda m: m >= 1, "gl(m) needs m >= 1", lambda m: m * m,
+                  lambda m: (catalog_e_GL(m), False)),
+    # Sp(m, C) with m even
+    "sp": LeafRow(1, lambda m: m >= 2 and m % 2 == 0,
+                  "sp(m) needs even m >= 2", lambda m: m // 2 * (m + 1),
+                  lambda m: (catalog_e_Sp(m // 2), False)),
+    # GL(2n)/Sp(2n): the open locus of nondegenerate skew 2n x 2n matrices
+    "homM": LeafRow(1, lambda n: n >= 1, "homM(n) needs n >= 1",
+                    lambda n: n * (2 * n - 1),
+                    lambda n: (catalog_e_M(n), False)),
+    # the global Milnor fibre {Pf = 1} of the 2n x 2n Pfaffian
+    "milnorF": LeafRow(1, lambda n: n >= 2, "milnorF(n) needs n >= 2",
+                       lambda n: 2 * n * n - n - 1,
+                       lambda n: (catalog_e_F(n), False)),
+    # {Pf = 0} inside the space of 2n x 2n skew matrices
+    "pfhyp": LeafRow(1, lambda n: n >= 1, "pfhyp(n) needs n >= 1",
+                     lambda n: n * (2 * n - 1) - 1),
+    # the affine cone over a Grassmannian in its Pluecker embedding
+    "cone": LeafRow(1, lambda g: isinstance(g, Leaf) and g.name == "grass",
+                    "cone(...) takes a Grassmannian",
+                    lambda g: dimension(g) + 1),
+}
 
-_LEAF_OF = {leaf.cls: leaf for leaf in LEAVES.values()}
+
+def leaf(name, *args):
+    """The leaf `name(args...)`; the constructors below fix the name."""
+    return Leaf(name, args)
+
+
+Point = partial(leaf, "point")
+Torus = partial(leaf, "torus")
+Affine = partial(leaf, "affine")
+Proj = partial(leaf, "proj")
+Grass = partial(leaf, "grass")
+GLGroup = partial(leaf, "gl")
+SpGroup = partial(leaf, "sp")
+HomSpaceM = partial(leaf, "homM")
+MilnorFibreF = partial(leaf, "milnorF")
+PfaffianHypersurface = partial(leaf, "pfhyp")
+ConeOverPlucker = partial(leaf, "cone")
 
 
 def catalog_entry(e):
     """The stated polynomial and kind tag of a catalog leaf."""
-    leaf = _LEAF_OF.get(type(e))
-    if leaf is None or leaf.entry is None:
+    row = LEAVES[e.name] if isinstance(e, Leaf) else None
+    if row is None or row.entry is None:
         raise KeyError(f"no catalog entry for {format_space_expr(e)}")
-    args = leaf.args(e)
-    stated, compact = leaf.entry(*args)
-    return stated, EKind(compact=compact, smooth_dim=leaf.dim(*args))
+    stated, compact = row.entry(*e.args)
+    return stated, EKind(compact=compact, smooth_dim=row.dim(*e.args))
 
 
 # -- closed inclusions -------------------------------------------------------------
 
 def closed_inclusion_note(whole, closed):
     """A note naming the recognized closed inclusion, or None."""
-    if isinstance(closed, Point) and not isinstance(
-            whole, (Product, FibrationTotal, Complement, Disjoint)):
+    if not (isinstance(whole, Leaf) and isinstance(closed, Leaf)):
+        return None
+    names = whole.name, closed.name
+    if closed.name == "point":
         return "point in a variety"
-    if (isinstance(whole, Affine) and isinstance(closed, PfaffianHypersurface)
-            and whole.n == closed.n * (2 * closed.n - 1)):
+    if names == ("affine", "pfhyp") and \
+            whole.args[0] == closed.args[0] * (2 * closed.args[0] - 1):
         return "hypersurface in the skew-matrix space"
-    if (isinstance(whole, PfaffianHypersurface) and whole.n == 3
-            and closed == ConeOverPlucker(Grass(2, 6))):
+    if whole == PfaffianHypersurface(3) and \
+            closed == ConeOverPlucker(Grass(2, 6)):
         return "singular locus of the 6x6 Pfaffian hypersurface"
-    if isinstance(whole, Affine) and isinstance(closed, Affine) \
-            and closed.n < whole.n:
+    if names == ("affine", "affine") and closed.args < whole.args:
         return "coordinate subspace"
-    if isinstance(whole, Proj) and isinstance(closed, Proj) \
-            and closed.n < whole.n:
+    if names == ("proj", "proj") and closed.args < whole.args:
         return "linear subspace"
     return None
 
@@ -365,15 +310,16 @@ def _record(steps, e, rule, value):
 
 
 def _ec(e, steps):
-    if isinstance(e, ConeOverPlucker):
+    if isinstance(e, Leaf) and e.name == "cone":
         # vertex plus a torus bundle over the projective base
-        base = _ec(e.inner, steps)
+        base = _ec(e.args[0], steps)
         value = ONE + (q_power(1) - ONE) * base
         return _record(steps, e, "cone: vertex + torus bundle over the base",
                        value)
-    if isinstance(e, PfaffianHypersurface):
-        ambient = e.n * (2 * e.n - 1)
-        open_part = _ec(HomSpaceM(e.n), steps)
+    if isinstance(e, Leaf) and e.name == "pfhyp":
+        n, = e.args
+        ambient = n * (2 * n - 1)
+        open_part = _ec(HomSpaceM(n), steps)
         value = q_power(ambient) - open_part
         return _record(
             steps, e, "hypersurface: ambient affine space minus the open "
@@ -462,31 +408,28 @@ def _parse_atom(sc):
     if tok[0] != "NAME":
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
     name = tok[1]
-    leaf = LEAVES.get(name)
-    if leaf is None and name != "fib":
+    row = LEAVES.get(name)
+    if row is None and name != "fib":
         raise ParseError(f"unknown space {name!r}", tok[2], tok[3])
-    if leaf is not None and not leaf.params:
-        return leaf.cls()
+    if row is not None and not row.arity:
+        return Leaf(name)
     sc.expect("(")
     try:
         if name == "fib":
             base = _parse_expr(sc)
             sc.expect(";")
-            ctor, args = FibrationTotal, [base, _parse_expr(sc)]
-        elif name == "cone":
-            inner = _parse_atom(sc)
-            if not isinstance(inner, Grass):
-                raise ParseError("cone(...) takes a Grassmannian",
-                                 tok[2], tok[3])
-            ctor, args = ConeOverPlucker, [inner]
+            e = FibrationTotal(base, _parse_expr(sc))
+        elif name == "cone":  # checked before its closing parenthesis
+            e = Leaf(name, (_parse_atom(sc),))
         else:
             args = [_parse_int(sc)]
-            for _ in leaf.params[1:]:
+            for _ in range(row.arity - 1):
                 sc.expect(",")
                 args.append(_parse_int(sc))
-            ctor = leaf.cls
+            sc.expect(")")
+            return Leaf(name, tuple(args))
         sc.expect(")")
-        return ctor(*args)
+        return e
     except ValueError as exc:
         raise ParseError(str(exc), tok[2], tok[3]) from None
 
@@ -498,10 +441,9 @@ def format_space_expr(e):
 
 # precedence levels: 0 sum/complement, 1 product, 2 atom
 def _fmt(e, level):
-    leaf = _LEAF_OF.get(type(e))
-    if leaf is not None:
-        args = ",".join(map(str, leaf.args(e)))
-        return f"{leaf.name}({args})" if args else leaf.name
+    if isinstance(e, Leaf):
+        args = ",".join(map(str, e.args))
+        return f"{e.name}({args})" if args else e.name
     if isinstance(e, FibrationTotal):
         return f"fib({_fmt(e.base, 0)}; {_fmt(e.fibre, 0)})"
     if isinstance(e, Product):

@@ -337,7 +337,7 @@ def _suite_mhm(ctx):
         "restricted Hilbert-scheme filtration weights", "Cor to Prop 3.4",
         [11, 12, 13], phi4.weights()))
     consts = [f for f in phi4.factors if f.support == "S4"]
-    vals = [ec_of_object(FilteredHodgeObject(factors=(f,)), {})
+    vals = [ec_of_object(FilteredHodgeObject(factors=(f,)))
             for f in consts]
     checks.append(_check(
         "constant factors on S4 contribute -(xy)^7 and -(xy)^8",

@@ -183,21 +183,17 @@ def ec_ic_X():
     return self_dual_convert(e_ic_X(), 9)
 
 
-def ec_of_object(obj, base_ec=None):
+def ec_of_object(obj):
     """E_c additively over the factors: a point module contributes
     (-1)^shift (xy)^(-twist); a constant module additionally multiplies by
-    E_c of its space; an IC module uses its registered E_c."""
-    if base_ec is None:
-        base_ec = {"X": ec_ic_X()}
-    return _sum_factors(obj, base_ec, compact=True)
+    E_c of its space; an IC module on X uses E_c of (X, IC_X)."""
+    return _sum_factors(obj, {"X": ec_ic_X()}, compact=True)
 
 
-def e_of_object(obj, base_e=None):
+def e_of_object(obj):
     """Ordinary E over the factors; only point and IC factors are
     meaningful here (constant modules on open strata are not)."""
-    if base_e is None:
-        base_e = {"X": e_ic_X()}
-    return _sum_factors(obj, base_e, compact=False)
+    return _sum_factors(obj, {"X": e_ic_X()}, compact=False)
 
 
 def _sum_factors(obj, base, compact):

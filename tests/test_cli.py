@@ -86,6 +86,17 @@ def test_count_fibre_json(capsys):
     assert payload["value"] == 2 and payload["observed"] == 234
 
 
+def test_count_fibre_payload_keys(capsys):
+    # every field reports what the scan observed; nothing stands for a
+    # comparison that did not run
+    code, out, _ = run(capsys, "count", "pfaffian-fibre", "--n", "2",
+                       "--p", "3", "--value", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"label": "pf-fibre-n2-c1", "n": 2, "p": 3,
+                               "value": 1, "observed": 234,
+                               "enumeration_size": 729}
+
+
 def test_count_cap_refusal_exit_3(capsys):
     code, _, err = run(capsys, "count", "rank", "--n", "3", "--p", "5")
     assert code == 3

@@ -146,6 +146,19 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert s.pf_counts == {v: 1 for v in range(5)}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_n1_scan_above_chunk(workers):
+    # the smallest prime above _CHUNK: row 0 is split into two slabs whose
+    # value ranges are counted separately
+    p = 131101
+    assert p > counting._CHUNK
+    s = scan_skew(1, p, workers=workers)
+    assert s.pf_counts == dict.fromkeys(range(p), 1) == s.pf_counts
+    assert s.pf_counts[p - 1] == 1
+    assert s.pf_counts.get(p) is None and s.pf_counts.get(-1) is None
+    assert s.rank_counts == {0: 1, 2: p - 1}
+
+
 def test_spot_check_runs():
     s = scan_skew(2, 3, "hist", workers=1)
     assert s.spot_checked == (3 ** 6 + 99) // 100
@@ -170,7 +183,7 @@ def test_one_scan_serves_every_count():
 def _scan_tally(n, p, lo, hi, spot_stride=counting.SPOT_STRIDE):
     part = counting._scan_range((n, p, lo, hi, True, spot_stride))
     assert part["violations"] == 0 and part["first_bad"] is None
-    return part["hist"], part["ck"], part["checked"]
+    return part["hist"].tolist(), part["ck"].tolist(), part["checked"]
 
 
 def test_scan_matches_pointwise_oracle():

@@ -6,10 +6,11 @@ from motivic.counting import gaussian_binomial
 from motivic.errors import (MissingDimensionError, MissingInclusionError,
                             ParseError)
 from motivic.laurent import ONE, parse_poly, q_power
-from motivic.spaces import (Affine, Complement, ConeOverPlucker, Disjoint,
-                            EKind, FibrationTotal, GLGroup, Grass, HomSpaceM,
-                            MilnorFibreF, PfaffianHypersurface, Point, Product,
-                            Proj, SpGroup, Torus, betti_grassmannian,
+from motivic.spaces import (LEAVES, Affine, Complement, ConeOverPlucker,
+                            Disjoint, EKind, FibrationTotal, GLGroup, Grass,
+                            HomSpaceM, MilnorFibreF, PfaffianHypersurface,
+                            Point, Product, Proj, SpGroup, Torus,
+                            betti_grassmannian,
                             catalog_betti_F, catalog_betti_M1, catalog_e_F,
                             catalog_e_GL, catalog_e_M, catalog_e_Sp,
                             catalog_entry, closed_inclusion_note, dimension,
@@ -136,6 +137,10 @@ def test_complement_requires_recognized_inclusion():
     with pytest.raises(MissingInclusionError):
         ec(bad)
     assert closed_inclusion_note(Grass(2, 6), Proj(3)) is None
+    # a subspace must be proper, and the hypersurface lives in its own space
+    assert closed_inclusion_note(Proj(2), Proj(2)) is None
+    assert closed_inclusion_note(Affine(2), Affine(2)) is None
+    assert closed_inclusion_note(Affine(16), PfaffianHypersurface(3)) is None
     asserted = Complement(Grass(2, 6), Proj(3), note="a linear P^3")
     assert ec(asserted) == ec(Grass(2, 6)) - ec(Proj(3))
     # the note asserted the inclusion for that expression only
@@ -225,6 +230,69 @@ def test_parse_precedence():
     assert e == Disjoint((Complement(Affine(3), Affine(1)), Point()))
     e = parse_space_expr("affine(3) \\ (affine(1) + point)")
     assert e == Complement(Affine(3), Disjoint((Affine(1), Point())))
+
+
+# grammar name -> (constructor, valid arguments, dimension, catalog entry
+# compact? or None when _ec expands the leaf by rule, invalid arguments,
+# their ValueError text or None for a TypeError, invalid text, its
+# ParseError column after the prefix "torus * " and message)
+LEAF_TABLE = {
+    "point": (Point, (), 0, True, (0,), None, "point(0)", 14,
+              "trailing input '('"),
+    "torus": (Torus, (), 1, True, (1,), None, "torus(1)", 14,
+              "trailing input '('"),
+    "affine": (Affine, (4,), 4, True, (-1,), "affine dimension must be >= 0",
+               "affine(2,3)", 9, "line 1, column 17: expected ')', found ','"),
+    "proj": (Proj, (3,), 3, True, (-1,), "projective dimension must be >= 0",
+             "proj()", 9, "line 1, column 14: expected 'INT', found ')'"),
+    "grass": (Grass, (2, 5), 6, True, (3, 2),
+              "need 0 <= k <= n, got grass(3,2)", "grass(3,2)", 9,
+              "need 0 <= k <= n, got grass(3,2)"),
+    "gl": (GLGroup, (3,), 9, False, (0,), "gl(m) needs m >= 1", "gl(0)", 9,
+           "gl(m) needs m >= 1"),
+    "sp": (SpGroup, (4,), 10, False, (5,), "sp(m) needs even m >= 2",
+           "sp(5)", 9, "sp(m) needs even m >= 2"),
+    "homM": (HomSpaceM, (2,), 6, False, (0,), "homM(n) needs n >= 1",
+             "homM(0)", 9, "homM(n) needs n >= 1"),
+    "milnorF": (MilnorFibreF, (3,), 14, False, (1,),
+                "milnorF(n) needs n >= 2", "milnorF(1)", 9,
+                "milnorF(n) needs n >= 2"),
+    "pfhyp": (PfaffianHypersurface, (2,), 5, None, (0,),
+              "pfhyp(n) needs n >= 1", "pfhyp(0)", 9, "pfhyp(n) needs n >= 1"),
+    "cone": (ConeOverPlucker, (Grass(2, 5),), 7, None, (Affine(2),),
+             "cone(...) takes a Grassmannian", "cone(affine(2))", 9,
+             "cone(...) takes a Grassmannian"),
+}
+
+
+def test_leaf_table_covers_every_row():
+    assert list(LEAF_TABLE) == list(LEAVES)
+
+
+@pytest.mark.parametrize("name", list(LEAF_TABLE))
+def test_leaf_rows(name):
+    (ctor, args, dim, compact, bad, message, bad_text, col,
+     parse_message) = LEAF_TABLE[name]
+    e = ctor(*args)
+    text = f"{name}({','.join(map(str, args))})" if args else name
+    assert parse_space_expr(text) == e
+    assert parse_space_expr(format_space_expr(e)) == e
+    assert dimension(e) == dim
+    if compact is None:
+        with pytest.raises(KeyError):
+            catalog_entry(e)
+    else:
+        assert catalog_entry(e)[1] == EKind(compact=compact, smooth_dim=dim)
+    with pytest.raises(TypeError if message is None else ValueError) as exc:
+        ctor(*bad)
+    if message is not None:
+        assert str(exc.value) == message
+    with pytest.raises(TypeError):
+        ctor(*args, 1)
+    with pytest.raises(ParseError) as exc:
+        parse_space_expr("torus * " + bad_text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == \
+        (1, col, parse_message)
 
 
 def test_parse_errors():

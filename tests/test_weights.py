@@ -103,14 +103,14 @@ def test_weight_filtration_route_decomposition():
 def test_ec_of_object_pieces():
     single = FilteredHodgeObject(
         factors=(CompFactor("origin", PointModule(), 0, -7, 14),))
-    assert ec_of_object(single, {}) == q_power(7)
+    assert ec_of_object(single) == q_power(7)
     shifted = FilteredHodgeObject(
         factors=(CompFactor("S", ConstantModule(Affine(3)), 3, 0, 3),))
-    assert ec_of_object(shifted, {}) == -q_power(3)
+    assert ec_of_object(shifted) == -q_power(3)
     missing = FilteredHodgeObject(
         factors=(CompFactor("Y", ICModule(CONE), 0, -3, 15),))
     with pytest.raises(MissingBasePolynomialError):
-        ec_of_object(missing, {})
+        ec_of_object(missing)
 
 
 def test_phi4_restricted_object():
@@ -119,7 +119,7 @@ def test_phi4_restricted_object():
     assert obj.kinds_palindromic()
     ic = obj.factors[1]
     assert ic.kind == ICModule(Product(Affine(3), CONE))
-    pieces = [ec_of_object(FilteredHodgeObject(factors=(f,)), {})
+    pieces = [ec_of_object(FilteredHodgeObject(factors=(f,)))
               for f in obj.factors if f.support == "S4"]
     assert pieces == [-q_power(7), -q_power(8)]
 
@@ -154,4 +154,4 @@ def test_ordinary_e_of_constant_module_rejected():
     obj = FilteredHodgeObject(
         factors=(CompFactor("S", ConstantModule(Affine(3)), 3, 0, 3),))
     with pytest.raises(ValueError):
-        e_of_object(obj, {})
+        e_of_object(obj)
