@@ -3,8 +3,8 @@ vanishing-cycle module, and the Hilbert scheme of four points on affine
 3-space, cross-verified against exhaustive finite-field point counts."""
 
 from .laurent import (BettiPoly, LaurentPoly2, PowerSeries1, dualize,
-                      format_poly, parse_poly, q_power, self_dual_convert,
-                      shift_apply, twist_apply)
+                      euler_product, format_poly, parse_poly, q_power,
+                      self_dual_convert, shift_apply, twist_apply)
 from .skew import (GF, INTEGERS, CoeffDomain, SkewMatrix, check_equivariance,
                    pfaffian, skew_rank, stratum_dim)
 from .counting import gaussian_binomial, scan_skew

@@ -229,7 +229,7 @@ def _cmd_hilb4(args):
 def _cmd_dt(args):
     m = args.m
     count = dt_invariant(m, cap=args.cap)
-    coeff = macmahon_series(max(m, 1)).integer_coefficients()[m]
+    coeff = macmahon_series(m).integer_coefficients()[m]
     payload = {"m": m, "plane_partitions": count,
                "macmahon_coefficient": coeff, "match": count == coeff}
     lines = [f"plane partitions of weight {m}: {count}",

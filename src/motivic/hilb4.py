@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .laurent import (LaurentPoly2, ONE, PowerSeries1, const, format_poly,
+from .laurent import (LaurentPoly2, ONE, const, euler_product, format_poly,
                       parse_poly, q_power, shift_apply, twist_apply)
 from .spaces import (Affine, ConeOverPlucker, FibrationTotal, Grass, Product,
                      Proj, ec, format_space_expr)
@@ -117,12 +117,8 @@ def plane_partitions(m, cap=PLANE_PARTITION_CAP):
 
 def macmahon_series(order):
     """Product over k of (1 - z^k)^(-k), truncated at the given order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    acc = PowerSeries1.one(order)
-    for k in range(1, order + 1):
-        acc = acc * PowerSeries1.geometric_inverse(ONE, k, order) ** k
-    return acc
+    return euler_product(
+        [(ONE, k) for k in range(1, order + 1) for _ in range(k)], order)
 
 
 def dt_invariant(m, cap=PLANE_PARTITION_CAP):
@@ -142,10 +138,8 @@ def hilb_line(n):
 def goettsche_series(order):
     """Generating series for E_c of Hilbert schemes of points on the affine
     plane: product over k >= 1 of (1 - q^(k+1) z^k)^(-1)."""
-    acc = PowerSeries1.one(order)
-    for k in range(1, order + 1):
-        acc = acc * PowerSeries1.geometric_inverse(q_power(k + 1), k, order)
-    return acc
+    return euler_product(
+        [(q_power(k + 1), k) for k in range(1, order + 1)], order)
 
 
 def goettsche_coeff(n):

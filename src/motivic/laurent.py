@@ -112,14 +112,17 @@ class LaurentPoly2:
             raise TypeError("exponent must be an integer")
         if k == 0:
             return ONE
-        if k < 0:
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial")
+        if len(self.terms) == 1:
             ((a, b), c), = self.terms.items()
-            if abs(c) != 1:
+            if k < 0 and abs(c) != 1:
                 raise ValueError(
                     "negative power of a monomial with non-unit coefficient")
-            return monomial(a * k, b * k, c if k % 2 else 1)
+            return monomial(a * k, b * k, c ** abs(k))
+        if k < 0:
+            raise ValueError("negative power of a non-monomial")
+        if not self.terms:
+            return ZERO
+        # repeated squaring was measured slower on small sparse bases
         acc = ONE
         for _ in range(k):
             acc = acc * self
@@ -513,77 +516,22 @@ def _u_div_exact(num, den):
     return out
 
 
-# -- truncated power series with polynomial coefficients ----------------------
+# -- Euler products ------------------------------------------------------------
 
 class PowerSeries1:
-    """Power series in a formal variable z, truncated at a fixed order,
-    with LaurentPoly2 coefficients.  All arithmetic is exact up to the
-    truncation order; mixing orders truncates to the minimum.
-    """
+    """Power series in a formal variable z with LaurentPoly2 coefficients,
+    truncated at z^order; the result type of euler_product."""
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        fixed = []
-        for i in range(order + 1):
-            c = coeffs[i] if i < len(coeffs) else ZERO
-            p = _as_poly(c)
-            if p is NotImplemented:
-                raise TypeError(f"coefficient {c!r} is not a polynomial")
-            fixed.append(p)
-        self.coeffs = fixed
-        self.order = order
-
-    @classmethod
-    def one(cls, order):
-        return cls([ONE], order)
-
-    @classmethod
-    def geometric_inverse(cls, c, k, order):
-        """(1 - c*z^k)^(-1) truncated: sum of c^j z^(jk)."""
-        if k < 1:
-            raise ValueError("exponent step must be >= 1")
-        coeffs = [ZERO] * (order + 1)
-        acc = ONE
-        j = 0
-        while j * k <= order:
-            coeffs[j * k] = acc
-            acc = acc * c
-            j += 1
-        return cls(coeffs, order)
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+        self.order = len(coeffs) - 1
 
     def coeff(self, n):
         if n > self.order:
             raise IndexError(f"degree {n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        return PowerSeries1(
-            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], order)
-
-    def __mul__(self, other):
-        order = min(self.order, other.order)
-        out = [ZERO] * (order + 1)
-        for i in range(order + 1):
-            ci = self.coeffs[i]
-            if ci.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                cj = other.coeffs[j]
-                if not cj.is_zero():
-                    out[i + j] = out[i + j] + ci * cj
-        return PowerSeries1(out, order)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series power must be a non-negative integer")
-        acc = PowerSeries1.one(self.order)
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     def integer_coefficients(self):
         """Coefficients as plain ints; fails if any is non-constant."""
@@ -594,3 +542,19 @@ class PowerSeries1:
                 raise ValueError("series coefficient is not a constant")
             out.append(p.coeff(0, 0))
         return out
+
+
+def euler_product(factors, order):
+    """The product of (1 - c*z^k)^(-1) over the (c, k) pairs, truncated at
+    z^order.  Dividing a series b by 1 - c*z^k is the in-place recurrence
+    b_i += c*b_(i-k) for ascending i, so each factor costs one pass."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    coeffs = [ONE] + [ZERO] * order
+    for c, k in factors:
+        if k < 1:
+            raise ValueError("exponent step must be >= 1")
+        for i in range(k, order + 1):
+            if coeffs[i - k]:
+                coeffs[i] = coeffs[i] + c * coeffs[i - k]
+    return PowerSeries1(coeffs)

@@ -12,14 +12,16 @@ and converts at the leaves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
 from .counting import gaussian_binomial
 from .errors import (MissingDimensionError, MissingInclusionError, ParseError)
-from .laurent import (BettiPoly, Lexer, ONE, _u_div_exact, _u_mul, const,
-                      format_poly, q_power, self_dual_convert)
+from .laurent import (BettiPoly, Lexer, ONE, const, format_poly, q_power,
+                      self_dual_convert)
 
 
 class SpaceExpr:
@@ -177,14 +179,10 @@ def catalog_betti_M1(n):
 
 
 def betti_grassmannian(k=2, n=6):
-    """Betti polynomial of Gr(k, n) by exact division of the product
-    formula; only even degrees occur."""
-    num = {0: 1}
-    den = {0: 1}
-    for i in range(1, k + 1):
-        num = _u_mul(num, {0: 1, 2 * (n - k + i): -1})
-        den = _u_mul(den, {0: 1, 2 * i: -1})
-    return BettiPoly(_u_div_exact(num, den))
+    """Betti polynomial of Gr(k, n) by Schubert cells: one cell of real
+    dimension 2d for each partition of d in a k x (n - k) box."""
+    sizes = map(sum, combinations_with_replacement(range(n - k + 1), k))
+    return BettiPoly({2 * d: c for d, c in Counter(sizes).items()})
 
 
 class LeafRow(NamedTuple):
@@ -430,6 +428,8 @@ def _parse_atom(sc):
             return Leaf(name, tuple(args))
         sc.expect(")")
         return e
+    except ParseError:  # already positioned at the inner token
+        raise
     except ValueError as exc:
         raise ParseError(str(exc), tok[2], tok[3]) from None
 

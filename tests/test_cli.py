@@ -60,6 +60,10 @@ def test_epoly_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "epoly", "nosuch(3)")
     assert code == 2
     assert "unknown space" in err
+    # an error inside a leaf's parentheses keeps its own position
+    code, _, err = run(capsys, "epoly", "fib(cone(point()); milnorF(2))")
+    assert code == 2
+    assert err == "error: line 1, column 5: cone(...) takes a Grassmannian\n"
 
 
 def test_count_rank_json(capsys):

@@ -154,8 +154,7 @@ def test_macmahon_series():
     coeffs = macmahon_series(10).integer_coefficients()
     assert coeffs == MACMAHON
     assert macmahon_series(6).integer_coefficients()[6] == 48
-    with pytest.raises(ValueError):
-        macmahon_series(0)
+    assert macmahon_series(0).integer_coefficients() == [1]
 
 
 def test_contributions_are_tate_with_nonnegative_support():

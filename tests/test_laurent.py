@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motivic.errors import ConsistencyError, ParseError
-from motivic.laurent import (BettiPoly, LaurentPoly2, ONE, PowerSeries1, Q,
-                             X, Y, ZERO, _u_div_exact, _u_mul, const, dualize,
-                             format_poly, monomial, parse_poly, q_power,
-                             self_dual_convert, shift_apply, twist_apply)
+from motivic.laurent import (BettiPoly, LaurentPoly2, ONE, Q, X, Y, ZERO,
+                             _u_div_exact, _u_mul, const, dualize,
+                             euler_product, format_poly, monomial, parse_poly,
+                             q_power, self_dual_convert, shift_apply,
+                             twist_apply)
 
 rng = random.Random(98141)
 
@@ -137,6 +139,16 @@ def test_pow():
         (ONE + Q) ** -1
     with pytest.raises(ValueError):
         (2 * Q) ** -1
+    assert (-2 * X) ** 3 == monomial(3, 0, -8)
+    assert ZERO ** 3 == ZERO
+    with pytest.raises(ValueError):
+        ZERO ** -1
+
+
+def test_monomial_and_zero_powers_are_immediate():
+    assert parse_poly("x^2000000") == monomial(2000000, 0)
+    assert parse_poly("x^99999999999999") == monomial(99999999999999, 0)
+    assert parse_poly("0^99999999999999") == ZERO
 
 
 def test_format_canonical():
@@ -207,23 +219,55 @@ def test_univariate_division():
         _u_div_exact({0: 1, 3: -1}, {0: 1, 2: -1})
 
 
-def test_power_series_geometric():
-    s = PowerSeries1.geometric_inverse(q_power(2), 1, 4)
+def test_euler_product_geometric():
+    s = euler_product([(q_power(2), 1)], 4)
     assert s.coeff(3) == q_power(6)
-    t = PowerSeries1.geometric_inverse(ONE, 2, 4)
+    t = euler_product([(ONE, 2)], 4)
     assert t.coeff(2) == ONE and t.coeff(3) == ZERO
+    assert euler_product([], 0).coeffs == [ONE]
+    with pytest.raises(IndexError):
+        t.coeff(5)
 
 
-def test_power_series_truncation_to_minimum():
-    a = PowerSeries1([1, 1, 1], 2)
-    b = PowerSeries1([1, 1, 1, 1, 1], 4)
-    assert (a * b).order == 2
-    assert (a + b).order == 2
-    assert (a * b).coeff(2) == const(3)
-
-
-def test_power_series_integer_coefficients():
-    s = PowerSeries1.geometric_inverse(ONE, 1, 3) ** 2
+def test_euler_product_integer_coefficients():
+    s = euler_product([(ONE, 1), (ONE, 1)], 3)
     assert s.integer_coefficients() == [1, 2, 3, 4]
     with pytest.raises(ValueError):
-        PowerSeries1([Q], 0).integer_coefficients()
+        euler_product([(Q, 1)], 1).integer_coefficients()
+
+
+def test_euler_product_rejects_bad_steps_and_orders():
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            euler_product([(ONE, 1), (ONE, k)], 3)
+    with pytest.raises(ValueError):
+        euler_product([], -1)
+
+
+def _geometric_reference(factors, order):
+    """The product of the truncated geometric series sum_j c^j z^(jk),
+    multiplied term by term."""
+    acc = [ONE] + [ZERO] * order
+    for c, k in factors:
+        geometric = [ZERO] * (order + 1)
+        power = ONE
+        for d in range(0, order + 1, k):
+            geometric[d] = power
+            power = power * c
+        acc = [sum((acc[i] * geometric[n - i] for i in range(n + 1)), ZERO)
+               for n in range(order + 1)]
+    return acc
+
+
+_coefficients = st.one_of(
+    st.builds(q_power, st.integers(-3, 3)),
+    st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    st.integers(-3, 3), max_size=3).map(LaurentPoly2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coefficients, st.integers(1, 6)), max_size=5),
+       st.integers(0, 12))
+def test_euler_product_matches_geometric_convolution(factors, order):
+    assert euler_product(factors, order).coeffs == \
+        _geometric_reference(factors, order)

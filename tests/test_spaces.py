@@ -242,9 +242,9 @@ LEAF_TABLE = {
     "torus": (Torus, (), 1, True, (1,), None, "torus(1)", 14,
               "trailing input '('"),
     "affine": (Affine, (4,), 4, True, (-1,), "affine dimension must be >= 0",
-               "affine(2,3)", 9, "line 1, column 17: expected ')', found ','"),
+               "affine(2,3)", 17, "expected ')', found ','"),
     "proj": (Proj, (3,), 3, True, (-1,), "projective dimension must be >= 0",
-             "proj()", 9, "line 1, column 14: expected 'INT', found ')'"),
+             "proj()", 14, "expected 'INT', found ')'"),
     "grass": (Grass, (2, 5), 6, True, (3, 2),
               "need 0 <= k <= n, got grass(3,2)", "grass(3,2)", 9,
               "need 0 <= k <= n, got grass(3,2)"),
