@@ -10,7 +10,7 @@ from .skew import (GF, INTEGERS, CoeffDomain, SkewMatrix, check_equivariance,
 from .counting import gaussian_binomial, scan_skew
 from .spaces import (dimension, ec, ec_traced, format_space_expr,
                      kind_convert, parse_space_expr)
-from .weights import (CompFactor, FilteredHodgeObject, StalkTable, ec_ic_X,
+from .weights import (CompFactor, FilteredHodgeObject, ec_ic_X,
                       ec_of_object, ec_vanishing_cycles,
                       twist_bookkeeping_check, vanishing_cycle_object)
 from .hilb4 import (PlanePartition, dt_invariant, ec_hilb4_total,

@@ -173,20 +173,12 @@ def _cmd_count_fibre(args):
     return 0
 
 
-def _ctx(args):
-    return SuiteContext(p_list=tuple(args.p), cap=args.cap,
-                        workers=args.workers,
-                        katz_family=getattr(args, "suite", None))
-
-
 def _cmd_verify(args):
     if args.suite is not None and args.name != "katz":
         print("error: --suite applies to the katz suite only",
               file=sys.stderr)
         return 2
-    result = run_suite(args.name, _ctx(args))
-    sys.stdout.write(emit_report([result], args.format))
-    return 0 if result.passed else 1
+    return _run_and_emit([args.name], args)
 
 
 def _cmd_report(args):
@@ -195,8 +187,13 @@ def _cmd_report(args):
         if name not in SUITE_NAMES:
             print(f"error: unknown suite {name!r}", file=sys.stderr)
             return 2
+    return _run_and_emit(names, args)
+
+
+def _run_and_emit(names, args):
     ctx = SuiteContext(p_list=tuple(args.p), cap=args.cap,
-                       workers=args.workers)
+                       workers=args.workers,
+                       katz_family=getattr(args, "suite", None))
     results = [run_suite(name, ctx) for name in names]
     sys.stdout.write(emit_report(results, args.format))
     return 0 if all(r.passed for r in results) else 1

@@ -37,19 +37,12 @@ class LaurentPoly2:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def is_tate(self):
         """True iff every exponent pair has equal components (type (a, a))."""
         return all(a == b for (a, b) in self.terms)
 
     def coeff(self, a, b):
         return self.terms.get((a, b), 0)
-
-    def support(self):
-        """Exponent pairs in canonical (a, then b) ascending order."""
-        return tuple(sorted(self.terms))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -529,8 +522,9 @@ class PowerSeries1:
         self.order = len(coeffs) - 1
 
     def coeff(self, n):
-        if n > self.order:
-            raise IndexError(f"degree {n} beyond truncation order {self.order}")
+        if not 0 <= n <= self.order:
+            raise IndexError(
+                f"degree {n} outside the truncated range 0..{self.order}")
         return self.coeffs[n]
 
     def integer_coefficients(self):

@@ -19,7 +19,8 @@ from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
 from .counting import gaussian_binomial
-from .errors import (MissingDimensionError, MissingInclusionError, ParseError)
+from .errors import (CapExceededError, MissingDimensionError,
+                     MissingInclusionError, ParseError)
 from .laurent import (BettiPoly, Lexer, ONE, const, format_poly, q_power,
                       self_dual_convert)
 
@@ -288,16 +289,45 @@ def closed_inclusion_note(whole, closed):
 
 # -- the evaluator ------------------------------------------------------------------
 
+# Largest sum of leaf dimensions that ec evaluates.  Catalog polynomials grow
+# with the leaf's dimension (gl(m) has dimension m^2 and takes m products
+# of polynomials of degree up to m^2/2), so a bound on the sum also bounds a
+# disjoint union of many mid-size leaves.
+EC_DIMENSION_CAP = 400
+
+
 def ec(e):
     """Compactly supported E-polynomial of a space expression."""
+    _check_size(e)
     return _ec(e, None)
 
 
 def ec_traced(e):
     """E_c together with the post-order derivation steps."""
+    _check_size(e)
     steps = []
     value = _ec(e, steps)
     return value, steps
+
+
+def _check_size(e):
+    total = _leaf_dimension_sum(e)
+    if total > EC_DIMENSION_CAP:
+        raise CapExceededError(
+            f"leaf dimensions sum to {total}, above the cap "
+            f"{EC_DIMENSION_CAP} for evaluating a space expression")
+
+
+def _leaf_dimension_sum(e):
+    if isinstance(e, Leaf):
+        return dimension(e)
+    if isinstance(e, (Product, FibrationTotal)):
+        return sum(map(_leaf_dimension_sum, _children(e)))
+    if isinstance(e, Complement):
+        return _leaf_dimension_sum(e.whole) + _leaf_dimension_sum(e.closed)
+    if isinstance(e, Disjoint):
+        return sum(map(_leaf_dimension_sum, e.parts))
+    raise TypeError(f"not a space expression: {e!r}")
 
 
 def _record(steps, e, rule, value):

@@ -1,10 +1,10 @@
 """Formal weight-filtration bookkeeping for the vanishing-cycle module on
 the cone X over Gr(2,6).
 
-Composition factors carry (support, kind, shift, twist, weight) with the
-weight rules enforced at construction: a point module of twist -k is pure
-of weight 2k; an IC or constant module on a d-dimensional space with twist
--t is pure of weight d + 2t.  Stalk tables at the cone point are entered as
+Composition factors carry (support, kind, shift, twist, weight, space)
+with the weight rule enforced at construction: a module on a
+d-dimensional space with twist -t is pure of weight d + 2t, a point
+module counting as d = 0.  Stalk tables at the cone point are entered as
 cited constants; the conic structure identifies hypercohomology with the
 stalk, which is what makes the E-polynomials computable by two independent
 routes.
@@ -19,60 +19,37 @@ from .laurent import const, q_power, self_dual_convert, shift_apply
 from .spaces import (Affine, ConeOverPlucker, Grass, Product, SpaceExpr,
                      dimension, ec, format_space_expr)
 
-
-class ModuleKind:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class PointModule(ModuleKind):
-    pass
-
-
-@dataclass(frozen=True)
-class ICModule(ModuleKind):
-    space: SpaceExpr
-
-
-@dataclass(frozen=True)
-class ConstantModule(ModuleKind):
-    space: SpaceExpr
-
-
-def _kind_text(kind):
-    if isinstance(kind, PointModule):
-        return "point"
-    if isinstance(kind, ICModule):
-        return f"IC({format_space_expr(kind.space)})"
-    if isinstance(kind, ConstantModule):
-        return f"constant({format_space_expr(kind.space)})"
-    raise TypeError(f"not a module kind: {kind!r}")
+KINDS = ("point", "IC", "constant")
 
 
 @dataclass(frozen=True)
 class CompFactor:
+    """A composition factor; `kind` is "point", "IC" or "constant" and
+    `space` is None exactly for a point, which counts as dimension 0."""
+
     support: str
-    kind: ModuleKind
+    kind: str
     shift: int
     twist: int
     weight: int
+    space: SpaceExpr | None = None
 
     def __post_init__(self):
-        if isinstance(self.kind, PointModule):
-            expected = -2 * self.twist
-        elif isinstance(self.kind, (ICModule, ConstantModule)):
-            expected = dimension(self.kind.space) - 2 * self.twist
-        else:
-            raise TypeError(f"not a module kind: {self.kind!r}")
+        if self.kind not in KINDS or \
+                (self.space is None) != (self.kind == "point"):
+            raise TypeError(f"not a module kind: {self.kind!r} on "
+                            f"{self.space!r}")
+        dim = 0 if self.space is None else dimension(self.space)
+        expected = dim - 2 * self.twist
         if self.weight != expected:
             raise WeightRuleError(
-                f"{_kind_text(self.kind)} with twist {self.twist} must have "
+                f"{self.kind_text()} with twist {self.twist} must have "
                 f"weight {expected}, got {self.weight}")
 
-    def to_json_dict(self):
-        return {"support": self.support, "kind": _kind_text(self.kind),
-                "shift": self.shift, "twist": self.twist,
-                "weight": self.weight}
+    def kind_text(self):
+        if self.space is None:
+            return self.kind
+        return f"{self.kind}({format_space_expr(self.space)})"
 
 
 @dataclass(frozen=True)
@@ -81,10 +58,9 @@ class FilteredHodgeObject:
     increasing; E-polynomials are additive over the factors."""
 
     factors: tuple
-    assumptions: tuple = ()
 
     def __post_init__(self):
-        ws = [f.weight for f in self.factors]
+        ws = self.weights()
         if any(a >= b for a, b in zip(ws, ws[1:])):
             raise ValueError(f"weights must be strictly increasing, got {ws}")
 
@@ -93,55 +69,33 @@ class FilteredHodgeObject:
 
     def kinds_palindromic(self):
         """True iff the sequence of factor kinds reads the same reversed."""
-        kinds = [type(f.kind) for f in self.factors]
+        kinds = [f.kind for f in self.factors]
         return kinds == kinds[::-1]
-
-    def to_json_dict(self):
-        return {"factors": [f.to_json_dict() for f in self.factors],
-                "assumptions": list(self.assumptions)}
 
 
 # -- stalk tables (cited constants) ---------------------------------------------
+#
+# A stalk table maps a cohomological degree to the Tate twist of the one
+# class in that degree.
 
-@dataclass(frozen=True)
-class StalkTable:
-    """Map from cohomological degree to ((multiplicity, Tate twist), ...)."""
-
-    entries: tuple  # ((degree, ((mult, twist), ...)), ...)
-
-    def __post_init__(self):
-        for _, cells in self.entries:
-            for mult, _ in cells:
-                if mult <= 0:
-                    raise ValueError("stalk multiplicities must be positive")
-
-    @classmethod
-    def of(cls, table):
-        return cls(tuple(sorted(
-            (k, tuple(cells)) for k, cells in table.items())))
-
-    def degree_map(self):
-        return {k: cells for k, cells in self.entries}
-
-    def e_poly(self):
-        """Alternating sum over degrees of mult * (xy)^(-twist)."""
-        total = const(0)
-        for k, cells in self.entries:
-            sign = -1 if k % 2 else 1
-            for mult, twist in cells:
-                total = total + sign * mult * q_power(-twist)
-        return total
+def stalk_e(table):
+    """Alternating sum over degrees of (xy)^(-twist)."""
+    total = const(0)
+    for k, twist in table.items():
+        sign = -1 if k % 2 else 1
+        total = total + sign * q_power(-twist)
+    return total
 
 
 def milnor_fibre_stalk_table():
     """Stalks at the cone point of the vanishing-cycle module: reduced
     Milnor-fibre cohomology in degrees 14 + k."""
-    return StalkTable.of({-9: [(1, -3)], -5: [(1, -5)], 0: [(1, -8)]})
+    return {-9: -3, -5: -5, 0: -8}
 
 
 def ic_stalk_table():
     """Stalks at the cone point of the intersection complex of X."""
-    return StalkTable.of({-9: [(1, 0)], -5: [(1, -2)], -1: [(1, -4)]})
+    return {-9: 0, -5: -2, -1: -4}
 
 
 def link_hodge_twists():
@@ -151,30 +105,25 @@ def link_hodge_twists():
 
 # -- the vanishing-cycle object and its E-polynomials -----------------------------
 
-MONODROMY_ASSUMPTION = ("semisimple monodromy acts trivially, so the module "
-                        "is self-dual up to the Tate twist by 15")
-
 CONE_X = ConeOverPlucker(Grass(2, 6))
 
 
 def vanishing_cycle_object():
     """The three-step weight filtration of the vanishing-cycle module on X:
     point module in weight 14, twisted IC in weight 15, point module in
-    weight 16."""
-    return FilteredHodgeObject(
-        factors=(
-            CompFactor("origin", PointModule(), shift=0, twist=-7, weight=14),
-            CompFactor("X", ICModule(CONE_X), shift=0, twist=-3, weight=15),
-            CompFactor("origin", PointModule(), shift=0, twist=-8, weight=16),
-        ),
-        assumptions=(MONODROMY_ASSUMPTION,),
-    )
+    weight 16.  It assumes that semisimple monodromy acts trivially, so the
+    module is self-dual up to the Tate twist by 15."""
+    return FilteredHodgeObject(factors=(
+        CompFactor("origin", "point", shift=0, twist=-7, weight=14),
+        CompFactor("X", "IC", shift=0, twist=-3, weight=15, space=CONE_X),
+        CompFactor("origin", "point", shift=0, twist=-8, weight=16),
+    ))
 
 
 def e_ic_X():
     """Ordinary E of (X, IC_X) from the stalk table via the conic
     structure: -(1 + q^2 + q^4)."""
-    return ic_stalk_table().e_poly()
+    return stalk_e(ic_stalk_table())
 
 
 def ec_ic_X():
@@ -187,33 +136,32 @@ def ec_of_object(obj):
     """E_c additively over the factors: a point module contributes
     (-1)^shift (xy)^(-twist); a constant module additionally multiplies by
     E_c of its space; an IC module on X uses E_c of (X, IC_X)."""
-    return _sum_factors(obj, {"X": ec_ic_X()}, compact=True)
+    return _sum_factors(obj, compact=True)
 
 
 def e_of_object(obj):
     """Ordinary E over the factors; only point and IC factors are
     meaningful here (constant modules on open strata are not)."""
-    return _sum_factors(obj, {"X": e_ic_X()}, compact=False)
+    return _sum_factors(obj, compact=False)
 
 
-def _sum_factors(obj, base, compact):
+def _sum_factors(obj, compact):
     total = const(0)
     for f in obj.factors:
         unit = shift_apply(q_power(-f.twist), f.shift)
-        if isinstance(f.kind, PointModule):
+        if f.kind == "point":
             total = total + unit
-            continue
-        if isinstance(f.kind, ConstantModule):
+        elif f.kind == "constant":
             if not compact:
                 raise ValueError(
                     "ordinary E of a constant module on an open stratum is "
                     "not additive factor data here")
-            total = total + unit * ec(f.kind.space)
-            continue
-        if f.support not in base:
+            total = total + unit * ec(f.space)
+        elif f.support == "X":
+            total = total + unit * (ec_ic_X() if compact else e_ic_X())
+        else:
             raise MissingBasePolynomialError(
                 f"no base polynomial registered for support {f.support!r}")
-        total = total + unit * base[f.support]
     return total
 
 
@@ -226,7 +174,7 @@ def ec_vanishing_cycles(route):
     three composition factors.  The mhm suite compares the two.
     """
     if route == "stalk-stratum":
-        e = milnor_fibre_stalk_table().e_poly()
+        e = stalk_e(milnor_fibre_stalk_table())
         return e, self_dual_convert(e, 15)
     if route == "weight-filtration":
         obj = vanishing_cycle_object()
@@ -240,13 +188,11 @@ def phi4_restricted_object():
     S4 = C^3 in weights 11 and 13 around the IC of V4 in weight 12."""
     s4 = Affine(3)
     v4 = Product(Affine(3), CONE_X)
-    return FilteredHodgeObject(
-        factors=(
-            CompFactor("S4", ConstantModule(s4), shift=3, twist=-4, weight=11),
-            CompFactor("V4", ICModule(v4), shift=0, twist=0, weight=12),
-            CompFactor("S4", ConstantModule(s4), shift=3, twist=-5, weight=13),
-        ),
-    )
+    return FilteredHodgeObject(factors=(
+        CompFactor("S4", "constant", shift=3, twist=-4, weight=11, space=s4),
+        CompFactor("V4", "IC", shift=0, twist=0, weight=12, space=v4),
+        CompFactor("S4", "constant", shift=3, twist=-5, weight=13, space=s4),
+    ))
 
 
 def twist_bookkeeping_check(m):

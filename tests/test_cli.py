@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,6 @@ from motivic.cli import main
 from motivic.laurent import q_power
 from motivic.suites import (SuiteContext, SuiteResult, emit_report,
                             run_suite)
-from motivic.weights import StalkTable
 
 
 def run(capsys, *argv):
@@ -64,6 +64,16 @@ def test_epoly_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "epoly", "fib(cone(point()); milnorF(2))")
     assert code == 2
     assert err == "error: line 1, column 5: cone(...) takes a Grassmannian\n"
+
+
+def test_epoly_large_expression_exit_3_at_once(capsys):
+    for expr in ("grass(200,400)", "gl(400)"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "epoly", expr, "--trace")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert err.startswith("refused: leaf dimensions sum to ")
+        assert len(err.splitlines()) == 1
 
 
 def test_count_rank_json(capsys):
@@ -271,7 +281,7 @@ def test_goettsche_route_disagreement_fails(capsys, monkeypatch):
 def test_mhm_route_disagreement_fails(capsys, monkeypatch):
     import motivic.weights as weights
     monkeypatch.setattr(weights, "milnor_fibre_stalk_table",
-                        lambda: StalkTable.of({0: [(1, -8)]}))
+                        lambda: {0: -8})
     res = run_suite("mhm")
     failed = {c.description for c in res.checks if not c.passed}
     assert {"ordinary E: stalk-stratum route equals weight-filtration route",

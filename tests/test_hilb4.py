@@ -42,6 +42,8 @@ def test_goettsche_routes_agree_up_to_ten():
         if n:
             assert sorted(a for a, _ in coeff.terms) == \
                 sorted(set(range(n + 1, 2 * n + 1)))
+    with pytest.raises(IndexError):  # not the z^10 coefficient
+        series.coeff(-1)
 
 
 def test_goettsche_cap():

@@ -229,6 +229,17 @@ def test_euler_product_geometric():
         t.coeff(5)
 
 
+def test_series_coeff_rejects_negative_degree():
+    # a negative degree must not index the coefficient list from the end
+    s = euler_product([(q_power(1), 1)], 3)
+    assert s.coeff(0) == ONE and s.coeff(3) == q_power(3)
+    for n in (-1, -4, -5):
+        with pytest.raises(IndexError):
+            s.coeff(n)
+    with pytest.raises(IndexError):
+        euler_product([], 0).coeff(-1)
+
+
 def test_euler_product_integer_coefficients():
     s = euler_product([(ONE, 1), (ONE, 1)], 3)
     assert s.integer_coefficients() == [1, 2, 3, 4]

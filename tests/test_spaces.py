@@ -3,14 +3,14 @@ import random
 import pytest
 
 from motivic.counting import gaussian_binomial
-from motivic.errors import (MissingDimensionError, MissingInclusionError,
-                            ParseError)
+from motivic.errors import (CapExceededError, MissingDimensionError,
+                            MissingInclusionError, ParseError)
 from motivic.laurent import ONE, parse_poly, q_power
-from motivic.spaces import (LEAVES, Affine, Complement, ConeOverPlucker,
-                            Disjoint, EKind, FibrationTotal, GLGroup, Grass,
-                            HomSpaceM, MilnorFibreF, PfaffianHypersurface,
-                            Point, Product, Proj, SpGroup, Torus,
-                            betti_grassmannian,
+from motivic.spaces import (EC_DIMENSION_CAP, LEAVES, Affine, Complement,
+                            ConeOverPlucker, Disjoint, EKind, FibrationTotal,
+                            GLGroup, Grass, HomSpaceM, MilnorFibreF,
+                            PfaffianHypersurface, Point, Product, Proj,
+                            SpGroup, Torus, betti_grassmannian,
                             catalog_betti_F, catalog_betti_M1, catalog_e_F,
                             catalog_e_GL, catalog_e_M, catalog_e_Sp,
                             catalog_entry, closed_inclusion_note, dimension,
@@ -148,6 +148,22 @@ def test_complement_requires_recognized_inclusion():
         ec(bad)
     noted = Complement(Grass(2, 8), Proj(1), note="Schubert cell closure")
     assert ec(noted) == ec(Grass(2, 8)) - ec(Proj(1))
+
+
+def test_leaf_dimension_sum_is_capped():
+    assert EC_DIMENSION_CAP == 400
+    assert ec(Proj(400)) == ec_traced(Proj(400))[0]
+    at_cap = Disjoint((Proj(1),) * 200 + (GLGroup(14),))
+    assert ec(at_cap) == 200 * ec(Proj(1)) + ec(GLGroup(14))
+    # many small leaves count as much as one large one
+    over = [Disjoint((Proj(1),) * 401), Product(GLGroup(14), GLGroup(15)),
+            Complement(Affine(400), Affine(1)),
+            ConeOverPlucker(Grass(20, 40)), GLGroup(400)]
+    for e in over:
+        with pytest.raises(CapExceededError):
+            ec(e)
+        with pytest.raises(CapExceededError):
+            ec_traced(e)
 
 
 def test_dimensions():

@@ -3,13 +3,12 @@ import pytest
 from motivic.errors import MissingBasePolynomialError, WeightRuleError
 from motivic.laurent import ONE, parse_poly, q_power, self_dual_convert
 from motivic.spaces import Affine, ConeOverPlucker, Grass, Product
-from motivic.weights import (CompFactor, ConstantModule, FilteredHodgeObject,
-                             ICModule, PointModule, StalkTable, e_ic_X,
+from motivic.weights import (CompFactor, FilteredHodgeObject, e_ic_X,
                              e_of_object, ec_ic_X, ec_of_object,
                              ec_vanishing_cycles, ic_stalk_table,
                              link_hodge_twists, milnor_fibre_stalk_table,
-                             phi4_restricted_object, twist_bookkeeping_check,
-                             vanishing_cycle_object)
+                             phi4_restricted_object, stalk_e,
+                             twist_bookkeeping_check, vanishing_cycle_object)
 
 CONE = ConeOverPlucker(Grass(2, 6))
 
@@ -18,47 +17,72 @@ def test_vanishing_cycle_object_shape():
     obj = vanishing_cycle_object()
     assert obj.weights() == [14, 15, 16]
     assert obj.kinds_palindromic()
-    kinds = [type(f.kind).__name__ for f in obj.factors]
-    assert kinds == ["PointModule", "ICModule", "PointModule"]
+    assert [f.kind for f in obj.factors] == ["point", "IC", "point"]
+    assert [f.space for f in obj.factors] == [None, CONE, None]
     assert [f.twist for f in obj.factors] == [-7, -3, -8]
-    assert len(obj.assumptions) == 1
 
 
 def test_weight_rules():
     # point module: twist -k has weight 2k
-    assert CompFactor("origin", PointModule(), 0, -7, 14).weight == 14
+    assert CompFactor("origin", "point", 0, -7, 14).weight == 14
     with pytest.raises(WeightRuleError):
-        CompFactor("origin", PointModule(), 0, -7, 15)
+        CompFactor("origin", "point", 0, -7, 15)
     # IC on a 9-dimensional space with twist -3 has weight 9 + 6
-    CompFactor("X", ICModule(CONE), 0, -3, 15)
+    CompFactor("X", "IC", 0, -3, 15, CONE)
     with pytest.raises(WeightRuleError):
-        CompFactor("X", ICModule(CONE), 0, -3, 14)
+        CompFactor("X", "IC", 0, -3, 14, CONE)
     # constant module on C^3 with twist -4 has weight 3 + 8
-    CompFactor("S4", ConstantModule(Affine(3)), 3, -4, 11)
+    CompFactor("S4", "constant", 3, -4, 11, Affine(3))
     with pytest.raises(WeightRuleError):
-        CompFactor("S4", ConstantModule(Affine(3)), 3, -4, 12)
+        CompFactor("S4", "constant", 3, -4, 12, Affine(3))
+
+
+def test_weight_rule_error_names_the_kind():
+    with pytest.raises(WeightRuleError) as info:
+        CompFactor("X", "IC", 0, -3, 14, CONE)
+    assert str(info.value) == \
+        "IC(cone(grass(2,6))) with twist -3 must have weight 15, got 14"
+    with pytest.raises(WeightRuleError) as info:
+        CompFactor("origin", "point", 0, -7, 15)
+    assert str(info.value) == "point with twist -7 must have weight 14, got 15"
+    assert CompFactor("S4", "constant", 3, -4, 11, Affine(3)).kind_text() \
+        == "constant(affine(3))"
+
+
+@pytest.mark.parametrize("kind, space", [
+    ("sheaf", None), ("sheaf", CONE), ("point", Affine(0)), ("IC", None),
+    ("constant", None)])
+def test_factor_kind_and_space_must_match(kind, space):
+    with pytest.raises(TypeError):
+        CompFactor("X", kind, 0, 0, 0, space)
 
 
 def test_weights_strictly_increasing():
-    f1 = CompFactor("origin", PointModule(), 0, -7, 14)
+    f1 = CompFactor("origin", "point", 0, -7, 14)
     with pytest.raises(ValueError):
         FilteredHodgeObject(factors=(f1, f1))
 
 
+def test_kinds_palindromic_reads_the_kinds():
+    point = CompFactor("S", "point", 0, -7, 14)
+    const = CompFactor("S", "constant", 0, -6, 15, Affine(3))
+    assert not FilteredHodgeObject(factors=(point, const)).kinds_palindromic()
+
+
 def test_stalk_tables():
-    t = milnor_fibre_stalk_table()
-    assert t.degree_map() == {-9: ((1, -3),), -5: ((1, -5),), 0: ((1, -8),)}
-    assert t.e_poly() == -q_power(3) - q_power(5) + q_power(8)
-    assert ic_stalk_table().e_poly() == -(ONE + q_power(2) + q_power(4))
-    with pytest.raises(ValueError):
-        StalkTable.of({0: [(0, -1)]})
+    assert milnor_fibre_stalk_table() == {-9: -3, -5: -5, 0: -8}
+    assert ic_stalk_table() == {-9: 0, -5: -2, -1: -4}
+    assert stalk_e(milnor_fibre_stalk_table()) == \
+        -q_power(3) - q_power(5) + q_power(8)
+    assert stalk_e(ic_stalk_table()) == -(ONE + q_power(2) + q_power(4))
+    assert stalk_e({}) == 0
 
 
 def test_link_twists_consistent_with_ic_stalks():
     link = link_hodge_twists()
     # IC stalk in degree k carries the twist of the link in degree k + 9
-    for k, cells in ic_stalk_table().degree_map().items():
-        assert cells == ((1, link[k + 9]),)
+    for k, twist in ic_stalk_table().items():
+        assert twist == link[k + 9]
 
 
 def test_ic_polynomials():
@@ -79,7 +103,7 @@ def test_routes_agree_and_match_quoted():
 def test_routes_are_computed_independently(monkeypatch):
     import motivic.weights as weights
     monkeypatch.setattr(weights, "milnor_fibre_stalk_table",
-                        lambda: StalkTable.of({0: [(1, -8)]}))
+                        lambda: {0: -8})
     assert ec_vanishing_cycles("stalk-stratum")[0] == q_power(8)
     assert ec_vanishing_cycles("weight-filtration")[0] == \
         parse_poly("(x*y)^3 * ((x*y)^5 - (x*y)^2 - 1)")
@@ -102,13 +126,13 @@ def test_weight_filtration_route_decomposition():
 
 def test_ec_of_object_pieces():
     single = FilteredHodgeObject(
-        factors=(CompFactor("origin", PointModule(), 0, -7, 14),))
+        factors=(CompFactor("origin", "point", 0, -7, 14),))
     assert ec_of_object(single) == q_power(7)
     shifted = FilteredHodgeObject(
-        factors=(CompFactor("S", ConstantModule(Affine(3)), 3, 0, 3),))
+        factors=(CompFactor("S", "constant", 3, 0, 3, Affine(3)),))
     assert ec_of_object(shifted) == -q_power(3)
     missing = FilteredHodgeObject(
-        factors=(CompFactor("Y", ICModule(CONE), 0, -3, 15),))
+        factors=(CompFactor("Y", "IC", 0, -3, 15, CONE),))
     with pytest.raises(MissingBasePolynomialError):
         ec_of_object(missing)
 
@@ -118,20 +142,10 @@ def test_phi4_restricted_object():
     assert obj.weights() == [11, 12, 13]
     assert obj.kinds_palindromic()
     ic = obj.factors[1]
-    assert ic.kind == ICModule(Product(Affine(3), CONE))
+    assert (ic.kind, ic.space) == ("IC", Product(Affine(3), CONE))
     pieces = [ec_of_object(FilteredHodgeObject(factors=(f,)))
               for f in obj.factors if f.support == "S4"]
     assert pieces == [-q_power(7), -q_power(8)]
-
-
-def test_json_serialisation():
-    d = vanishing_cycle_object().to_json_dict()
-    assert set(d) == {"factors", "assumptions"}
-    assert d["factors"][0] == {"support": "origin", "kind": "point",
-                               "shift": 0, "twist": -7, "weight": 14}
-    assert d["factors"][1]["kind"] == "IC(cone(grass(2,6)))"
-    assert len(d["assumptions"]) == 1
-    assert vanishing_cycle_object().to_json_dict() == d
 
 
 def test_twist_bookkeeping():
@@ -152,6 +166,6 @@ def test_twist_bookkeeping():
 
 def test_ordinary_e_of_constant_module_rejected():
     obj = FilteredHodgeObject(
-        factors=(CompFactor("S", ConstantModule(Affine(3)), 3, 0, 3),))
+        factors=(CompFactor("S", "constant", 3, 0, 3, Affine(3)),))
     with pytest.raises(ValueError):
         e_of_object(obj)
