@@ -21,12 +21,16 @@ evaluated in blocks whose tail has no nonzero 2k-minor.  Coefficients and
 digits lie in [0, p), so every product is a small non-negative integer;
 there is no float.
 
+The Pfaffian products are tallied as they come, without reduction: a
+slab's histogram spans only its own values, at most (2n-1)(p-1)^2, and is
+then folded onto the residues mod p.
+
 The matrices whose global index is a multiple of `SPOT_STRIDE` are
 re-checked against an independent integer determinant (Pf^2 = det mod p):
 they are decoded afresh from their indices, and their determinants come from
-a batched fraction-free elimination that shares no code with the Pfaffian
-path.  Scans parallelise over disjoint index ranges and merge tallies by
-summation, bit-identically for any worker count.
+a batched, division-free cofactor expansion that shares no code with the
+Pfaffian path.  Scans parallelise over disjoint index ranges and merge
+tallies by summation, bit-identically for any worker count.
 """
 
 from __future__ import annotations
@@ -53,16 +57,17 @@ _INT64_MAX = (1 << 63) - 1
 
 class PfCounts(Mapping):
     """Read-only map from each value v in [0, p) to #{Pf = v}, held as one
-    tuple of counts; it compares equal to the dict with the same items."""
+    int64 array of counts and read as Python ints; it compares equal to the
+    dict with the same items."""
 
     __slots__ = ("_counts",)
 
     def __init__(self, counts):
-        self._counts = tuple(counts)
+        self._counts = counts
 
     def __getitem__(self, v):
         if isinstance(v, int) and 0 <= v < len(self._counts):
-            return self._counts[v]
+            return int(self._counts[v])
         raise KeyError(v)
 
     def __iter__(self):
@@ -88,10 +93,13 @@ class ScanResult:
 
 def _check_int64(n, p, total):
     """Refuse a scan whose int64 arithmetic could overflow.  The largest
-    quantities are the matrix index, below p^(n(2n-1)), and the numerators
-    a*d - b*c of the spot check's elimination, where a, b, c, d are minors
-    of order at most 2n-1 with entries below p in size, so each is at most
-    the Hadamard bound ((p-1) sqrt(2n-1))^(2n-1).  The row-0 forms, at most
+    quantities are the matrix index, below p^(n(2n-1)), and the spot
+    check's cofactor expansion.  Each of its terms and partial sums is the
+    determinant of an r x r matrix with entries at most p-1 in size (a
+    minor with part of its top row zeroed), so it is at most the Hadamard
+    bound ((p-1) sqrt(r))^r <= ((p-1) sqrt(2n))^(2n).  The test below,
+    twice the square of the order-(2n-1) bound, exceeds that bound for
+    every n and p and is kept as a margin.  The row-0 forms, at most
     (2n-1)(p-1)^2, are smaller."""
     r = 2 * n - 1
     if total - 1 > _INT64_MAX or 2 * (p - 1) ** (2 * r) * r ** r > _INT64_MAX:
@@ -179,40 +187,61 @@ def _slabs(lo, hi, width):
 
 def _skew_stack(digits, size):
     """The (N, size, size) integer lifts of upper-triangle digit arrays:
-    upper entries as stored, lower entries negated."""
-    M = np.zeros((digits[0].size, size, size), dtype=np.int64)
+    upper entries as stored, lower entries negated.  The stack is a view of
+    a (size, size, N) array, the layout `_batched_det` works in."""
+    M = np.zeros((size, size, digits[0].size), dtype=np.int64)
     for (i, j), d in zip(combinations(range(size), 2), digits):
-        M[:, i, j] = d
-        M[:, j, i] = -d
-    return M
+        M[i, j] = d
+        M[j, i] = -d
+    return M.transpose(2, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(s):
+    """Index recipes of the cofactor expansion of an s x s determinant.
+
+    Level r = 2, ..., s expands the minors of the last r rows along their
+    top row, s - r.  Returns, per level, (s - r, terms): the r-subsets S of
+    columns in lexicographic order, and for each position pos < r the pair
+    (column S[pos] of every S, index of S without S[pos] among the
+    (r-1)-subsets), so that minor(S) = sum_pos (-1)^pos a[s-r, S[pos]]
+    minor(S without S[pos]).
+    """
+    levels = []
+    prev = {(c,): c for c in range(s)}
+    for r in range(2, s + 1):
+        subsets = tuple(combinations(range(s), r))
+        terms = tuple((np.array([S[pos] for S in subsets], dtype=np.intp),
+                       np.array([prev[S[:pos] + S[pos + 1:]] for S in subsets],
+                                dtype=np.intp))
+                      for pos in range(r))
+        levels.append((s - r, terms))
+        prev = {S: i for i, S in enumerate(subsets)}
+    return tuple(levels)
 
 
 def _batched_det(M):
-    """Exact determinants of an (N, s, s) int64 stack by fraction-free
-    elimination, the recursion of `skew.bareiss_det`: where a pivot is zero,
-    that matrix swaps in its first row below with a nonzero entry."""
-    count, s, _ = M.shape
+    """Exact determinants of an (N, s, s) int64 stack by cofactor expansion
+    along rows from the bottom up: the minors of the last r rows on every
+    r-subset of columns, from those of the last r-1 rows.  No division and
+    no pivot search, so every matrix takes the same steps; only two levels
+    of minors are alive at a time."""
+    s = M.shape[1]
     M = np.ascontiguousarray(M.transpose(1, 2, 0))  # batch axis innermost
-    sign = np.ones(count, dtype=np.int64)
-    prev = None
-    for k in range(s - 1):
-        col = M[k:, k] != 0
-        found = col.any(axis=0)
-        row = k + col.argmax(axis=0)
-        swap = np.flatnonzero(found & (row != k))
-        if swap.size:
-            top = M[k, :, swap]
-            M[k, :, swap] = M[row[swap], :, swap]
-            M[row[swap], :, swap] = top
-            sign[swap] = -sign[swap]
-        if not found.all():
-            M[:, :, ~found] = 0  # no pivot: determinant 0, and it stays 0
-        pivot = np.where(found, M[k, k], 1)
-        step = (M[k + 1:, k + 1:] * pivot
-                - M[k + 1:, k, None] * M[k, None, k + 1:])
-        M[k + 1:, k + 1:] = step if prev is None else step // prev
-        prev = pivot
-    return sign * M[s - 1, s - 1]
+    minors = M[s - 1]
+    for row, terms in _laplace_plan(s):
+        a = M[row]
+        acc = None
+        for pos, (cols, subs) in enumerate(terms):
+            term = a[cols] * minors[subs]
+            if acc is None:
+                acc = term
+            elif pos % 2:
+                acc -= term
+            else:
+                acc += term
+        minors = acc
+    return minors[0]
 
 
 def _scan_range(args):
@@ -238,12 +267,18 @@ def _scan_range(args):
         pf = _tail_pfaffians(
             _digits(np.arange(h0, h1, dtype=np.int64), p, m - width0),
             pairs, p, blocks.size)
-        pf_mod = ((_coefficients(forms[n][0], pf, p, blocks, width0) @ row0)
-                  % p).ravel()
-        # counted over the slab's own value range, not all of [0, p)
-        low = int(pf_mod.min())
-        tally = np.bincount(pf_mod - low if low else pf_mod)
-        hist[low:low + tally.size] += tally
+        pf_raw = (_coefficients(forms[n][0], pf, p, blocks, width0)
+                  @ row0).ravel()
+        # counted over the slab's own value range, not all of [0, p), and
+        # folded onto residues one run of p values at a time
+        low = int(pf_raw.min())
+        tally = np.bincount(pf_raw - low if low else pf_raw)
+        pos = 0
+        while pos < tally.size:
+            r = (low + pos) % p
+            take = min(p - r, tally.size - pos)
+            hist[r:r + take] += tally[pos:pos + take]
+            pos += take
         if want_rank:
             for k in range(1, n):
                 tail_hit = np.zeros(blocks.size, dtype=bool)
@@ -260,9 +295,9 @@ def _scan_range(args):
         if spot_stride:
             start = h0 * block + r0
             sel = np.arange(-(-start // spot_stride) * spot_stride,
-                            start + pf_mod.size, spot_stride, dtype=np.int64)
+                            start + pf_raw.size, spot_stride, dtype=np.int64)
             if sel.size:
-                pfv = pf_mod[sel - start]
+                pfv = pf_raw[sel - start] % p
                 det = _batched_det(_skew_stack(_digits(sel, p, m), size))
                 bad = np.flatnonzero((det - pfv * pfv) % p)
                 if bad.size and first_bad is None:
@@ -294,7 +329,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap or the
     scan's int64 arithmetic could overflow, and ConsistencyError, naming the
     lowest-index offender, when a sampled matrix fails Pf^2 = det.  At most
-    os.cpu_count() worker processes are forked.
+    min(workers, os.cpu_count(), ceil(p^(n(2n-1)) / _CHUNK)) worker
+    processes are forked, so a scan that fits in one slab runs in-process.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -312,29 +348,24 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     want_rank = mode == "full"
     t0 = time.perf_counter()
     _plan(n)  # built before forking so workers inherit it
+    procs = min(workers, os.cpu_count() or 1, -(-total // _CHUNK))
     args = [(n, p, lo, hi, want_rank, spot_stride)
-            for lo, hi in _split_ranges(total,
-                                        min(workers, os.cpu_count() or 1))]
+            for lo, hi in _split_ranges(total, procs)]
     if len(args) == 1:
         parts = [_scan_range(args[0])]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(args)) as pool:
             parts = pool.map(_scan_range, args)
-    hist = np.zeros(p, dtype=np.int64)
-    ck = np.zeros(n, dtype=np.int64)
-    checked = 0
-    violations = 0
-    bad = []
-    for part in parts:
-        hist += part.pop("hist")  # freed as merged: each histogram is O(p)
-        ck += part["ck"]
-        checked += part["checked"]
-        violations += part["violations"]
-        if part["first_bad"] is not None:
-            bad.append(part["first_bad"])
+    hist = parts[0]["hist"]  # each histogram is O(p): merged in place
+    for part in parts[1:]:
+        hist += part.pop("hist")  # and freed as merged
+    ck = sum(part["ck"] for part in parts)
+    checked = sum(part["checked"] for part in parts)
+    violations = sum(part["violations"] for part in parts)
     if violations:
-        first = min(bad)
+        first = min(part["first_bad"] for part in parts
+                    if part["first_bad"] is not None)
         A = SkewMatrix(2 * n, [first // p ** t % p for t in range(m)])
         raise ConsistencyError(
             f"Pf^2 = det failed on {violations} of {checked} sampled "
@@ -342,7 +373,7 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
             f"{A!r}")
     if int(hist.sum()) != total:
         raise ConsistencyError("Pfaffian histogram does not sum to the scan size")
-    pf_counts = PfCounts(hist.tolist())
+    pf_counts = PfCounts(hist)
     rank_counts = None
     if want_rank:
         ck = ck.tolist()

@@ -10,6 +10,7 @@ from itertools import product
 
 from conftest import ACCEPTANCE_LINES
 
+from motivic import counting
 from motivic.cli import main
 from motivic.counting import gaussian_binomial, scan_skew
 from motivic.hilb4 import (dt_invariant, ec_hilb4_total, goettsche_coeff,
@@ -234,7 +235,10 @@ def test_criterion_10_fixed_point_residual():
         assert int(residual.eval_at(1, 1)) == 1
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(monkeypatch):
+    # scans fork no more workers than they have slabs, so slabs of 2^14
+    # matrices make the 2^15-matrix scan run on more than one worker too
+    monkeypatch.setattr(counting, "_CHUNK", 1 << 14)
     with criterion(11, "byte-identical suite JSON across runs and worker "
                       "counts 1, 2, 8"):
         fast = ["pfaffian", "milnor", "mhm", "hilb4", "dt"]

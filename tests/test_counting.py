@@ -124,7 +124,10 @@ def test_invalid_arguments():
         scan_skew(2, 2, mode="bogus")
 
 
-def test_worker_counts_merge_identically():
+def test_worker_counts_merge_identically(monkeypatch):
+    # 2^15 matrices fit in one default slab, which no scan splits over
+    # workers; 33 slabs of 1000 give every worker count a range
+    monkeypatch.setattr(counting, "_CHUNK", 1000)
     base = scan_skew(3, 2, "full", workers=1)
     for w in (2, 3, 8):
         s = scan_skew(3, 2, "full", workers=w)
@@ -146,6 +149,19 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert s.pf_counts == {v: 1 for v in range(5)}
 
 
+def test_workers_capped_at_slab_count(monkeypatch):
+    # a scan forks no more processes than it has slabs of _CHUNK matrices
+    parts = []
+    split = counting._split_ranges
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(counting, "_split_ranges",
+                        lambda total, n: parts.append(n) or split(total, n))
+    scan_skew(2, 5, "hist", workers=2)        # 15625 matrices: one slab
+    scan_skew(3, 2, "hist", workers=8)        # 32768: one slab
+    scan_skew(1, 131101, "hist", workers=8)   # two slabs
+    assert parts == [1, 1, 2]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_n1_scan_above_chunk(workers):
     # the smallest prime above _CHUNK: row 0 is split into two slabs whose
@@ -155,6 +171,7 @@ def test_n1_scan_above_chunk(workers):
     s = scan_skew(1, p, workers=workers)
     assert s.pf_counts == dict.fromkeys(range(p), 1) == s.pf_counts
     assert s.pf_counts[p - 1] == 1
+    assert type(s.pf_counts[0]) is int
     assert s.pf_counts.get(p) is None and s.pf_counts.get(-1) is None
     assert s.rank_counts == {0: 1, 2: p - 1}
 
@@ -162,6 +179,18 @@ def test_n1_scan_above_chunk(workers):
 def test_spot_check_runs():
     s = scan_skew(2, 3, "hist", workers=1)
     assert s.spot_checked == (3 ** 6 + 99) // 100
+
+
+@pytest.mark.parametrize("chunk", [1000, counting._CHUNK])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_spot_sample_survives_range_cuts(monkeypatch, workers, chunk):
+    # every index that is a multiple of SPOT_STRIDE is checked once, however
+    # the scan is cut into worker ranges and slabs
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    for n, p in ((3, 2), (2, 5), (1, 131101)):
+        total = p ** (n * (2 * n - 1))
+        s = scan_skew(n, p, "hist", workers=workers)
+        assert s.spot_checked == -(-total // counting.SPOT_STRIDE)
 
 
 def test_scan_counts_match_ec_predictions():
@@ -187,8 +216,9 @@ def _scan_tally(n, p, lo, hi, spot_stride=counting.SPOT_STRIDE):
 
 
 def test_scan_matches_pointwise_oracle():
-    # every matrix through skew.pfaffian and skew.skew_rank, tallied
-    for n, p in ((2, 3), (1, 7)):
+    # every matrix through skew.pfaffian and skew.skew_rank, tallied; at
+    # (2, 5) the raw row-0 products reach 48 and fold over ten residue runs
+    for n, p in ((2, 3), (1, 7), (2, 5)):
         pf = dict.fromkeys(range(p), 0)
         rank = dict.fromkeys(range(0, 2 * n + 1, 2), 0)
         for entries in product(range(p), repeat=n * (2 * n - 1)):
@@ -221,12 +251,12 @@ def test_range_partitions_sum_to_whole_scan(monkeypatch, chunk):
 
 def test_batched_det_matches_bareiss():
     np_rng = np.random.default_rng(33190)
-    for size in (4, 6):
+    for size in (2, 4, 6, 8):
         M = np_rng.integers(-3, 4, (300, size, size))
         M[:40, :, 0] = 0                      # singular: zero column
         M[40:80, 1] = M[40:80, 0]             # singular: equal rows
-        M[80:160, 0, 0] = 0                   # first pivot needs a swap
-        M[160:200, :2, :2] = 0                # second pivot needs a swap too
+        M[80:160, 0, 0] = 0                   # zero corner entry
+        M[160:200, :2, :2] = 0                # zero leading 2x2 block
         upper = np.triu(M[200:], 1)           # skew: zero diagonal
         M[200:] = upper - upper.transpose(0, 2, 1)
         got = counting._batched_det(M).tolist()
@@ -247,6 +277,7 @@ def test_spot_check_failure_names_first_offender(monkeypatch):
     det = counting._batched_det
     monkeypatch.setattr(counting, "_batched_det",
                         lambda M: det(M) + (M[:, 0, 1] == 2))
+    monkeypatch.setattr(counting, "_CHUNK", 200)  # four slabs, two workers
     sampled = range(0, 3 ** 6, counting.SPOT_STRIDE)
     bad = [i for i in sampled if i % 3 == 2]
     with pytest.raises(ConsistencyError) as exc:
