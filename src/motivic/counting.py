@@ -6,31 +6,42 @@ upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
 digits.  The index splits into a row-0 part, which takes L = p^(2n-1)
 values, and a tail: each block of L consecutive indices shares one tail.
 A slab of at most `_CHUNK` matrices is a run of whole blocks, or a piece of
-one block at either end of a range or where L > `_CHUNK`.  Its row-0 digits
-are decoded once as a (2n-1) x width table and its tail digits once per
-block.
+one block at either end of a range or where L > `_CHUNK`.
 
 By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
-the Pfaffian is a linear form in row 0 whose coefficients are Pfaffians of
-the tail, so the Pfaffians of a slab are one (blocks x (2n-1)) @
-((2n-1) x width) integer product.  Ranks are read off from principal
-sub-Pfaffians (the rank of a skew matrix is the largest size of a nonzero
-one): a 2k-minor through index 0 is again a linear form in row 0, and one
-that avoids index 0 is a per-block boolean, so the row-0 forms are only
-evaluated in blocks whose tail has no nonzero 2k-minor.  Coefficients and
-digits lie in [0, p), so every product is a small non-negative integer;
-there is no float.
+the Pfaffian of a block is a linear form c . x in its row-0 digits x, whose
+coefficient vector c in F_p^(2n-1) is made of Pfaffians of the tail.  Ranks
+are read off from principal sub-Pfaffians (the rank of a skew matrix is the
+largest size of a nonzero one): a 2k-minor through index 0 is again a
+linear form in row 0, and one that avoids index 0 is a per-block boolean.
 
-The Pfaffian products are tallied as they come, without reduction: a
-slab's histogram spans only its own values, at most (2n-1)(p-1)^2, and is
-then folded onto the residues mod p.
+A scan of an index range makes two passes.  The tail pass walks the slabs,
+decoding each slab's tail digits once per block, and reduces every block to
+the base-p id of its Pfaffian coefficient vector, tallied per row-0 range
+(r0, r1).  For each rank level k < n, the blocks whose tail has a nonzero
+2k-minor are counted whole; for the others it keeps the ids of their
+2k-forms through index 0.  Many tails share a vector (the 3^10 tails of the
+6x6 scan over F_3 share 3^5), so the class pass then multiplies each
+distinct vector once by every row-0 value of its range, brute force and in
+tables of at most `_CHUNK` entries:
+  - the Pfaffian products are tallied unreduced, scaled by the number of
+    blocks with that vector (vectors of equal multiplicity share one
+    bincount), and the short histogram is folded onto the residues mod p;
+  - a block is of rank >= 2k at row-0 value x when any of its 2k-forms is
+    nonzero at x, read from a bit table of each distinct form.
+Coefficients and digits lie in [0, p), so every product is a small
+non-negative integer; there is no float.
 
 The matrices whose global index is a multiple of `SPOT_STRIDE` are
-re-checked against an independent integer determinant (Pf^2 = det mod p):
-they are decoded afresh from their indices, and their determinants come from
-a batched, division-free cofactor expansion that shares no code with the
-Pfaffian path.  Scans parallelise over disjoint index ranges and merge
-tallies by summation, bit-identically for any worker count.
+re-checked in the tail pass against an independent integer determinant
+(Pf^2 = det mod p): each is decoded afresh from its index, its Pfaffian is
+its block's coefficient vector times its row-0 digits, and its determinant
+comes from a batched, division-free cofactor expansion that shares no code
+with the Pfaffian path.  Scans parallelise over disjoint index ranges; each
+worker returns the span of the Pfaffian histogram it touched, and the
+tallies merge by summation, bit-identically for any worker count.
+`ScanResult.phases` holds the seconds of each phase (`PHASES`), summed over
+workers, and `ScanResult.workers` each worker's range and seconds.
 """
 
 from __future__ import annotations
@@ -53,6 +64,8 @@ DEFAULT_CAP = 10 ** 8
 SPOT_STRIDE = 100
 _CHUNK = 1 << 17
 _INT64_MAX = (1 << 63) - 1
+PHASES = ("tail_pass", "pfaffian_classes", "rank_classes", "spot_check",
+          "merge")
 
 
 class PfCounts(Mapping):
@@ -89,6 +102,8 @@ class ScanResult:
     rank_counts: dict | None
     spot_checked: int
     elapsed: float
+    phases: dict   # seconds per phase (PHASES), summed over workers
+    workers: list  # (lo, hi, elapsed) of each worker's index range
 
 
 def _check_int64(n, p, total):
@@ -141,22 +156,30 @@ def _digits(values, p, count):
     return out
 
 
+class _TailMemo(dict):
+    """The memo of `_tail_pfaffians`, which fills its own missing keys."""
+
+    def __init__(self, tail, pairs, p, blocks):
+        super().__init__({(): np.ones(blocks, dtype=np.int64)})
+        self.tail, self.pairs, self.p = tail, pairs, p
+
+    def __missing__(self, s):
+        acc = 0
+        for pos, j in enumerate(s[1:]):
+            term = (self.tail[self.pairs[s[0], j]]
+                    * self[s[1:pos + 1] + s[pos + 2:]])
+            acc = acc - term if pos % 2 else acc + term
+        value = self[s] = acc % self.p
+        return value
+
+
 def _tail_pfaffians(tail, pairs, p, blocks):
     """Sub-Pfaffians mod p of the tail (the matrix without row and column
     0), as a function of the index subset returning one value per block;
-    the first-row recursion, memoised."""
-    memo = {(): np.ones(blocks, dtype=np.int64)}
-
-    def pf(s):
-        if s not in memo:
-            acc = 0
-            for pos, j in enumerate(s[1:]):
-                term = tail[pairs[s[0], j]] * pf(s[1:pos + 1] + s[pos + 2:])
-                acc = acc - term if pos % 2 else acc + term
-            memo[s] = acc % p
-        return memo[s]
-
-    return pf
+    the first-row recursion, memoised.  The memo is a dict, not a closure
+    that calls itself, so it is freed with its slab rather than left to the
+    cyclic garbage collector."""
+    return _TailMemo(tail, pairs, p, blocks).__getitem__
 
 
 def _coefficients(form, pf, p, blocks, width0):
@@ -244,70 +267,141 @@ def _batched_det(M):
     return minors[0]
 
 
+def _fold(hist, tally, low, p):
+    """Add `tally`, counts of the raw values low, low + 1, ..., onto their
+    residues mod p, one run of p values at a time.  Returns the hull
+    (a, b) of the residues touched."""
+    pos = 0
+    while pos < tally.size:
+        r = (low + pos) % p
+        take = min(p - r, tally.size - pos)
+        hist[r:r + take] += tally[pos:pos + take]
+        pos += take
+    a = low % p
+    return (a, a + tally.size) if a + tally.size <= p else (0, p)
+
+
 def _scan_range(args):
     n, p, lo, hi, want_rank, spot_stride = args
+    t0 = time.perf_counter()
+    # Allocated and freed at once, never touched: freeing one 4 MiB block
+    # raises glibc's dynamic mmap and trim thresholds above the spot
+    # check's scratch of 1-2 MB per slab, so the heap is not trimmed and
+    # faulted in again every slab (about 44 000 page faults in the 3^15
+    # scan otherwise, a third of the spot check's time).  Other allocators
+    # are unaffected.
+    np.empty(1 << 22, dtype=np.uint8)
     size = 2 * n
     width0 = size - 1
     block = p ** width0
     m = n * width0
     pairs, avoid, forms = _plan(n)
-    if want_rank and n > 1:
-        # x % p != 0 for every value a row-0 form can take
-        nonzero = np.arange(width0 * (p - 1) ** 2 + 1) % p != 0
-    hist = np.zeros(p, dtype=np.int64)
+    powers = p ** np.arange(width0, dtype=np.int64)
+
+    def vectors(ids):
+        # the coefficient vectors with these base-p ids, one per row
+        return np.array(_digits(ids, p, width0)).T
+
+    # tail pass: each block's Pfaffian coefficient vector, as its base-p id,
+    # per row-0 range; for k < n, the ids of the 2k-forms through index 0
+    # of the blocks whose tail has no nonzero 2k-minor
+    pf_ids = {}
+    form_ids = {}
     # ck[k-1] = #matrices with some nonzero 2k-sub-Pfaffian
     ck = np.zeros(n, dtype=np.int64)
+    phases = dict.fromkeys(PHASES, 0.0)
     checked = 0
     violations = 0
     first_bad = None
     for h0, h1, r0, r1 in _slabs(lo, hi, block):
-        row0 = np.array(_digits(np.arange(r0, r1, dtype=np.int64), p, width0))
-        width = r1 - r0
         blocks = np.arange(h1 - h0)
         pf = _tail_pfaffians(
             _digits(np.arange(h0, h1, dtype=np.int64), p, m - width0),
             pairs, p, blocks.size)
-        pf_raw = (_coefficients(forms[n][0], pf, p, blocks, width0)
-                  @ row0).ravel()
-        # counted over the slab's own value range, not all of [0, p), and
-        # folded onto residues one run of p values at a time
-        low = int(pf_raw.min())
-        tally = np.bincount(pf_raw - low if low else pf_raw)
-        pos = 0
-        while pos < tally.size:
-            r = (low + pos) % p
-            take = min(p - r, tally.size - pos)
-            hist[r:r + take] += tally[pos:pos + take]
-            pos += take
+        coeff = _coefficients(forms[n][0], pf, p, blocks, width0)
+        pf_ids.setdefault((r0, r1), []).append(coeff @ powers)
         if want_rank:
             for k in range(1, n):
                 tail_hit = np.zeros(blocks.size, dtype=bool)
                 for s in avoid[k]:
                     tail_hit |= pf(s) != 0
-                ck[k - 1] += int(tail_hit.sum()) * width
+                ck[k - 1] += int(tail_hit.sum()) * (r1 - r0)
                 rest = np.flatnonzero(~tail_hit)
                 if rest.size:
-                    hit = np.zeros((rest.size, width), dtype=bool)
-                    for form in forms[k]:
-                        hit |= nonzero[
-                            _coefficients(form, pf, p, rest, width0) @ row0]
-                    ck[k - 1] += int(hit.sum())
+                    form_ids.setdefault((r0, r1, k), []).append(np.stack(
+                        [_coefficients(form, pf, p, rest, width0) @ powers
+                         for form in forms[k]], axis=1))
         if spot_stride:
+            t = time.perf_counter()
             start = h0 * block + r0
             sel = np.arange(-(-start // spot_stride) * spot_stride,
-                            start + pf_raw.size, spot_stride, dtype=np.int64)
+                            start + blocks.size * (r1 - r0), spot_stride,
+                            dtype=np.int64)
             if sel.size:
-                pfv = pf_raw[sel - start] % p
-                det = _batched_det(_skew_stack(_digits(sel, p, m), size))
+                digits = _digits(sel, p, m)
+                # Pf by the scan's route: the block's coefficient vector
+                # times the sample's row-0 digits
+                pfv = np.einsum("ij,ji->i", coeff[sel // block - h0],
+                                np.array(digits[:width0])) % p
+                det = _batched_det(_skew_stack(digits, size))
                 bad = np.flatnonzero((det - pfv * pfv) % p)
                 if bad.size and first_bad is None:
                     first_bad = int(sel[bad[0]])
                 violations += int(bad.size)
                 checked += int(sel.size)
+            phases["spot_check"] += time.perf_counter() - t
+    t = time.perf_counter()
+    phases["tail_pass"] = t - t0 - phases["spot_check"]
+
+    # class pass: each distinct vector times every row-0 value of its range,
+    # in tables of at most _CHUNK entries
+    if want_rank and n > 1:
+        # x % p != 0 for every value a row-0 form can take
+        nonzero = np.arange(width0 * (p - 1) ** 2 + 1) % p != 0
+    hist = np.zeros(p, dtype=np.int64)
+    span = (p, 0)
+    for (r0, r1), id_list in pf_ids.items():
+        width = r1 - r0
+        rows = max(1, _CHUNK // width)
+        row0 = np.array(_digits(np.arange(r0, r1, dtype=np.int64), p, width0))
+        ids, mult = np.unique(np.concatenate(id_list), return_counts=True)
+        for mu in sorted(set(mult.tolist())):
+            group = ids[mult == mu]
+            for i in range(0, group.size, rows):
+                # tallied unreduced over the products' own value range
+                raw = (vectors(group[i:i + rows]) @ row0).ravel()
+                low = int(raw.min())
+                tally = np.bincount(raw - low if low else raw)
+                tally *= mu
+                a, b = _fold(hist, tally, low, p)
+                span = (min(span[0], a), max(span[1], b))
+        u = time.perf_counter()
+        phases["pfaffian_classes"] += u - t
+        for k in range(1, n):
+            fids = form_ids.pop((r0, r1, k), None)
+            if fids is None:
+                continue
+            fids = np.concatenate(fids)
+            uniq, inv = np.unique(fids, return_inverse=True)
+            inv = inv.reshape(fids.shape)
+            # the nonzero table of each distinct form, 8 row-0 values a byte
+            bits = np.empty((uniq.size, -(-width // 8)), dtype=np.uint8)
+            for i in range(0, uniq.size, rows):
+                bits[i:i + rows] = np.packbits(
+                    nonzero[vectors(uniq[i:i + rows]) @ row0], axis=1)
+            # a block is hit where any of its forms is nonzero
+            step = max(1, _CHUNK // (fids.shape[1] * bits.shape[1]))
+            for i in range(0, fids.shape[0], step):
+                hit = np.bitwise_or.reduce(bits[inv[i:i + step]], axis=1)
+                ck[k - 1] += int(np.count_nonzero(np.unpackbits(hit)))
+        t = time.perf_counter()
+        phases["rank_classes"] += t - u
     if want_rank:
         ck[n - 1] = hi - lo - int(hist[0])
-    return {"hist": hist, "ck": ck, "checked": checked,
-            "violations": violations, "first_bad": first_bad}
+    a, b = span
+    return {"hist": (a, hist[a:b]), "ck": ck, "checked": checked,
+            "violations": violations, "first_bad": first_bad,
+            "phases": phases, "elapsed": time.perf_counter() - t0}
 
 
 def _split_ranges(total, parts):
@@ -357,9 +451,18 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(args)) as pool:
             parts = pool.map(_scan_range, args)
-    hist = parts[0]["hist"]  # each histogram is O(p): merged in place
+    t_merge = time.perf_counter()
+    # each worker returns (a, counts of the residues a, a + 1, ...), the
+    # span of the histogram it touched; the spans are added into the first
+    # one when it is the whole of [0, p), and each is freed once merged
+    a, hist = parts[0].pop("hist")
+    if hist.size < p:
+        first, hist = hist, np.zeros(p, dtype=np.int64)
+        hist[a:a + first.size] = first
+        del first
     for part in parts[1:]:
-        hist += part.pop("hist")  # and freed as merged
+        a, span = part.pop("hist")
+        hist[a:a + span.size] += span
     ck = sum(part["ck"] for part in parts)
     checked = sum(part["checked"] for part in parts)
     violations = sum(part["violations"] for part in parts)
@@ -383,9 +486,15 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
             rank_counts[2 * k] = ck[k - 1] - above
         if sum(rank_counts.values()) != total:
             raise ConsistencyError("rank buckets do not sum to the scan size")
+    phases = {name: sum(part["phases"][name] for part in parts)
+              for name in PHASES}
+    end = time.perf_counter()
+    phases["merge"] = end - t_merge
     return ScanResult(n=n, p=p, total=total, pf_counts=pf_counts,
                       rank_counts=rank_counts, spot_checked=checked,
-                      elapsed=time.perf_counter() - t0)
+                      elapsed=end - t0, phases=phases,
+                      workers=[(arg[2], arg[3], part["elapsed"])
+                               for arg, part in zip(args, parts)])
 
 
 def gaussian_binomial(n, k):

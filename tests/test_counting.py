@@ -212,13 +212,18 @@ def test_one_scan_serves_every_count():
 def _scan_tally(n, p, lo, hi, spot_stride=counting.SPOT_STRIDE):
     part = counting._scan_range((n, p, lo, hi, True, spot_stride))
     assert part["violations"] == 0 and part["first_bad"] is None
-    return part["hist"].tolist(), part["ck"].tolist(), part["checked"]
+    a, span = part["hist"]
+    hist = [0] * p
+    hist[a:a + span.size] = span.tolist()
+    return hist, part["ck"].tolist(), part["checked"]
 
 
 def test_scan_matches_pointwise_oracle():
     # every matrix through skew.pfaffian and skew.skew_rank, tallied; at
-    # (2, 5) the raw row-0 products reach 48 and fold over ten residue runs
-    for n, p in ((2, 3), (1, 7), (2, 5)):
+    # (2, 5) the raw row-0 products reach 48 and fold over ten residue runs;
+    # at (3, 2) 1024 tails share 32 Pfaffian coefficient vectors, and the
+    # rank-4 bucket of 6x6 matrices is checked pointwise
+    for n, p in ((2, 3), (1, 7), (2, 5), (3, 2)):
         pf = dict.fromkeys(range(p), 0)
         rank = dict.fromkeys(range(0, 2 * n + 1, 2), 0)
         for entries in product(range(p), repeat=n * (2 * n - 1)):
@@ -247,6 +252,51 @@ def test_range_partitions_sum_to_whole_scan(monkeypatch, chunk):
             assert [sum(c) for c in zip(*(h for h, _, _ in parts))] == want[0]
             assert [sum(c) for c in zip(*(k for _, k, _ in parts))] == want[1]
             assert sum(c for _, _, c in parts) == want[2]
+
+
+@pytest.mark.parametrize("chunk", [40, 100])
+def test_class_tables_split_into_chunks(monkeypatch, chunk):
+    # a class table holds at most _CHUNK // width vectors: at (3, 2) row 0
+    # takes 32 values, so each 6x6 block's ten distinct 4-forms lie in
+    # several rank-table chunks; at (2, 5) the 125 row-0 values are cut
+    # into ranges of at most `chunk`, one table chunk per tail
+    whole = {(n, p): _scan_tally(n, p, 0, p ** (n * (2 * n - 1)))
+             for n, p in ((3, 2), (2, 5))}
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    assert chunk // 32 < len(counting._plan(3)[2][2])
+    for (n, p), want in whole.items():
+        assert _scan_tally(n, p, 0, p ** (n * (2 * n - 1))) == want
+        s = scan_skew(n, p, "full")
+        assert ([s.pf_counts[v] for v in range(p)], s.spot_checked) == \
+            (want[0], want[2])
+
+
+def test_worker_returns_only_its_histogram_span():
+    # at n = 1 the Pfaffian is the index itself, so a range of row-0 values
+    # touches only its own residues
+    part = counting._scan_range((1, 101, 20, 70, False, 0))
+    a, span = part["hist"]
+    assert (a, span.tolist()) == (20, [1] * 50)
+
+
+def test_scan_reports_phase_seconds():
+    s = scan_skew(3, 3, "full", workers=1)
+    assert tuple(s.phases) == counting.PHASES
+    assert all(t >= 0 for t in s.phases.values())
+    # the phases are disjoint parts of the scan, and nearly all of it
+    assert 0.8 * s.elapsed <= sum(s.phases.values()) <= s.elapsed
+    assert [(lo, hi) for lo, hi, _ in s.workers] == [(0, 3 ** 15)]
+    assert 0 < s.workers[0][2] <= s.elapsed
+
+
+def test_scan_reports_each_worker_range(monkeypatch):
+    monkeypatch.setattr(counting, "_CHUNK", 1000)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    s = scan_skew(3, 2, "full", workers=2)
+    assert [(lo, hi) for lo, hi, _ in s.workers] == \
+        [(0, 2 ** 14), (2 ** 14, 2 ** 15)]
+    assert all(t > 0 for _, _, t in s.workers)
+    assert tuple(s.phases) == counting.PHASES
 
 
 def test_batched_det_matches_bareiss():
