@@ -4,8 +4,9 @@ truth against E-polynomial predictions evaluated at xy = p.
 Matrices are enumerated by a mixed-radix integer index over the n(2n-1) free
 upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
 digits.  The index splits into a row-0 part, which takes L = p^(2n-1)
-values, and a tail: each block of L consecutive indices shares one tail.
-A slab of at most `_CHUNK` matrices is a run of whole blocks, or a piece of
+values, and a tail: each block of L consecutive indices shares one tail,
+the odd skew matrix B without row and column 0.  A slab is a run of at most
+`_CHUNK // 16` whole blocks, or a piece of at most `_CHUNK` row-0 values of
 one block at either end of a range or where L > `_CHUNK`.
 
 By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
@@ -32,21 +33,26 @@ tables of at most `_CHUNK` entries:
 Coefficients and digits lie in [0, p), so every product is a small
 non-negative integer; there is no float.
 
-The matrices whose global index is a multiple of `SPOT_STRIDE` are
-re-checked in the tail pass against an independent integer determinant
-(Pf^2 = det mod p): each is decoded afresh from its index, its Pfaffian is
-its block's coefficient vector times its row-0 digits, and its determinant
-comes from a batched, division-free cofactor expansion that shares no code
-with the Pfaffian path.  Scans parallelise over disjoint index ranges; each
-worker returns the span of the Pfaffian histogram it touched, and the
-tallies merge by summation, bit-identically for any worker count.
-`ScanResult.phases` holds the seconds of each phase (`PHASES`), summed over
-workers, and `ScanResult.workers` each worker's range and seconds.
+Two checks re-derive the Pfaffians from determinants, which share no code
+with the Pfaffian path.  The tail check covers every matrix of the scan:
+since det(A) = x^T adj(B) x and Pf(A) = c . x, Pf^2 = det holds on a whole
+block when adj(B) = c c^T, an identity over Z that is checked mod p on all
+(2n-1)^2 entries once per tail, adj(B) from the maximal minors of B
+without each row.  The pointwise sample re-checks the decode and product
+path: each matrix whose global index is a multiple of `SPOT_STRIDE` is
+decoded afresh from its index, its Pfaffian is its block's vector, decoded
+from its id, times its row-0 digits, and its determinant comes from the
+same batched, division-free cofactor expansion.  Both expansions run in
+the narrowest of int16, int32 and int64 that holds their bound (`_lane`).
+Scans parallelise over disjoint index ranges; each worker returns the span
+of the Pfaffian histogram it touched, and the tallies merge by summation,
+bit-identically for any worker count.  `ScanResult.phases`
+holds the seconds of each phase (`PHASES`), summed over workers, and
+`ScanResult.workers` each worker's range and seconds.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections.abc import Mapping
@@ -61,11 +67,14 @@ from .laurent import LaurentPoly2, _u_div_exact, _u_mul
 from .skew import SkewMatrix, _is_prime, _pair_index
 
 DEFAULT_CAP = 10 ** 8
-SPOT_STRIDE = 100
+# a prime: a stride divisible by p would leave the lowest row-0 digits of
+# every sample zero
+SPOT_STRIDE = 1009
 _CHUNK = 1 << 17
+_SAMPLE_BATCH = 2048
 _INT64_MAX = (1 << 63) - 1
-PHASES = ("tail_pass", "pfaffian_classes", "rank_classes", "spot_check",
-          "merge")
+PHASES = ("tail_pass", "tail_check", "pfaffian_classes", "rank_classes",
+          "spot_check", "merge")
 
 
 class PfCounts(Mapping):
@@ -101,6 +110,7 @@ class ScanResult:
     pf_counts: PfCounts
     rank_counts: dict | None
     spot_checked: int
+    tails_checked: int
     elapsed: float
     phases: dict   # seconds per phase (PHASES), summed over workers
     workers: list  # (lo, hi, elapsed) of each worker's index range
@@ -108,19 +118,31 @@ class ScanResult:
 
 def _check_int64(n, p, total):
     """Refuse a scan whose int64 arithmetic could overflow.  The largest
-    quantities are the matrix index, below p^(n(2n-1)), and the spot
-    check's cofactor expansion.  Each of its terms and partial sums is the
-    determinant of an r x r matrix with entries at most p-1 in size (a
-    minor with part of its top row zeroed), so it is at most the Hadamard
-    bound ((p-1) sqrt(r))^r <= ((p-1) sqrt(2n))^(2n).  The test below,
-    twice the square of the order-(2n-1) bound, exceeds that bound for
-    every n and p and is kept as a margin.  The row-0 forms, at most
+    quantities are the matrix index, below p^(n(2n-1)), and the cofactor
+    expansions of the two checks.  Each of their terms and partial sums
+    is the determinant of an r x r matrix with entries at most p-1 in
+    size (a minor with part of its top row zeroed), so it is at most the
+    Hadamard bound ((p-1) sqrt(r))^r <= ((p-1) sqrt(2n))^(2n).  The test
+    below, twice the square of the order-(2n-1) bound, exceeds that bound
+    for every n and p and is kept as a margin.  The row-0 forms, at most
     (2n-1)(p-1)^2, are smaller."""
     r = 2 * n - 1
     if total - 1 > _INT64_MAX or 2 * (p - 1) ** (2 * r) * r ** r > _INT64_MAX:
         raise CapExceededError(
             f"a scan of {2 * n}x{2 * n} matrices over F_{p} would overflow "
             f"int64 arithmetic")
+
+
+def _lane(n, p):
+    """The integer dtype of the cofactor expansions of a 2n x 2n scan over
+    F_p: the narrowest of int16, int32 and int64 whose range holds twice
+    the Hadamard bound ((p-1) sqrt(2n))^(2n), which bounds every term and
+    partial sum (see `_check_int64`; the tail's minors are smaller)."""
+    bound = 2 * (p - 1) ** (2 * n) * (2 * n) ** n
+    for lane in (np.int16, np.int32):
+        if bound <= np.iinfo(lane).max:
+            return lane
+    return np.int64
 
 
 @lru_cache(maxsize=None)
@@ -191,15 +213,28 @@ def _coefficients(form, pf, p, blocks, width0):
     return out
 
 
+def _vectors(ids, p, width0):
+    """The coefficient vectors with these base-p ids, one per row."""
+    return np.array(_digits(ids, p, width0)).T
+
+
+def _products(vectors, row0):
+    """The unreduced row-0 products of coefficient vectors and row-0 digit
+    columns (a matrix product, or a stack of them)."""
+    return vectors @ row0
+
+
 def _slabs(lo, hi, width):
     """Cover [lo, hi) in index order by rectangles (h0, h1, r0, r1), tails
-    h0 <= h < h1 times row-0 values r0 <= r < r1, of at most _CHUNK
-    matrices each: runs of whole blocks, or one piece of a block."""
+    h0 <= h < h1 times row-0 values r0 <= r < r1: runs of at most
+    _CHUNK // 16 whole blocks, or one piece of at most _CHUNK values of a
+    block."""
+    tails = max(1, _CHUNK // 16)
     pos = lo
     while pos < hi:
         h, r = divmod(pos, width)
         if r == 0 and width <= _CHUNK and hi - pos >= width:
-            h1 = min(h + _CHUNK // width, hi // width)
+            h1 = min(h + tails, hi // width)
             yield h, h1, 0, width
             pos = h1 * width
         else:
@@ -208,52 +243,54 @@ def _slabs(lo, hi, width):
             pos += r1 - r
 
 
-def _skew_stack(digits, size):
-    """The (N, size, size) integer lifts of upper-triangle digit arrays:
-    upper entries as stored, lower entries negated.  The stack is a view of
-    a (size, size, N) array, the layout `_batched_det` works in."""
-    M = np.zeros((size, size, digits[0].size), dtype=np.int64)
+def _skew_stack(digits, size, dtype, count):
+    """The (size, size, count) integer lifts of upper-triangle digit arrays,
+    batch axis innermost: upper entries as stored, lower entries negated."""
+    M = np.zeros((size, size, count), dtype=dtype)
     for (i, j), d in zip(combinations(range(size), 2), digits):
         M[i, j] = d
         M[j, i] = -d
-    return M.transpose(2, 0, 1)
+    return M
 
 
 @lru_cache(maxsize=None)
-def _laplace_plan(s):
-    """Index recipes of the cofactor expansion of an s x s determinant.
+def _laplace_plan(rows, cols):
+    """Index recipes of the cofactor expansion of the maximal minors of a
+    rows x cols matrix, rows <= cols.
 
-    Level r = 2, ..., s expands the minors of the last r rows along their
-    top row, s - r.  Returns, per level, (s - r, terms): the r-subsets S of
-    columns in lexicographic order, and for each position pos < r the pair
-    (column S[pos] of every S, index of S without S[pos] among the
-    (r-1)-subsets), so that minor(S) = sum_pos (-1)^pos a[s-r, S[pos]]
-    minor(S without S[pos]).
+    Level r = 2, ..., rows expands the minors of the last r rows along
+    their top row, rows - r.  Returns, per level, (rows - r, terms): the
+    r-subsets S of columns in lexicographic order, and for each position
+    pos < r the pair (column S[pos] of every S, index of S without S[pos]
+    among the (r-1)-subsets), so that minor(S) = sum_pos (-1)^pos
+    a[rows-r, S[pos]] minor(S without S[pos]).
     """
     levels = []
-    prev = {(c,): c for c in range(s)}
-    for r in range(2, s + 1):
-        subsets = tuple(combinations(range(s), r))
+    prev = {(c,): c for c in range(cols)}
+    for r in range(2, rows + 1):
+        subsets = tuple(combinations(range(cols), r))
         terms = tuple((np.array([S[pos] for S in subsets], dtype=np.intp),
                        np.array([prev[S[:pos] + S[pos + 1:]] for S in subsets],
                                 dtype=np.intp))
                       for pos in range(r))
-        levels.append((s - r, terms))
+        levels.append((rows - r, terms))
         prev = {S: i for i, S in enumerate(subsets)}
     return tuple(levels)
 
 
-def _batched_det(M):
-    """Exact determinants of an (N, s, s) int64 stack by cofactor expansion
-    along rows from the bottom up: the minors of the last r rows on every
-    r-subset of columns, from those of the last r-1 rows.  No division and
-    no pivot search, so every matrix takes the same steps; only two levels
-    of minors are alive at a time."""
-    s = M.shape[1]
-    M = np.ascontiguousarray(M.transpose(1, 2, 0))  # batch axis innermost
-    minors = M[s - 1]
-    for row, terms in _laplace_plan(s):
-        a = M[row]
+def _minors(M, rows):
+    """The maximal minors of the rows `rows` of a (s, cols, N) stack, batch
+    axis innermost: one per len(rows)-subset of columns in lexicographic
+    order, as a (subsets, N) array of M's dtype.  Cofactor expansion along
+    the rows from the bottom up, the minors of the last r rows from those
+    of the last r-1; no division and no pivot search, so every matrix
+    takes the same steps, and only two levels of minors are alive at a
+    time."""
+    if not rows:
+        return np.ones((1, M.shape[2]), dtype=M.dtype)
+    minors = M[rows[-1]]
+    for level, terms in _laplace_plan(len(rows), M.shape[1]):
+        a = M[rows[level]]
         acc = None
         for pos, (cols, subs) in enumerate(terms):
             term = a[cols] * minors[subs]
@@ -264,7 +301,46 @@ def _batched_det(M):
             else:
                 acc += term
         minors = acc
-    return minors[0]
+    return minors
+
+
+def _batched_det(M):
+    """Exact determinants of an (N, s, s) integer stack, in its dtype."""
+    s = M.shape[1]
+    M = np.ascontiguousarray(M.transpose(1, 2, 0))  # batch axis innermost
+    return _minors(M, tuple(range(s)))[0]
+
+
+def _adjugate(B):
+    """adj(B) of a (w, w, N) stack, batch axis innermost:
+    adj(B)[i, j] = (-1)^(i+j) det(B without row j and column i), column j
+    from the maximal minors of B without row j."""
+    w = B.shape[0]
+    adj = np.empty_like(B)
+    for j in range(w):
+        # the (w-1)-subset of columns at lexicographic position k omits
+        # column w-1-k
+        adj[:, j] = _minors(B, tuple(r for r in range(w) if r != j))[::-1]
+        adj[(j + 1) % 2::2, j] *= -1
+    return adj
+
+
+def _tail_check(tail, coeff, p, lane):
+    """Check adj(B) = c c^T mod p for each block, B its odd skew tail from
+    the tail digits and c its row of `coeff`.  Returns the number of failing
+    blocks and, for the first, (its row, i, j, adj(B)[i, j], c_i c_j mod p)
+    at its first failing entry."""
+    count, w = coeff.shape
+    adj = _adjugate(_skew_stack(tail, w, lane, count))
+    c = coeff.T.astype(lane)
+    bad = ((adj - c[:, None] * c[None]) % p).reshape(w * w, count)
+    hit = np.flatnonzero(bad.any(axis=0))
+    if not hit.size:
+        return 0, None
+    t = int(hit[0])
+    i, j = divmod(int(np.flatnonzero(bad[:, t])[0]), w)
+    return int(hit.size), (t, i, j, int(adj[i, j, t]),
+                           int(c[i, t]) * int(c[j, t]) % p)
 
 
 def _fold(hist, tally, low, p):
@@ -285,11 +361,10 @@ def _scan_range(args):
     n, p, lo, hi, want_rank, spot_stride = args
     t0 = time.perf_counter()
     # Allocated and freed at once, never touched: freeing one 4 MiB block
-    # raises glibc's dynamic mmap and trim thresholds above the spot
-    # check's scratch of 1-2 MB per slab, so the heap is not trimmed and
-    # faulted in again every slab (about 44 000 page faults in the 3^15
-    # scan otherwise, a third of the spot check's time).  Other allocators
-    # are unaffected.
+    # raises glibc's dynamic mmap and trim thresholds above a slab's
+    # scratch, so the heap is not trimmed and faulted in again every slab
+    # (about 5 900 page faults in the 3^15 scan otherwise, 0.02 s of its
+    # 0.055 s).  Other allocators are unaffected.
     np.empty(1 << 22, dtype=np.uint8)
     size = 2 * n
     width0 = size - 1
@@ -297,10 +372,7 @@ def _scan_range(args):
     m = n * width0
     pairs, avoid, forms = _plan(n)
     powers = p ** np.arange(width0, dtype=np.int64)
-
-    def vectors(ids):
-        # the coefficient vectors with these base-p ids, one per row
-        return np.array(_digits(ids, p, width0)).T
+    lane = _lane(n, p)
 
     # tail pass: each block's Pfaffian coefficient vector, as its base-p id,
     # per row-0 range; for k < n, the ids of the 2k-forms through index 0
@@ -310,16 +382,18 @@ def _scan_range(args):
     # ck[k-1] = #matrices with some nonzero 2k-sub-Pfaffian
     ck = np.zeros(n, dtype=np.int64)
     phases = dict.fromkeys(PHASES, 0.0)
-    checked = 0
-    violations = 0
+    checked = violations = 0
     first_bad = None
+    tails_checked = tail_violations = 0
+    first_tail_bad = None
+    next_tail = 0  # the tails below it are checked
     for h0, h1, r0, r1 in _slabs(lo, hi, block):
         blocks = np.arange(h1 - h0)
-        pf = _tail_pfaffians(
-            _digits(np.arange(h0, h1, dtype=np.int64), p, m - width0),
-            pairs, p, blocks.size)
+        tail = _digits(np.arange(h0, h1, dtype=np.int64), p, m - width0)
+        pf = _tail_pfaffians(tail, pairs, p, blocks.size)
         coeff = _coefficients(forms[n][0], pf, p, blocks, width0)
-        pf_ids.setdefault((r0, r1), []).append(coeff @ powers)
+        ids = coeff @ powers
+        pf_ids.setdefault((r0, r1), []).append(ids)
         if want_rank:
             for k in range(1, n):
                 tail_hit = np.zeros(blocks.size, dtype=bool)
@@ -331,27 +405,45 @@ def _scan_range(args):
                     form_ids.setdefault((r0, r1, k), []).append(np.stack(
                         [_coefficients(form, pf, p, rest, width0) @ powers
                          for form in forms[k]], axis=1))
+        t = time.perf_counter()
+        if h1 > next_tail:
+            # a block cut into pieces is checked with its first piece
+            s = max(h0, next_tail) - h0
+            bad, first = _tail_check([d[s:] for d in tail], coeff[s:], p,
+                                     lane)
+            if bad and first_tail_bad is None:
+                first_tail_bad = (h0 + s + first[0],) + first[1:]
+            tail_violations += bad
+            tails_checked += h1 - h0 - s
+            next_tail = h1
+        u = time.perf_counter()
+        phases["tail_check"] += u - t
         if spot_stride:
-            t = time.perf_counter()
             start = h0 * block + r0
-            sel = np.arange(-(-start // spot_stride) * spot_stride,
-                            start + blocks.size * (r1 - r0), spot_stride,
-                            dtype=np.int64)
-            if sel.size:
+            stop = start + blocks.size * (r1 - r0)
+            step = spot_stride * _SAMPLE_BATCH
+            for b0 in range(-(-start // spot_stride) * spot_stride, stop,
+                            step):
+                sel = np.arange(b0, min(b0 + step, stop), spot_stride,
+                                dtype=np.int64)
                 digits = _digits(sel, p, m)
-                # Pf by the scan's route: the block's coefficient vector
-                # times the sample's row-0 digits
-                pfv = np.einsum("ij,ji->i", coeff[sel // block - h0],
-                                np.array(digits[:width0])) % p
-                det = _batched_det(_skew_stack(digits, size))
+                # Pf by the class pass's route: the block's vector, decoded
+                # from its id, times the sample's row-0 digits
+                vec = _vectors(ids[sel // block - h0], p, width0)
+                row0 = np.array(digits[:width0]).T
+                pfv = _products(vec[:, None], row0[:, :, None]).ravel() % p
+                det = _batched_det(
+                    _skew_stack(digits, size, lane, sel.size)
+                    .transpose(2, 0, 1))
                 bad = np.flatnonzero((det - pfv * pfv) % p)
                 if bad.size and first_bad is None:
                     first_bad = int(sel[bad[0]])
                 violations += int(bad.size)
                 checked += int(sel.size)
-            phases["spot_check"] += time.perf_counter() - t
+        phases["spot_check"] += time.perf_counter() - u
     t = time.perf_counter()
-    phases["tail_pass"] = t - t0 - phases["spot_check"]
+    phases["tail_pass"] = (t - t0 - phases["tail_check"]
+                           - phases["spot_check"])
 
     # class pass: each distinct vector times every row-0 value of its range,
     # in tables of at most _CHUNK entries
@@ -369,7 +461,8 @@ def _scan_range(args):
             group = ids[mult == mu]
             for i in range(0, group.size, rows):
                 # tallied unreduced over the products' own value range
-                raw = (vectors(group[i:i + rows]) @ row0).ravel()
+                raw = _products(_vectors(group[i:i + rows], p, width0),
+                                row0).ravel()
                 low = int(raw.min())
                 tally = np.bincount(raw - low if low else raw)
                 tally *= mu
@@ -387,8 +480,8 @@ def _scan_range(args):
             # the nonzero table of each distinct form, 8 row-0 values a byte
             bits = np.empty((uniq.size, -(-width // 8)), dtype=np.uint8)
             for i in range(0, uniq.size, rows):
-                bits[i:i + rows] = np.packbits(
-                    nonzero[vectors(uniq[i:i + rows]) @ row0], axis=1)
+                bits[i:i + rows] = np.packbits(nonzero[_products(
+                    _vectors(uniq[i:i + rows], p, width0), row0)], axis=1)
             # a block is hit where any of its forms is nonzero
             step = max(1, _CHUNK // (fids.shape[1] * bits.shape[1]))
             for i in range(0, fids.shape[0], step):
@@ -401,6 +494,9 @@ def _scan_range(args):
     a, b = span
     return {"hist": (a, hist[a:b]), "ck": ck, "checked": checked,
             "violations": violations, "first_bad": first_bad,
+            "tails_checked": tails_checked,
+            "tail_violations": tail_violations,
+            "first_tail_bad": first_tail_bad,
             "phases": phases, "elapsed": time.perf_counter() - t0}
 
 
@@ -421,10 +517,12 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
 
     mode "hist" tallies Pfaffian values only; mode "full" also buckets by
     rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap or the
-    scan's int64 arithmetic could overflow, and ConsistencyError, naming the
-    lowest-index offender, when a sampled matrix fails Pf^2 = det.  At most
+    scan's int64 arithmetic could overflow, and ConsistencyError when a
+    tail fails adj(B) = c c^T (naming the lowest such block) or a sampled
+    matrix fails Pf^2 = det (naming the lowest-index offender).  At most
     min(workers, os.cpu_count(), ceil(p^(n(2n-1)) / _CHUNK)) worker
-    processes are forked, so a scan that fits in one slab runs in-process.
+    processes are forked, so a scan of at most _CHUNK matrices runs
+    in-process.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -448,8 +546,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     if len(args) == 1:
         parts = [_scan_range(args[0])]
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(args)) as pool:
+        import multiprocessing  # only a scan that forks pays for the import
+        with multiprocessing.get_context("fork").Pool(len(args)) as pool:
             parts = pool.map(_scan_range, args)
     t_merge = time.perf_counter()
     # each worker returns (a, counts of the residues a, a + 1, ...), the
@@ -464,6 +562,18 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         a, span = part.pop("hist")
         hist[a:a + span.size] += span
     ck = sum(part["ck"] for part in parts)
+    tails = sum(part["tails_checked"] for part in parts)
+    tail_violations = sum(part["tail_violations"] for part in parts)
+    if tail_violations:
+        h, i, j, a, b = min(part["first_tail_bad"] for part in parts
+                            if part["first_tail_bad"] is not None)
+        first = h * p ** (2 * n - 1)
+        A = SkewMatrix(2 * n, [first // p ** t % p for t in range(m)])
+        raise ConsistencyError(
+            f"adj(B) = c c^T failed on {tail_violations} of {tails} tails; "
+            f"the first is the block at index {first} at (n, p) = "
+            f"({n}, {p}), whose matrix B without row and column 0 has "
+            f"adj(B)[{i}, {j}] = {a} but c_{i} c_{j} = {b} mod {p}: {A!r}")
     checked = sum(part["checked"] for part in parts)
     violations = sum(part["violations"] for part in parts)
     if violations:
@@ -492,7 +602,7 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     phases["merge"] = end - t_merge
     return ScanResult(n=n, p=p, total=total, pf_counts=pf_counts,
                       rank_counts=rank_counts, spot_checked=checked,
-                      elapsed=end - t0, phases=phases,
+                      tails_checked=tails, elapsed=end - t0, phases=phases,
                       workers=[(arg[2], arg[3], part["elapsed"])
                                for arg, part in zip(args, parts)])
 

@@ -5,6 +5,7 @@ rank-stratum dimensions and the determinant equivariance identity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +40,11 @@ class CoeffDomain:
     def normalize(self, v):
         return v % self.p if self.p is not None else v
 
+    def normalize_all(self, values):
+        """`normalize` of each value, as a list."""
+        p = self.p
+        return [v % p for v in values] if p is not None else list(values)
+
 
 INTEGERS = CoeffDomain()
 
@@ -57,7 +63,7 @@ class SkewMatrix:
     def __init__(self, size, upper, domain=INTEGERS):
         if size < 2 or size % 2:
             raise ValueError(f"size must be even and >= 2, got {size}")
-        upper = tuple(domain.normalize(int(v)) for v in upper)
+        upper = tuple(domain.normalize_all(map(int, upper)))
         want = size * (size - 1) // 2
         if len(upper) != want:
             raise ValueError(
@@ -105,8 +111,15 @@ class SkewMatrix:
         return self.domain.normalize(-self.upper[_pair_index(j, i, self.size)])
 
     def full(self):
-        return [[self.entry(i, j) for j in range(self.size)]
-                for i in range(self.size)]
+        size = self.size
+        rows = [[0] * size for _ in range(size)]
+        upper = iter(self.upper)
+        lower = iter(self.domain.normalize_all([-v for v in self.upper]))
+        for i, row in enumerate(rows):
+            for j in range(i + 1, size):
+                row[j] = next(upper)
+                rows[j][i] = next(lower)
+        return rows
 
     def __eq__(self, other):
         if isinstance(other, SkewMatrix):
@@ -246,11 +259,15 @@ def bareiss_det(rows):
                 return 0
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
+        top = M[k]
+        pivot = top[k]
         for i in range(k + 1, n):
+            row = M[i]
+            f = row[k]
             for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+            row[k] = 0
+        prev = pivot
     return sign * M[n - 1][n - 1]
 
 
@@ -261,11 +278,9 @@ def mat_det(rows, domain=INTEGERS):
 
 
 def _mat_mul(A, B, domain):
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    return [[domain.normalize(sum(A[i][k] * B[k][j] for k in range(inner)))
-             for j in range(m)] for i in range(n)]
+    cols = list(zip(*B))
+    return [[domain.normalize(sum(map(operator.mul, row, col)))
+             for col in cols] for row in A]
 
 
 def check_equivariance(A, g):

@@ -1,6 +1,9 @@
 import random
 import re
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from motivic import counting
 from motivic.counting import DEFAULT_CAP, gaussian_binomial, scan_skew
 from motivic.errors import CapExceededError, ConsistencyError
 from motivic.laurent import ONE, q_power
-from motivic.skew import (GF, SkewMatrix, bareiss_det, parse_skew_literal,
-                          pfaffian, skew_rank)
+from motivic.skew import (GF, SkewMatrix, _is_prime, bareiss_det,
+                          parse_skew_literal, pfaffian, skew_rank)
 from motivic.spaces import ConeOverPlucker, Grass, MilnorFibreF, ec
 
 rng = random.Random(33190)
@@ -177,8 +180,28 @@ def test_n1_scan_above_chunk(workers):
 
 
 def test_spot_check_runs():
-    s = scan_skew(2, 3, "hist", workers=1)
-    assert s.spot_checked == (3 ** 6 + 99) // 100
+    assert counting.SPOT_STRIDE == 1009 and _is_prime(counting.SPOT_STRIDE)
+    # the 729 matrices of (2, 3) sample only index 0
+    assert scan_skew(2, 3, "hist", workers=1).spot_checked == 1
+    assert scan_skew(3, 3, "hist", workers=1).spot_checked == \
+        -(-3 ** 15 // counting.SPOT_STRIDE) == 14221
+
+
+def test_spot_sample_sets_every_row0_digit(monkeypatch):
+    # a stride divisible by p would leave the lowest row-0 digits of every
+    # sample zero (at a stride of 100 = 2^2 5^2, entries a_01 and a_02 at
+    # p = 2 and p = 5)
+    seen = []
+    det = counting._batched_det
+    monkeypatch.setattr(counting, "_batched_det",
+                        lambda M: seen.append(M[:, 0, 1:].copy()) or det(M))
+    for n, p in ((3, 2), (2, 5), (3, 3)):
+        seen.clear()
+        scan_skew(n, p, "hist")
+        row0 = np.concatenate(seen)
+        assert row0.shape == (-(-p ** (n * (2 * n - 1))
+                                // counting.SPOT_STRIDE), 2 * n - 1)
+        assert (row0 != 0).any(axis=0).all(), (n, p)
 
 
 @pytest.mark.parametrize("chunk", [1000, counting._CHUNK])
@@ -323,22 +346,229 @@ def test_spot_stride_zero_skips_the_spot_check():
 
 def test_spot_check_failure_names_first_offender(monkeypatch):
     # a determinant off by one wherever entry (0, 1) is 2; sampled indices
-    # are multiples of 100, and entry (0, 1) is the lowest base-3 digit
+    # are multiples of 1009, and entry (0, 1) is the lowest base-5 digit
     det = counting._batched_det
     monkeypatch.setattr(counting, "_batched_det",
                         lambda M: det(M) + (M[:, 0, 1] == 2))
-    monkeypatch.setattr(counting, "_CHUNK", 200)  # four slabs, two workers
-    sampled = range(0, 3 ** 6, counting.SPOT_STRIDE)
-    bad = [i for i in sampled if i % 3 == 2]
+    monkeypatch.setattr(counting, "_CHUNK", 1000)  # two workers' ranges
+    sampled = range(0, 5 ** 6, counting.SPOT_STRIDE)
+    bad = [i for i in sampled if i % 5 == 2]
+    assert len(bad) == 3
     with pytest.raises(ConsistencyError) as exc:
-        scan_skew(2, 3, "hist", workers=2)
+        scan_skew(2, 5, "hist", workers=2)
     message = str(exc.value)
     assert f"failed on {len(bad)} of {len(sampled)} sampled" in message
-    assert f"index {bad[0]} at (n, p) = (2, 3)" in message
+    assert f"index {bad[0]} at (n, p) = (2, 5)" in message
     literal = re.search(r"skew\d+ \[[^\]]*\]", message).group()
-    A = parse_skew_literal(literal, GF(3))
-    assert A.upper == tuple(bad[0] // 3 ** t % 3 for t in range(6))
+    A = parse_skew_literal(literal, GF(5))
+    assert A.upper == tuple(bad[0] // 5 ** t % 5 for t in range(6))
     assert A.entry(0, 1) == 2
+
+
+def _row0_coefficients(A):
+    # c_j, the coefficient of a_0j in Pf(A), by skew.pfaffian with row 0
+    # set to the unit vector e_j
+    size = A.size
+    return [pfaffian(SkewMatrix(size, [int(t == j) for t in range(size - 1)]
+                                + list(A.upper[size - 1:]), A.domain))
+            for j in range(size - 1)]
+
+
+def test_tail_check_catches_a_coefficient_sign(monkeypatch):
+    # the Pfaffian's a_01 term with its sign flipped: c_0 becomes -c_0, so
+    # adj(B) = c c^T fails in row and column 0 of every tail where c_0 and
+    # some other c_j are nonzero; with no pointwise sample, only the tail
+    # check can see it
+    plan = counting._plan
+
+    def flipped(n):
+        pairs, avoid, forms = plan(n)
+        (digit, sign, sub), *rest = forms[n][0]
+        return pairs, avoid, {**forms, n: (((digit, -sign, sub), *rest),)}
+
+    monkeypatch.setattr(counting, "_plan", flipped)
+    for n, p in ((2, 3), (2, 5)):
+        width0 = 2 * n - 1
+        with pytest.raises(ConsistencyError) as exc:
+            scan_skew(n, p, "hist", spot_stride=0)
+        message = str(exc.value)
+        # the failing tails, found through skew.pfaffian
+        fails = []
+        for h in range(p ** ((n - 1) * width0)):
+            A = SkewMatrix(2 * n, [0] * width0 + [h // p ** t % p for t in
+                                                 range((n - 1) * width0)],
+                           GF(p))
+            c = _row0_coefficients(A)
+            if c[0] and any(c[1:]):
+                fails.append(h)
+        tails = p ** ((n - 1) * width0)
+        assert f"failed on {len(fails)} of {tails} tails" in message
+        first = fails[0] * p ** width0
+        assert f"the block at index {first} at (n, p) = ({n}, {p})" in message
+        # the literal, read as an integer matrix (lower entries -a_ij)
+        A = parse_skew_literal(
+            re.search(r"skew\d+ \[[^\]]*\]", message).group())
+        assert A.upper == tuple(first // p ** t % p
+                                for t in range(n * width0))
+        # the named entry: adj(B)[i, j] from the cofactor of B by Bareiss
+        i, j, adj, cc = map(int, re.search(
+            r"adj\(B\)\[(\d+), (\d+)\] = (-?\d+) but c_\d+ c_\d+ = (\d+)",
+            message).groups())
+        B = [row[1:] for row in A.full()[1:]]
+        minor = [row[:i] + row[i + 1:] for r, row in enumerate(B) if r != j]
+        assert adj == (-1) ** (i + j) * bareiss_det(minor)
+        c = _row0_coefficients(SkewMatrix(2 * n, A.upper, GF(p)))
+        assert 0 in (i, j) and i != j
+        assert cc == -c[i] * c[j] % p != adj % p
+
+
+@pytest.mark.parametrize("fault", ["product", "vector decode"])
+def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
+    # the tail check covers the coefficient vectors, not the class pass
+    # that multiplies them by row 0; the pointwise sample takes the same
+    # decode and product routines, so it catches a fault there
+    if fault == "product":
+        products = counting._products
+        monkeypatch.setattr(counting, "_products",
+                            lambda v, x: products(v, x) + 1)
+    else:
+        vectors = counting._vectors
+        monkeypatch.setattr(counting, "_vectors",
+                            lambda *args: vectors(*args)[:, ::-1])
+    s = scan_skew(2, 5, "full", spot_stride=0)
+    assert s.tails_checked == 125
+    with pytest.raises(ConsistencyError, match=r"Pf\^2 = det failed on"):
+        scan_skew(2, 5, "hist")
+
+
+def test_tail_check_compares_every_entry(monkeypatch):
+    # one adjugate entry off by one is reported at that entry
+    for n, p in ((2, 3), (3, 2)):
+        width0 = 2 * n - 1
+        tails = p ** ((n - 1) * width0)
+        tail = counting._digits(np.arange(tails), p, (n - 1) * width0)
+        pf = counting._tail_pfaffians(tail, counting._plan(n)[0], p, tails)
+        coeff = counting._coefficients(counting._plan(n)[2][n][0], pf, p,
+                                       np.arange(tails), width0)
+        lane = counting._lane(n, p)
+        assert counting._tail_check(tail, coeff, p, lane) == (0, None)
+        adjugate = counting._adjugate
+        for i, j in product(range(width0), repeat=2):
+            def shifted(B, i=i, j=j):
+                adj = adjugate(B)
+                adj[i, j, 1:] += 1
+                return adj
+            monkeypatch.setattr(counting, "_adjugate", shifted)
+            bad, first = counting._tail_check(tail, coeff, p, lane)
+            assert bad == tails - 1 and first[:3] == (1, i, j)
+            monkeypatch.undo()
+
+
+def test_adjugate_matches_cofactors():
+    np_rng = np.random.default_rng(33190)
+    for w in (1, 3, 5, 7):
+        M = np_rng.integers(-3, 4, (40, w, w))
+        M[:10] = np.triu(M[:10], 1) - np.triu(M[:10], 1).transpose(0, 2, 1)
+        got = counting._adjugate(np.ascontiguousarray(M.transpose(1, 2, 0)))
+        for t, A in enumerate(M.tolist()):
+            # the empty minor of a 1x1 matrix is 1
+            want = [[(-1) ** (i + j) * bareiss_det(
+                [row[:i] + row[i + 1:] for r, row in enumerate(A) if r != j]
+                or [[1]]) for j in range(w)] for i in range(w)]
+            assert got[:, :, t].tolist() == want
+
+
+# the largest prime of each lane at n = 1, 2, 3; the int64 lane ends where
+# _check_int64 refuses
+LANE_EDGES = {(1, np.int16): 89, (1, np.int32): 23167,
+              (1, np.int64): 2147483647, (2, np.int16): 5,
+              (2, np.int32): 89, (2, np.int64): 743, (3, np.int16): 3,
+              (3, np.int32): 13, (3, np.int64): 17}
+
+
+@pytest.mark.parametrize("n, lane", sorted(LANE_EDGES, key=str))
+def test_narrow_lane_matches_int64_at_its_edge(n, lane):
+    # every entry +-(p-1): the determinants of the pointwise sample and the
+    # adjugates of the tail check, in the scan's lane and in exact integers
+    p = LANE_EDGES[n, lane]
+    np_rng = np.random.default_rng(p)
+    size = 2 * n
+    signs = np_rng.choice([-1, 1], (64, size, size))
+    upper = np.triu(signs * (p - 1), 1)
+    M = upper - upper.transpose(0, 2, 1)
+    det = counting._batched_det(M.astype(counting._lane(n, p)))
+    assert det.tolist() == [bareiss_det(A) for A in M.tolist()]
+    B = np.ascontiguousarray(M[:, 1:, 1:].transpose(1, 2, 0))
+    assert (counting._adjugate(B.astype(counting._lane(n, p))) ==
+            counting._adjugate(B.astype(object))).all()
+    # p is the largest prime of its lane
+    assert counting._lane(n, p) is lane and det.dtype == lane
+    q = p + 1
+    while not _is_prime(q):
+        q += 1
+    if lane is np.int64:
+        with pytest.raises(CapExceededError):
+            counting._check_int64(n, q, q ** (n * (2 * n - 1)))
+    else:
+        assert counting._lane(n, q) is not lane
+
+
+def test_slabs_are_capped_by_tails():
+    # 3^10 tails of 3^5 matrices: eight slabs of at most 8192 tails
+    slabs = list(counting._slabs(0, 3 ** 15, 3 ** 5))
+    assert len(slabs) == 8
+    assert all(h1 - h0 <= counting._CHUNK // 16 and (r0, r1) == (0, 3 ** 5)
+               for h0, h1, r0, r1 in slabs)
+    # a range cut inside blocks starts and ends with pieces of a block, and
+    # a block wider than _CHUNK is cut into pieces of at most _CHUNK values
+    for lo, hi, width in ((1000, 3 ** 15 - 7, 3 ** 5),
+                          (5, 3 * 262147 - 1, 262147)):
+        slabs = list(counting._slabs(lo, hi, width))
+        assert sum((h1 - h0) * (r1 - r0) for h0, h1, r0, r1 in slabs) == \
+            hi - lo
+        assert all(h1 - h0 <= counting._CHUNK // 16 and
+                   (h1 - h0 == 1 or (r0, r1) == (0, width)) and
+                   (h1 - h0) * (r1 - r0) <= counting._CHUNK * 16 and
+                   r1 - r0 <= counting._CHUNK
+                   for h0, h1, r0, r1 in slabs)
+
+
+@pytest.mark.parametrize("chunk", [20, counting._CHUNK])
+def test_every_tail_checked_once(monkeypatch, chunk):
+    # at 1 worker each tail is checked once, also when its block is cut
+    # into pieces (a chunk of 20 cuts every block of (2, 3) and (2, 5))
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    for n, p in ((1, 7), (1, 131101), (2, 3), (2, 5), (3, 2)):
+        s = scan_skew(n, p, "hist", workers=1)
+        assert s.tails_checked == p ** ((2 * n - 1) * (n - 1))
+
+
+def test_tail_check_on_7x7_tails():
+    # a range of (4, 2) cut inside two blocks of 2^7 matrices: tails 5..24
+    # are checked, the 8x8 Pfaffians tallied and the sample re-checked
+    lo, hi = 5 * 128 + 17, 24 * 128 + 3
+    part = counting._scan_range((4, 2, lo, hi, True, 7))
+    assert part["tails_checked"] == 20
+    assert part["tail_violations"] == 0 and part["violations"] == 0
+    assert part["checked"] == len(range(-(-lo // 7) * 7, hi, 7))
+    pf = [0, 0]
+    for index in range(lo, hi):
+        pf[pfaffian(SkewMatrix(8, [index >> t & 1 for t in range(28)],
+                               GF(2)))] += 1
+    a, span = part["hist"]
+    assert [0] * a + span.tolist() + [0] * (2 - a - span.size) == pf
+
+
+def test_import_does_not_load_multiprocessing():
+    # a scan that fits in one process never needs the pool
+    code = ("import sys, motivic.cli\n"
+            "from motivic.counting import scan_skew\n"
+            "scan_skew(3, 2, workers=2)\n"
+            "print('multiprocessing' in sys.modules)")
+    src = str(Path(counting.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_int64_overflow_refused_before_scanning(monkeypatch):

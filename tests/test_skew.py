@@ -21,6 +21,8 @@ def test_domain_validation():
         CoeffDomain(4)
     assert GF(5).normalize(-1) == 4
     assert INTEGERS.normalize(-1) == -1
+    assert GF(5).normalize_all((-1, 7, 0)) == [4, 2, 0]
+    assert INTEGERS.normalize_all((-1, 7)) == [-1, 7]
 
 
 def test_matrix_construction():
@@ -30,6 +32,9 @@ def test_matrix_construction():
     full = A.full()
     assert all(full[i][j] == -full[j][i] for i in range(4) for j in range(4))
     assert SkewMatrix.from_full(full) == A
+    B = SkewMatrix(4, (1, -2, 3, 0, 9, 4), GF(5))
+    assert B.full() == [[B.entry(i, j) for j in range(4)] for i in range(4)]
+    assert B.full()[1][0] == 4 and B.full()[2][0] == 2
     with pytest.raises(ValueError):
         SkewMatrix(3, (1, 2, 3))
     with pytest.raises(ValueError):
