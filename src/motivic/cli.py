@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 verification or consistency failure,
-2 usage or parse error, 3 enumeration cap refusal.
+Exit codes: 0 all checks pass, 1 verification or consistency failure or
+any other unexpected exception (one `fatal:` line, no traceback), 2 usage
+or parse error, 3 enumeration cap refusal.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -20,6 +22,32 @@ from .spaces import dimension, ec_traced, format_space_expr, parse_space_expr
 from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, KATZ_FAMILIES,
                      SUITE_NAMES, SuiteContext, canonical_json, emit_report,
                      run_suite)
+
+
+# a rational in exponent notation, as `Fraction` reads it
+_EXPONENT = re.compile(r"\s*[-+]?(?P<num>[\d_]*)(?:\.(?P<dec>[\d_]*))?"
+                       r"[eE](?P<sign>[-+]?)(?P<exp>[\d_]+)\s*")
+
+
+def _rational(text):
+    """`Fraction(text)`, refusing exponent notation whose numerator or
+    denominator, as `Fraction` builds them, would have more digits than
+    Python converts to str: `Fraction("1e999999999")` computes
+    10^999999999 before anything can look at it."""
+    m = _EXPONENT.fullmatch(text)
+    if m:
+        limit = (sys.get_int_max_str_digits()
+                 or sys.int_info.default_max_str_digits)
+        num, dec, exp = ((m[g] or "").replace("_", "")
+                         for g in ("num", "dec", "exp"))
+        exp = exp.lstrip("0") or "0"
+        shift = int(exp) if len(exp) <= len(str(limit)) else limit + 1
+        digits = [len(num.lstrip("0")) + len(dec), 1 + len(dec)]
+        digits[m["sign"] == "-"] += shift
+        if max(digits) > limit:
+            raise ValueError(f"{text.strip()}: numerator or denominator of "
+                             f"more than {limit} digits")
+    return Fraction(text)
 
 
 def _add_format(p):
@@ -139,7 +167,7 @@ def _cmd_epoly(args):
     lines.append(format_poly(value))
     if args.at:
         try:
-            x0, y0 = (Fraction(v) for v in args.at)
+            x0, y0 = (_rational(v) for v in args.at)
             at = value.eval_at(x0, y0)
         except ZeroDivisionError:
             raise ValueError(
@@ -271,6 +299,9 @@ def main(argv=None):
         return 3
     except ConsistencyError as exc:
         print(f"fatal: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"fatal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -60,7 +60,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
+# Nothing here calls BLAS: every matrix product is int64, which numpy runs
+# in its own loops.  Its bundled OpenBLAS still starts one thread per extra
+# core when loaded, and each spins idle for about 0.1 s of CPU.  One thread
+# is enough; a value the caller set wins, and if numpy was imported before
+# this module the pool already exists and this line changes nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 
 from .errors import CapExceededError, ConsistencyError
 from .laurent import LaurentPoly2, _u_div_exact, _u_mul

@@ -49,6 +49,27 @@ def test_epoly_zero_denominator_exit_2(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["1e999999999", "1e-999999999", "1e5000"])
+def test_epoly_huge_exponent_exit_2_at_once(capsys, value):
+    # Fraction would build 10^|exponent| before the str limit could object
+    start = time.perf_counter()
+    code, out, err = run(capsys, "epoly", "point", "--at", value, "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"error: {value}: numerator or denominator of more than "
+                   f"4300 digits\n")
+
+
+def test_epoly_exponent_within_str_limit(capsys):
+    code, out, _ = run(capsys, "epoly", "point", "--format", "json",
+                       "--at", "1e4000", "1e-4299")
+    assert code == 0
+    value_at = json.loads(out)["value_at"]
+    assert value_at["x"] == "1" + "0" * 4000
+    assert value_at["y"] == "1/1" + "0" * 4299
+    assert value_at["value"] == "1"
+
+
 def test_epoly_deep_nesting_exit_2(capsys):
     expr = "(" * 3000 + "point" + ")" * 3000
     code, out, err = run(capsys, "epoly", expr)
@@ -315,6 +336,29 @@ def test_emit_report_empty():
     empty = SuiteResult(suite="x", checks=[])
     assert json.loads(emit_report([empty], "json"))["summary"] == \
         {"total": 0, "passed": 0}
+
+
+def test_unexpected_exception_is_one_fatal_line(capsys, monkeypatch):
+    import motivic.cli as cli
+
+    def boom(args):
+        raise OverflowError("int too large to convert")
+
+    monkeypatch.setattr(cli, "_cmd_epoly", boom)
+    code, out, err = run(capsys, "epoly", "point")
+    assert code == 1 and out == ""
+    assert err == "fatal: OverflowError: int too large to convert\n"
+
+
+def test_keyboard_interrupt_not_caught(monkeypatch):
+    import motivic.cli as cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_epoly", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["epoly", "point"])
 
 
 def test_failing_suite_exit_1(capsys, monkeypatch):

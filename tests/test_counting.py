@@ -1,3 +1,4 @@
+import os
 import random
 import re
 import subprocess
@@ -569,6 +570,35 @@ def test_import_does_not_load_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def _import_in_fresh_process(code, **extra_env):
+    """stdout words of `python -c code` run without the caller's
+    OPENBLAS_NUM_THREADS, plus extra_env."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(counting.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(extra_env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_import_runs_on_one_thread():
+    # nothing calls BLAS, so numpy's OpenBLAS pool would only spin idle
+    code = ("import os\n"
+            "import motivic\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            "import motivic.cli\n"
+            "print(len(os.listdir('/proc/self/task')))")
+    assert _import_in_fresh_process(code) == ["1", "1"]
+
+
+def test_import_keeps_callers_openblas_thread_count():
+    code = ("import os, motivic.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _import_in_fresh_process(code, OPENBLAS_NUM_THREADS="2") == ["2"]
 
 
 def test_int64_overflow_refused_before_scanning(monkeypatch):
