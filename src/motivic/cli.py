@@ -17,7 +17,7 @@ from .errors import CapExceededError, ConsistencyError
 from .hilb4 import (PLANE_PARTITION_CAP, PLANE_PARTITION_MAX, dt_invariant,
                     ec_hilb4_total, goettsche_coeff, goettsche_series,
                     hilb4_strata, macmahon_series)
-from .laurent import format_poly, parse_poly
+from .laurent import common_exponent, format_poly, parse_poly
 from .spaces import dimension, ec_traced, format_space_expr, parse_space_expr
 from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, KATZ_FAMILIES,
                      SUITE_NAMES, SuiteContext, canonical_json, emit_report,
@@ -29,6 +29,11 @@ _EXPONENT = re.compile(r"\s*[-+]?(?P<num>[\d_]*)(?:\.(?P<dec>[\d_]*))?"
                        r"[eE](?P<sign>[-+]?)(?P<exp>[\d_]+)\s*")
 
 
+def _digit_limit():
+    """The most digits Python converts between int and str."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _rational(text):
     """`Fraction(text)`, refusing exponent notation whose numerator or
     denominator, as `Fraction` builds them, would have more digits than
@@ -36,8 +41,7 @@ def _rational(text):
     10^999999999 before anything can look at it."""
     m = _EXPONENT.fullmatch(text)
     if m:
-        limit = (sys.get_int_max_str_digits()
-                 or sys.int_info.default_max_str_digits)
+        limit = _digit_limit()
         num, dec, exp = ((m[g] or "").replace("_", "")
                          for g in ("num", "dec", "exp"))
         exp = exp.lstrip("0") or "0"
@@ -48,6 +52,23 @@ def _rational(text):
             raise ValueError(f"{text.strip()}: numerator or denominator of "
                              f"more than {limit} digits")
     return Fraction(text)
+
+
+def _check_eval_size(value, x0, y0, text):
+    """Refuse an evaluation with a term (xy)^m x^(a-m) y^(b-m), as
+    `eval_at` takes it, whose numerator or denominator could pass Python's
+    int-to-str digit limit.  Its bit length is at most |m| bits(xy) +
+    |a-m| bits(x) + |b-m| bits(y); an integer below 2^B has at most
+    ceil(B log10 2) digits, and 3.321 < log2 10."""
+    limit = _digit_limit()
+    bits = [max(v.numerator.bit_length(), v.denominator.bit_length())
+            for v in (x0 * y0, x0, y0)]
+    for a, b in value.terms:
+        m = common_exponent(a, b)
+        bound = abs(m) * bits[0] + abs(a - m) * bits[1] + abs(b - m) * bits[2]
+        if bound * 1000 > limit * 3321:
+            raise ValueError(f"--at {text}: the term of exponents ({a}, "
+                             f"{b}) would have more than {limit} digits")
 
 
 def _add_format(p):
@@ -168,6 +189,7 @@ def _cmd_epoly(args):
     if args.at:
         try:
             x0, y0 = (_rational(v) for v in args.at)
+            _check_eval_size(value, x0, y0, ' '.join(args.at))
             at = value.eval_at(x0, y0)
         except ZeroDivisionError:
             raise ValueError(

@@ -3,11 +3,10 @@ truth against E-polynomial predictions evaluated at xy = p.
 
 Matrices are enumerated by a mixed-radix integer index over the n(2n-1) free
 upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
-digits.  The index splits into a row-0 part, which takes L = p^(2n-1)
-values, and a tail: each block of L consecutive indices shares one tail,
-the odd skew matrix B without row and column 0.  A slab is a run of at most
-`_CHUNK // 16` whole blocks, or a piece of at most `_CHUNK` row-0 values of
-one block at either end of a range or where L > `_CHUNK`.
+digits.  The index h L + r splits into a tail h and a row-0 value r, one
+of L = p^(2n-1): each block of L consecutive indices shares one tail, the
+odd skew matrix B without row and column 0.  A rectangle (h0, h1, r0, r1)
+holds the matrices of tails h0 <= h < h1 and row-0 values r0 <= r < r1.
 
 By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
 the Pfaffian of a block is a linear form c . x in its row-0 digits x, whose
@@ -16,15 +15,15 @@ are read off from principal sub-Pfaffians (the rank of a skew matrix is the
 largest size of a nonzero one): a 2k-minor through index 0 is again a
 linear form in row 0, and one that avoids index 0 is a per-block boolean.
 
-A scan of an index range makes two passes.  The tail pass walks the slabs,
-decoding each slab's tail digits once per block, and reduces every block to
-the base-p id of its Pfaffian coefficient vector, tallied per row-0 range
-(r0, r1).  For each rank level k < n, the blocks whose tail has a nonzero
-2k-minor are counted whole; for the others it keeps the ids of their
+A scan of a rectangle makes two passes.  The tail pass walks its tails in
+runs of at most `_CHUNK // 16`, decoding each tail's digits once, and
+reduces every tail to the base-p id of its Pfaffian coefficient vector.
+For each rank level k < n, the tails with a nonzero 2k-minor count all
+r1 - r0 of their matrices; for the others it keeps the ids of their
 2k-forms through index 0.  Many tails share a vector (the 3^10 tails of the
 6x6 scan over F_3 share 3^5), so the class pass then multiplies each
-distinct vector once by every row-0 value of its range, brute force and in
-tables of at most `_CHUNK` entries:
+distinct vector once by every row-0 value r0 <= r < r1, brute force, in
+tables of at most `_CHUNK` row-0 values and `_CHUNK` entries:
   - the Pfaffian products are tallied unreduced, scaled by the number of
     blocks with that vector (vectors of equal multiplicity share one
     bincount), and the short histogram is folded onto the residues mod p;
@@ -37,18 +36,22 @@ Two checks re-derive the Pfaffians from determinants, which share no code
 with the Pfaffian path.  The tail check covers every matrix of the scan:
 since det(A) = x^T adj(B) x and Pf(A) = c . x, Pf^2 = det holds on a whole
 block when adj(B) = c c^T, an identity over Z that is checked mod p on all
-(2n-1)^2 entries once per tail, adj(B) from the maximal minors of B
-without each row.  The pointwise sample re-checks the decode and product
-path: each matrix whose global index is a multiple of `SPOT_STRIDE` is
-decoded afresh from its index, its Pfaffian is its block's vector, decoded
-from its id, times its row-0 digits, and its determinant comes from the
-same batched, division-free cofactor expansion.  Both expansions run in
-the narrowest of int16, int32 and int64 that holds their bound (`_lane`).
-Scans parallelise over disjoint index ranges; each worker returns the span
+(2n-1)^2 entries once per tail, by the rectangle that starts at row-0 value
+0, adj(B) from the maximal minors of B without each row.  The pointwise
+sample re-checks the decode and product path: each matrix whose global index
+is a multiple of `SPOT_STRIDE` is decoded afresh from its index, its
+Pfaffian is its block's vector, decoded from its id, times its row-0 digits,
+and its determinant comes from the same batched, division-free cofactor
+expansion.  Both expansions run in the narrowest of int16, int32 and int64
+that holds their bound (`_lane`).
+
+Scans parallelise over rectangles that are index ranges: whole tails times
+all of row 0 for n >= 2, and a range of row 0 of the one tail at n = 1, so
+each tail is checked once at any worker count.  Each worker returns the span
 of the Pfaffian histogram it touched, and the tallies merge by summation,
-bit-identically for any worker count.  `ScanResult.phases`
-holds the seconds of each phase (`PHASES`), summed over workers, and
-`ScanResult.workers` each worker's range and seconds.
+bit-identically for any worker count.  `ScanResult.phases` holds the seconds
+of each phase (`PHASES`), summed over workers, and `ScanResult.workers` each
+worker's index range and seconds.
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ def _tail_pfaffians(tail, pairs, p, blocks):
     """Sub-Pfaffians mod p of the tail (the matrix without row and column
     0), as a function of the index subset returning one value per block;
     the first-row recursion, memoised.  The memo is a dict, not a closure
-    that calls itself, so it is freed with its slab rather than left to the
+    that calls itself, so it is freed with its run rather than left to the
     cyclic garbage collector."""
     return _TailMemo(tail, pairs, p, blocks).__getitem__
 
@@ -230,23 +233,12 @@ def _products(vectors, row0):
     return vectors @ row0
 
 
-def _slabs(lo, hi, width):
-    """Cover [lo, hi) in index order by rectangles (h0, h1, r0, r1), tails
-    h0 <= h < h1 times row-0 values r0 <= r < r1: runs of at most
-    _CHUNK // 16 whole blocks, or one piece of at most _CHUNK values of a
-    block."""
-    tails = max(1, _CHUNK // 16)
-    pos = lo
-    while pos < hi:
-        h, r = divmod(pos, width)
-        if r == 0 and width <= _CHUNK and hi - pos >= width:
-            h1 = min(h + tails, hi // width)
-            yield h, h1, 0, width
-            pos = h1 * width
-        else:
-            r1 = min(width, r + _CHUNK, r + hi - pos)
-            yield h, h + 1, r, r1
-            pos += r1 - r
+def _row0_tables(r0, r1, p, width0):
+    """The row-0 digit columns of the values r0 <= r < r1, in tables of at
+    most _CHUNK columns."""
+    for c in range(r0, r1, _CHUNK):
+        yield np.array(_digits(np.arange(c, min(c + _CHUNK, r1),
+                                         dtype=np.int64), p, width0))
 
 
 def _skew_stack(digits, size, dtype, count):
@@ -364,11 +356,11 @@ def _fold(hist, tally, low, p):
 
 
 def _scan_range(args):
-    n, p, lo, hi, want_rank, spot_stride = args
+    n, p, (h0, h1, r0, r1), want_rank, spot_stride = args
     t0 = time.perf_counter()
     # Allocated and freed at once, never touched: freeing one 4 MiB block
-    # raises glibc's dynamic mmap and trim thresholds above a slab's
-    # scratch, so the heap is not trimmed and faulted in again every slab
+    # raises glibc's dynamic mmap and trim thresholds above a run's
+    # scratch, so the heap is not trimmed and faulted in again every run
     # (about 5 900 page faults in the 3^15 scan otherwise, 0.02 s of its
     # 0.055 s).  Other allocators are unaffected.
     np.empty(1 << 22, dtype=np.uint8)
@@ -380,10 +372,10 @@ def _scan_range(args):
     powers = p ** np.arange(width0, dtype=np.int64)
     lane = _lane(n, p)
 
-    # tail pass: each block's Pfaffian coefficient vector, as its base-p id,
-    # per row-0 range; for k < n, the ids of the 2k-forms through index 0
-    # of the blocks whose tail has no nonzero 2k-minor
-    pf_ids = {}
+    # tail pass: each tail's Pfaffian coefficient vector, as its base-p id;
+    # for k < n, the ids of the 2k-forms through index 0 of the tails with
+    # no nonzero 2k-minor
+    pf_ids = []
     form_ids = {}
     # ck[k-1] = #matrices with some nonzero 2k-sub-Pfaffian
     ck = np.zeros(n, dtype=np.int64)
@@ -392,14 +384,15 @@ def _scan_range(args):
     first_bad = None
     tails_checked = tail_violations = 0
     first_tail_bad = None
-    next_tail = 0  # the tails below it are checked
-    for h0, h1, r0, r1 in _slabs(lo, hi, block):
-        blocks = np.arange(h1 - h0)
-        tail = _digits(np.arange(h0, h1, dtype=np.int64), p, m - width0)
+    run = max(1, _CHUNK // 16)
+    for lo in range(h0, h1, run):
+        hi = min(lo + run, h1)
+        blocks = np.arange(hi - lo)
+        tail = _digits(np.arange(lo, hi, dtype=np.int64), p, m - width0)
         pf = _tail_pfaffians(tail, pairs, p, blocks.size)
         coeff = _coefficients(forms[n][0], pf, p, blocks, width0)
         ids = coeff @ powers
-        pf_ids.setdefault((r0, r1), []).append(ids)
+        pf_ids.append(ids)
         if want_rank:
             for k in range(1, n):
                 tail_hit = np.zeros(blocks.size, dtype=bool)
@@ -408,34 +401,33 @@ def _scan_range(args):
                 ck[k - 1] += int(tail_hit.sum()) * (r1 - r0)
                 rest = np.flatnonzero(~tail_hit)
                 if rest.size:
-                    form_ids.setdefault((r0, r1, k), []).append(np.stack(
+                    form_ids.setdefault(k, []).append(np.stack(
                         [_coefficients(form, pf, p, rest, width0) @ powers
                          for form in forms[k]], axis=1))
         t = time.perf_counter()
-        if h1 > next_tail:
-            # a block cut into pieces is checked with its first piece
-            s = max(h0, next_tail) - h0
-            bad, first = _tail_check([d[s:] for d in tail], coeff[s:], p,
-                                     lane)
+        if r0 == 0:
+            # each tail is checked by the rectangle that starts its row 0
+            bad, first = _tail_check(tail, coeff, p, lane)
             if bad and first_tail_bad is None:
-                first_tail_bad = (h0 + s + first[0],) + first[1:]
+                first_tail_bad = (lo + first[0],) + first[1:]
             tail_violations += bad
-            tails_checked += h1 - h0 - s
-            next_tail = h1
+            tails_checked += hi - lo
         u = time.perf_counter()
         phases["tail_check"] += u - t
         if spot_stride:
-            start = h0 * block + r0
-            stop = start + blocks.size * (r1 - r0)
+            start = lo * block + r0
+            stop = (hi - 1) * block + r1
             step = spot_stride * _SAMPLE_BATCH
             for b0 in range(-(-start // spot_stride) * spot_stride, stop,
                             step):
                 sel = np.arange(b0, min(b0 + step, stop), spot_stride,
                                 dtype=np.int64)
+                r = sel % block
+                sel = sel[(r >= r0) & (r < r1)]
                 digits = _digits(sel, p, m)
-                # Pf by the class pass's route: the block's vector, decoded
+                # Pf by the class pass's route: the tail's vector, decoded
                 # from its id, times the sample's row-0 digits
-                vec = _vectors(ids[sel // block - h0], p, width0)
+                vec = _vectors(ids[sel // block - lo], p, width0)
                 row0 = np.array(digits[:width0]).T
                 pfv = _products(vec[:, None], row0[:, :, None]).ravel() % p
                 det = _batched_det(
@@ -451,20 +443,15 @@ def _scan_range(args):
     phases["tail_pass"] = (t - t0 - phases["tail_check"]
                            - phases["spot_check"])
 
-    # class pass: each distinct vector times every row-0 value of its range,
-    # in tables of at most _CHUNK entries
-    if want_rank and n > 1:
-        # x % p != 0 for every value a row-0 form can take
-        nonzero = np.arange(width0 * (p - 1) ** 2 + 1) % p != 0
+    # class pass: each distinct vector times every row-0 value r0 <= r < r1,
+    # in tables of at most _CHUNK row-0 values and _CHUNK entries
     hist = np.zeros(p, dtype=np.int64)
     span = (p, 0)
-    for (r0, r1), id_list in pf_ids.items():
-        width = r1 - r0
-        rows = max(1, _CHUNK // width)
-        row0 = np.array(_digits(np.arange(r0, r1, dtype=np.int64), p, width0))
-        ids, mult = np.unique(np.concatenate(id_list), return_counts=True)
-        for mu in sorted(set(mult.tolist())):
-            group = ids[mult == mu]
+    ids, mult = np.unique(np.concatenate(pf_ids), return_counts=True)
+    groups = [(mu, ids[mult == mu]) for mu in sorted(set(mult.tolist()))]
+    for row0 in _row0_tables(r0, r1, p, width0):
+        rows = max(1, _CHUNK // row0.shape[1])
+        for mu, group in groups:
             for i in range(0, group.size, rows):
                 # tallied unreduced over the products' own value range
                 raw = _products(_vectors(group[i:i + rows], p, width0),
@@ -474,29 +461,30 @@ def _scan_range(args):
                 tally *= mu
                 a, b = _fold(hist, tally, low, p)
                 span = (min(span[0], a), max(span[1], b))
-        u = time.perf_counter()
-        phases["pfaffian_classes"] += u - t
-        for k in range(1, n):
-            fids = form_ids.pop((r0, r1, k), None)
-            if fids is None:
-                continue
-            fids = np.concatenate(fids)
-            uniq, inv = np.unique(fids, return_inverse=True)
-            inv = inv.reshape(fids.shape)
+    u = time.perf_counter()
+    phases["pfaffian_classes"] = u - t
+    for k in sorted(form_ids):
+        # x % p != 0 for every value a row-0 form can take
+        nonzero = np.arange(width0 * (p - 1) ** 2 + 1) % p != 0
+        fids = np.concatenate(form_ids.pop(k))
+        uniq, inv = np.unique(fids, return_inverse=True)
+        inv = inv.reshape(fids.shape)
+        for row0 in _row0_tables(r0, r1, p, width0):
+            rows = max(1, _CHUNK // row0.shape[1])
             # the nonzero table of each distinct form, 8 row-0 values a byte
-            bits = np.empty((uniq.size, -(-width // 8)), dtype=np.uint8)
+            bits = np.empty((uniq.size, -(-row0.shape[1] // 8)),
+                            dtype=np.uint8)
             for i in range(0, uniq.size, rows):
                 bits[i:i + rows] = np.packbits(nonzero[_products(
                     _vectors(uniq[i:i + rows], p, width0), row0)], axis=1)
-            # a block is hit where any of its forms is nonzero
+            # a tail is hit where any of its forms is nonzero
             step = max(1, _CHUNK // (fids.shape[1] * bits.shape[1]))
             for i in range(0, fids.shape[0], step):
                 hit = np.bitwise_or.reduce(bits[inv[i:i + step]], axis=1)
                 ck[k - 1] += int(np.count_nonzero(np.unpackbits(hit)))
-        t = time.perf_counter()
-        phases["rank_classes"] += t - u
+    phases["rank_classes"] = time.perf_counter() - u
     if want_rank:
-        ck[n - 1] = hi - lo - int(hist[0])
+        ck[n - 1] = (h1 - h0) * (r1 - r0) - int(hist[0])
     a, b = span
     return {"hist": (a, hist[a:b]), "ck": ck, "checked": checked,
             "violations": violations, "first_bad": first_bad,
@@ -547,8 +535,15 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     t0 = time.perf_counter()
     _plan(n)  # built before forking so workers inherit it
     procs = min(workers, os.cpu_count() or 1, -(-total // _CHUNK))
-    args = [(n, p, lo, hi, want_rank, spot_stride)
-            for lo, hi in _split_ranges(total, procs)]
+    # each worker takes whole tails times all of row 0; n = 1 has one tail,
+    # so its row 0 is split instead
+    block = p ** (2 * n - 1)
+    if n > 1:
+        rects = [(h0, h1, 0, block)
+                 for h0, h1 in _split_ranges(total // block, procs)]
+    else:
+        rects = [(0, 1, r0, r1) for r0, r1 in _split_ranges(block, procs)]
+    args = [(n, p, rect, want_rank, spot_stride) for rect in rects]
     if len(args) == 1:
         parts = [_scan_range(args[0])]
     else:
@@ -573,7 +568,7 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     if tail_violations:
         h, i, j, a, b = min(part["first_tail_bad"] for part in parts
                             if part["first_tail_bad"] is not None)
-        first = h * p ** (2 * n - 1)
+        first = h * block
         A = SkewMatrix(2 * n, [first // p ** t % p for t in range(m)])
         raise ConsistencyError(
             f"adj(B) = c c^T failed on {tail_violations} of {tails} tails; "
@@ -609,8 +604,10 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     return ScanResult(n=n, p=p, total=total, pf_counts=pf_counts,
                       rank_counts=rank_counts, spot_checked=checked,
                       tails_checked=tails, elapsed=end - t0, phases=phases,
-                      workers=[(arg[2], arg[3], part["elapsed"])
-                               for arg, part in zip(args, parts)])
+                      workers=[(h0 * block + r0, (h1 - 1) * block + r1,
+                                part["elapsed"])
+                               for (h0, h1, r0, r1), part in zip(rects,
+                                                                 parts)])
 
 
 def gaussian_binomial(n, k):

@@ -131,9 +131,13 @@ class LaurentPoly2:
         """
         x0 = Fraction(x0)
         y0 = Fraction(y0)
+        xy = x0 * y0
         total = Fraction(0)
         for (a, b), c in self.terms.items():
-            total += c * x0 ** a * y0 ** b
+            # through xy, so that x0 = 1e4000 and y0 = 3e-4000 never meet
+            # as 400th powers
+            m = common_exponent(a, b)
+            total += c * xy ** m * x0 ** (a - m) * y0 ** (b - m)
         return total
 
     def eval_q(self, q0):
@@ -150,6 +154,17 @@ class LaurentPoly2:
         return format_poly(self)
 
     __repr__ = __str__
+
+
+def common_exponent(a, b):
+    """The m with x^a y^b = (xy)^m x^(a-m) y^(b-m) that leaves the smallest
+    powers of x and y: the one of a and b nearer zero when both have one
+    sign, else 0."""
+    if a > 0 and b > 0:
+        return min(a, b)
+    if a < 0 and b < 0:
+        return max(a, b)
+    return 0
 
 
 def _raw(terms):

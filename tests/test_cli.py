@@ -70,6 +70,40 @@ def test_epoly_exponent_within_str_limit(capsys):
     assert value_at["value"] == "1"
 
 
+def test_epoly_large_arguments_evaluated_through_xy(capsys):
+    # x = 1e4000 and y = 3e-4000 meet only as xy = 3, so the value is the
+    # one at (3, 1), not a sum of 4000-digit 400th powers
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "epoly", "gl(20)", "--format", "json",
+                       "--at", "1e4000", "3e-4000")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    code, small, _ = run(capsys, "epoly", "gl(20)", "--format", "json",
+                         "--at", "3", "1")
+    assert code == 0
+    assert json.loads(out)["value_at"]["value"] == \
+        json.loads(small)["value_at"]["value"]
+
+
+def test_epoly_value_past_digit_limit_exit_2_at_once(capsys):
+    # (xy)^400 at xy = 1e4000 would have 1.6 million digits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "epoly", "gl(20)", "--at", "1e4000", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: --at 1e4000 1: the term of exponents (400, 400) "
+                   "would have more than 4300 digits\n")
+
+
+def test_epoly_value_within_digit_limit(capsys):
+    # 1 + 10^10 + ... + 10^4000: the (400, 400) term has at most
+    # 400 * 34 = 13600 bits, under the 4300-digit limit
+    code, out, _ = run(capsys, "epoly", "proj(400)", "--at", "1e10", "1")
+    assert code == 0
+    value = out.splitlines()[-1].rsplit(" ", 1)[1]
+    assert value == "1" + "0000000001" * 400 and len(value) == 4001
+
+
 def test_epoly_deep_nesting_exit_2(capsys):
     expr = "(" * 3000 + "point" + ")" * 3000
     code, out, err = run(capsys, "epoly", expr)

@@ -129,8 +129,8 @@ def test_invalid_arguments():
 
 
 def test_worker_counts_merge_identically(monkeypatch):
-    # 2^15 matrices fit in one default slab, which no scan splits over
-    # workers; 33 slabs of 1000 give every worker count a range
+    # 2^15 matrices fit in one default chunk, which no scan splits over
+    # workers; 33 chunks of 1000 give every worker count a range of tails
     monkeypatch.setattr(counting, "_CHUNK", 1000)
     base = scan_skew(3, 2, "full", workers=1)
     for w in (2, 3, 8):
@@ -154,22 +154,22 @@ def test_workers_capped_at_cpu_count(monkeypatch):
 
 
 def test_workers_capped_at_slab_count(monkeypatch):
-    # a scan forks no more processes than it has slabs of _CHUNK matrices
+    # a scan forks no more processes than it has chunks of _CHUNK matrices
     parts = []
     split = counting._split_ranges
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(counting, "_split_ranges",
                         lambda total, n: parts.append(n) or split(total, n))
-    scan_skew(2, 5, "hist", workers=2)        # 15625 matrices: one slab
-    scan_skew(3, 2, "hist", workers=8)        # 32768: one slab
-    scan_skew(1, 131101, "hist", workers=8)   # two slabs
+    scan_skew(2, 5, "hist", workers=2)        # 15625 matrices: one chunk
+    scan_skew(3, 2, "hist", workers=8)        # 32768: one chunk
+    scan_skew(1, 131101, "hist", workers=8)   # two chunks
     assert parts == [1, 1, 2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_n1_scan_above_chunk(workers):
-    # the smallest prime above _CHUNK: row 0 is split into two slabs whose
-    # value ranges are counted separately
+    # the smallest prime above _CHUNK: row 0 is multiplied out in two
+    # tables, and at 2 workers it is split between them
     p = 131101
     assert p > counting._CHUNK
     s = scan_skew(1, p, workers=workers)
@@ -209,7 +209,7 @@ def test_spot_sample_sets_every_row0_digit(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_spot_sample_survives_range_cuts(monkeypatch, workers, chunk):
     # every index that is a multiple of SPOT_STRIDE is checked once, however
-    # the scan is cut into worker ranges and slabs
+    # the scan is cut into worker rectangles, tail runs and row-0 tables
     monkeypatch.setattr(counting, "_CHUNK", chunk)
     for n, p in ((3, 2), (2, 5), (1, 131101)):
         total = p ** (n * (2 * n - 1))
@@ -233,13 +233,19 @@ def test_one_scan_serves_every_count():
     assert nonzero == scan.rank_counts[6] == predicted == 13888
 
 
-def _scan_tally(n, p, lo, hi, spot_stride=counting.SPOT_STRIDE):
-    part = counting._scan_range((n, p, lo, hi, True, spot_stride))
+def _whole(n, p):
+    # the rectangle of every tail times all of row 0
+    return 0, p ** ((2 * n - 1) * (n - 1)), 0, p ** (2 * n - 1)
+
+
+def _scan_tally(n, p, rect, spot_stride=counting.SPOT_STRIDE):
+    part = counting._scan_range((n, p, rect, True, spot_stride))
     assert part["violations"] == 0 and part["first_bad"] is None
+    assert part["tail_violations"] == 0
     a, span = part["hist"]
     hist = [0] * p
     hist[a:a + span.size] = span.tolist()
-    return hist, part["ck"].tolist(), part["checked"]
+    return hist, part["ck"].tolist(), part["checked"], part["tails_checked"]
 
 
 def test_scan_matches_pointwise_oracle():
@@ -259,37 +265,52 @@ def test_scan_matches_pointwise_oracle():
         assert s.rank_counts == rank
 
 
+def _cuts(count, points):
+    # [0, count) cut at up to `points` random points
+    edges = sorted(rng.sample(range(1, count), min(points, count - 1)))
+    return list(zip([0] + edges, edges + [count]))
+
+
 @pytest.mark.parametrize("chunk", [20, 200, counting._CHUNK])
 def test_range_partitions_sum_to_whole_scan(monkeypatch, chunk):
-    # cuts fall inside row-0 blocks of p^(2n-1) = 27, 32 and 101 matrices;
-    # a chunk of 20 is smaller than every block, so row 0 itself is split
-    whole = {(n, p): _scan_tally(n, p, 0, p ** (n * (2 * n - 1)))
+    # rectangles cut along the tails, along row 0, or both, whose p^(2n-1)
+    # = 27, 32 and 101 values a chunk of 20 splits into several tables; the
+    # pieces that start row 0 check every tail once
+    whole = {(n, p): _scan_tally(n, p, _whole(n, p))
              for n, p in ((2, 3), (3, 2), (1, 101))}
     monkeypatch.setattr(counting, "_CHUNK", chunk)
     for (n, p), want in whole.items():
-        total = p ** (n * (2 * n - 1))
-        for _ in range(3):
-            cuts = sorted(rng.sample(range(1, total), 6))
-            edges = [0] + cuts + [total]
-            parts = [_scan_tally(n, p, lo, hi)
-                     for lo, hi in zip(edges, edges[1:])]
-            assert [sum(c) for c in zip(*(h for h, _, _ in parts))] == want[0]
-            assert [sum(c) for c in zip(*(k for _, k, _ in parts))] == want[1]
-            assert sum(c for _, _, c in parts) == want[2]
+        _, tails, _, width = _whole(n, p)
+        assert want[3] == tails
+        for tail_points, row0_points in ((6, 0), (0, 3), (3, 2)):
+            hists, cks, checked, tails_checked = zip(*(
+                _scan_tally(n, p, (h0, h1, r0, r1))
+                for h0, h1 in _cuts(tails, tail_points)
+                for r0, r1 in _cuts(width, row0_points)))
+            assert [sum(c) for c in zip(*hists)] == want[0]
+            assert [sum(c) for c in zip(*cks)] == want[1]
+            assert (sum(checked), sum(tails_checked)) == want[2:]
 
 
 @pytest.mark.parametrize("chunk", [40, 100])
 def test_class_tables_split_into_chunks(monkeypatch, chunk):
-    # a class table holds at most _CHUNK // width vectors: at (3, 2) row 0
-    # takes 32 values, so each 6x6 block's ten distinct 4-forms lie in
-    # several rank-table chunks; at (2, 5) the 125 row-0 values are cut
-    # into ranges of at most `chunk`, one table chunk per tail
-    whole = {(n, p): _scan_tally(n, p, 0, p ** (n * (2 * n - 1)))
+    # a class table holds at most _CHUNK row-0 values and _CHUNK // width
+    # vectors: at (3, 2) row 0 takes 32 values, so each 6x6 tail's ten
+    # distinct 4-forms lie in several rank-table chunks; at (2, 5) the 125
+    # row-0 values are split into tables of at most `chunk`
+    whole = {(n, p): _scan_tally(n, p, _whole(n, p))
              for n, p in ((3, 2), (2, 5))}
+    tables = []
+    products = counting._products
+    monkeypatch.setattr(counting, "_products", lambda v, x: (
+        x.ndim == 2 and tables.append(v.shape[0] * x.shape[1])
+        or products(v, x)))
     monkeypatch.setattr(counting, "_CHUNK", chunk)
     assert chunk // 32 < len(counting._plan(3)[2][2])
     for (n, p), want in whole.items():
-        assert _scan_tally(n, p, 0, p ** (n * (2 * n - 1))) == want
+        tables.clear()
+        assert _scan_tally(n, p, _whole(n, p)) == want
+        assert 0 < max(tables) <= chunk
         s = scan_skew(n, p, "full")
         assert ([s.pf_counts[v] for v in range(p)], s.spot_checked) == \
             (want[0], want[2])
@@ -298,7 +319,7 @@ def test_class_tables_split_into_chunks(monkeypatch, chunk):
 def test_worker_returns_only_its_histogram_span():
     # at n = 1 the Pfaffian is the index itself, so a range of row-0 values
     # touches only its own residues
-    part = counting._scan_range((1, 101, 20, 70, False, 0))
+    part = counting._scan_range((1, 101, (0, 1, 20, 70), False, 0))
     a, span = part["hist"]
     assert (a, span.tolist()) == (20, [1] * 50)
 
@@ -514,41 +535,51 @@ def test_narrow_lane_matches_int64_at_its_edge(n, lane):
         assert counting._lane(n, q) is not lane
 
 
-def test_slabs_are_capped_by_tails():
-    # 3^10 tails of 3^5 matrices: eight slabs of at most 8192 tails
-    slabs = list(counting._slabs(0, 3 ** 15, 3 ** 5))
-    assert len(slabs) == 8
-    assert all(h1 - h0 <= counting._CHUNK // 16 and (r0, r1) == (0, 3 ** 5)
-               for h0, h1, r0, r1 in slabs)
-    # a range cut inside blocks starts and ends with pieces of a block, and
-    # a block wider than _CHUNK is cut into pieces of at most _CHUNK values
-    for lo, hi, width in ((1000, 3 ** 15 - 7, 3 ** 5),
-                          (5, 3 * 262147 - 1, 262147)):
-        slabs = list(counting._slabs(lo, hi, width))
-        assert sum((h1 - h0) * (r1 - r0) for h0, h1, r0, r1 in slabs) == \
-            hi - lo
-        assert all(h1 - h0 <= counting._CHUNK // 16 and
-                   (h1 - h0 == 1 or (r0, r1) == (0, width)) and
-                   (h1 - h0) * (r1 - r0) <= counting._CHUNK * 16 and
-                   r1 - r0 <= counting._CHUNK
-                   for h0, h1, r0, r1 in slabs)
+def test_tail_runs_are_capped(monkeypatch):
+    # the tail pass walks runs of at most _CHUNK // 16 = 8192 tails: eight
+    # runs of the 3^10 tails of (3, 3), and a rectangle's own tails in runs
+    # from its first
+    runs = []
+    tail_pfaffians = counting._tail_pfaffians
+    monkeypatch.setattr(counting, "_tail_pfaffians",
+                        lambda tail, pairs, p, blocks: runs.append(
+                            (int(tail[0][0]), blocks))
+                        or tail_pfaffians(tail, pairs, p, blocks))
+    assert counting._CHUNK // 16 == 8192
+    s = scan_skew(3, 3, "hist", workers=1)
+    assert s.tails_checked == 3 ** 10
+    assert [blocks for _, blocks in runs] == [8192] * 7 + [3 ** 10 - 7 * 8192]
+    runs.clear()
+    counting._scan_range((3, 3, (1000, 3 ** 10 - 7, 0, 3 ** 5), False, 0))
+    assert [blocks for _, blocks in runs] == [8192] * 7 + [698]
+    # the lowest tail digit of each run's first tail
+    assert [d for d, _ in runs] == [(1000 + 8192 * i) % 3 for i in range(8)]
 
 
 @pytest.mark.parametrize("chunk", [20, counting._CHUNK])
 def test_every_tail_checked_once(monkeypatch, chunk):
-    # at 1 worker each tail is checked once, also when its block is cut
-    # into pieces (a chunk of 20 cuts every block of (2, 3) and (2, 5))
+    # at any worker count each tail is checked by exactly one worker: n = 1
+    # splits row 0 of its one tail, and a chunk of 20 is below every block
+    # of (2, 3) and (2, 5), so row 0 is multiplied out in several tables;
+    # the workers' index ranges tile the scan in order
     monkeypatch.setattr(counting, "_CHUNK", chunk)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
     for n, p in ((1, 7), (1, 131101), (2, 3), (2, 5), (3, 2)):
-        s = scan_skew(n, p, "hist", workers=1)
-        assert s.tails_checked == p ** ((2 * n - 1) * (n - 1))
+        for workers in (1, 2, 3):
+            s = scan_skew(n, p, "hist", workers=workers)
+            assert s.tails_checked == p ** ((2 * n - 1) * (n - 1)), \
+                (n, p, workers)
+            edges = [lo for lo, _, _ in s.workers] + [s.total]
+            assert edges[0] == 0
+            assert [hi for _, hi, _ in s.workers] == edges[1:]
+            assert len(s.workers) == min(workers, -(-s.total // chunk))
 
 
 def test_tail_check_on_7x7_tails():
-    # a range of (4, 2) cut inside two blocks of 2^7 matrices: tails 5..24
-    # are checked, the 8x8 Pfaffians tallied and the sample re-checked
-    lo, hi = 5 * 128 + 17, 24 * 128 + 3
-    part = counting._scan_range((4, 2, lo, hi, True, 7))
+    # the (4, 2) rectangle of tails 5..24 times all 2^7 row-0 values: its 20
+    # tails are checked, the 8x8 Pfaffians tallied and the sample re-checked
+    lo, hi = 5 * 128, 25 * 128
+    part = counting._scan_range((4, 2, (5, 25, 0, 128), True, 7))
     assert part["tails_checked"] == 20
     assert part["tail_violations"] == 0 and part["violations"] == 0
     assert part["checked"] == len(range(-(-lo // 7) * 7, hi, 7))

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from motivic.errors import ConsistencyError, ParseError
 from motivic.laurent import (BettiPoly, LaurentPoly2, ONE, Q, X, Y, ZERO,
-                             _u_div_exact, _u_mul, const, dualize,
+                             _u_div_exact, _u_mul, common_exponent, const,
+                             dualize,
                              euler_product, format_poly, monomial, parse_poly,
                              q_power, self_dual_convert, shift_apply,
                              twist_apply)
@@ -97,6 +98,30 @@ def test_eval_at():
 def test_eval_at_zero_division():
     with pytest.raises(ZeroDivisionError):
         q_power(-1).eval_at(0, 1)
+
+
+def test_eval_at_through_xy_matches_plain_powers():
+    # each term is taken as (xy)^m x^(a-m) y^(b-m); the value is x^a y^b,
+    # and a zero argument under a negative exponent still divides by zero
+    assert [common_exponent(a, b) for a, b in
+            ((3, 5), (5, 3), (-2, -4), (-4, -2), (3, -1), (-3, 1), (0, 4))] \
+        == [3, 3, -2, -2, 0, 0, 0]
+    points = [(Fraction(2), Fraction(-3, 7)), (Fraction(10) ** 40,
+              Fraction(3, 10 ** 40)), (Fraction(-5, 3), Fraction(1, 2))]
+    for _ in range(200):
+        p = random_poly()
+        for x0, y0 in points:
+            assert p.eval_at(x0, y0) == sum(
+                (c * x0 ** a * y0 ** b for (a, b), c in p.terms.items()),
+                Fraction(0))
+    for a, b in ((-1, -2), (-2, 3), (2, -1)):
+        for x0, y0 in ((0, 1), (1, 0), (0, 0)):
+            if (a < 0 and x0 == 0) or (b < 0 and y0 == 0):
+                with pytest.raises(ZeroDivisionError):
+                    monomial(a, b).eval_at(x0, y0)
+            else:
+                assert monomial(a, b).eval_at(x0, y0) == \
+                    Fraction(x0) ** a * Fraction(y0) ** b
 
 
 def test_eval_q():
