@@ -8,6 +8,7 @@ or parse error, 3 enumeration cap refusal.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from fractions import Fraction
@@ -104,6 +105,10 @@ def build_parser():
                    help="include the derivation steps")
     p.add_argument("--at", nargs=2, metavar=("X0", "Y0"), default=None,
                    help="also evaluate at exact rationals, e.g. --at 2 1")
+    # argparse takes only -12 and -1.5 for negative numbers and reads
+    # -2.5e3 or -1/3 as an unknown option; here any "-" followed by a digit
+    # or by "." and a digit is a value, as no option of epoly looks so
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     _add_format(p)
     p.set_defaults(func=_cmd_epoly)
 
@@ -303,6 +308,14 @@ def _cmd_goettsche(args):
 
 
 def main(argv=None):
+    if argv is None:
+        # the process's entry point: what the imports built lives until
+        # exit, so the collector need not walk it again, neither in a full
+        # collection nor at shutdown, and scan workers forked later leave
+        # its GC headers, and so the pages they share with this process,
+        # untouched.  A call with an argv list (a test, an embedding
+        # program) leaves the caller's heap as it is.
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

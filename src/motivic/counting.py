@@ -47,16 +47,23 @@ that holds their bound (`_lane`).
 
 Scans parallelise over rectangles that are index ranges: whole tails times
 all of row 0 for n >= 2, and a range of row 0 of the one tail at n = 1, so
-each tail is checked once at any worker count.  Each worker returns the span
-of the Pfaffian histogram it touched, and the tallies merge by summation,
-bit-identically for any worker count.  `ScanResult.phases` holds the seconds
-of each phase (`PHASES`), summed over workers, and `ScanResult.workers` each
-worker's index range and seconds.
+each tail is checked once at any worker count.  The calling process forks
+one child per rectangle after the first and scans the first itself.  Each
+child writes its result to a pipe, the span of the Pfaffian histogram it
+touched last, as raw counts, and the parent adds each span straight into
+its own histogram as it reads it, so the tallies merge by summation,
+bit-identically for any worker count, and the parent never holds a second
+p-long array.  `ScanResult.phases` holds the seconds of each phase
+(`PHASES`), summed over workers, and `ScanResult.workers` each worker's
+index range and seconds.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import sys
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -494,6 +501,112 @@ def _scan_range(args):
             "phases": phases, "elapsed": time.perf_counter() - t0}
 
 
+def _fork_scan(arg):
+    """Fork a child that scans one rectangle and exits.  Through a pipe it
+    sends its result, pickled, with the histogram span replaced by
+    (a, length), and then the span's int64 counts, raw; or, if the scan
+    raised, {"error": the exception}.  Returns (pid, the read end)."""
+    r, w = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    # the child: whatever happens, it leaves here and never returns into
+    # the caller's stack
+    code = 1
+    try:
+        os.close(r)
+        with open(w, "wb") as out:
+            try:
+                part = _scan_range(arg)
+            except BaseException as exc:
+                pickle.dump({"error": exc}, out)
+            else:
+                a, span = part.pop("hist")
+                part["hist"] = (a, span.size)
+                pickle.dump(part, out)
+                out.write(span)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(src, hist):
+    """Read one child's result from its pipe and add its span into `hist`
+    in pieces of at most _CHUNK counts, timed as its merge phase.  Returns
+    the result, or None if the pipe ends early."""
+    try:
+        part = pickle.load(src)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    if "error" not in part:
+        t = time.perf_counter()
+        a, size = part.pop("hist")
+        buf = np.empty(min(size, _CHUNK), dtype=np.int64)
+        for lo in range(a, a + size, _CHUNK):
+            piece = buf[:min(_CHUNK, a + size - lo)]
+            if src.readinto(piece) != piece.nbytes:
+                return None
+            hist[lo:lo + piece.size] += piece
+        part["phases"]["merge"] = time.perf_counter() - t
+    return part
+
+
+def _scan_rectangles(args, p):
+    """Scan the rectangles of `args`: each after the first in a forked
+    child, then the first in this process.  Returns the results in order,
+    without their spans, and the p-long Pfaffian histogram they add up to.
+    Every child is reaped before this returns or raises; on an error,
+    those still running are killed first.  A child's exception is raised
+    here, and a child that ends without a result raises ConsistencyError."""
+    children = []  # (pid, read end, rectangle) of each child not yet reaped
+    try:
+        for arg in args[1:]:
+            children.append(_fork_scan(arg) + (arg[2],))
+        parts = [_scan_range(args[0])]
+        t = time.perf_counter()
+        # the first span, in a p-long histogram unless it is one already
+        a, hist = parts[0].pop("hist")
+        if hist.size < p:
+            first, hist = hist, np.zeros(p, dtype=np.int64)
+            hist[a:a + first.size] = first
+            del first
+        parts[0]["phases"]["merge"] = time.perf_counter() - t
+        while children:
+            pid, src, rect = children[0]
+            with src:
+                part = _receive(src, hist)
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if part is None:
+                h0, h1, r0, r1 = rect
+                code = os.waitstatus_to_exitcode(status)
+                raise ConsistencyError(
+                    f"the scan worker of tails [{h0}, {h1}) x row-0 values "
+                    f"[{r0}, {r1}) ended without a result (wait status "
+                    f"{status}: " + (f"killed by signal {-code})" if code < 0
+                                     else f"exit status {code})"))
+            if "error" in part:
+                raise part["error"]
+            parts.append(part)
+        return parts, hist
+    finally:
+        for pid, src, _ in children:
+            src.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
 def _split_ranges(total, parts):
     parts = max(1, min(parts, total))
     step, rem = divmod(total, parts)
@@ -514,9 +627,9 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     scan's int64 arithmetic could overflow, and ConsistencyError when a
     tail fails adj(B) = c c^T (naming the lowest such block) or a sampled
     matrix fails Pf^2 = det (naming the lowest-index offender).  At most
-    min(workers, os.cpu_count(), ceil(p^(n(2n-1)) / _CHUNK)) worker
-    processes are forked, so a scan of at most _CHUNK matrices runs
-    in-process.
+    min(workers, os.cpu_count(), ceil(p^(n(2n-1)) / _CHUNK)) processes
+    scan, the calling one and forked children, so a scan of at most _CHUNK
+    matrices runs in-process.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -543,25 +656,9 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
                  for h0, h1 in _split_ranges(total // block, procs)]
     else:
         rects = [(0, 1, r0, r1) for r0, r1 in _split_ranges(block, procs)]
-    args = [(n, p, rect, want_rank, spot_stride) for rect in rects]
-    if len(args) == 1:
-        parts = [_scan_range(args[0])]
-    else:
-        import multiprocessing  # only a scan that forks pays for the import
-        with multiprocessing.get_context("fork").Pool(len(args)) as pool:
-            parts = pool.map(_scan_range, args)
+    parts, hist = _scan_rectangles(
+        [(n, p, rect, want_rank, spot_stride) for rect in rects], p)
     t_merge = time.perf_counter()
-    # each worker returns (a, counts of the residues a, a + 1, ...), the
-    # span of the histogram it touched; the spans are added into the first
-    # one when it is the whole of [0, p), and each is freed once merged
-    a, hist = parts[0].pop("hist")
-    if hist.size < p:
-        first, hist = hist, np.zeros(p, dtype=np.int64)
-        hist[a:a + first.size] = first
-        del first
-    for part in parts[1:]:
-        a, span = part.pop("hist")
-        hist[a:a + span.size] += span
     ck = sum(part["ck"] for part in parts)
     tails = sum(part["tails_checked"] for part in parts)
     tail_violations = sum(part["tail_violations"] for part in parts)
@@ -600,7 +697,7 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     phases = {name: sum(part["phases"][name] for part in parts)
               for name in PHASES}
     end = time.perf_counter()
-    phases["merge"] = end - t_merge
+    phases["merge"] += end - t_merge
     return ScanResult(n=n, p=p, total=total, pf_counts=pf_counts,
                       rank_counts=rank_counts, spot_checked=checked,
                       tails_checked=tails, elapsed=end - t0, phases=phases,

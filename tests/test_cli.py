@@ -1,4 +1,9 @@
+import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -58,6 +63,30 @@ def test_epoly_huge_exponent_exit_2_at_once(capsys, value):
     assert code == 2 and out == ""
     assert err == (f"error: {value}: numerator or denominator of more than "
                    f"4300 digits\n")
+
+
+@pytest.mark.parametrize("at, x, y, value", [
+    (("-2.5e3", "1"), "-2500", "1", "6247501"),
+    (("1", "-1e-3"), "1", "-1/1000", "999001/1000000"),
+    (("-1/3", "-.5"), "-1/3", "-1/2", "43/36"),
+])
+def test_epoly_negative_values_in_any_notation(capsys, at, x, y, value):
+    # argparse alone reads -2.5e3 and -1/3 as unknown options
+    for argv in (("proj(2)", "--at") + at, ("--at",) + at + ("proj(2)",)):
+        code, out, err = run(capsys, "epoly", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value_at"] == {"x": x, "y": y,
+                                               "value": value}
+
+
+def test_epoly_negative_huge_exponent_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "epoly", "point", "--at", "-1e999999999",
+                         "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: -1e999999999: numerator or denominator of more "
+                   "than 4300 digits\n")
 
 
 def test_epoly_exponent_within_str_limit(capsys):
@@ -446,3 +475,38 @@ def test_run_suite_context_defaults():
     assert res.passed
     with pytest.raises(KeyError):
         run_suite("nosuch")
+
+
+def test_in_process_main_does_not_freeze_the_heap(capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, "goettsche", "--n", "3")
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def _fresh_process(*args):
+    """The completed `python *args`, with motivic importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_process_entry_point_freezes_the_heap():
+    # main() reading sys.argv is the process entry point (python -m
+    # motivic.cli and the console script)
+    out = _fresh_process("-c", "import gc, sys\n"
+                         "from motivic.cli import main\n"
+                         "sys.argv = ['motivic', 'goettsche', '--n', '3']\n"
+                         "code = main()\n"
+                         "print(code, gc.get_freeze_count(), "
+                         "file=sys.stderr)")
+    code, frozen = map(int, out.stderr.split())
+    assert code == 0 and frozen > 0
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_full_report_matches_golden_digest(workers):
+    out = _fresh_process("-m", "motivic.cli", "report", "--format",
+                         "json", "--workers", workers)
+    assert hashlib.sha256(out.stdout).hexdigest() == (
+        "a299071cc34c4a9f590cb191ff23c2a6d0f03d20ac83543d3bac65350cb510b7")

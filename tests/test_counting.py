@@ -1,8 +1,12 @@
 import os
+import pickle
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
@@ -592,15 +596,177 @@ def test_tail_check_on_7x7_tails():
 
 
 def test_import_does_not_load_multiprocessing():
-    # a scan that fits in one process never needs the pool
-    code = ("import sys, motivic.cli\n"
+    # a scan that fits in one process never forks; one that forks does so
+    # directly, with no pool
+    code = ("import os, sys, motivic.cli\n"
             "from motivic.counting import scan_skew\n"
-            "scan_skew(3, 2, workers=2)\n"
+            "procs = min(2, os.cpu_count() or 1)\n"
+            "for n, p, want in ((3, 2, 1), (2, 11, procs), "
+            "(1, 131101, procs)):\n"
+            "    assert len(scan_skew(n, p, workers=2).workers) == want\n"
             "print('multiprocessing' in sys.modules)")
     src = str(Path(counting.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after `seconds`, so that a scan
+    whose worker never reports fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    # (3, 2), (2, 5) and (1, 10007) in chunks of 1000 give three rectangles
+    monkeypatch.setattr(counting, "_CHUNK", 1000)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+
+
+def test_forked_spans_merge_identically(three_workers):
+    # n = 1 cuts row 0, so the spans of its first and last rectangles start
+    # at 0 and end at p
+    for n, p in ((3, 2), (2, 5), (1, 10007)):
+        base = scan_skew(n, p, "full", workers=1)
+        for workers in (2, 3):
+            s = scan_skew(n, p, "full", workers=workers)
+            assert len(s.workers) == workers
+            assert (s.pf_counts, s.rank_counts) == \
+                (base.pf_counts, base.rank_counts), (n, p, workers)
+            assert (s.tails_checked, s.spot_checked) == \
+                (base.tails_checked, base.spot_checked)
+    assert base.pf_counts == dict.fromkeys(range(10007), 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc_type", [ConsistencyError, ValueError])
+def test_child_error_reraised_with_type_and_message(three_workers,
+                                                    monkeypatch, exc_type):
+    # the tails of (3, 2) from 512 on, forked into the second rectangle at
+    # 2 workers: their top tail digit is 1
+    check = counting._tail_check
+
+    def faulty(tail, coeff, p, lane):
+        if tail[-1].any():
+            raise exc_type("a tail with a_45 = 1 at (n, p) = (3, 2)")
+        return check(tail, coeff, p, lane)
+
+    monkeypatch.setattr(counting, "_tail_check", faulty)
+    messages = set()
+    for workers in (1, 2):
+        with pytest.raises(exc_type) as exc:
+            scan_skew(3, 2, "hist", workers=workers)
+        assert type(exc.value) is exc_type
+        messages.add(str(exc.value))
+    assert messages == {"a tail with a_45 = 1 at (n, p) = (3, 2)"}
+    _assert_no_child_left()
+
+
+def test_child_sample_fault_names_same_offender(three_workers, monkeypatch):
+    # a determinant off by one on the matrices of (3, 2) whose top tail
+    # entry a_45 is 1, all in the second rectangle at 2 workers
+    det = counting._batched_det
+    monkeypatch.setattr(counting, "_batched_det",
+                        lambda M: det(M) + (M[:, 4, 5] == 1))
+    messages = set()
+    for workers in (1, 2):
+        with pytest.raises(ConsistencyError) as exc:
+            scan_skew(3, 2, "hist", workers=workers)
+        messages.add(str(exc.value))
+    [message] = messages
+    # the first sampled index of the second rectangle
+    first = -(-2 ** 14 // counting.SPOT_STRIDE) * counting.SPOT_STRIDE
+    assert f"the first is index {first} at (n, p) = (3, 2)" in message
+    _assert_no_child_left()
+
+
+def test_killed_child_is_a_consistency_error(three_workers, monkeypatch,
+                                             capsys):
+    from motivic.cli import main
+    scan = counting._scan_range
+
+    def killed(args):
+        # every rectangle but the first runs in a forked child
+        if args[2][0] or args[2][2]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return scan(args)
+
+    monkeypatch.setattr(counting, "_scan_range", killed)
+    with _deadline(60):
+        with pytest.raises(ConsistencyError) as exc:
+            scan_skew(3, 2, "hist", workers=2)
+        assert str(exc.value) == (
+            "the scan worker of tails [512, 1024) x row-0 values [0, 32) "
+            f"ended without a result (wait status {signal.SIGKILL}: "
+            f"killed by signal {signal.SIGKILL})")
+        _assert_no_child_left()
+        code = main(["count", "rank", "--n", "1", "--p", "10007",
+                     "--workers", "3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("fatal: the scan worker of tails [0, 1) x row-0 "
+                          "values [3336, 6672) ended without a result")
+    assert len(err.splitlines()) == 1
+    _assert_no_child_left()
+
+
+def test_parent_error_kills_running_children(three_workers, monkeypatch):
+    # the first rectangle fails at once while the others would take a
+    # minute: the scan raises at once and leaves no process behind
+    scan = counting._scan_range
+
+    def slow_or_failing(args):
+        if args[2][0] or args[2][2]:
+            time.sleep(60)
+            return scan(args)
+        raise ValueError("first rectangle failed")
+
+    monkeypatch.setattr(counting, "_scan_range", slow_or_failing)
+    start = time.perf_counter()
+    with _deadline(30):
+        with pytest.raises(ValueError, match="first rectangle failed"):
+            scan_skew(3, 2, "hist", workers=3)
+    assert time.perf_counter() - start < 10
+    _assert_no_child_left()
+
+
+def test_receive_adds_span_in_pieces(monkeypatch):
+    # a child's span is added into the histogram as it is read, in pieces
+    # of at most _CHUNK counts; a pipe that ends early is no result
+    monkeypatch.setattr(counting, "_CHUNK", 7)
+    span = np.arange(1, 21, dtype=np.int64)
+    for cut in (None, 100):
+        r, w = os.pipe()
+        with open(w, "wb") as out:
+            pickle.dump({"hist": (5, span.size), "ck": 3,
+                         "phases": {"merge": 0.0}}, out)
+            data = span.tobytes()
+            out.write(data if cut is None else data[:cut])
+        hist = np.ones(30, dtype=np.int64)
+        with open(r, "rb") as src:
+            part = counting._receive(src, hist)
+        if cut is None:
+            assert part["ck"] == 3 and part["phases"]["merge"] > 0
+            assert "hist" not in part
+            assert hist.tolist() == [1] * 5 + list(range(2, 22)) + [1] * 5
+        else:
+            assert part is None
 
 
 def _import_in_fresh_process(code, **extra_env):
