@@ -5,8 +5,8 @@ Matrices are enumerated by a mixed-radix integer index over the n(2n-1) free
 upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
 digits.  The index h L + r splits into a tail h and a row-0 value r, one
 of L = p^(2n-1): each block of L consecutive indices shares one tail, the
-odd skew matrix B without row and column 0.  A rectangle (h0, h1, r0, r1)
-holds the matrices of tails h0 <= h < h1 and row-0 values r0 <= r < r1.
+odd skew matrix B without row and column 0.  A worker scans a range of
+whole tails h0 <= h < h1, each with all L of its row-0 values.
 
 By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
 the Pfaffian of a block is a linear form c . x in its row-0 digits x, whose
@@ -15,15 +15,15 @@ are read off from principal sub-Pfaffians (the rank of a skew matrix is the
 largest size of a nonzero one): a 2k-minor through index 0 is again a
 linear form in row 0, and one that avoids index 0 is a per-block boolean.
 
-A scan of a rectangle makes two passes.  The tail pass walks its tails in
+A scan of a tail range makes two passes.  The tail pass walks its tails in
 runs of at most `_CHUNK // 16`, decoding each tail's digits once, and
 reduces every tail to the base-p id of its Pfaffian coefficient vector.
 For each rank level k < n, the tails with a nonzero 2k-minor count all
-r1 - r0 of their matrices; for the others it keeps the ids of their
-2k-forms through index 0.  Many tails share a vector (the 3^10 tails of the
-6x6 scan over F_3 share 3^5), so the class pass then multiplies each
-distinct vector once by every row-0 value r0 <= r < r1, brute force, in
-tables of at most `_CHUNK` row-0 values and `_CHUNK` entries:
+L of their matrices; for the others it keeps the ids of their 2k-forms
+through index 0.  Many tails share a vector (the 3^10 tails of the 6x6
+scan over F_3 share 3^5), so the class pass then multiplies each distinct
+vector once by every row-0 value, brute force, in tables of at most
+`_CHUNK` row-0 values and `_CHUNK` entries:
   - the Pfaffian products are tallied unreduced, scaled by the number of
     blocks with that vector (vectors of equal multiplicity share one
     bincount), and the short histogram is folded onto the residues mod p;
@@ -36,26 +36,25 @@ Two checks re-derive the Pfaffians from determinants, which share no code
 with the Pfaffian path.  The tail check covers every matrix of the scan:
 since det(A) = x^T adj(B) x and Pf(A) = c . x, Pf^2 = det holds on a whole
 block when adj(B) = c c^T, an identity over Z that is checked mod p on all
-(2n-1)^2 entries once per tail, by the rectangle that starts at row-0 value
-0, adj(B) from the maximal minors of B without each row.  The pointwise
-sample re-checks the decode and product path: each matrix whose global index
-is a multiple of `SPOT_STRIDE` is decoded afresh from its index, its
-Pfaffian is its block's vector, decoded from its id, times its row-0 digits,
-and its determinant comes from the same batched, division-free cofactor
-expansion.  Both expansions run in the narrowest of int16, int32 and int64
-that holds their bound (`_lane`).
+(2n-1)^2 entries once per tail, adj(B) from the maximal minors of B
+without each row.  The pointwise sample re-checks the decode and product
+path: each matrix whose global index is a multiple of `SPOT_STRIDE` is
+decoded afresh from its index, its Pfaffian is its block's vector, decoded
+from its id, times its row-0 digits, and its determinant comes from the
+same batched, division-free cofactor expansion.  Both expansions run in
+the narrowest of int16, int32 and int64 that holds their bound (`_lane`).
 
-Scans parallelise over rectangles that are index ranges: whole tails times
-all of row 0 for n >= 2, and a range of row 0 of the one tail at n = 1, so
-each tail is checked once at any worker count.  The calling process forks
-one child per rectangle after the first and scans the first itself.  Each
-child writes its result to a pipe, the span of the Pfaffian histogram it
-touched last, as raw counts, and the parent adds each span straight into
-its own histogram as it reads it, so the tallies merge by summation,
-bit-identically for any worker count, and the parent never holds a second
-p-long array.  `ScanResult.phases` holds the seconds of each phase
-(`PHASES`), summed over workers, and `ScanResult.workers` each worker's
-index range and seconds.
+Scans parallelise over ranges of whole tails, so each tail is checked once
+at any worker count, and n = 1, which has one tail, always runs in the
+calling process.  The calling process forks one child per tail range after
+the first and scans the first itself.  Each child writes its result,
+pickled, to a pipe, and the parent adds the children's Pfaffian histograms
+into its own, so the tallies merge by summation, bit-identically for any
+worker count.  These histograms are short: `_check_int64` admits p <= 743
+at n = 2 and p <= 17 at n = 3.  Only n = 1 holds a long one, in one
+process, and `HIST_MAX` bounds it.  `ScanResult.phases` holds the seconds
+of each phase (`PHASES`), summed over workers, and `ScanResult.workers`
+each worker's index range and seconds.
 """
 
 from __future__ import annotations
@@ -89,6 +88,8 @@ SPOT_STRIDE = 1009
 _CHUNK = 1 << 17
 _SAMPLE_BATCH = 2048
 _INT64_MAX = (1 << 63) - 1
+# the most entries of a scan's p-long Pfaffian histogram, 128 MiB of int64
+HIST_MAX = 1 << 24
 PHASES = ("tail_pass", "tail_check", "pfaffian_classes", "rank_classes",
           "spot_check", "merge")
 
@@ -240,11 +241,11 @@ def _products(vectors, row0):
     return vectors @ row0
 
 
-def _row0_tables(r0, r1, p, width0):
-    """The row-0 digit columns of the values r0 <= r < r1, in tables of at
-    most _CHUNK columns."""
-    for c in range(r0, r1, _CHUNK):
-        yield np.array(_digits(np.arange(c, min(c + _CHUNK, r1),
+def _row0_tables(block, p, width0):
+    """The row-0 digit columns of all block = p^width0 row-0 values, in
+    tables of at most _CHUNK columns."""
+    for c in range(0, block, _CHUNK):
+        yield np.array(_digits(np.arange(c, min(c + _CHUNK, block),
                                          dtype=np.int64), p, width0))
 
 
@@ -350,20 +351,17 @@ def _tail_check(tail, coeff, p, lane):
 
 def _fold(hist, tally, low, p):
     """Add `tally`, counts of the raw values low, low + 1, ..., onto their
-    residues mod p, one run of p values at a time.  Returns the hull
-    (a, b) of the residues touched."""
+    residues mod p, one run of p values at a time."""
     pos = 0
     while pos < tally.size:
         r = (low + pos) % p
         take = min(p - r, tally.size - pos)
         hist[r:r + take] += tally[pos:pos + take]
         pos += take
-    a = low % p
-    return (a, a + tally.size) if a + tally.size <= p else (0, p)
 
 
 def _scan_range(args):
-    n, p, (h0, h1, r0, r1), want_rank, spot_stride = args
+    n, p, (h0, h1), want_rank, spot_stride = args
     t0 = time.perf_counter()
     # Allocated and freed at once, never touched: freeing one 4 MiB block
     # raises glibc's dynamic mmap and trim thresholds above a run's
@@ -405,32 +403,27 @@ def _scan_range(args):
                 tail_hit = np.zeros(blocks.size, dtype=bool)
                 for s in avoid[k]:
                     tail_hit |= pf(s) != 0
-                ck[k - 1] += int(tail_hit.sum()) * (r1 - r0)
+                ck[k - 1] += int(tail_hit.sum()) * block
                 rest = np.flatnonzero(~tail_hit)
                 if rest.size:
                     form_ids.setdefault(k, []).append(np.stack(
                         [_coefficients(form, pf, p, rest, width0) @ powers
                          for form in forms[k]], axis=1))
         t = time.perf_counter()
-        if r0 == 0:
-            # each tail is checked by the rectangle that starts its row 0
-            bad, first = _tail_check(tail, coeff, p, lane)
-            if bad and first_tail_bad is None:
-                first_tail_bad = (lo + first[0],) + first[1:]
-            tail_violations += bad
-            tails_checked += hi - lo
+        bad, first = _tail_check(tail, coeff, p, lane)
+        if bad and first_tail_bad is None:
+            first_tail_bad = (lo + first[0],) + first[1:]
+        tail_violations += bad
+        tails_checked += hi - lo
         u = time.perf_counter()
         phases["tail_check"] += u - t
         if spot_stride:
-            start = lo * block + r0
-            stop = (hi - 1) * block + r1
+            stop = hi * block
             step = spot_stride * _SAMPLE_BATCH
-            for b0 in range(-(-start // spot_stride) * spot_stride, stop,
+            for b0 in range(-(-lo * block // spot_stride) * spot_stride, stop,
                             step):
                 sel = np.arange(b0, min(b0 + step, stop), spot_stride,
                                 dtype=np.int64)
-                r = sel % block
-                sel = sel[(r >= r0) & (r < r1)]
                 digits = _digits(sel, p, m)
                 # Pf by the class pass's route: the tail's vector, decoded
                 # from its id, times the sample's row-0 digits
@@ -450,13 +443,12 @@ def _scan_range(args):
     phases["tail_pass"] = (t - t0 - phases["tail_check"]
                            - phases["spot_check"])
 
-    # class pass: each distinct vector times every row-0 value r0 <= r < r1,
-    # in tables of at most _CHUNK row-0 values and _CHUNK entries
+    # class pass: each distinct vector times every row-0 value, in tables of
+    # at most _CHUNK row-0 values and _CHUNK entries
     hist = np.zeros(p, dtype=np.int64)
-    span = (p, 0)
     ids, mult = np.unique(np.concatenate(pf_ids), return_counts=True)
     groups = [(mu, ids[mult == mu]) for mu in sorted(set(mult.tolist()))]
-    for row0 in _row0_tables(r0, r1, p, width0):
+    for row0 in _row0_tables(block, p, width0):
         rows = max(1, _CHUNK // row0.shape[1])
         for mu, group in groups:
             for i in range(0, group.size, rows):
@@ -466,8 +458,7 @@ def _scan_range(args):
                 low = int(raw.min())
                 tally = np.bincount(raw - low if low else raw)
                 tally *= mu
-                a, b = _fold(hist, tally, low, p)
-                span = (min(span[0], a), max(span[1], b))
+                _fold(hist, tally, low, p)
     u = time.perf_counter()
     phases["pfaffian_classes"] = u - t
     for k in sorted(form_ids):
@@ -476,7 +467,7 @@ def _scan_range(args):
         fids = np.concatenate(form_ids.pop(k))
         uniq, inv = np.unique(fids, return_inverse=True)
         inv = inv.reshape(fids.shape)
-        for row0 in _row0_tables(r0, r1, p, width0):
+        for row0 in _row0_tables(block, p, width0):
             rows = max(1, _CHUNK // row0.shape[1])
             # the nonzero table of each distinct form, 8 row-0 values a byte
             bits = np.empty((uniq.size, -(-row0.shape[1] // 8)),
@@ -491,9 +482,8 @@ def _scan_range(args):
                 ck[k - 1] += int(np.count_nonzero(np.unpackbits(hit)))
     phases["rank_classes"] = time.perf_counter() - u
     if want_rank:
-        ck[n - 1] = (h1 - h0) * (r1 - r0) - int(hist[0])
-    a, b = span
-    return {"hist": (a, hist[a:b]), "ck": ck, "checked": checked,
+        ck[n - 1] = (h1 - h0) * block - int(hist[0])
+    return {"hist": hist, "ck": ck, "checked": checked,
             "violations": violations, "first_bad": first_bad,
             "tails_checked": tails_checked,
             "tail_violations": tail_violations,
@@ -502,10 +492,9 @@ def _scan_range(args):
 
 
 def _fork_scan(arg):
-    """Fork a child that scans one rectangle and exits.  Through a pipe it
-    sends its result, pickled, with the histogram span replaced by
-    (a, length), and then the span's int64 counts, raw; or, if the scan
-    raised, {"error": the exception}.  Returns (pid, the read end)."""
+    """Fork a child that scans one tail range and exits.  Through a pipe it
+    sends its result, pickled, or, if the scan raised, {"error": the
+    exception}.  Returns (pid, the read end)."""
     r, w = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
@@ -527,76 +516,50 @@ def _fork_scan(arg):
             try:
                 part = _scan_range(arg)
             except BaseException as exc:
-                pickle.dump({"error": exc}, out)
-            else:
-                a, span = part.pop("hist")
-                part["hist"] = (a, span.size)
-                pickle.dump(part, out)
-                out.write(span)
+                part = {"error": exc}
+            pickle.dump(part, out)
         code = 0
     finally:
         os._exit(code)
 
 
-def _receive(src, hist):
-    """Read one child's result from its pipe and add its span into `hist`
-    in pieces of at most _CHUNK counts, timed as its merge phase.  Returns
-    the result, or None if the pipe ends early."""
+def _receive(src):
+    """One child's result read from its pipe, or None if the pipe ends
+    early."""
     try:
-        part = pickle.load(src)
+        return pickle.load(src)
     except (EOFError, pickle.UnpicklingError):
         return None
-    if "error" not in part:
-        t = time.perf_counter()
-        a, size = part.pop("hist")
-        buf = np.empty(min(size, _CHUNK), dtype=np.int64)
-        for lo in range(a, a + size, _CHUNK):
-            piece = buf[:min(_CHUNK, a + size - lo)]
-            if src.readinto(piece) != piece.nbytes:
-                return None
-            hist[lo:lo + piece.size] += piece
-        part["phases"]["merge"] = time.perf_counter() - t
-    return part
 
 
-def _scan_rectangles(args, p):
-    """Scan the rectangles of `args`: each after the first in a forked
-    child, then the first in this process.  Returns the results in order,
-    without their spans, and the p-long Pfaffian histogram they add up to.
+def _scan_ranges(args):
+    """Scan the tail ranges of `args`: each after the first in a forked
+    child, then the first in this process.  Returns the results in order.
     Every child is reaped before this returns or raises; on an error,
     those still running are killed first.  A child's exception is raised
     here, and a child that ends without a result raises ConsistencyError."""
-    children = []  # (pid, read end, rectangle) of each child not yet reaped
+    children = []  # (pid, read end, tail range) of each child not yet reaped
     try:
         for arg in args[1:]:
             children.append(_fork_scan(arg) + (arg[2],))
         parts = [_scan_range(args[0])]
-        t = time.perf_counter()
-        # the first span, in a p-long histogram unless it is one already
-        a, hist = parts[0].pop("hist")
-        if hist.size < p:
-            first, hist = hist, np.zeros(p, dtype=np.int64)
-            hist[a:a + first.size] = first
-            del first
-        parts[0]["phases"]["merge"] = time.perf_counter() - t
         while children:
-            pid, src, rect = children[0]
+            pid, src, (h0, h1) = children[0]
             with src:
-                part = _receive(src, hist)
+                part = _receive(src)
             status = os.waitpid(pid, 0)[1]
             del children[0]
             if part is None:
-                h0, h1, r0, r1 = rect
                 code = os.waitstatus_to_exitcode(status)
                 raise ConsistencyError(
-                    f"the scan worker of tails [{h0}, {h1}) x row-0 values "
-                    f"[{r0}, {r1}) ended without a result (wait status "
-                    f"{status}: " + (f"killed by signal {-code})" if code < 0
-                                     else f"exit status {code})"))
+                    f"the scan worker of tails [{h0}, {h1}) ended without a "
+                    f"result (wait status {status}: "
+                    + (f"killed by signal {-code})" if code < 0
+                       else f"exit status {code})"))
             if "error" in part:
                 raise part["error"]
             parts.append(part)
-        return parts, hist
+        return parts
     finally:
         for pid, src, _ in children:
             src.close()
@@ -623,13 +586,15 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     """Scan all 2n x 2n skew matrices over F_p.
 
     mode "hist" tallies Pfaffian values only; mode "full" also buckets by
-    rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap or the
-    scan's int64 arithmetic could overflow, and ConsistencyError when a
-    tail fails adj(B) = c c^T (naming the lowest such block) or a sampled
-    matrix fails Pf^2 = det (naming the lowest-index offender).  At most
-    min(workers, os.cpu_count(), ceil(p^(n(2n-1)) / _CHUNK)) processes
-    scan, the calling one and forked children, so a scan of at most _CHUNK
-    matrices runs in-process.
+    rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap, the
+    scan's int64 arithmetic could overflow or p exceeds HIST_MAX, and
+    ConsistencyError when a tail fails adj(B) = c c^T (naming the lowest
+    such block) or a sampled matrix fails Pf^2 = det (naming the
+    lowest-index offender).  At most min(workers, os.cpu_count(),
+    ceil(p^(n(2n-1)) / _CHUNK), p^((n-1)(2n-1))) processes scan, the
+    calling one and forked children, each a range of whole tails.  So a
+    scan of at most _CHUNK matrices, and every n = 1 scan (one tail), runs
+    in-process.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -644,21 +609,23 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         raise CapExceededError(
             f"enumeration of {total} = {p}^{m} matrices exceeds cap {cap}")
     _check_int64(n, p, total)
+    if p > HIST_MAX:
+        raise CapExceededError(
+            f"a scan over F_{p} would hold a {p}-entry Pfaffian histogram, "
+            f"above the limit of {HIST_MAX}")
     want_rank = mode == "full"
     t0 = time.perf_counter()
     _plan(n)  # built before forking so workers inherit it
     procs = min(workers, os.cpu_count() or 1, -(-total // _CHUNK))
-    # each worker takes whole tails times all of row 0; n = 1 has one tail,
-    # so its row 0 is split instead
+    # each worker takes whole tails times all of row 0
     block = p ** (2 * n - 1)
-    if n > 1:
-        rects = [(h0, h1, 0, block)
-                 for h0, h1 in _split_ranges(total // block, procs)]
-    else:
-        rects = [(0, 1, r0, r1) for r0, r1 in _split_ranges(block, procs)]
-    parts, hist = _scan_rectangles(
-        [(n, p, rect, want_rank, spot_stride) for rect in rects], p)
+    ranges = _split_ranges(total // block, procs)
+    parts = _scan_ranges(
+        [(n, p, tails, want_rank, spot_stride) for tails in ranges])
     t_merge = time.perf_counter()
+    hist = parts[0]["hist"]
+    for part in parts[1:]:
+        hist += part["hist"]
     ck = sum(part["ck"] for part in parts)
     tails = sum(part["tails_checked"] for part in parts)
     tail_violations = sum(part["tail_violations"] for part in parts)
@@ -701,10 +668,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     return ScanResult(n=n, p=p, total=total, pf_counts=pf_counts,
                       rank_counts=rank_counts, spot_checked=checked,
                       tails_checked=tails, elapsed=end - t0, phases=phases,
-                      workers=[(h0 * block + r0, (h1 - 1) * block + r1,
-                                part["elapsed"])
-                               for (h0, h1, r0, r1), part in zip(rects,
-                                                                 parts)])
+                      workers=[(h0 * block, h1 * block, part["elapsed"])
+                               for (h0, h1), part in zip(ranges, parts)])
 
 
 def gaussian_binomial(n, k):

@@ -9,6 +9,10 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, ParseError
 
+# the most terms of a power, and the size 2^POW_MAX_BITS of its coefficients
+POW_MAX_TERMS = 1 << 9
+POW_MAX_BITS = 1 << 13
+
 
 class LaurentPoly2:
     """Bivariate Laurent polynomial with integer coefficients.
@@ -110,15 +114,21 @@ class LaurentPoly2:
             if k < 0 and abs(c) != 1:
                 raise ValueError(
                     "negative power of a monomial with non-unit coefficient")
+            _check_power_bits(self.terms, abs(k))
             return monomial(a * k, b * k, c ** abs(k))
         if k < 0:
             raise ValueError("negative power of a non-monomial")
         if not self.terms:
             return ZERO
-        # repeated squaring was measured slower on small sparse bases
+        _check_power_bits(self.terms, k)
+        # repeated squaring was measured slower on small sparse bases; a
+        # base of t >= 2 terms has at least i + 1 in its i-th power, so this
+        # stops within POW_MAX_TERMS steps
         acc = ONE
         for _ in range(k):
             acc = acc * self
+            if len(acc.terms) > POW_MAX_TERMS:
+                raise ValueError(f"a power of more than {POW_MAX_TERMS} terms")
         return acc
 
     # -- evaluation ---------------------------------------------------------
@@ -165,6 +175,16 @@ def common_exponent(a, b):
     if a < 0 and b < 0:
         return max(a, b)
     return 0
+
+
+def _check_power_bits(terms, k):
+    """Refuse with ValueError a k-th power whose coefficients could pass
+    2^POW_MAX_BITS in size: they are at most S^k <= 2^(k bits(S - 1)), S
+    the sum of the base's |c|."""
+    bits = k * (sum(map(abs, terms.values())) - 1).bit_length()
+    if bits > POW_MAX_BITS:
+        raise ValueError(f"a power whose coefficients could reach 2^{bits}, "
+                         f"above 2^{POW_MAX_BITS}")
 
 
 def _raw(terms):

@@ -212,6 +212,34 @@ def test_count_int64_overflow_exit_3(capsys, monkeypatch):
     assert "overflow int64" in err
 
 
+def test_count_long_histogram_exit_3(capsys, monkeypatch):
+    # the default cap admits 99999989 matrices at n = 1 and a raised one
+    # admits p up to 2^31, but a p-long int64 histogram above HIST_MAX = 2^24
+    # entries is refused before the scan starts
+    class Admitted(Exception):
+        pass
+
+    def scan(args):
+        if args[1] > counting.HIST_MAX:
+            pytest.fail("the scan started")
+        raise Admitted
+
+    monkeypatch.setattr(counting, "_scan_range", scan)
+    for argv in (("pfaffian-fibre", "--n", "1", "--p", "99999989",
+                  "--value", "1"),
+                 ("rank", "--n", "1", "--p", "16777259"),
+                 ("rank", "--n", "1", "--p", "2147483647", "--cap",
+                  str(1 << 31))):
+        code, out, err = run(capsys, "count", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: ") and len(err.splitlines()) == 1
+        assert "Pfaffian histogram" in err
+    # the largest prime within the bound is admitted
+    assert counting.HIST_MAX == 1 << 24
+    with pytest.raises(Admitted):
+        counting.scan_skew(1, 16777213)
+
+
 def test_workers_below_one_exit_2(capsys):
     for argv in (("count", "rank", "--n", "1", "--p", "2"),
                  ("verify", "dt"), ("report", "--suites", "dt")):

@@ -158,7 +158,8 @@ def test_workers_capped_at_cpu_count(monkeypatch):
 
 
 def test_workers_capped_at_slab_count(monkeypatch):
-    # a scan forks no more processes than it has chunks of _CHUNK matrices
+    # a scan forks no more processes than it has chunks of _CHUNK matrices,
+    # nor than it has tails
     parts = []
     split = counting._split_ranges
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
@@ -166,14 +167,15 @@ def test_workers_capped_at_slab_count(monkeypatch):
                         lambda total, n: parts.append(n) or split(total, n))
     scan_skew(2, 5, "hist", workers=2)        # 15625 matrices: one chunk
     scan_skew(3, 2, "hist", workers=8)        # 32768: one chunk
-    scan_skew(1, 131101, "hist", workers=8)   # two chunks
-    assert parts == [1, 1, 2]
+    assert parts == [1, 1]
+    # two chunks, but one tail
+    assert len(scan_skew(1, 131101, "hist", workers=8).workers) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_n1_scan_above_chunk(workers):
     # the smallest prime above _CHUNK: row 0 is multiplied out in two
-    # tables, and at 2 workers it is split between them
+    # tables, in one process at any worker count
     p = 131101
     assert p > counting._CHUNK
     s = scan_skew(1, p, workers=workers)
@@ -213,7 +215,7 @@ def test_spot_sample_sets_every_row0_digit(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_spot_sample_survives_range_cuts(monkeypatch, workers, chunk):
     # every index that is a multiple of SPOT_STRIDE is checked once, however
-    # the scan is cut into worker rectangles, tail runs and row-0 tables
+    # the scan is cut into worker tail ranges, tail runs and row-0 tables
     monkeypatch.setattr(counting, "_CHUNK", chunk)
     for n, p in ((3, 2), (2, 5), (1, 131101)):
         total = p ** (n * (2 * n - 1))
@@ -238,18 +240,16 @@ def test_one_scan_serves_every_count():
 
 
 def _whole(n, p):
-    # the rectangle of every tail times all of row 0
-    return 0, p ** ((2 * n - 1) * (n - 1)), 0, p ** (2 * n - 1)
+    # the range of every tail
+    return 0, p ** ((2 * n - 1) * (n - 1))
 
 
-def _scan_tally(n, p, rect, spot_stride=counting.SPOT_STRIDE):
-    part = counting._scan_range((n, p, rect, True, spot_stride))
+def _scan_tally(n, p, tails, spot_stride=counting.SPOT_STRIDE):
+    part = counting._scan_range((n, p, tails, True, spot_stride))
     assert part["violations"] == 0 and part["first_bad"] is None
     assert part["tail_violations"] == 0
-    a, span = part["hist"]
-    hist = [0] * p
-    hist[a:a + span.size] = span.tolist()
-    return hist, part["ck"].tolist(), part["checked"], part["tails_checked"]
+    return (part["hist"].tolist(), part["ck"].tolist(), part["checked"],
+            part["tails_checked"])
 
 
 def test_scan_matches_pointwise_oracle():
@@ -277,20 +277,18 @@ def _cuts(count, points):
 
 @pytest.mark.parametrize("chunk", [20, 200, counting._CHUNK])
 def test_range_partitions_sum_to_whole_scan(monkeypatch, chunk):
-    # rectangles cut along the tails, along row 0, or both, whose p^(2n-1)
-    # = 27, 32 and 101 values a chunk of 20 splits into several tables; the
-    # pieces that start row 0 check every tail once
+    # tail ranges cut at random, whose rows 0 of p^(2n-1) = 27, 32 and 125
+    # values a chunk of 20 splits into several tables; every tail is
+    # checked once
     whole = {(n, p): _scan_tally(n, p, _whole(n, p))
-             for n, p in ((2, 3), (3, 2), (1, 101))}
+             for n, p in ((2, 3), (3, 2), (2, 5))}
     monkeypatch.setattr(counting, "_CHUNK", chunk)
     for (n, p), want in whole.items():
-        _, tails, _, width = _whole(n, p)
+        _, tails = _whole(n, p)
         assert want[3] == tails
-        for tail_points, row0_points in ((6, 0), (0, 3), (3, 2)):
+        for points in (1, 3, 6):
             hists, cks, checked, tails_checked = zip(*(
-                _scan_tally(n, p, (h0, h1, r0, r1))
-                for h0, h1 in _cuts(tails, tail_points)
-                for r0, r1 in _cuts(width, row0_points)))
+                _scan_tally(n, p, cut) for cut in _cuts(tails, points)))
             assert [sum(c) for c in zip(*hists)] == want[0]
             assert [sum(c) for c in zip(*cks)] == want[1]
             assert (sum(checked), sum(tails_checked)) == want[2:]
@@ -318,14 +316,6 @@ def test_class_tables_split_into_chunks(monkeypatch, chunk):
         s = scan_skew(n, p, "full")
         assert ([s.pf_counts[v] for v in range(p)], s.spot_checked) == \
             (want[0], want[2])
-
-
-def test_worker_returns_only_its_histogram_span():
-    # at n = 1 the Pfaffian is the index itself, so a range of row-0 values
-    # touches only its own residues
-    part = counting._scan_range((1, 101, (0, 1, 20, 70), False, 0))
-    a, span = part["hist"]
-    assert (a, span.tolist()) == (20, [1] * 50)
 
 
 def test_scan_reports_phase_seconds():
@@ -554,7 +544,7 @@ def test_tail_runs_are_capped(monkeypatch):
     assert s.tails_checked == 3 ** 10
     assert [blocks for _, blocks in runs] == [8192] * 7 + [3 ** 10 - 7 * 8192]
     runs.clear()
-    counting._scan_range((3, 3, (1000, 3 ** 10 - 7, 0, 3 ** 5), False, 0))
+    counting._scan_range((3, 3, (1000, 3 ** 10 - 7), False, 0))
     assert [blocks for _, blocks in runs] == [8192] * 7 + [698]
     # the lowest tail digit of each run's first tail
     assert [d for d, _ in runs] == [(1000 + 8192 * i) % 3 for i in range(8)]
@@ -562,28 +552,28 @@ def test_tail_runs_are_capped(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [20, counting._CHUNK])
 def test_every_tail_checked_once(monkeypatch, chunk):
-    # at any worker count each tail is checked by exactly one worker: n = 1
-    # splits row 0 of its one tail, and a chunk of 20 is below every block
+    # at any worker count each tail is checked by exactly one worker, and
+    # n = 1 has one tail and one worker; a chunk of 20 is below every block
     # of (2, 3) and (2, 5), so row 0 is multiplied out in several tables;
     # the workers' index ranges tile the scan in order
     monkeypatch.setattr(counting, "_CHUNK", chunk)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
     for n, p in ((1, 7), (1, 131101), (2, 3), (2, 5), (3, 2)):
+        tails = p ** ((2 * n - 1) * (n - 1))
         for workers in (1, 2, 3):
             s = scan_skew(n, p, "hist", workers=workers)
-            assert s.tails_checked == p ** ((2 * n - 1) * (n - 1)), \
-                (n, p, workers)
+            assert s.tails_checked == tails, (n, p, workers)
             edges = [lo for lo, _, _ in s.workers] + [s.total]
             assert edges[0] == 0
             assert [hi for _, hi, _ in s.workers] == edges[1:]
-            assert len(s.workers) == min(workers, -(-s.total // chunk))
+            assert len(s.workers) == min(workers, -(-s.total // chunk), tails)
 
 
 def test_tail_check_on_7x7_tails():
-    # the (4, 2) rectangle of tails 5..24 times all 2^7 row-0 values: its 20
-    # tails are checked, the 8x8 Pfaffians tallied and the sample re-checked
+    # the (4, 2) tails 5..24, each with all 2^7 row-0 values: the 20 tails
+    # are checked, the 8x8 Pfaffians tallied and the sample re-checked
     lo, hi = 5 * 128, 25 * 128
-    part = counting._scan_range((4, 2, (5, 25, 0, 128), True, 7))
+    part = counting._scan_range((4, 2, (5, 25), True, 7))
     assert part["tails_checked"] == 20
     assert part["tail_violations"] == 0 and part["violations"] == 0
     assert part["checked"] == len(range(-(-lo // 7) * 7, hi, 7))
@@ -591,18 +581,17 @@ def test_tail_check_on_7x7_tails():
     for index in range(lo, hi):
         pf[pfaffian(SkewMatrix(8, [index >> t & 1 for t in range(28)],
                                GF(2)))] += 1
-    a, span = part["hist"]
-    assert [0] * a + span.tolist() + [0] * (2 - a - span.size) == pf
+    assert part["hist"].tolist() == pf
 
 
 def test_import_does_not_load_multiprocessing():
-    # a scan that fits in one process never forks; one that forks does so
-    # directly, with no pool
+    # a scan that fits in one process, or has one tail, never forks; one
+    # that forks does so directly, with no pool
     code = ("import os, sys, motivic.cli\n"
             "from motivic.counting import scan_skew\n"
             "procs = min(2, os.cpu_count() or 1)\n"
             "for n, p, want in ((3, 2, 1), (2, 11, procs), "
-            "(1, 131101, procs)):\n"
+            "(1, 131101, 1)):\n"
             "    assert len(scan_skew(n, p, workers=2).workers) == want\n"
             "print('multiprocessing' in sys.modules)")
     src = str(Path(counting.__file__).resolve().parents[1])
@@ -634,15 +623,13 @@ def _assert_no_child_left():
 
 @pytest.fixture
 def three_workers(monkeypatch):
-    # (3, 2), (2, 5) and (1, 10007) in chunks of 1000 give three rectangles
+    # (3, 2) and (2, 5) in chunks of 1000 give three tail ranges
     monkeypatch.setattr(counting, "_CHUNK", 1000)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
 
 
-def test_forked_spans_merge_identically(three_workers):
-    # n = 1 cuts row 0, so the spans of its first and last rectangles start
-    # at 0 and end at p
-    for n, p in ((3, 2), (2, 5), (1, 10007)):
+def test_forked_tail_ranges_merge_identically(three_workers):
+    for n, p in ((3, 2), (2, 5)):
         base = scan_skew(n, p, "full", workers=1)
         for workers in (2, 3):
             s = scan_skew(n, p, "full", workers=workers)
@@ -651,8 +638,23 @@ def test_forked_spans_merge_identically(three_workers):
                 (base.pf_counts, base.rank_counts), (n, p, workers)
             assert (s.tails_checked, s.spot_checked) == \
                 (base.tails_checked, base.spot_checked)
-    assert base.pf_counts == dict.fromkeys(range(10007), 1)
     _assert_no_child_left()
+
+
+def test_n1_scans_in_process(three_workers, monkeypatch):
+    # 10007 matrices make eleven chunks of 1000, but n = 1 has one tail
+    def no_fork():
+        raise AssertionError("an n = 1 scan forked")
+
+    monkeypatch.setattr(counting.os, "fork", no_fork)
+    p = 10007
+    for workers in (1, 2, 3):
+        s = scan_skew(1, p, "full", workers=workers)
+        assert s.pf_counts == dict.fromkeys(range(p), 1)
+        assert s.rank_counts == {0: 1, 2: p - 1}
+        assert [(lo, hi) for lo, hi, _ in s.workers] == [(0, p)]
+        assert s.tails_checked == 1
+        assert s.spot_checked == -(-p // counting.SPOT_STRIDE)
 
 
 @pytest.mark.parametrize("exc_type", [ConsistencyError, ValueError])
@@ -702,8 +704,8 @@ def test_killed_child_is_a_consistency_error(three_workers, monkeypatch,
     scan = counting._scan_range
 
     def killed(args):
-        # every rectangle but the first runs in a forked child
-        if args[2][0] or args[2][2]:
+        # every tail range but the first runs in a forked child
+        if args[2][0]:
             os.kill(os.getpid(), signal.SIGKILL)
         return scan(args)
 
@@ -712,16 +714,17 @@ def test_killed_child_is_a_consistency_error(three_workers, monkeypatch,
         with pytest.raises(ConsistencyError) as exc:
             scan_skew(3, 2, "hist", workers=2)
         assert str(exc.value) == (
-            "the scan worker of tails [512, 1024) x row-0 values [0, 32) "
-            f"ended without a result (wait status {signal.SIGKILL}: "
-            f"killed by signal {signal.SIGKILL})")
+            "the scan worker of tails [512, 1024) ended without a result "
+            f"(wait status {signal.SIGKILL}: killed by signal "
+            f"{signal.SIGKILL})")
         _assert_no_child_left()
-        code = main(["count", "rank", "--n", "1", "--p", "10007",
+        # the 125 tails of (2, 5) in three ranges
+        code = main(["count", "rank", "--n", "2", "--p", "5",
                      "--workers", "3"])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
-    assert err.startswith("fatal: the scan worker of tails [0, 1) x row-0 "
-                          "values [3336, 6672) ended without a result")
+    assert err.startswith("fatal: the scan worker of tails [42, 84) ended "
+                          "without a result")
     assert len(err.splitlines()) == 1
     _assert_no_child_left()
 
@@ -732,7 +735,7 @@ def test_parent_error_kills_running_children(three_workers, monkeypatch):
     scan = counting._scan_range
 
     def slow_or_failing(args):
-        if args[2][0] or args[2][2]:
+        if args[2][0]:
             time.sleep(60)
             return scan(args)
         raise ValueError("first rectangle failed")
@@ -746,27 +749,22 @@ def test_parent_error_kills_running_children(three_workers, monkeypatch):
     _assert_no_child_left()
 
 
-def test_receive_adds_span_in_pieces(monkeypatch):
-    # a child's span is added into the histogram as it is read, in pieces
-    # of at most _CHUNK counts; a pipe that ends early is no result
-    monkeypatch.setattr(counting, "_CHUNK", 7)
-    span = np.arange(1, 21, dtype=np.int64)
-    for cut in (None, 100):
+def test_receive_mid_result_is_no_result():
+    # a child's whole result, or a pipe that ends anywhere before its end,
+    # which is no result
+    part = counting._scan_range((2, 5, (40, 60), True, 7))
+    data = pickle.dumps(part)
+    for cut in range(len(data) + 1):
         r, w = os.pipe()
         with open(w, "wb") as out:
-            pickle.dump({"hist": (5, span.size), "ck": 3,
-                         "phases": {"merge": 0.0}}, out)
-            data = span.tobytes()
-            out.write(data if cut is None else data[:cut])
-        hist = np.ones(30, dtype=np.int64)
+            out.write(data[:cut])
         with open(r, "rb") as src:
-            part = counting._receive(src, hist)
-        if cut is None:
-            assert part["ck"] == 3 and part["phases"]["merge"] > 0
-            assert "hist" not in part
-            assert hist.tolist() == [1] * 5 + list(range(2, 22)) + [1] * 5
+            got = counting._receive(src)
+        if cut < len(data):
+            assert got is None, cut
         else:
-            assert part is None
+            assert got["hist"].tolist() == part["hist"].tolist()
+            assert got["ck"].tolist() == part["ck"].tolist()
 
 
 def _import_in_fresh_process(code, **extra_env):
@@ -807,6 +805,6 @@ def test_int64_overflow_refused_before_scanning(monkeypatch):
         scan_skew(2, 751, "hist", cap=10 ** 18)
     with pytest.raises(CapExceededError, match="overflow int64"):
         scan_skew(3, 19, "hist", cap=10 ** 20)
-    # the largest admitted primes; n = 1 is admitted up to the default cap
+    # the largest admitted primes; at n = 1 HIST_MAX refuses first
     for n, p in ((1, 2147483647), (2, 743), (3, 17), (1, 99999989)):
         counting._check_int64(n, p, p ** (n * (2 * n - 1)))

@@ -176,6 +176,43 @@ def test_monomial_and_zero_powers_are_immediate():
     assert parse_poly("0^99999999999999") == ZERO
 
 
+@pytest.mark.parametrize("text, col, words", [
+    # a two-term base: k + 1 terms
+    ("(1+x)^3000", 7, "512 terms"),
+    # the multisets of 50 of three terms, 1326
+    ("(1+x+y)^50", 9, "512 terms"),
+    # a 1D base of 8 terms: 7 k + 1 = 519 exponents
+    ("(" + "+".join(f"x^{i}" for i in range(8)) + ")^74", None, "512 terms"),
+    # the coefficients of (1 + x)^k reach 2^k
+    ("(1+x)^200000", 7, "2^200000"),
+    ("(1+x)^99999999999999", 7, "2^99999999999999"),
+    # a monomial's coefficient, and a large coefficient in a short power
+    ("2^300000000", 3, "2^300000000"),
+    ("(-3*x)^5000", 8, "2^10000"),
+    ("(2^100+x)^100", 11, "2^10100"),
+])
+def test_power_budget_refused_at_the_exponent(text, col, words):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert words in str(exc.value)
+    assert exc.value.col == (col or len(text) - 1)
+
+
+def test_power_budget_admits_its_edges():
+    # 7 k + 1 = 512 exponents
+    base = "(" + "+".join(f"x^{i}" for i in range(8)) + ")"
+    assert len(parse_poly(base + "^73").terms) == 512
+    with pytest.raises(ValueError, match="more than 512 terms"):
+        (ONE + X) ** 512
+    assert parse_poly("2^8192") == const(2 ** 8192)
+    assert parse_poly("(-1)^99999999999999") == const(-1)
+    assert len(parse_poly("(1+x+y)^30").terms) == 496
+    # the benchmark's algebra shape: a two-term base with |c| <= 3, k <= 60
+    assert len(parse_poly("(3*x^2*y^-2 - 3*x^-2*y^2)^60").terms) == 61
+    with pytest.raises(ValueError, match="terms"):
+        (ONE + X + Y) ** 31
+
+
 def test_format_canonical():
     assert format_poly(ZERO) == "0"
     assert format_poly(const(-1)) == "-1"
