@@ -531,7 +531,7 @@ def test_narrow_lane_matches_int64_at_its_edge(n, lane):
 
 def test_tail_runs_are_capped(monkeypatch):
     # the tail pass walks runs of at most _CHUNK // 16 = 8192 tails: eight
-    # runs of the 3^10 tails of (3, 3), and a rectangle's own tails in runs
+    # runs of the 3^10 tails of (3, 3), and a range's own tails in runs
     # from its first
     runs = []
     tail_pfaffians = counting._tail_pfaffians
@@ -660,7 +660,7 @@ def test_n1_scans_in_process(three_workers, monkeypatch):
 @pytest.mark.parametrize("exc_type", [ConsistencyError, ValueError])
 def test_child_error_reraised_with_type_and_message(three_workers,
                                                     monkeypatch, exc_type):
-    # the tails of (3, 2) from 512 on, forked into the second rectangle at
+    # the tails of (3, 2) from 512 on, forked into the second tail range at
     # 2 workers: their top tail digit is 1
     check = counting._tail_check
 
@@ -682,7 +682,7 @@ def test_child_error_reraised_with_type_and_message(three_workers,
 
 def test_child_sample_fault_names_same_offender(three_workers, monkeypatch):
     # a determinant off by one on the matrices of (3, 2) whose top tail
-    # entry a_45 is 1, all in the second rectangle at 2 workers
+    # entry a_45 is 1, all in the second tail range at 2 workers
     det = counting._batched_det
     monkeypatch.setattr(counting, "_batched_det",
                         lambda M: det(M) + (M[:, 4, 5] == 1))
@@ -692,7 +692,7 @@ def test_child_sample_fault_names_same_offender(three_workers, monkeypatch):
             scan_skew(3, 2, "hist", workers=workers)
         messages.add(str(exc.value))
     [message] = messages
-    # the first sampled index of the second rectangle
+    # the first sampled index of the second tail range
     first = -(-2 ** 14 // counting.SPOT_STRIDE) * counting.SPOT_STRIDE
     assert f"the first is index {first} at (n, p) = (3, 2)" in message
     _assert_no_child_left()
@@ -730,7 +730,7 @@ def test_killed_child_is_a_consistency_error(three_workers, monkeypatch,
 
 
 def test_parent_error_kills_running_children(three_workers, monkeypatch):
-    # the first rectangle fails at once while the others would take a
+    # the first tail range fails at once while the others would take a
     # minute: the scan raises at once and leaves no process behind
     scan = counting._scan_range
 
@@ -738,12 +738,12 @@ def test_parent_error_kills_running_children(three_workers, monkeypatch):
         if args[2][0]:
             time.sleep(60)
             return scan(args)
-        raise ValueError("first rectangle failed")
+        raise ValueError("first tail range failed")
 
     monkeypatch.setattr(counting, "_scan_range", slow_or_failing)
     start = time.perf_counter()
     with _deadline(30):
-        with pytest.raises(ValueError, match="first rectangle failed"):
+        with pytest.raises(ValueError, match="first tail range failed"):
             scan_skew(3, 2, "hist", workers=3)
     assert time.perf_counter() - start < 10
     _assert_no_child_left()
