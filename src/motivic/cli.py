@@ -311,10 +311,8 @@ def main(argv=None):
     if argv is None:
         # the process's entry point: what the imports built lives until
         # exit, so the collector need not walk it again, neither in a full
-        # collection nor at shutdown, and scan workers forked later leave
-        # its GC headers, and so the pages they share with this process,
-        # untouched.  A call with an argv list (a test, an embedding
-        # program) leaves the caller's heap as it is.
+        # collection nor at shutdown.  A call with an argv list (a test, an
+        # embedding program) leaves the caller's heap as it is.
         gc.freeze()
     parser = build_parser()
     try:

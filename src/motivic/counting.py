@@ -45,24 +45,22 @@ same batched, division-free cofactor expansion.  Both expansions run in
 the narrowest of int16, int32 and int64 that holds their bound (`_lane`).
 
 Scans parallelise over ranges of whole tails, so each tail is checked once
-at any worker count, and n = 1, which has one tail, always runs in the
-calling process.  The calling process forks one child per tail range after
-the first and scans the first itself.  Each child writes its result,
-pickled, to a pipe, and the parent adds the children's Pfaffian histograms
-into its own, so the tallies merge by summation, bit-identically for any
-worker count.  These histograms are short: `_check_int64` admits p <= 743
-at n = 2 and p <= 17 at n = 3.  Only n = 1 holds a long one, in one
-process, and `HIST_MAX` bounds it.  `ScanResult.phases` holds the seconds
-of each phase (`PHASES`), summed over workers, and `ScanResult.workers`
-each worker's index range and seconds.
+at any worker count, and n = 1, which has one tail, always runs in one
+thread.  The calling thread starts one worker thread per tail range after
+the first and scans the first itself; numpy releases the GIL in its array
+loops.  The Pfaffian histograms of the ranges are added in range order, so
+the tallies merge by summation, bit-identically for any worker count.
+These histograms are short: `_check_int64` admits p <= 743 at n = 2 and
+p <= 17 at n = 3.  Only n = 1 holds a long one, in one thread, and
+`HIST_MAX` bounds it.  `ScanResult.phases` holds the seconds of each phase
+(`PHASES`), summed over workers, and `ScanResult.workers` each worker's
+index range and seconds.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import signal
-import sys
+import threading
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -360,8 +358,10 @@ def _fold(hist, tally, low, p):
         pos += take
 
 
-def _scan_range(args):
-    n, p, (h0, h1), want_rank, spot_stride = args
+def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
+    """Scan the tails h0 <= h < h1, each with all its row-0 values.
+    Returns None, having scanned part of the range, if `stop` is set
+    before a run of tails."""
     t0 = time.perf_counter()
     # Allocated and freed at once, never touched: freeing one 4 MiB block
     # raises glibc's dynamic mmap and trim thresholds above a run's
@@ -391,6 +391,8 @@ def _scan_range(args):
     first_tail_bad = None
     run = max(1, _CHUNK // 16)
     for lo in range(h0, h1, run):
+        if stop.is_set():
+            return None
         hi = min(lo + run, h1)
         blocks = np.arange(hi - lo)
         tail = _digits(np.arange(lo, hi, dtype=np.int64), p, m - width0)
@@ -418,11 +420,11 @@ def _scan_range(args):
         u = time.perf_counter()
         phases["tail_check"] += u - t
         if spot_stride:
-            stop = hi * block
+            end = hi * block
             step = spot_stride * _SAMPLE_BATCH
-            for b0 in range(-(-lo * block // spot_stride) * spot_stride, stop,
+            for b0 in range(-(-lo * block // spot_stride) * spot_stride, end,
                             step):
-                sel = np.arange(b0, min(b0 + step, stop), spot_stride,
+                sel = np.arange(b0, min(b0 + step, end), spot_stride,
                                 dtype=np.int64)
                 digits = _digits(sel, p, m)
                 # Pf by the class pass's route: the tail's vector, decoded
@@ -491,83 +493,52 @@ def _scan_range(args):
             "phases": phases, "elapsed": time.perf_counter() - t0}
 
 
-def _fork_scan(arg):
-    """Fork a child that scans one tail range and exits.  Through a pipe it
-    sends its result, pickled, or, if the scan raised, {"error": the
-    exception}.  Returns (pid, the read end)."""
-    r, w = os.pipe()
-    sys.stdout.flush()
-    sys.stderr.flush()
+def _scan_ranges(n, p, ranges, want_rank, spot_stride):
+    """Scan the tail ranges: each after the first in a worker thread, the
+    first in this one.  Returns the results in order.  An error or
+    interrupt in any range sets one stop event, which every range checks
+    before its next run of tails.  Every worker thread has ended before
+    this returns or raises; then the first error is raised, with its type
+    and message."""
+    stop = threading.Event()
+    parts = [None] * len(ranges)
+    errors = []
+
+    def scan(i):
+        try:
+            parts[i] = _scan_range(n, p, *ranges[i], want_rank, spot_stride,
+                                   stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=scan, args=(i,))
+               for i in range(1, len(ranges))]
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb")
-    # the child: whatever happens, it leaves here and never returns into
-    # the caller's stack
-    code = 1
-    try:
-        os.close(r)
-        with open(w, "wb") as out:
+        for thread in threads:
+            thread.start()
+        scan(0)
+    except BaseException as exc:  # a worker not started, or an interrupt
+        errors.append(exc)
+        stop.set()
+    for thread in threads:
+        while thread.is_alive():
             try:
-                part = _scan_range(arg)
-            except BaseException as exc:
-                part = {"error": exc}
-            pickle.dump(part, out)
-        code = 0
-    finally:
-        os._exit(code)
+                thread.join()
+            except BaseException as exc:  # an interrupt while waiting
+                errors.append(exc)
+                stop.set()
+    if errors:
+        raise errors[0]
+    return parts
 
 
-def _receive(src):
-    """One child's result read from its pipe, or None if the pipe ends
-    early."""
-    try:
-        return pickle.load(src)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-
-
-def _scan_ranges(args):
-    """Scan the tail ranges of `args`: each after the first in a forked
-    child, then the first in this process.  Returns the results in order.
-    Every child is reaped before this returns or raises; on an error,
-    those still running are killed first.  A child's exception is raised
-    here, and a child that ends without a result raises ConsistencyError."""
-    children = []  # (pid, read end, tail range) of each child not yet reaped
-    try:
-        for arg in args[1:]:
-            children.append(_fork_scan(arg) + (arg[2],))
-        parts = [_scan_range(args[0])]
-        while children:
-            pid, src, (h0, h1) = children[0]
-            with src:
-                part = _receive(src)
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            if part is None:
-                code = os.waitstatus_to_exitcode(status)
-                raise ConsistencyError(
-                    f"the scan worker of tails [{h0}, {h1}) ended without a "
-                    f"result (wait status {status}: "
-                    + (f"killed by signal {-code})" if code < 0
-                       else f"exit status {code})"))
-            if "error" in part:
-                raise part["error"]
-            parts.append(part)
-        return parts
-    finally:
-        for pid, src, _ in children:
-            src.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+def _power_text(p, m):
+    """p^m for a message, expanded only when it is below 2^256, so that no
+    huge power is built or converted to decimal."""
+    if m * p.bit_length() > 256:
+        return f"{p}^{m}"
+    return f"{p ** m} = {p}^{m}"
 
 
 def _split_ranges(total, parts):
@@ -590,38 +561,44 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     scan's int64 arithmetic could overflow or p exceeds HIST_MAX, and
     ConsistencyError when a tail fails adj(B) = c c^T (naming the lowest
     such block) or a sampled matrix fails Pf^2 = det (naming the
-    lowest-index offender).  At most min(workers, os.cpu_count(),
-    ceil(p^(n(2n-1)) / _CHUNK), p^((n-1)(2n-1))) processes scan, the
-    calling one and forked children, each a range of whole tails.  So a
-    scan of at most _CHUNK matrices, and every n = 1 scan (one tail), runs
-    in-process.
+    lowest-index offender).  The cap and HIST_MAX are tested before p is
+    tested for primality.  At most min(workers, os.cpu_count(),
+    ceil(p^(n(2n-1)) / _CHUNK), p^((n-1)(2n-1))) threads scan, the calling
+    one and worker threads, each a range of whole tails.  So a scan of at
+    most _CHUNK matrices, and every n = 1 scan (one tail), runs in the
+    calling thread alone.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if mode not in ("hist", "full"):
         raise ValueError(f"unknown scan mode {mode!r}")
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     m = n * (2 * n - 1)
-    total = p ** m
     cap = DEFAULT_CAP if cap is None else cap
-    if total > cap:
+    # p^m >= 2^(m (bits(p) - 1)), so the first test refuses a scan without
+    # building p^m whenever that power has more bits than the cap
+    if m * (p.bit_length() - 1) >= cap.bit_length() or p ** m > cap:
         raise CapExceededError(
-            f"enumeration of {total} = {p}^{m} matrices exceeds cap {cap}")
-    _check_int64(n, p, total)
+            f"enumeration of {_power_text(p, m)} matrices exceeds cap {cap}")
     if p > HIST_MAX:
         raise CapExceededError(
             f"a scan over F_{p} would hold a {p}-entry Pfaffian histogram, "
             f"above the limit of {HIST_MAX}")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    total = p ** m
+    _check_int64(n, p, total)
     want_rank = mode == "full"
     t0 = time.perf_counter()
-    _plan(n)  # built before forking so workers inherit it
+    # built before any range allocates its scratch: the report peaked about
+    # 0.2 MiB higher when the first range built it
+    _plan(n)
     procs = min(workers, os.cpu_count() or 1, -(-total // _CHUNK))
     # each worker takes whole tails times all of row 0
     block = p ** (2 * n - 1)
     ranges = _split_ranges(total // block, procs)
-    parts = _scan_ranges(
-        [(n, p, tails, want_rank, spot_stride) for tails in ranges])
+    parts = _scan_ranges(n, p, ranges, want_rank, spot_stride)
     t_merge = time.perf_counter()
     hist = parts[0]["hist"]
     for part in parts[1:]:

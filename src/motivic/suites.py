@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import hilb4 as h4
-from .counting import DEFAULT_CAP, gaussian_binomial, scan_skew
+from .counting import (DEFAULT_CAP, _power_text, gaussian_binomial,
+                       scan_skew)
 from .errors import CapExceededError
 from .laurent import (BettiPoly, LaurentPoly2, ONE, _u_div_exact, format_poly,
                       parse_poly, q_power, self_dual_convert)
@@ -532,9 +533,8 @@ def _suite_katz(ctx):
                     f"full-rank bucket {tag} equals #{{Pf != 0}}", "derived",
                     nonzero, rk[size]))
     if not checks:
-        sizes = ", ".join(
-            f"{p}^{n * (2 * n - 1)} = {p ** (n * (2 * n - 1))}"
-            for p in ctx.p_list for n in (2, 3))
+        sizes = ", ".join(_power_text(p, n * (2 * n - 1))
+                          for p in ctx.p_list for n in (2, 3))
         raise CapExceededError(
             f"every requested enumeration exceeds the cap {cap}: {sizes}")
     return checks

@@ -236,8 +236,9 @@ def test_criterion_10_fixed_point_residual():
 
 
 def test_criterion_11_determinism(monkeypatch):
-    # scans fork no more workers than they have slabs, so slabs of 2^14
-    # matrices make the 2^15-matrix scan run on more than one worker too
+    # scans start no more workers than they have chunks of _CHUNK matrices,
+    # so chunks of 2^14 make the 2^15-matrix scan run on more than one
+    # worker too
     monkeypatch.setattr(counting, "_CHUNK", 1 << 14)
     with criterion(11, "byte-identical suite JSON across runs and worker "
                       "counts 1, 2, 8"):

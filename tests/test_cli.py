@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -219,8 +220,8 @@ def test_count_long_histogram_exit_3(capsys, monkeypatch):
     class Admitted(Exception):
         pass
 
-    def scan(args):
-        if args[1] > counting.HIST_MAX:
+    def scan(n, p, *rest):
+        if p > counting.HIST_MAX:
             pytest.fail("the scan started")
         raise Admitted
 
@@ -238,6 +239,36 @@ def test_count_long_histogram_exit_3(capsys, monkeypatch):
     assert counting.HIST_MAX == 1 << 24
     with pytest.raises(Admitted):
         counting.scan_skew(1, 16777213)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("over the 2 s budget")
+
+
+@pytest.mark.parametrize("argv", [
+    # trial division of a 57-bit p took over 20 s
+    ("count", "pfaffian-fibre", "--n", "1", "--p", "100000000000000003",
+     "--value", "1"),
+    # 2^1999000 and 10^4500 are past the int-to-str digit limit
+    ("count", "rank", "--n", "1000", "--p", "2"),
+    ("verify", "katz", "--p", "1" + "0" * 299 + "7"),
+    # 2^19999900000 would take 2.3 GiB
+    ("count", "rank", "--n", "100000", "--p", "2"),
+    # a composite p above HIST_MAX is refused before the primality test
+    ("count", "rank", "--n", "1", "--p", str(2 ** 24 + 1)),
+])
+def test_hostile_sizes_refused_at_once(capsys, argv):
+    # the cap and HIST_MAX are tested before any work on p or p^m; a budget
+    # overrun raises TimeoutError, which main reports as a fatal exit 1
+    old = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert (code, out) == (3, ""), err
+    assert err.startswith("refused: ") and len(err.splitlines()) == 1
 
 
 def test_workers_below_one_exit_2(capsys):

@@ -1,10 +1,10 @@
 import os
-import pickle
 import random
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from itertools import product
@@ -145,8 +145,8 @@ def test_worker_counts_merge_identically(monkeypatch):
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):
-    # n = 1, p = 5 has five matrices, so even an uncapped scan forks at most
-    # five processes
+    # n = 1, p = 5 has five matrices, so even an uncapped scan would split
+    # them over at most five workers; the cap of one CPU leaves one
     parts = []
     split = counting._split_ranges
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 1)
@@ -158,7 +158,7 @@ def test_workers_capped_at_cpu_count(monkeypatch):
 
 
 def test_workers_capped_at_slab_count(monkeypatch):
-    # a scan forks no more processes than it has chunks of _CHUNK matrices,
+    # a scan starts no more workers than it has chunks of _CHUNK matrices,
     # nor than it has tails
     parts = []
     split = counting._split_ranges
@@ -245,7 +245,8 @@ def _whole(n, p):
 
 
 def _scan_tally(n, p, tails, spot_stride=counting.SPOT_STRIDE):
-    part = counting._scan_range((n, p, tails, True, spot_stride))
+    part = counting._scan_range(n, p, *tails, True, spot_stride,
+                                threading.Event())
     assert part["violations"] == 0 and part["first_bad"] is None
     assert part["tail_violations"] == 0
     return (part["hist"].tolist(), part["ck"].tolist(), part["checked"],
@@ -544,7 +545,7 @@ def test_tail_runs_are_capped(monkeypatch):
     assert s.tails_checked == 3 ** 10
     assert [blocks for _, blocks in runs] == [8192] * 7 + [3 ** 10 - 7 * 8192]
     runs.clear()
-    counting._scan_range((3, 3, (1000, 3 ** 10 - 7), False, 0))
+    counting._scan_range(3, 3, 1000, 3 ** 10 - 7, False, 0, threading.Event())
     assert [blocks for _, blocks in runs] == [8192] * 7 + [698]
     # the lowest tail digit of each run's first tail
     assert [d for d, _ in runs] == [(1000 + 8192 * i) % 3 for i in range(8)]
@@ -573,7 +574,7 @@ def test_tail_check_on_7x7_tails():
     # the (4, 2) tails 5..24, each with all 2^7 row-0 values: the 20 tails
     # are checked, the 8x8 Pfaffians tallied and the sample re-checked
     lo, hi = 5 * 128, 25 * 128
-    part = counting._scan_range((4, 2, (5, 25), True, 7))
+    part = counting._scan_range(4, 2, 5, 25, True, 7, threading.Event())
     assert part["tails_checked"] == 20
     assert part["tail_violations"] == 0 and part["violations"] == 0
     assert part["checked"] == len(range(-(-lo // 7) * 7, hi, 7))
@@ -585,8 +586,8 @@ def test_tail_check_on_7x7_tails():
 
 
 def test_import_does_not_load_multiprocessing():
-    # a scan that fits in one process, or has one tail, never forks; one
-    # that forks does so directly, with no pool
+    # a scan that fits in one worker, or has one tail, starts no thread;
+    # one that splits starts its worker threads directly, with no pool
     code = ("import os, sys, motivic.cli\n"
             "from motivic.counting import scan_skew\n"
             "procs = min(2, os.cpu_count() or 1)\n"
@@ -616,19 +617,18 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def three_workers(monkeypatch):
-    # (3, 2) and (2, 5) in chunks of 1000 give three tail ranges
+    # (3, 2) and (2, 5) in chunks of 1000 give three tail ranges; no worker
+    # thread outlives its scan
     monkeypatch.setattr(counting, "_CHUNK", 1000)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+    threads = threading.active_count()
+    yield
+    assert threading.active_count() == threads
 
 
-def test_forked_tail_ranges_merge_identically(three_workers):
+def test_worker_tail_ranges_merge_identically(three_workers):
     for n, p in ((3, 2), (2, 5)):
         base = scan_skew(n, p, "full", workers=1)
         for workers in (2, 3):
@@ -638,13 +638,34 @@ def test_forked_tail_ranges_merge_identically(three_workers):
                 (base.pf_counts, base.rank_counts), (n, p, workers)
             assert (s.tails_checked, s.spot_checked) == \
                 (base.tails_checked, base.spot_checked)
-    _assert_no_child_left()
+
+
+def test_more_worker_threads_than_cores(monkeypatch):
+    # eight worker threads, switching every microsecond, build the cached
+    # cofactor plans concurrently and fill their own result slots: a lost
+    # or mixed result would change the counts
+    monkeypatch.setattr(counting, "_CHUNK", 200)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
+    base = scan_skew(3, 2, "full", workers=1)
+    counting._laplace_plan.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        s = scan_skew(3, 2, "full", workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(s.workers) == 8
+    assert (s.pf_counts, s.rank_counts, s.tails_checked, s.spot_checked) == \
+        (base.pf_counts, base.rank_counts, base.tails_checked,
+         base.spot_checked)
 
 
 def test_n1_scans_in_process(three_workers, monkeypatch):
-    # 10007 matrices make eleven chunks of 1000, but n = 1 has one tail
+    # 10007 matrices make eleven chunks of 1000, but n = 1 has one tail;
+    # the tail ranges of (3, 2) and (2, 5) run in worker threads, so no
+    # scan forks at any n
     def no_fork():
-        raise AssertionError("an n = 1 scan forked")
+        raise AssertionError("a scan forked")
 
     monkeypatch.setattr(counting.os, "fork", no_fork)
     p = 10007
@@ -655,13 +676,20 @@ def test_n1_scans_in_process(three_workers, monkeypatch):
         assert [(lo, hi) for lo, hi, _ in s.workers] == [(0, p)]
         assert s.tails_checked == 1
         assert s.spot_checked == -(-p // counting.SPOT_STRIDE)
+    for n, p in ((3, 2), (2, 5)):
+        base = scan_skew(n, p, "full", workers=1)
+        for workers in (2, 3):
+            s = scan_skew(n, p, "full", workers=workers)
+            assert len(s.workers) == workers
+            assert (s.pf_counts, s.rank_counts, s.tails_checked) == \
+                (base.pf_counts, base.rank_counts, base.tails_checked)
 
 
 @pytest.mark.parametrize("exc_type", [ConsistencyError, ValueError])
-def test_child_error_reraised_with_type_and_message(three_workers,
-                                                    monkeypatch, exc_type):
-    # the tails of (3, 2) from 512 on, forked into the second tail range at
-    # 2 workers: their top tail digit is 1
+def test_worker_error_reraised_with_type_and_message(three_workers,
+                                                     monkeypatch, exc_type):
+    # the tails of (3, 2) from 512 on, in the second tail range at 2
+    # workers: their top tail digit is 1
     check = counting._tail_check
 
     def faulty(tail, coeff, p, lane):
@@ -677,10 +705,9 @@ def test_child_error_reraised_with_type_and_message(three_workers,
         assert type(exc.value) is exc_type
         messages.add(str(exc.value))
     assert messages == {"a tail with a_45 = 1 at (n, p) = (3, 2)"}
-    _assert_no_child_left()
 
 
-def test_child_sample_fault_names_same_offender(three_workers, monkeypatch):
+def test_worker_sample_fault_names_same_offender(three_workers, monkeypatch):
     # a determinant off by one on the matrices of (3, 2) whose top tail
     # entry a_45 is 1, all in the second tail range at 2 workers
     det = counting._batched_det
@@ -695,76 +722,34 @@ def test_child_sample_fault_names_same_offender(three_workers, monkeypatch):
     # the first sampled index of the second tail range
     first = -(-2 ** 14 // counting.SPOT_STRIDE) * counting.SPOT_STRIDE
     assert f"the first is index {first} at (n, p) = (3, 2)" in message
-    _assert_no_child_left()
 
 
-def test_killed_child_is_a_consistency_error(three_workers, monkeypatch,
-                                             capsys):
-    from motivic.cli import main
+@pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
+def test_first_range_error_stops_workers(three_workers, monkeypatch,
+                                         exc_type):
+    # the first tail range fails at once while the others wait a minute on
+    # the stop event, then resume the real scan, which stops before its
+    # first run of tails: the scan raises at once, and only after every
+    # worker thread has ended
     scan = counting._scan_range
+    resumed = []
 
-    def killed(args):
-        # every tail range but the first runs in a forked child
-        if args[2][0]:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return scan(args)
+    def waiting_or_failing(n, p, h0, h1, want_rank, spot_stride, stop):
+        if h0:
+            stop.wait(60)
+            resumed.append(scan(n, p, h0, h1, want_rank, spot_stride, stop))
+            return resumed[-1]
+        raise exc_type("first tail range failed")
 
-    monkeypatch.setattr(counting, "_scan_range", killed)
-    with _deadline(60):
-        with pytest.raises(ConsistencyError) as exc:
-            scan_skew(3, 2, "hist", workers=2)
-        assert str(exc.value) == (
-            "the scan worker of tails [512, 1024) ended without a result "
-            f"(wait status {signal.SIGKILL}: killed by signal "
-            f"{signal.SIGKILL})")
-        _assert_no_child_left()
-        # the 125 tails of (2, 5) in three ranges
-        code = main(["count", "rank", "--n", "2", "--p", "5",
-                     "--workers", "3"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert err.startswith("fatal: the scan worker of tails [42, 84) ended "
-                          "without a result")
-    assert len(err.splitlines()) == 1
-    _assert_no_child_left()
-
-
-def test_parent_error_kills_running_children(three_workers, monkeypatch):
-    # the first tail range fails at once while the others would take a
-    # minute: the scan raises at once and leaves no process behind
-    scan = counting._scan_range
-
-    def slow_or_failing(args):
-        if args[2][0]:
-            time.sleep(60)
-            return scan(args)
-        raise ValueError("first tail range failed")
-
-    monkeypatch.setattr(counting, "_scan_range", slow_or_failing)
+    monkeypatch.setattr(counting, "_scan_range", waiting_or_failing)
+    threads = threading.active_count()
     start = time.perf_counter()
     with _deadline(30):
-        with pytest.raises(ValueError, match="first tail range failed"):
+        with pytest.raises(exc_type, match="first tail range failed"):
             scan_skew(3, 2, "hist", workers=3)
     assert time.perf_counter() - start < 10
-    _assert_no_child_left()
-
-
-def test_receive_mid_result_is_no_result():
-    # a child's whole result, or a pipe that ends anywhere before its end,
-    # which is no result
-    part = counting._scan_range((2, 5, (40, 60), True, 7))
-    data = pickle.dumps(part)
-    for cut in range(len(data) + 1):
-        r, w = os.pipe()
-        with open(w, "wb") as out:
-            out.write(data[:cut])
-        with open(r, "rb") as src:
-            got = counting._receive(src)
-        if cut < len(data):
-            assert got is None, cut
-        else:
-            assert got["hist"].tolist() == part["hist"].tolist()
-            assert got["ck"].tolist() == part["ck"].tolist()
+    assert threading.active_count() == threads
+    assert resumed == [None, None]
 
 
 def _import_in_fresh_process(code, **extra_env):
