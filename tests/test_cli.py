@@ -42,6 +42,21 @@ def test_epoly_json_with_trace_and_eval(capsys):
     assert any("cone" in s["rule"] for s in payload["trace"])
 
 
+def test_epoly_trace_matches_golden(capsys):
+    # each block is "# <expr>" and the exact output of `epoly <expr> --trace
+    # --format json`; together they reach every rule of the evaluator: a
+    # compact leaf, the converted leaves gl, sp, homM and milnorF, cone,
+    # pfhyp, product, fib, complement and disjoint union
+    golden = Path(__file__).parent / "golden" / "epoly_trace.txt"
+    blocks = golden.read_text().split("# ")[1:]
+    assert len(blocks) == 5
+    for block in blocks:
+        expr, want = block.split("\n", 1)
+        code, out, _ = run(capsys, "epoly", expr, "--trace", "--format",
+                           "json")
+        assert code == 0 and out == want, expr
+
+
 def test_epoly_rational_evaluation(capsys):
     code, out, _ = run(capsys, "epoly", "torus", "--format", "json",
                        "--at", "1/2", "1/3")
