@@ -3,13 +3,14 @@ vanishing-cycle module, and the Hilbert scheme of four points on affine
 3-space, cross-verified against exhaustive finite-field point counts."""
 
 from .laurent import (BettiPoly, LaurentPoly2, PowerSeries1, dualize,
-                      euler_product, format_poly, parse_poly, q_power,
-                      self_dual_convert, shift_apply, twist_apply)
+                      euler_product, format_poly, gaussian_binomial,
+                      parse_poly, q_power, self_dual_convert, shift_apply,
+                      twist_apply)
 from .skew import (GF, INTEGERS, CoeffDomain, SkewMatrix, check_equivariance,
                    pfaffian, skew_rank, stratum_dim)
-from .counting import gaussian_binomial, scan_skew
+from .counting import scan_skew
 from .spaces import (dimension, ec, ec_traced, format_space_expr,
-                     kind_convert, parse_space_expr)
+                     parse_space_expr)
 from .weights import (CompFactor, FilteredHodgeObject, ec_ic_X,
                       ec_of_object, ec_vanishing_cycles,
                       twist_bookkeeping_check, vanishing_cycle_object)

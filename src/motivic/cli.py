@@ -86,7 +86,7 @@ def _worker_count(text):
 
 def _add_scan_flags(p):
     p.add_argument("--workers", type=_worker_count, default=1,
-                   help="worker processes for exhaustive scans")
+                   help="worker threads for exhaustive scans")
     p.add_argument("--cap", type=int, default=None,
                    help="enumeration cap (default 10^8)")
 

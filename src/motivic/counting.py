@@ -76,7 +76,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from .errors import CapExceededError, ConsistencyError
-from .laurent import LaurentPoly2, _u_div_exact, _u_mul
 from .skew import SkewMatrix, _is_prime, _pair_index
 
 DEFAULT_CAP = 10 ** 8
@@ -647,17 +646,3 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
                       tails_checked=tails, elapsed=end - t0, phases=phases,
                       workers=[(h0 * block, h1 * block, part["elapsed"])
                                for (h0, h1), part in zip(ranges, parts)])
-
-
-def gaussian_binomial(n, k):
-    """The q-binomial coefficient [n choose k]_q as a polynomial in q = xy,
-    computed by exact division of cyclotomic-style products."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    num = {0: 1}
-    den = {0: 1}
-    for i in range(1, k + 1):
-        num = _u_mul(num, {0: 1, n - k + i: -1})
-        den = _u_mul(den, {0: 1, i: -1})
-    quot = _u_div_exact(num, den)
-    return LaurentPoly2({(d, d): c for d, c in quot.items()})

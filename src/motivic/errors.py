@@ -27,9 +27,5 @@ class MissingInclusionError(ValueError):
     """A complement was evaluated without a recognized closed inclusion."""
 
 
-class MissingDimensionError(ValueError):
-    """A kind conversion was requested without a declared smooth dimension."""
-
-
 class MissingBasePolynomialError(ValueError):
     """A factor's support has no registered base polynomial."""

@@ -1,6 +1,7 @@
 """Exact sparse bivariate Laurent polynomials and the transformation rules
 used throughout the E-polynomial bookkeeping: shift, Tate twist, duality and
-self-dual conversion.  No floating point is used anywhere in this module.
+self-dual conversion; also Betti polynomials, Gaussian binomials and Euler
+products.  No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -542,6 +543,20 @@ def _u_div_exact(num, den):
             else:
                 num.pop(k, None)
     return out
+
+
+def gaussian_binomial(n, k):
+    """The q-binomial coefficient [n choose k]_q as a polynomial in q = xy,
+    computed by exact division of cyclotomic-style products."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    num = {0: 1}
+    den = {0: 1}
+    for i in range(1, k + 1):
+        num = _u_mul(num, {0: 1, n - k + i: -1})
+        den = _u_mul(den, {0: 1, i: -1})
+    quot = _u_div_exact(num, den)
+    return LaurentPoly2({(d, d): c for d, c in quot.items()})
 
 
 # -- Euler products ------------------------------------------------------------

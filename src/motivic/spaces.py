@@ -6,8 +6,8 @@ locally trivial fibrations multiply, complements of recognized closed
 inclusions subtract, disjoint unions add.  The catalog stores each entry in
 the form its source states it (ordinary E for the group-theoretic spaces
 and the Milnor fibre, Betti polynomials for the compact ones) together with
-a kind tag and smooth dimension; the evaluator works internally with E_c
-and converts at the leaves.
+whether it is compact; the evaluator works internally with E_c and converts
+an ordinary E at its leaf by smooth duality in the leaf's dimension.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
-from .counting import gaussian_binomial
-from .errors import (CapExceededError, MissingDimensionError,
-                     MissingInclusionError, ParseError)
-from .laurent import (BettiPoly, Lexer, ONE, const, format_poly, q_power,
-                      self_dual_convert)
+from .errors import CapExceededError, MissingInclusionError, ParseError
+from .laurent import (BettiPoly, Lexer, ONE, const, format_poly,
+                      gaussian_binomial, q_power, self_dual_convert)
 
 
 class SpaceExpr:
@@ -106,29 +104,6 @@ def _children(e):
     return e.base, e.fibre
 
 
-# -- kinds and conversion --------------------------------------------------------
-
-@dataclass(frozen=True)
-class EKind:
-    """Which E-polynomial convention a value is in, plus the smooth
-    dimension needed to convert between the two."""
-
-    compact: bool
-    smooth_dim: int | None = None
-
-
-def kind_convert(p, frm, to):
-    """Convert between ordinary E and compactly supported E_c of a smooth
-    variety: multiply by (xy)^dim after inverting the variables."""
-    if frm.compact == to.compact:
-        return p
-    dim = frm.smooth_dim if frm.smooth_dim is not None else to.smooth_dim
-    if dim is None:
-        raise MissingDimensionError(
-            "conversion between E and E_c needs a declared smooth dimension")
-    return self_dual_convert(p, dim)
-
-
 # -- the catalog -----------------------------------------------------------------
 
 def _one_minus_q_product(exponents):
@@ -189,45 +164,46 @@ def betti_grassmannian(k=2, n=6):
 class LeafRow(NamedTuple):
     """One leaf of the grammar, as functions of its arguments in grammar
     order: whether they are valid (if not, the ValueError text is `error`
-    formatted with them), its smooth dimension and its catalog entry
-    (stated polynomial, compact?).  Leaves that _ec expands by rule have
-    no catalog entry."""
+    formatted with them), its smooth dimension and its catalog entry: the
+    stated polynomial, which is E_c if `compact` and ordinary E of a smooth
+    variety if not.  Leaves that _ec expands by rule have no catalog
+    entry."""
 
     arity: int
     valid: Callable
     error: str
     dim: Callable
-    entry: Callable | None = None
+    stated: Callable | None = None
+    compact: bool = True
 
 
 LEAVES = {
-    "point": LeafRow(0, lambda: True, "", lambda: 0, lambda: (ONE, True)),
+    "point": LeafRow(0, lambda: True, "", lambda: 0, lambda: ONE),
     # the one-dimensional torus C^*
     "torus": LeafRow(0, lambda: True, "", lambda: 1,
-                     lambda: (q_power(1) - ONE, True)),
+                     lambda: q_power(1) - ONE),
     "affine": LeafRow(1, lambda n: n >= 0, "affine dimension must be >= 0",
-                      lambda n: n, lambda n: (q_power(n), True)),
+                      lambda n: n, q_power),
     "proj": LeafRow(
         1, lambda n: n >= 0, "projective dimension must be >= 0", lambda n: n,
-        lambda n: (sum((q_power(i) for i in range(n + 1)), const(0)), True)),
+        lambda n: sum((q_power(i) for i in range(n + 1)), const(0))),
     "grass": LeafRow(2, lambda k, n: 0 <= k <= n,
                      "need 0 <= k <= n, got grass({},{})",
                      lambda k, n: k * (n - k),
-                     lambda k, n: (gaussian_binomial(n, k), True)),
+                     lambda k, n: gaussian_binomial(n, k)),
     "gl": LeafRow(1, lambda m: m >= 1, "gl(m) needs m >= 1", lambda m: m * m,
-                  lambda m: (catalog_e_GL(m), False)),
+                  catalog_e_GL, compact=False),
     # Sp(m, C) with m even
     "sp": LeafRow(1, lambda m: m >= 2 and m % 2 == 0,
                   "sp(m) needs even m >= 2", lambda m: m // 2 * (m + 1),
-                  lambda m: (catalog_e_Sp(m // 2), False)),
+                  lambda m: catalog_e_Sp(m // 2), compact=False),
     # GL(2n)/Sp(2n): the open locus of nondegenerate skew 2n x 2n matrices
     "homM": LeafRow(1, lambda n: n >= 1, "homM(n) needs n >= 1",
-                    lambda n: n * (2 * n - 1),
-                    lambda n: (catalog_e_M(n), False)),
+                    lambda n: n * (2 * n - 1), catalog_e_M, compact=False),
     # the global Milnor fibre {Pf = 1} of the 2n x 2n Pfaffian
     "milnorF": LeafRow(1, lambda n: n >= 2, "milnorF(n) needs n >= 2",
-                       lambda n: 2 * n * n - n - 1,
-                       lambda n: (catalog_e_F(n), False)),
+                       lambda n: 2 * n * n - n - 1, catalog_e_F,
+                       compact=False),
     # {Pf = 0} inside the space of 2n x 2n skew matrices
     "pfhyp": LeafRow(1, lambda n: n >= 1, "pfhyp(n) needs n >= 1",
                      lambda n: n * (2 * n - 1) - 1),
@@ -257,12 +233,12 @@ ConeOverPlucker = partial(leaf, "cone")
 
 
 def catalog_entry(e):
-    """The stated polynomial and kind tag of a catalog leaf."""
+    """The stated polynomial of a catalog leaf and whether it is E_c (if
+    not, it is ordinary E)."""
     row = LEAVES[e.name] if isinstance(e, Leaf) else None
-    if row is None or row.entry is None:
+    if row is None or row.stated is None:
         raise KeyError(f"no catalog entry for {format_space_expr(e)}")
-    stated, compact = row.entry(*e.args)
-    return stated, EKind(compact=compact, smooth_dim=row.dim(*e.args))
+    return row.stated(*e.args), row.compact
 
 
 # -- closed inclusions -------------------------------------------------------------
@@ -374,12 +350,12 @@ def _ec(e, steps):
         for part in e.parts:
             value = value + _ec(part, steps)
         return _record(steps, e, "disjoint union: add", value)
-    stated, kind = catalog_entry(e)
-    value = kind_convert(stated, kind, EKind(compact=True))
-    rule = ("catalog leaf" if kind.compact else
-            f"catalog leaf, converted from ordinary E "
-            f"(smooth dimension {kind.smooth_dim})")
-    return _record(steps, e, rule, value)
+    stated, compact = catalog_entry(e)
+    if compact:
+        return _record(steps, e, "catalog leaf", stated)
+    dim = dimension(e)
+    return _record(steps, e, f"catalog leaf, converted from ordinary E "
+                   f"(smooth dimension {dim})", self_dual_convert(stated, dim))
 
 
 # -- textual grammar ----------------------------------------------------------------

@@ -10,18 +10,17 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import hilb4 as h4
-from .counting import (DEFAULT_CAP, _power_text, gaussian_binomial,
-                       scan_skew)
+from .counting import DEFAULT_CAP, _power_text, scan_skew
 from .errors import CapExceededError
 from .laurent import (BettiPoly, LaurentPoly2, ONE, _u_div_exact, format_poly,
-                      parse_poly, q_power, self_dual_convert)
+                      gaussian_binomial, parse_poly, q_power,
+                      self_dual_convert)
 from .skew import (GF, SkewMatrix, bareiss_det, check_equivariance, mat_det,
                    pfaffian, pfaffian_pairings, skew_rank, stratum_dim)
-from .spaces import (ConeOverPlucker, EKind, Grass, HomSpaceM, MilnorFibreF,
+from .spaces import (ConeOverPlucker, Grass, HomSpaceM, MilnorFibreF,
                      PfaffianHypersurface, betti_grassmannian,
                      catalog_betti_F, catalog_betti_M1, catalog_e_F,
-                     catalog_e_GL, catalog_e_M, catalog_e_Sp, ec,
-                     kind_convert)
+                     catalog_e_GL, catalog_e_M, catalog_e_Sp, ec)
 from .weights import (FilteredHodgeObject, e_ic_X, ec_ic_X, ec_of_object,
                       ec_vanishing_cycles, phi4_restricted_object,
                       twist_bookkeeping_check, vanishing_cycle_object)
@@ -238,7 +237,7 @@ def _suite_milnor(ctx):
     checks.append(_check(
         "E(F) for n = 3", "Prop 2.3(iii)",
         parse_poly("(1 - x^3*y^3) * (1 - x^5*y^5)"), catalog_e_F(3)))
-    ec_f3 = kind_convert(catalog_e_F(3), EKind(False, 14), EKind(True))
+    ec_f3 = self_dual_convert(catalog_e_F(3), 14)
     checks.append(_check(
         "E_c(F) for n = 3 by smooth duality in dimension 14", "(VD2)",
         parse_poly("(x*y)^14 - (x*y)^11 - (x*y)^9 + (x*y)^6"), ec_f3))
@@ -265,7 +264,7 @@ def _suite_milnor(ctx):
         "b_0 = b_4 = b_8 = 1", "Prop 2.7(iii) proof",
         [1 if k in (0, 4, 8) else 0 for k in range(10)], link))
 
-    ec_m3 = kind_convert(catalog_e_M(3), EKind(False, 15), EKind(True))
+    ec_m3 = self_dual_convert(catalog_e_M(3), 15)
     checks.append(_check(
         "E_c(M) = (xy - 1) * E_c(F) for n = 3", "Prop 2.3(i)",
         ec_m3, (q_power(1) - ONE) * ec_f3))
@@ -273,8 +272,8 @@ def _suite_milnor(ctx):
     checks.append(_check(
         "affine n-space converts between E = 1 and E_c = q^n, n = 0..4",
         "derived", [True] * 5,
-        [kind_convert(q_power(n), EKind(True, n), EKind(False)) == ONE
-         and kind_convert(ONE, EKind(False, n), EKind(True)) == q_power(n)
+        [self_dual_convert(q_power(n), n) == ONE
+         and self_dual_convert(ONE, n) == q_power(n)
          for n in range(5)]))
     checks.append(_check(
         "(xy)^k is a conversion fixed point in dimension 2k, k = 0..4",
@@ -472,7 +471,7 @@ def _suite_katz(ctx):
     cap = ctx.cap if ctx.cap is not None else DEFAULT_CAP
 
     def want(fam):
-        return ctx.katz_family is None or ctx.katz_family == fam
+        return ctx.katz_family in (None, "all", fam)
 
     checks = []
     for p in ctx.p_list:

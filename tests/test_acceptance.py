@@ -12,20 +12,19 @@ from conftest import ACCEPTANCE_LINES
 
 from motivic import counting
 from motivic.cli import main
-from motivic.counting import gaussian_binomial, scan_skew
+from motivic.counting import scan_skew
 from motivic.hilb4 import (dt_invariant, ec_hilb4_total, goettsche_coeff,
                            goettsche_series, macmahon_series,
                            singular_fixed_point_residual,
                            smooth_fixed_point_poly)
-from motivic.laurent import (LaurentPoly2, ONE, dualize, parse_poly, q_power,
-                             self_dual_convert)
+from motivic.laurent import (LaurentPoly2, ONE, dualize, gaussian_binomial,
+                             parse_poly, q_power, self_dual_convert)
 from motivic.skew import (GF, SkewMatrix, bareiss_det, check_equivariance,
                           mat_det, pfaffian)
-from motivic.spaces import (ConeOverPlucker, EKind, Grass,
-                            MilnorFibreF, betti_grassmannian,
-                            catalog_betti_F, catalog_betti_M1, catalog_e_F,
-                            catalog_e_GL, catalog_e_M, catalog_e_Sp, ec,
-                            kind_convert)
+from motivic.spaces import (ConeOverPlucker, Grass, MilnorFibreF,
+                            betti_grassmannian, catalog_betti_F,
+                            catalog_betti_M1, catalog_e_F, catalog_e_GL,
+                            catalog_e_M, catalog_e_Sp, ec)
 from motivic.weights import ec_vanishing_cycles
 
 rng = random.Random(624001)
@@ -211,8 +210,6 @@ def test_criterion_8_duality_laws():
             assert dualize(dualize(p)) == p
             assert self_dual_convert(self_dual_convert(p, n), n) == p
         ec_f3 = self_dual_convert(catalog_e_F(3), 14)
-        assert ec_f3 == kind_convert(catalog_e_F(3), EKind(False, 14),
-                                     EKind(True))
         assert ec_f3 == parse_poly("(x*y)^14 - (x*y)^11 - (x*y)^9 + (x*y)^6")
         assert ec_f3.eval_q(2) == 13888
 

@@ -329,6 +329,15 @@ def test_verify_suite_flag_only_for_katz(capsys):
     assert code == 2
 
 
+def test_verify_katz_suite_all_keeps_every_row(capsys):
+    code, every, _ = run(capsys, "verify", "katz", "--p", "2", "--format",
+                         "json")
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "katz", "--suite", "all", "--p", "2",
+                       "--format", "json")
+    assert code == 0 and out == every
+
+
 def test_verify_katz_impossible_cap_exit_3(capsys):
     code, _, err = run(capsys, "verify", "katz", "--p", "2", "--cap", "10")
     assert code == 3

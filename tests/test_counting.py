@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from motivic import counting
-from motivic.counting import DEFAULT_CAP, gaussian_binomial, scan_skew
+from motivic.counting import DEFAULT_CAP, scan_skew
 from motivic.errors import CapExceededError, ConsistencyError
-from motivic.laurent import ONE, q_power
+from motivic.laurent import ONE, gaussian_binomial, q_power
 from motivic.skew import (GF, SkewMatrix, _is_prime, bareiss_det,
                           parse_skew_literal, pfaffian, skew_rank)
 from motivic.spaces import ConeOverPlucker, Grass, MilnorFibreF, ec
@@ -785,7 +785,7 @@ def test_int64_overflow_refused_before_scanning(monkeypatch):
     monkeypatch.setattr(counting, "_split_ranges",
                         lambda *args: pytest.fail("the scan started"))
     # the cap admits 751^6 and 19^15 matrices; int64 could overflow in the
-    # spot check's elimination (n = 2) or in the matrix index (n = 3)
+    # spot check's cofactor expansion (n = 2) or in the matrix index (n = 3)
     with pytest.raises(CapExceededError, match="overflow int64"):
         scan_skew(2, 751, "hist", cap=10 ** 18)
     with pytest.raises(CapExceededError, match="overflow int64"):

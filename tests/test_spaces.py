@@ -2,19 +2,19 @@ import random
 
 import pytest
 
-from motivic.counting import gaussian_binomial
-from motivic.errors import (CapExceededError, MissingDimensionError,
-                            MissingInclusionError, ParseError)
-from motivic.laurent import ONE, parse_poly, q_power
+from motivic.errors import (CapExceededError, MissingInclusionError,
+                            ParseError)
+from motivic.laurent import (ONE, BettiPoly, gaussian_binomial, parse_poly,
+                             q_power, self_dual_convert)
 from motivic.spaces import (EC_DIMENSION_CAP, LEAVES, Affine, Complement,
-                            ConeOverPlucker, Disjoint, EKind, FibrationTotal,
+                            ConeOverPlucker, Disjoint, FibrationTotal,
                             GLGroup, Grass, HomSpaceM, MilnorFibreF,
                             PfaffianHypersurface, Point, Product, Proj,
                             SpGroup, Torus, betti_grassmannian,
                             catalog_betti_F, catalog_betti_M1, catalog_e_F,
                             catalog_e_GL, catalog_e_M, catalog_e_Sp,
                             catalog_entry, closed_inclusion_note, dimension,
-                            ec, ec_traced, format_space_expr, kind_convert,
+                            ec, ec_traced, format_space_expr,
                             parse_space_expr)
 
 rng = random.Random(77113)
@@ -83,10 +83,21 @@ def test_betti_grassmannian():
     assert all(v in (0, 1) for v in link)
 
 
+def test_gaussian_binomial_is_grassmannian_betti_polynomial():
+    # [n choose k]_q by exact division against the Schubert-cell count of
+    # Gr(k, n), under t^2 = q
+    for n in range(9):
+        for k in range(n + 1):
+            gb = gaussian_binomial(n, k)
+            assert gb.is_tate()
+            assert BettiPoly({2 * a: c for (a, _), c in gb.terms.items()}) \
+                == betti_grassmannian(k, n), (n, k)
+
+
 def test_milnor_fibre_compact_form():
-    e_c = kind_convert(catalog_e_F(3), EKind(False, 14), EKind(True))
+    e_c = self_dual_convert(catalog_e_F(3), 14)
     assert e_c == parse_poly("(x*y)^14 - (x*y)^11 - (x*y)^9 + (x*y)^6")
-    e_c2 = kind_convert(catalog_e_F(2), EKind(False, 5), EKind(True))
+    e_c2 = self_dual_convert(catalog_e_F(2), 5)
     assert e_c2 == q_power(5) - q_power(2)
     assert ec(MilnorFibreF(3)) == e_c
 
@@ -96,12 +107,6 @@ def test_homspace_compact_form():
     ec_f = ec(MilnorFibreF(3))
     assert ec_m == (q_power(1) - ONE) * ec_f
     assert ec_m.eval_q(2) == 13888
-
-
-def test_kind_convert_requires_dimension():
-    with pytest.raises(MissingDimensionError):
-        kind_convert(ONE, EKind(False), EKind(True))
-    assert kind_convert(ONE, EKind(False), EKind(False)) == ONE
 
 
 def test_pfaffian_hypersurface_additivity():
@@ -298,7 +303,7 @@ def test_leaf_rows(name):
         with pytest.raises(KeyError):
             catalog_entry(e)
     else:
-        assert catalog_entry(e)[1] == EKind(compact=compact, smooth_dim=dim)
+        assert catalog_entry(e)[1] == compact
     with pytest.raises(TypeError if message is None else ValueError) as exc:
         ctor(*bad)
     if message is not None:
