@@ -238,6 +238,11 @@ def _cmd_verify(args):
 
 def _cmd_report(args):
     names = [s.strip() for s in args.suites.split(",") if s.strip()]
+    if not names:
+        # a report of no suite would pass having checked nothing
+        print(f"error: --suites {args.suites!r} names no suite",
+              file=sys.stderr)
+        return 2
     for name in names:
         if name not in SUITE_NAMES:
             print(f"error: unknown suite {name!r}", file=sys.stderr)
@@ -320,7 +325,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -336,6 +341,12 @@ def main(argv=None):
     except Exception as exc:
         print(f"fatal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    if argv is None:
+        # numpy, which a scan loads after the freeze above, and what the
+        # command built live until exit too: the collector need not walk
+        # them at shutdown
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -70,10 +70,11 @@ from itertools import combinations
 # Nothing here calls BLAS: every matrix product is int64, which numpy runs
 # in its own loops.  Its bundled OpenBLAS still starts one thread per extra
 # core when loaded, and each spins idle for about 0.1 s of CPU.  One thread
-# is enough; a value the caller set wins, and if numpy was imported before
-# this module the pool already exists and this line changes nothing.
+# is enough; a value the caller set wins.  numpy is imported only by the
+# functions that use it, so only a scan loads it, after this line; if the
+# caller loaded numpy first, the pool already exists and this changes
+# nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-import numpy as np  # noqa: E402
 
 from .errors import CapExceededError, ConsistencyError
 from .skew import SkewMatrix, _is_prime, _pair_index
@@ -152,6 +153,7 @@ def _lane(n, p):
     F_p: the narrowest of int16, int32 and int64 whose range holds twice
     the Hadamard bound ((p-1) sqrt(2n))^(2n), which bounds every term and
     partial sum (see `_check_int64`; the tail's minors are smaller)."""
+    import numpy as np
     bound = 2 * (p - 1) ** (2 * n) * (2 * n) ** n
     for lane in (np.int16, np.int32):
         if bound <= np.iinfo(lane).max:
@@ -183,12 +185,22 @@ def _plan(n):
     return pairs, avoid, forms
 
 
+def _mod(a, p):
+    """a mod p for an integer array and p > 0, in a's dtype.  a - (a // p) p
+    equals a % p in every lane: the quotient cannot overflow, and the
+    result, in [0, p), survives a wrap of (a // p) p below the lane's
+    minimum.  numpy's integer % by a scalar is several times slower than
+    its floor division."""
+    return a - a // p * p
+
+
 def _digits(values, p, count):
     """The `count` least significant base-p digits of an int64 array."""
     out = []
     for _ in range(count):
-        out.append(values % p)
-        values = values // p
+        high = values // p
+        out.append(values - high * p)  # `_mod`, reusing the quotient
+        values = high
     return out
 
 
@@ -196,6 +208,7 @@ class _TailMemo(dict):
     """The memo of `_tail_pfaffians`, which fills its own missing keys."""
 
     def __init__(self, tail, pairs, p, blocks):
+        import numpy as np
         super().__init__({(): np.ones(blocks, dtype=np.int64)})
         self.tail, self.pairs, self.p = tail, pairs, p
 
@@ -205,7 +218,7 @@ class _TailMemo(dict):
             term = (self.tail[self.pairs[s[0], j]]
                     * self[s[1:pos + 1] + s[pos + 2:]])
             acc = acc - term if pos % 2 else acc + term
-        value = self[s] = acc % self.p
+        value = self[s] = _mod(acc, self.p)
         return value
 
 
@@ -220,15 +233,17 @@ def _tail_pfaffians(tail, pairs, p, blocks):
 
 def _coefficients(form, pf, p, blocks, width0):
     """Row-0 coefficients mod p of one form, a row per selected block."""
+    import numpy as np
     out = np.zeros((blocks.size, width0), dtype=np.int64)
     for digit, sign, sub in form:
         c = pf(sub)[blocks]
-        out[:, digit] = c if sign > 0 else -c % p
+        out[:, digit] = c if sign > 0 else _mod(-c, p)
     return out
 
 
 def _vectors(ids, p, width0):
     """The coefficient vectors with these base-p ids, one per row."""
+    import numpy as np
     return np.array(_digits(ids, p, width0)).T
 
 
@@ -241,6 +256,7 @@ def _products(vectors, row0):
 def _row0_tables(block, p, width0):
     """The row-0 digit columns of all block = p^width0 row-0 values, in
     tables of at most _CHUNK columns."""
+    import numpy as np
     for c in range(0, block, _CHUNK):
         yield np.array(_digits(np.arange(c, min(c + _CHUNK, block),
                                          dtype=np.int64), p, width0))
@@ -249,6 +265,7 @@ def _row0_tables(block, p, width0):
 def _skew_stack(digits, size, dtype, count):
     """The (size, size, count) integer lifts of upper-triangle digit arrays,
     batch axis innermost: upper entries as stored, lower entries negated."""
+    import numpy as np
     M = np.zeros((size, size, count), dtype=dtype)
     for (i, j), d in zip(combinations(range(size), 2), digits):
         M[i, j] = d
@@ -268,6 +285,7 @@ def _laplace_plan(rows, cols):
     among the (r-1)-subsets), so that minor(S) = sum_pos (-1)^pos
     a[rows-r, S[pos]] minor(S without S[pos]).
     """
+    import numpy as np
     levels = []
     prev = {(c,): c for c in range(cols)}
     for r in range(2, rows + 1):
@@ -289,6 +307,7 @@ def _minors(M, rows):
     of the last r-1; no division and no pivot search, so every matrix
     takes the same steps, and only two levels of minors are alive at a
     time."""
+    import numpy as np
     if not rows:
         return np.ones((1, M.shape[2]), dtype=M.dtype)
     minors = M[rows[-1]]
@@ -309,6 +328,7 @@ def _minors(M, rows):
 
 def _batched_det(M):
     """Exact determinants of an (N, s, s) integer stack, in its dtype."""
+    import numpy as np
     s = M.shape[1]
     M = np.ascontiguousarray(M.transpose(1, 2, 0))  # batch axis innermost
     return _minors(M, tuple(range(s)))[0]
@@ -318,6 +338,7 @@ def _adjugate(B):
     """adj(B) of a (w, w, N) stack, batch axis innermost:
     adj(B)[i, j] = (-1)^(i+j) det(B without row j and column i), column j
     from the maximal minors of B without row j."""
+    import numpy as np
     w = B.shape[0]
     adj = np.empty_like(B)
     for j in range(w):
@@ -333,10 +354,11 @@ def _tail_check(tail, coeff, p, lane):
     the tail digits and c its row of `coeff`.  Returns the number of failing
     blocks and, for the first, (its row, i, j, adj(B)[i, j], c_i c_j mod p)
     at its first failing entry."""
+    import numpy as np
     count, w = coeff.shape
     adj = _adjugate(_skew_stack(tail, w, lane, count))
     c = coeff.T.astype(lane)
-    bad = ((adj - c[:, None] * c[None]) % p).reshape(w * w, count)
+    bad = _mod(adj - c[:, None] * c[None], p).reshape(w * w, count)
     hit = np.flatnonzero(bad.any(axis=0))
     if not hit.size:
         return 0, None
@@ -361,6 +383,7 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
     """Scan the tails h0 <= h < h1, each with all its row-0 values.
     Returns None, having scanned part of the range, if `stop` is set
     before a run of tails."""
+    import numpy as np
     t0 = time.perf_counter()
     # Allocated and freed at once, never touched: freeing one 4 MiB block
     # raises glibc's dynamic mmap and trim thresholds above a run's
@@ -430,11 +453,12 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
                 # from its id, times the sample's row-0 digits
                 vec = _vectors(ids[sel // block - lo], p, width0)
                 row0 = np.array(digits[:width0]).T
-                pfv = _products(vec[:, None], row0[:, :, None]).ravel() % p
+                pfv = _mod(_products(vec[:, None], row0[:, :, None]).ravel(),
+                           p)
                 det = _batched_det(
                     _skew_stack(digits, size, lane, sel.size)
                     .transpose(2, 0, 1))
-                bad = np.flatnonzero((det - pfv * pfv) % p)
+                bad = np.flatnonzero(_mod(det - pfv * pfv, p))
                 if bad.size and first_bad is None:
                     first_bad = int(sel[bad[0]])
                 violations += int(bad.size)
@@ -463,8 +487,8 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
     u = time.perf_counter()
     phases["pfaffian_classes"] = u - t
     for k in sorted(form_ids):
-        # x % p != 0 for every value a row-0 form can take
-        nonzero = np.arange(width0 * (p - 1) ** 2 + 1) % p != 0
+        # x mod p != 0 for every value a row-0 form can take
+        nonzero = _mod(np.arange(width0 * (p - 1) ** 2 + 1), p) != 0
         fids = np.concatenate(form_ids.pop(k))
         uniq, inv = np.unique(fids, return_inverse=True)
         inv = inv.reshape(fids.shape)
@@ -589,6 +613,9 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     total = p ** m
     _check_int64(n, p, total)
     want_rank = mode == "full"
+    # loaded here, in the calling thread, so that no worker thread loads
+    # it and the scan's clocks time the scan alone
+    import numpy  # noqa: F401
     t0 = time.perf_counter()
     # built before any range allocates its scratch: the report peaked about
     # 0.2 MiB higher when the first range built it

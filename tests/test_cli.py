@@ -469,6 +469,13 @@ def test_report_subset(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suites", [",", "", " , "])
+def test_report_of_no_suite_exit_2(capsys, suites):
+    code, out, err = run(capsys, "report", "--suites", suites)
+    assert code == 2 and out == ""
+    assert err == f"error: --suites {suites!r} names no suite\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["count", "rank", "--n", "2"]) == 2  # missing --p
     assert main(["bogusverb"]) == 2
@@ -585,6 +592,45 @@ def test_process_entry_point_freezes_the_heap():
                          "file=sys.stderr)")
     code, frozen = map(int, out.stderr.split())
     assert code == 0 and frozen > 0
+    # a scan loads numpy after the first freeze; the second freezes it too
+    out = _fresh_process("-c", "import gc, sys\n"
+                         "from motivic.cli import main\n"
+                         "sys.argv = ['motivic', 'count', 'rank', '--n', "
+                         "'2', '--p', '3']\n"
+                         "code = main()\n"
+                         "import numpy\n"
+                         "print(code, any(o is vars(numpy) "
+                         "for o in gc.get_objects()), file=sys.stderr)")
+    assert out.stderr.split() == [b"0", b"False"]
+
+
+def _numpy_loaded_after(*commands):
+    """For each argv in `commands`, run in turn by `main` in one fresh
+    process after `import motivic` and `import motivic.cli`, whether numpy
+    had been loaded; the first two entries are for the imports."""
+    code = ("import contextlib, io, sys\n"
+            "import motivic\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "from motivic.cli import main\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            f"for argv in {list(commands)!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print('numpy' in sys.modules, file=sys.stderr)\n")
+    words = _fresh_process("-c", code).stderr.decode().split()
+    assert len(words) == 2 + len(commands)
+    return [word == "True" for word in words]
+
+
+def test_only_a_scan_loads_numpy():
+    # the algebra needs no numpy; only the katz oracle's scan imports it
+    assert _numpy_loaded_after(
+        ["epoly", "gl(4) * cone(grass(2,6))"], ["hilb4", "strata"],
+        ["dt", "count"], ["goettsche", "--n", "3"], ["verify", "mhm"],
+        ["report", "--suites", "pfaffian,milnor,mhm,hilb4,dt"]) == [False] * 8
+    for argv in (["count", "rank", "--n", "2", "--p", "3"],
+                 ["verify", "katz", "--p", "2"]):
+        assert _numpy_loaded_after(argv) == [False, False, True], argv
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -763,22 +763,56 @@ def _import_in_fresh_process(code, **extra_env):
                           text=True, check=True, env=env).stdout.split()
 
 
+# records OPENBLAS_NUM_THREADS as numpy starts to load, and then runs a scan,
+# which loads numpy if nothing has
+_WATCH_NUMPY = ("import os, sys\n"
+                "loaded_under = []\n"
+                "class Watch:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name == 'numpy':\n"
+                "            loaded_under.append("
+                "os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                "sys.meta_path.insert(0, Watch())\n")
+_SCAN = ("from motivic.counting import scan_skew\n"
+         "scan_skew(2, 3)\n")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task")
 def test_import_runs_on_one_thread():
-    # nothing calls BLAS, so numpy's OpenBLAS pool would only spin idle
-    code = ("import os\n"
-            "import motivic\n"
+    # nothing calls BLAS, so numpy's OpenBLAS pool would only spin idle;
+    # the scan is what loads numpy
+    code = (_WATCH_NUMPY
+            + "import motivic\n"
             "print(len(os.listdir('/proc/self/task')))\n"
             "import motivic.cli\n"
-            "print(len(os.listdir('/proc/self/task')))")
-    assert _import_in_fresh_process(code) == ["1", "1"]
+            "print(len(os.listdir('/proc/self/task')))\n"
+            + _SCAN
+            + "print(len(os.listdir('/proc/self/task')), *loaded_under)")
+    assert _import_in_fresh_process(code) == ["1", "1", "1", "1"]
 
 
 def test_import_keeps_callers_openblas_thread_count():
-    code = ("import os, motivic.cli\n"
-            "print(os.environ['OPENBLAS_NUM_THREADS'])")
-    assert _import_in_fresh_process(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+    code = (_WATCH_NUMPY + "import motivic.cli\n" + _SCAN
+            + "print(os.environ['OPENBLAS_NUM_THREADS'], *loaded_under)")
+    assert _import_in_fresh_process(code, OPENBLAS_NUM_THREADS="2") == \
+        ["2", "2"]
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_mod_by_floor_division_matches_remainder(dtype):
+    info = np.iinfo(dtype)
+    draw = random.Random(info.bits)
+    a = np.concatenate([
+        np.arange(info.min, info.min + 1000),
+        np.arange(-1000, 1000),
+        np.arange(info.max - 999, info.max + 1, dtype=np.int64),
+        np.array([draw.randrange(info.min, info.max + 1)
+                  for _ in range(1000)])]).astype(dtype)
+    for p in (2, 3, 5, 13, 743, 1009, 32749):
+        got = counting._mod(a, p)
+        assert got.dtype == dtype
+        assert np.array_equal(got, a % p), p
 
 
 def test_int64_overflow_refused_before_scanning(monkeypatch):
