@@ -21,8 +21,8 @@ from .hilb4 import (PLANE_PARTITION_CAP, PLANE_PARTITION_MAX, dt_invariant,
 from .laurent import common_exponent, format_poly, parse_poly
 from .spaces import dimension, ec_traced, format_space_expr, parse_space_expr
 from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, KATZ_FAMILIES,
-                     SUITE_NAMES, SuiteContext, canonical_json, emit_report,
-                     run_suite)
+                     SUITE_NAMES, SUITES, SuiteContext, canonical_json,
+                     emit_report, run_suite)
 
 
 # a rational in exponent notation, as `Fraction` reads it
@@ -243,14 +243,15 @@ def _cmd_report(args):
         print(f"error: --suites {args.suites!r} names no suite",
               file=sys.stderr)
         return 2
-    for name in names:
-        if name not in SUITE_NAMES:
-            print(f"error: unknown suite {name!r}", file=sys.stderr)
-            return 2
     return _run_and_emit(names, args)
 
 
 def _run_and_emit(names, args):
+    for name in names:
+        if name not in SUITES:
+            print(f"error: unknown suite {name!r}; choose from "
+                  f"{', '.join(SUITES)}", file=sys.stderr)
+            return 2
     ctx = SuiteContext(p_list=tuple(args.p), cap=args.cap,
                        workers=args.workers,
                        katz_family=getattr(args, "suite", None))

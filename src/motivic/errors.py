@@ -19,13 +19,9 @@ class ConsistencyError(RuntimeError):
     """Two routes that must agree exactly did not; fatal internal failure."""
 
 
-class WeightRuleError(ValueError):
-    """A composition factor violates its weight bookkeeping rule."""
-
-
 class MissingInclusionError(ValueError):
     """A complement was evaluated without a recognized closed inclusion."""
 
 
 class MissingBasePolynomialError(ValueError):
-    """A factor's support has no registered base polynomial."""
+    """A factor's space has no registered base polynomial."""

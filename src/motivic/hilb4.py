@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from .errors import CapExceededError
 from .laurent import (LaurentPoly2, ONE, const, euler_product, format_poly,
                       parse_poly, q_power, shift_apply, twist_apply)
-from .spaces import (Affine, ConeOverPlucker, FibrationTotal, Grass, Product,
-                     Proj, ec, format_space_expr)
-from .weights import ec_vanishing_cycles, phi4_restricted_object
+from .spaces import Affine, FibrationTotal, Proj, ec, format_space_expr
+from .weights import V4, ec_vanishing_cycles, phi4_restricted_object
 
 PLANE_PARTITION_CAP = 12
 # hard maximum weight: weight 20 has 75,278 plane partitions and takes
@@ -163,8 +162,6 @@ LINES_IN_SPACE = FibrationTotal(Proj(2), Affine(2))
 PLANES_IN_SPACE = FibrationTotal(Proj(2), Affine(1))
 LINES_IN_PLANE = FibrationTotal(Proj(1), Affine(1))
 
-V4_GEOMETRY = Product(Affine(3), ConeOverPlucker(Grass(2, 6)))
-
 # the six-step duality chain behind the open-stratum contribution, kept as
 # trace documentation; vc denotes the vanishing-cycle module on X
 V4_DUALITY_TRACE = (
@@ -253,7 +250,7 @@ def hilb4_strata():
     return [
         HilbStratum(
             label="V4",
-            geometry=format_space_expr(V4_GEOMETRY),
+            geometry=format_space_expr(V4),
             coefficient="pullback of the vanishing-cycle module on X, "
                         "shifted [3], twisted (3); weight factors "
                         + str(phi4.weights()),

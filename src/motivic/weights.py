@@ -1,21 +1,21 @@
 """Formal weight-filtration bookkeeping for the vanishing-cycle module on
 the cone X over Gr(2,6).
 
-Composition factors carry (support, kind, shift, twist, weight, space)
-with the weight rule enforced at construction: a module on a
-d-dimensional space with twist -t is pure of weight d + 2t, a point
-module counting as d = 0.  Stalk tables at the cone point are entered as
-cited constants; the conic structure identifies hypercohomology with the
-stalk, which is what makes the E-polynomials computable by two independent
-routes.
+A composition factor is its (kind, shift, twist, space), and its weight
+is derived from them: a module on a d-dimensional space with twist -t is
+pure of weight d + 2t, a point module counting as d = 0.  Stalk tables at
+the cone point are entered as cited constants; the conic structure
+identifies hypercohomology with the stalk, which is what makes the
+E-polynomials computable by two independent routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MissingBasePolynomialError, WeightRuleError
+from .errors import MissingBasePolynomialError
 from .laurent import const, q_power, self_dual_convert, shift_apply
+from .skew import stratum_dim
 from .spaces import (Affine, ConeOverPlucker, Grass, Product, SpaceExpr,
                      dimension, ec, format_space_expr)
 
@@ -27,11 +27,9 @@ class CompFactor:
     """A composition factor; `kind` is "point", "IC" or "constant" and
     `space` is None exactly for a point, which counts as dimension 0."""
 
-    support: str
     kind: str
     shift: int
     twist: int
-    weight: int
     space: SpaceExpr | None = None
 
     def __post_init__(self):
@@ -39,12 +37,11 @@ class CompFactor:
                 (self.space is None) != (self.kind == "point"):
             raise TypeError(f"not a module kind: {self.kind!r} on "
                             f"{self.space!r}")
+
+    @property
+    def weight(self):
         dim = 0 if self.space is None else dimension(self.space)
-        expected = dim - 2 * self.twist
-        if self.weight != expected:
-            raise WeightRuleError(
-                f"{self.kind_text()} with twist {self.twist} must have "
-                f"weight {expected}, got {self.weight}")
+        return dim - 2 * self.twist
 
     def kind_text(self):
         if self.space is None:
@@ -98,14 +95,13 @@ def ic_stalk_table():
     return {-9: 0, -5: -2, -1: -4}
 
 
-def link_hodge_twists():
-    """Tate twists of the nonzero cohomology of the punctured cone U."""
-    return {0: 0, 4: -2, 8: -4, 9: -5, 13: -7, 17: -9}
-
-
 # -- the vanishing-cycle object and its E-polynomials -----------------------------
 
 CONE_X = ConeOverPlucker(Grass(2, 6))
+# the open stratum of the Hilbert scheme of four points
+V4 = Product(Affine(3), CONE_X)
+# the dimension of the space of 6x6 skew matrices, in which X is a cone
+SKEW6_DIM = stratum_dim(3, 3)
 
 
 def vanishing_cycle_object():
@@ -114,9 +110,9 @@ def vanishing_cycle_object():
     weight 16.  It assumes that semisimple monodromy acts trivially, so the
     module is self-dual up to the Tate twist by 15."""
     return FilteredHodgeObject(factors=(
-        CompFactor("origin", "point", shift=0, twist=-7, weight=14),
-        CompFactor("X", "IC", shift=0, twist=-3, weight=15, space=CONE_X),
-        CompFactor("origin", "point", shift=0, twist=-8, weight=16),
+        CompFactor("point", shift=0, twist=-7),
+        CompFactor("IC", shift=0, twist=-3, space=CONE_X),
+        CompFactor("point", shift=0, twist=-8),
     ))
 
 
@@ -129,7 +125,7 @@ def e_ic_X():
 def ec_ic_X():
     """Compactly supported E of (X, IC_X): the IC module is self-dual up to
     the twist by dim X = 9."""
-    return self_dual_convert(e_ic_X(), 9)
+    return self_dual_convert(e_ic_X(), dimension(CONE_X))
 
 
 def ec_of_object(obj):
@@ -157,11 +153,11 @@ def _sum_factors(obj, compact):
                     "ordinary E of a constant module on an open stratum is "
                     "not additive factor data here")
             total = total + unit * ec(f.space)
-        elif f.support == "X":
+        elif f.space == CONE_X:
             total = total + unit * (ec_ic_X() if compact else e_ic_X())
         else:
             raise MissingBasePolynomialError(
-                f"no base polynomial registered for support {f.support!r}")
+                f"no base polynomial registered for {f.kind_text()}")
     return total
 
 
@@ -175,7 +171,7 @@ def ec_vanishing_cycles(route):
     """
     if route == "stalk-stratum":
         e = stalk_e(milnor_fibre_stalk_table())
-        return e, self_dual_convert(e, 15)
+        return e, self_dual_convert(e, SKEW6_DIM)
     if route == "weight-filtration":
         obj = vanishing_cycle_object()
         return e_of_object(obj), ec_of_object(obj)
@@ -187,11 +183,10 @@ def phi4_restricted_object():
     open stratum V4 = C^3 x X: constant modules on the singular locus
     S4 = C^3 in weights 11 and 13 around the IC of V4 in weight 12."""
     s4 = Affine(3)
-    v4 = Product(Affine(3), CONE_X)
     return FilteredHodgeObject(factors=(
-        CompFactor("S4", "constant", shift=3, twist=-4, weight=11, space=s4),
-        CompFactor("V4", "IC", shift=0, twist=0, weight=12, space=v4),
-        CompFactor("S4", "constant", shift=3, twist=-5, weight=13, space=s4),
+        CompFactor("constant", shift=3, twist=-4, space=s4),
+        CompFactor("IC", shift=0, twist=0, space=V4),
+        CompFactor("constant", shift=3, twist=-5, space=s4),
     ))
 
 
@@ -203,8 +198,8 @@ def twist_bookkeeping_check(m):
     the twist (m^2 - m).  For m <= 3 the quadratic-form reduction cancels
     the twist exactly and leaves the constant module on the smooth
     3m-dimensional Hilbert scheme.  For m = 4 the reduction by l = 9
-    variables lands in an 18-dimensional space which splits off a C^3
-    factor, leaving net shift [3] and twist (3).
+    variables lands in the 18-dimensional space C^3 x (6x6 skew matrices),
+    whose C^3 factor splits off, leaving net shift [3] and twist (3).
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -217,7 +212,7 @@ def twist_bookkeeping_check(m):
     if m == 4:
         l = 9
         reduced = dim - 2 * l
-        shift = reduced - 15
+        shift = reduced - SKEW6_DIM
         record.update({"lemma13_l": l, "embed_dim": reduced,
                        "residual_shift": shift, "residual_twist": twist - l,
                        "residual": f"[{shift}]({twist - l})",

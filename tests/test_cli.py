@@ -309,9 +309,14 @@ def test_verify_dt(capsys):
     assert payload["summary"]["passed"] == payload["summary"]["total"]
 
 
+UNKNOWN_SUITE = ("error: unknown suite 'nosuch'; choose from pfaffian, "
+                 "milnor, mhm, hilb4, dt, katz\n")
+
+
 def test_verify_unknown_suite_exit_2(capsys):
-    code = main(["verify", "nosuch"])
-    assert code == 2
+    code, out, err = run(capsys, "verify", "nosuch")
+    assert code == 2 and out == ""
+    assert err == UNKNOWN_SUITE
 
 
 def test_verify_suite_flag_only_for_katz(capsys):
@@ -465,8 +470,9 @@ def test_report_subset(capsys):
     payload = json.loads(out)
     assert [s["suite"] for s in payload["suites"]] == ["dt", "mhm"]
     assert payload["summary"]["passed"] == payload["summary"]["total"]
-    code, _, err = run(capsys, "report", "--suites", "dt,nosuch")
-    assert code == 2
+    code, out, err = run(capsys, "report", "--suites", "dt,nosuch")
+    assert code == 2 and out == ""
+    assert err == UNKNOWN_SUITE
 
 
 @pytest.mark.parametrize("suites", [",", "", " , "])
@@ -538,6 +544,15 @@ def test_json_reports_byte_identical_across_runs(capsys):
 def test_report_p2_matches_golden(capsys):
     golden = Path(__file__).parent / "golden" / "report_p2.json"
     code, out, _ = run(capsys, "report", "--p", "2", "--format", "json")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
+
+
+def test_hilb4_strata_matches_golden(capsys):
+    # the only golden of phi4's weights (`coefficient`) and of V4's
+    # geometry
+    golden = Path(__file__).parent / "golden" / "hilb4_strata.json"
+    code, out, _ = run(capsys, "hilb4", "strata", "--format", "json")
     assert code == 0
     assert out.encode() == golden.read_bytes()
 

@@ -1,12 +1,14 @@
+from dataclasses import fields
+
 import pytest
 
-from motivic.errors import MissingBasePolynomialError, WeightRuleError
+from motivic.errors import MissingBasePolynomialError
 from motivic.laurent import ONE, parse_poly, q_power, self_dual_convert
 from motivic.spaces import Affine, ConeOverPlucker, Grass, Product
-from motivic.weights import (CompFactor, FilteredHodgeObject, e_ic_X,
+from motivic.weights import (V4, CompFactor, FilteredHodgeObject, e_ic_X,
                              e_of_object, ec_ic_X, ec_of_object,
                              ec_vanishing_cycles, ic_stalk_table,
-                             link_hodge_twists, milnor_fibre_stalk_table,
+                             milnor_fibre_stalk_table,
                              phi4_restricted_object, stalk_e,
                              twist_bookkeeping_check, vanishing_cycle_object)
 
@@ -22,31 +24,33 @@ def test_vanishing_cycle_object_shape():
     assert [f.twist for f in obj.factors] == [-7, -3, -8]
 
 
+def test_factor_is_kind_shift_twist_and_space():
+    assert [f.name for f in fields(CompFactor)] == \
+        ["kind", "shift", "twist", "space"]
+
+
 def test_weight_rules():
     # point module: twist -k has weight 2k
-    assert CompFactor("origin", "point", 0, -7, 14).weight == 14
-    with pytest.raises(WeightRuleError):
-        CompFactor("origin", "point", 0, -7, 15)
+    assert CompFactor("point", 0, -7).weight == 14
     # IC on a 9-dimensional space with twist -3 has weight 9 + 6
-    CompFactor("X", "IC", 0, -3, 15, CONE)
-    with pytest.raises(WeightRuleError):
-        CompFactor("X", "IC", 0, -3, 14, CONE)
-    # constant module on C^3 with twist -4 has weight 3 + 8
-    CompFactor("S4", "constant", 3, -4, 11, Affine(3))
-    with pytest.raises(WeightRuleError):
-        CompFactor("S4", "constant", 3, -4, 12, Affine(3))
+    assert CompFactor("IC", 0, -3, CONE).weight == 15
+    # constant module on C^3 with twist -4 has weight 3 + 8, whatever
+    # its shift
+    assert CompFactor("constant", 3, -4, Affine(3)).weight == 11
+    assert CompFactor("constant", 0, -4, Affine(3)).weight == 11
+    # IC on V4 = C^3 x X, untwisted: weight 3 + 9
+    assert CompFactor("IC", 0, 0, V4).weight == 12
 
 
-def test_weight_rule_error_names_the_kind():
-    with pytest.raises(WeightRuleError) as info:
-        CompFactor("X", "IC", 0, -3, 14, CONE)
-    assert str(info.value) == \
-        "IC(cone(grass(2,6))) with twist -3 must have weight 15, got 14"
-    with pytest.raises(WeightRuleError) as info:
-        CompFactor("origin", "point", 0, -7, 15)
-    assert str(info.value) == "point with twist -7 must have weight 14, got 15"
-    assert CompFactor("S4", "constant", 3, -4, 11, Affine(3)).kind_text() \
+def test_missing_base_polynomial_error_names_the_kind():
+    missing = FilteredHodgeObject(factors=(CompFactor("IC", 0, 0, V4),))
+    with pytest.raises(MissingBasePolynomialError) as info:
+        ec_of_object(missing)
+    assert str(info.value) == "no base polynomial registered for " \
+        "IC(affine(3) * cone(grass(2,6)))"
+    assert CompFactor("constant", 3, -4, Affine(3)).kind_text() \
         == "constant(affine(3))"
+    assert CompFactor("point", 0, -7).kind_text() == "point"
 
 
 @pytest.mark.parametrize("kind, space", [
@@ -54,18 +58,18 @@ def test_weight_rule_error_names_the_kind():
     ("constant", None)])
 def test_factor_kind_and_space_must_match(kind, space):
     with pytest.raises(TypeError):
-        CompFactor("X", kind, 0, 0, 0, space)
+        CompFactor(kind, 0, 0, space)
 
 
 def test_weights_strictly_increasing():
-    f1 = CompFactor("origin", "point", 0, -7, 14)
+    f1 = CompFactor("point", 0, -7)
     with pytest.raises(ValueError):
         FilteredHodgeObject(factors=(f1, f1))
 
 
 def test_kinds_palindromic_reads_the_kinds():
-    point = CompFactor("S", "point", 0, -7, 14)
-    const = CompFactor("S", "constant", 0, -6, 15, Affine(3))
+    point = CompFactor("point", 0, -7)
+    const = CompFactor("constant", 0, -6, Affine(3))
     assert not FilteredHodgeObject(factors=(point, const)).kinds_palindromic()
 
 
@@ -76,13 +80,6 @@ def test_stalk_tables():
         -q_power(3) - q_power(5) + q_power(8)
     assert stalk_e(ic_stalk_table()) == -(ONE + q_power(2) + q_power(4))
     assert stalk_e({}) == 0
-
-
-def test_link_twists_consistent_with_ic_stalks():
-    link = link_hodge_twists()
-    # IC stalk in degree k carries the twist of the link in degree k + 9
-    for k, twist in ic_stalk_table().items():
-        assert twist == link[k + 9]
 
 
 def test_ic_polynomials():
@@ -126,13 +123,13 @@ def test_weight_filtration_route_decomposition():
 
 def test_ec_of_object_pieces():
     single = FilteredHodgeObject(
-        factors=(CompFactor("origin", "point", 0, -7, 14),))
+        factors=(CompFactor("point", 0, -7),))
     assert ec_of_object(single) == q_power(7)
     shifted = FilteredHodgeObject(
-        factors=(CompFactor("S", "constant", 3, 0, 3, Affine(3)),))
+        factors=(CompFactor("constant", 3, 0, Affine(3)),))
     assert ec_of_object(shifted) == -q_power(3)
     missing = FilteredHodgeObject(
-        factors=(CompFactor("Y", "IC", 0, -3, 15, CONE),))
+        factors=(CompFactor("IC", 0, -3, Affine(9)),))
     with pytest.raises(MissingBasePolynomialError):
         ec_of_object(missing)
 
@@ -144,7 +141,7 @@ def test_phi4_restricted_object():
     ic = obj.factors[1]
     assert (ic.kind, ic.space) == ("IC", Product(Affine(3), CONE))
     pieces = [ec_of_object(FilteredHodgeObject(factors=(f,)))
-              for f in obj.factors if f.support == "S4"]
+              for f in obj.factors if f.kind == "constant"]
     assert pieces == [-q_power(7), -q_power(8)]
 
 
@@ -166,6 +163,6 @@ def test_twist_bookkeeping():
 
 def test_ordinary_e_of_constant_module_rejected():
     obj = FilteredHodgeObject(
-        factors=(CompFactor("S", "constant", 3, 0, 3, Affine(3)),))
+        factors=(CompFactor("constant", 3, 0, Affine(3)),))
     with pytest.raises(ValueError):
         e_of_object(obj)
