@@ -1,0 +1,421 @@
+"""The kernel of `counting.scan_skew`, the only module that imports numpy.
+
+Matrices are enumerated by a mixed-radix integer index over the n(2n-1) free
+upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
+digits.  The index h L + r splits into a tail h and a row-0 value r, one
+of L = p^(2n-1): each block of L consecutive indices shares one tail, the
+odd skew matrix B without row and column 0.  A worker scans a range of
+whole tails h0 <= h < h1, each with all L of its row-0 values.
+
+By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
+the Pfaffian of a block is a linear form c . x in its row-0 digits x, whose
+coefficient vector c in F_p^(2n-1) is made of Pfaffians of the tail.  Ranks
+are read off from principal sub-Pfaffians (the rank of a skew matrix is the
+largest size of a nonzero one): a 2k-minor through index 0 is again a
+linear form in row 0, and one that avoids index 0 is a per-block boolean.
+
+A scan of a tail range makes two passes.  The tail pass walks its tails in
+runs of at most `_CHUNK // 16`, decoding each tail's digits once, and
+reduces every tail to the base-p id of its Pfaffian coefficient vector.
+For each rank level k < n, the tails with a nonzero 2k-minor count all
+L of their matrices; for the others it keeps the ids of their 2k-forms
+through index 0.  Many tails share a vector (the 3^10 tails of the 6x6
+scan over F_3 share 3^5), so the class pass then multiplies each distinct
+vector once by every row-0 value, brute force, in tables of at most
+`_CHUNK` row-0 values and `_CHUNK` entries:
+  - the Pfaffian products are tallied unreduced, scaled by the number of
+    blocks with that vector (vectors of equal multiplicity share one
+    bincount), and the short histogram is folded onto the residues mod p;
+  - a block is of rank >= 2k at row-0 value x when any of its 2k-forms is
+    nonzero at x, read from a bit table of each distinct form.
+Coefficients and digits lie in [0, p), so every product is a small
+non-negative integer; there is no float.
+
+Two checks re-derive the Pfaffians from determinants, which share no code
+with the Pfaffian path.  The tail check covers every matrix of the scan:
+since det(A) = x^T adj(B) x and Pf(A) = c . x, Pf^2 = det holds on a whole
+block when adj(B) = c c^T, an identity over Z that is checked mod p on all
+(2n-1)^2 entries once per tail, adj(B) from the maximal minors of B
+without each row.  The pointwise sample re-checks the decode and product
+path: each matrix whose global index is a multiple of `spot_stride` is
+decoded afresh from its index, its Pfaffian is its block's vector, decoded
+from its id, times its row-0 digits, and its determinant comes from the
+same batched, division-free cofactor expansion.  Both expansions run in
+the narrowest of int16, int32 and int64 that holds their bound (`_lane`).
+"""
+
+import os
+import time
+from functools import lru_cache
+from itertools import combinations
+
+# Nothing here calls BLAS: every matrix product is int64, which numpy runs
+# in its own loops.  Its bundled OpenBLAS still starts one thread per extra
+# core when loaded, and each spins idle for about 0.1 s of CPU.  One thread
+# is enough; a value the caller set wins.  If the caller loaded numpy
+# first, the pool already exists and this changes nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np
+
+from .counting import PHASES
+from .skew import _pair_index
+
+_CHUNK = 1 << 17
+_SAMPLE_BATCH = 2048
+
+
+def _lane(n, p):
+    """The integer dtype of the cofactor expansions of a 2n x 2n scan over
+    F_p: the narrowest of int16, int32 and int64 whose range holds twice
+    the Hadamard bound ((p-1) sqrt(2n))^(2n), which bounds every term and
+    partial sum (`counting._check_int64`; the tail's minors are smaller)."""
+    bound = 2 * (p - 1) ** (2 * n) * (2 * n) ** n
+    for lane in (np.int16, np.int32):
+        if bound <= np.iinfo(lane).max:
+            return lane
+    return np.int64
+
+
+@lru_cache(maxsize=None)
+def _plan(n):
+    """Index recipes of the first-row factoring for size 2n.
+
+    Returns (pairs, avoid, forms): `pairs` maps (i, j), 1 <= i < j, to its
+    tail digit; for 1 <= k < n, `avoid[k]` lists the 2k-subsets of
+    {1, ..., 2n-1}; for 1 <= k <= n, `forms[k]` has, for each
+    (2k-1)-subset S, the terms (row-0 digit, sign, S without j) of
+    Pf({0} + S) = sum_j sign a_0j Pf(S without j).  `forms[n]` is the
+    Pfaffian itself.
+    """
+    size = 2 * n
+    rest = range(1, size)
+    pairs = {(i, j): _pair_index(i, j, size) - (size - 1)
+             for i, j in combinations(rest, 2)}
+    avoid = {k: tuple(combinations(rest, 2 * k)) for k in range(1, n)}
+    forms = {k: tuple(tuple((j - 1, 1 if pos % 2 == 0 else -1,
+                             s[:pos] + s[pos + 1:])
+                            for pos, j in enumerate(s))
+                      for s in combinations(rest, 2 * k - 1))
+             for k in range(1, n + 1)}
+    return pairs, avoid, forms
+
+
+def _mod(a, p):
+    """a mod p for an integer array and p > 0, in a's dtype.  a - (a // p) p
+    equals a % p in every lane: the quotient cannot overflow, and the
+    result, in [0, p), survives a wrap of (a // p) p below the lane's
+    minimum.  numpy's integer % by a scalar is several times slower than
+    its floor division."""
+    return a - a // p * p
+
+
+def _digits(values, p, count):
+    """The `count` least significant base-p digits of an int64 array."""
+    out = []
+    for _ in range(count):
+        high = values // p
+        out.append(values - high * p)  # `_mod`, reusing the quotient
+        values = high
+    return out
+
+
+class _TailMemo(dict):
+    """The memo of `_tail_pfaffians`, which fills its own missing keys."""
+
+    def __init__(self, tail, pairs, p, blocks):
+        super().__init__({(): np.ones(blocks, dtype=np.int64)})
+        self.tail, self.pairs, self.p = tail, pairs, p
+
+    def __missing__(self, s):
+        acc = 0
+        for pos, j in enumerate(s[1:]):
+            term = (self.tail[self.pairs[s[0], j]]
+                    * self[s[1:pos + 1] + s[pos + 2:]])
+            acc = acc - term if pos % 2 else acc + term
+        value = self[s] = _mod(acc, self.p)
+        return value
+
+
+def _tail_pfaffians(tail, pairs, p, blocks):
+    """Sub-Pfaffians mod p of the tail (the matrix without row and column
+    0), as a function of the index subset returning one value per block;
+    the first-row recursion, memoised.  The memo is a dict, not a closure
+    that calls itself, so it is freed with its run rather than left to the
+    cyclic garbage collector."""
+    return _TailMemo(tail, pairs, p, blocks).__getitem__
+
+
+def _coefficients(form, pf, p, blocks, width0):
+    """Row-0 coefficients mod p of one form, a row per selected block."""
+    out = np.zeros((blocks.size, width0), dtype=np.int64)
+    for digit, sign, sub in form:
+        c = pf(sub)[blocks]
+        out[:, digit] = c if sign > 0 else _mod(-c, p)
+    return out
+
+
+def _vectors(ids, p, width0):
+    """The coefficient vectors with these base-p ids, one per row."""
+    return np.array(_digits(ids, p, width0)).T
+
+
+def _products(vectors, row0):
+    """The unreduced row-0 products of coefficient vectors and row-0 digit
+    columns (a matrix product, or a stack of them)."""
+    return vectors @ row0
+
+
+def _row0_tables(block, p, width0):
+    """The row-0 digit columns of all block = p^width0 row-0 values, in
+    tables of at most _CHUNK columns."""
+    for c in range(0, block, _CHUNK):
+        yield np.array(_digits(np.arange(c, min(c + _CHUNK, block),
+                                         dtype=np.int64), p, width0))
+
+
+def _skew_stack(digits, size, dtype, count):
+    """The (size, size, count) integer lifts of upper-triangle digit arrays,
+    batch axis innermost: upper entries as stored, lower entries negated."""
+    M = np.zeros((size, size, count), dtype=dtype)
+    for (i, j), d in zip(combinations(range(size), 2), digits):
+        M[i, j] = d
+        M[j, i] = -d
+    return M
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(rows, cols):
+    """Index recipes of the cofactor expansion of the maximal minors of a
+    rows x cols matrix, rows <= cols.
+
+    Level r = 2, ..., rows expands the minors of the last r rows along
+    their top row, rows - r.  Returns, per level, (rows - r, terms): the
+    r-subsets S of columns in lexicographic order, and for each position
+    pos < r the pair (column S[pos] of every S, index of S without S[pos]
+    among the (r-1)-subsets), so that minor(S) = sum_pos (-1)^pos
+    a[rows-r, S[pos]] minor(S without S[pos]).
+    """
+    levels = []
+    prev = {(c,): c for c in range(cols)}
+    for r in range(2, rows + 1):
+        subsets = tuple(combinations(range(cols), r))
+        terms = tuple((np.array([S[pos] for S in subsets], dtype=np.intp),
+                       np.array([prev[S[:pos] + S[pos + 1:]] for S in subsets],
+                                dtype=np.intp))
+                      for pos in range(r))
+        levels.append((rows - r, terms))
+        prev = {S: i for i, S in enumerate(subsets)}
+    return tuple(levels)
+
+
+def _minors(M, rows):
+    """The maximal minors of the rows `rows` of a (s, cols, N) stack, batch
+    axis innermost: one per len(rows)-subset of columns in lexicographic
+    order, as a (subsets, N) array of M's dtype.  Cofactor expansion along
+    the rows from the bottom up, the minors of the last r rows from those
+    of the last r-1; no division and no pivot search, so every matrix
+    takes the same steps, and only two levels of minors are alive at a
+    time."""
+    if not rows:
+        return np.ones((1, M.shape[2]), dtype=M.dtype)
+    minors = M[rows[-1]]
+    for level, terms in _laplace_plan(len(rows), M.shape[1]):
+        a = M[rows[level]]
+        acc = None
+        for pos, (cols, subs) in enumerate(terms):
+            term = a[cols] * minors[subs]
+            if acc is None:
+                acc = term
+            elif pos % 2:
+                acc -= term
+            else:
+                acc += term
+        minors = acc
+    return minors
+
+
+def _batched_det(M):
+    """Exact determinants of an (N, s, s) integer stack, in its dtype."""
+    s = M.shape[1]
+    M = np.ascontiguousarray(M.transpose(1, 2, 0))  # batch axis innermost
+    return _minors(M, tuple(range(s)))[0]
+
+
+def _adjugate(B):
+    """adj(B) of a (w, w, N) stack, batch axis innermost:
+    adj(B)[i, j] = (-1)^(i+j) det(B without row j and column i), column j
+    from the maximal minors of B without row j."""
+    w = B.shape[0]
+    adj = np.empty_like(B)
+    for j in range(w):
+        # the (w-1)-subset of columns at lexicographic position k omits
+        # column w-1-k
+        adj[:, j] = _minors(B, tuple(r for r in range(w) if r != j))[::-1]
+        adj[(j + 1) % 2::2, j] *= -1
+    return adj
+
+
+def _tail_check(tail, coeff, p, lane):
+    """Check adj(B) = c c^T mod p for each block, B its odd skew tail from
+    the tail digits and c its row of `coeff`.  Returns the number of failing
+    blocks and, for the first, (its row, i, j, adj(B)[i, j], c_i c_j mod p)
+    at its first failing entry."""
+    count, w = coeff.shape
+    adj = _adjugate(_skew_stack(tail, w, lane, count))
+    c = coeff.T.astype(lane)
+    bad = _mod(adj - c[:, None] * c[None], p).reshape(w * w, count)
+    hit = np.flatnonzero(bad.any(axis=0))
+    if not hit.size:
+        return 0, None
+    t = int(hit[0])
+    i, j = divmod(int(np.flatnonzero(bad[:, t])[0]), w)
+    return int(hit.size), (t, i, j, int(adj[i, j, t]),
+                           int(c[i, t]) * int(c[j, t]) % p)
+
+
+def _fold(hist, tally, low, p):
+    """Add `tally`, counts of the raw values low, low + 1, ..., onto their
+    residues mod p, one run of p values at a time."""
+    pos = 0
+    while pos < tally.size:
+        r = (low + pos) % p
+        take = min(p - r, tally.size - pos)
+        hist[r:r + take] += tally[pos:pos + take]
+        pos += take
+
+
+def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
+    """Scan the tails h0 <= h < h1, each with all its row-0 values.
+    Returns None, having scanned part of the range, if `stop` is set
+    before a run of tails."""
+    t0 = time.perf_counter()
+    # Allocated and freed at once, never touched: freeing one 4 MiB block
+    # raises glibc's dynamic mmap and trim thresholds above a run's
+    # scratch, so the heap is not trimmed and faulted in again every run
+    # (about 5 900 page faults in the 3^15 scan otherwise, 0.02 s of its
+    # 0.055 s).  Other allocators are unaffected.
+    np.empty(1 << 22, dtype=np.uint8)
+    size = 2 * n
+    width0 = size - 1
+    block = p ** width0
+    m = n * width0
+    pairs, avoid, forms = _plan(n)
+    powers = p ** np.arange(width0, dtype=np.int64)
+    lane = _lane(n, p)
+
+    # tail pass: each tail's Pfaffian coefficient vector, as its base-p id;
+    # for k < n, the ids of the 2k-forms through index 0 of the tails with
+    # no nonzero 2k-minor
+    pf_ids = []
+    form_ids = {}
+    # ck[k-1] = #matrices with some nonzero 2k-sub-Pfaffian
+    ck = np.zeros(n, dtype=np.int64)
+    phases = dict.fromkeys(PHASES, 0.0)
+    checked = violations = 0
+    first_bad = None
+    tails_checked = tail_violations = 0
+    first_tail_bad = None
+    run = max(1, _CHUNK // 16)
+    for lo in range(h0, h1, run):
+        if stop.is_set():
+            return None
+        hi = min(lo + run, h1)
+        blocks = np.arange(hi - lo)
+        tail = _digits(np.arange(lo, hi, dtype=np.int64), p, m - width0)
+        pf = _tail_pfaffians(tail, pairs, p, blocks.size)
+        coeff = _coefficients(forms[n][0], pf, p, blocks, width0)
+        ids = coeff @ powers
+        pf_ids.append(ids)
+        if want_rank:
+            for k in range(1, n):
+                tail_hit = np.zeros(blocks.size, dtype=bool)
+                for s in avoid[k]:
+                    tail_hit |= pf(s) != 0
+                ck[k - 1] += int(tail_hit.sum()) * block
+                rest = np.flatnonzero(~tail_hit)
+                if rest.size:
+                    form_ids.setdefault(k, []).append(np.stack(
+                        [_coefficients(form, pf, p, rest, width0) @ powers
+                         for form in forms[k]], axis=1))
+        t = time.perf_counter()
+        bad, first = _tail_check(tail, coeff, p, lane)
+        if bad and first_tail_bad is None:
+            first_tail_bad = (lo + first[0],) + first[1:]
+        tail_violations += bad
+        tails_checked += hi - lo
+        u = time.perf_counter()
+        phases["tail_check"] += u - t
+        if spot_stride:
+            end = hi * block
+            step = spot_stride * _SAMPLE_BATCH
+            for b0 in range(-(-lo * block // spot_stride) * spot_stride, end,
+                            step):
+                sel = np.arange(b0, min(b0 + step, end), spot_stride,
+                                dtype=np.int64)
+                digits = _digits(sel, p, m)
+                # Pf by the class pass's route: the tail's vector, decoded
+                # from its id, times the sample's row-0 digits
+                vec = _vectors(ids[sel // block - lo], p, width0)
+                row0 = np.array(digits[:width0]).T
+                pfv = _mod(_products(vec[:, None], row0[:, :, None]).ravel(),
+                           p)
+                det = _batched_det(
+                    _skew_stack(digits, size, lane, sel.size)
+                    .transpose(2, 0, 1))
+                bad = np.flatnonzero(_mod(det - pfv * pfv, p))
+                if bad.size and first_bad is None:
+                    first_bad = int(sel[bad[0]])
+                violations += int(bad.size)
+                checked += int(sel.size)
+        phases["spot_check"] += time.perf_counter() - u
+    t = time.perf_counter()
+    phases["tail_pass"] = (t - t0 - phases["tail_check"]
+                           - phases["spot_check"])
+
+    # class pass: each distinct vector times every row-0 value, in tables of
+    # at most _CHUNK row-0 values and _CHUNK entries
+    hist = np.zeros(p, dtype=np.int64)
+    ids, mult = np.unique(np.concatenate(pf_ids), return_counts=True)
+    groups = [(mu, ids[mult == mu]) for mu in sorted(set(mult.tolist()))]
+    for row0 in _row0_tables(block, p, width0):
+        rows = max(1, _CHUNK // row0.shape[1])
+        for mu, group in groups:
+            for i in range(0, group.size, rows):
+                # tallied unreduced over the products' own value range
+                raw = _products(_vectors(group[i:i + rows], p, width0),
+                                row0).ravel()
+                low = int(raw.min())
+                tally = np.bincount(raw - low if low else raw)
+                tally *= mu
+                _fold(hist, tally, low, p)
+    u = time.perf_counter()
+    phases["pfaffian_classes"] = u - t
+    for k in sorted(form_ids):
+        # x mod p != 0 for every value a row-0 form can take
+        nonzero = _mod(np.arange(width0 * (p - 1) ** 2 + 1), p) != 0
+        fids = np.concatenate(form_ids.pop(k))
+        uniq, inv = np.unique(fids, return_inverse=True)
+        inv = inv.reshape(fids.shape)
+        for row0 in _row0_tables(block, p, width0):
+            rows = max(1, _CHUNK // row0.shape[1])
+            # the nonzero table of each distinct form, 8 row-0 values a byte
+            bits = np.empty((uniq.size, -(-row0.shape[1] // 8)),
+                            dtype=np.uint8)
+            for i in range(0, uniq.size, rows):
+                bits[i:i + rows] = np.packbits(nonzero[_products(
+                    _vectors(uniq[i:i + rows], p, width0), row0)], axis=1)
+            # a tail is hit where any of its forms is nonzero
+            step = max(1, _CHUNK // (fids.shape[1] * bits.shape[1]))
+            for i in range(0, fids.shape[0], step):
+                hit = np.bitwise_or.reduce(bits[inv[i:i + step]], axis=1)
+                ck[k - 1] += int(np.count_nonzero(np.unpackbits(hit)))
+    phases["rank_classes"] = time.perf_counter() - u
+    if want_rank:
+        ck[n - 1] = (h1 - h0) * block - int(hist[0])
+    return {"hist": hist, "ck": ck, "checked": checked,
+            "violations": violations, "first_bad": first_bad,
+            "tails_checked": tails_checked,
+            "tail_violations": tail_violations,
+            "first_tail_bad": first_tail_bad,
+            "phases": phases, "elapsed": time.perf_counter() - t0}

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import hilb4 as h4
-from .counting import DEFAULT_CAP, _power_text, scan_skew
+from .counting import DEFAULT_CAP, _exceeds_cap, _power_text, scan_skew
 from .errors import CapExceededError
 from .laurent import (BettiPoly, LaurentPoly2, ONE, _u_div_exact, format_poly,
                       gaussian_binomial, parse_poly, q_power,
@@ -471,9 +471,9 @@ def _suite_katz(ctx):
     for p in ctx.p_list:
         for n in (2, 3):
             m = n * (2 * n - 1)
-            total = p ** m
-            if total > cap:
+            if _exceeds_cap(p, m, cap):
                 continue
+            total = p ** m
             scan = scan_skew(n, p, "full", cap, ctx.workers)
             size = 2 * n
             tag = f"{size}x{size} over F_{p}"

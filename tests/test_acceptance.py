@@ -10,7 +10,7 @@ from itertools import product
 
 from conftest import ACCEPTANCE_LINES
 
-from motivic import counting
+from motivic import _kernel
 from motivic.cli import main
 from motivic.counting import scan_skew
 from motivic.hilb4 import (dt_invariant, ec_hilb4_total, goettsche_coeff,
@@ -236,7 +236,7 @@ def test_criterion_11_determinism(monkeypatch):
     # scans start no more workers than they have chunks of _CHUNK matrices,
     # so chunks of 2^14 make the 2^15-matrix scan run on more than one
     # worker too
-    monkeypatch.setattr(counting, "_CHUNK", 1 << 14)
+    monkeypatch.setattr(_kernel, "_CHUNK", 1 << 14)
     with criterion(11, "byte-identical suite JSON across runs and worker "
                       "counts 1, 2, 8"):
         fast = ["pfaffian", "milnor", "mhm", "hilb4", "dt"]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from motivic import counting
+from motivic import _kernel, counting
 from motivic.cli import main
 from motivic.laurent import q_power
 from motivic.suites import (SuiteContext, SuiteResult, emit_report,
@@ -240,7 +240,7 @@ def test_count_long_histogram_exit_3(capsys, monkeypatch):
             pytest.fail("the scan started")
         raise Admitted
 
-    monkeypatch.setattr(counting, "_scan_range", scan)
+    monkeypatch.setattr(_kernel, "_scan_range", scan)
     for argv in (("pfaffian-fibre", "--n", "1", "--p", "99999989",
                   "--value", "1"),
                  ("rank", "--n", "1", "--p", "16777259"),
@@ -347,6 +347,21 @@ def test_verify_katz_impossible_cap_exit_3(capsys):
     code, _, err = run(capsys, "verify", "katz", "--p", "2", "--cap", "10")
     assert code == 3
     assert "exceeds the cap" in err
+
+
+def test_verify_katz_skips_shapes_over_the_cap(capsys):
+    # a cap of exactly 3^6 keeps the 4x4 scan and skips the 6x6 one; one
+    # less skips both
+    code, out, _ = run(capsys, "verify", "katz", "--p", "3", "--cap", "729",
+                       "--format", "json")
+    rows = [check["description"] for check in json.loads(out)["checks"]]
+    assert code == 0 and rows
+    assert all("4x4 over F_3" in row for row in rows)
+    code, out, err = run(capsys, "verify", "katz", "--p", "3", "--cap",
+                         "728")
+    assert (code, out) == (3, "")
+    assert err == ("refused: every requested enumeration exceeds the cap "
+                   "728: 729 = 3^6, 14348907 = 3^15\n")
 
 
 def test_hilb4_total(capsys):
@@ -622,30 +637,36 @@ def test_process_entry_point_freezes_the_heap():
 def _numpy_loaded_after(*commands):
     """For each argv in `commands`, run in turn by `main` in one fresh
     process after `import motivic` and `import motivic.cli`, whether numpy
-    had been loaded; the first two entries are for the imports."""
+    and whether the scan kernel `motivic._kernel` had been loaded, as a
+    pair; the first two entries are for the imports."""
+    loaded = ("print('numpy' in sys.modules, "
+              "'motivic._kernel' in sys.modules, file=sys.stderr)\n")
     code = ("import contextlib, io, sys\n"
             "import motivic\n"
-            "print('numpy' in sys.modules, file=sys.stderr)\n"
-            "from motivic.cli import main\n"
-            "print('numpy' in sys.modules, file=sys.stderr)\n"
-            f"for argv in {list(commands)!r}:\n"
+            + loaded
+            + "from motivic.cli import main\n"
+            + loaded
+            + f"for argv in {list(commands)!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "    print('numpy' in sys.modules, file=sys.stderr)\n")
-    words = _fresh_process("-c", code).stderr.decode().split()
-    assert len(words) == 2 + len(commands)
-    return [word == "True" for word in words]
+            "    " + loaded)
+    lines = _fresh_process("-c", code).stderr.decode().splitlines()
+    assert len(lines) == 2 + len(commands)
+    return [tuple(word == "True" for word in line.split()) for line in lines]
 
 
 def test_only_a_scan_loads_numpy():
-    # the algebra needs no numpy; only the katz oracle's scan imports it
+    # the algebra needs no numpy; only the katz oracle's scan imports the
+    # kernel, and with it numpy
     assert _numpy_loaded_after(
         ["epoly", "gl(4) * cone(grass(2,6))"], ["hilb4", "strata"],
         ["dt", "count"], ["goettsche", "--n", "3"], ["verify", "mhm"],
-        ["report", "--suites", "pfaffian,milnor,mhm,hilb4,dt"]) == [False] * 8
+        ["report", "--suites", "pfaffian,milnor,mhm,hilb4,dt"]) == \
+        [(False, False)] * 8
     for argv in (["count", "rank", "--n", "2", "--p", "3"],
                  ["verify", "katz", "--p", "2"]):
-        assert _numpy_loaded_after(argv) == [False, False, True], argv
+        assert _numpy_loaded_after(argv) == \
+            [(False, False), (False, False), (True, True)], argv
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motivic import counting
+from motivic import _kernel, counting
 from motivic.counting import DEFAULT_CAP, scan_skew
 from motivic.errors import CapExceededError, ConsistencyError
 from motivic.laurent import ONE, gaussian_binomial, q_power
@@ -123,6 +123,18 @@ def test_cap_refusal():
         scan_skew(2, 2, "hist", cap=10)
 
 
+def test_cap_rule_matches_the_power():
+    # the bit-length shortcut answers as p^m > cap does, at the cap's edges
+    for p in (2, 3, 5, 7, 13, 751, 16777213):
+        for m in (1, 3, 6, 15, 28):
+            power = p ** m
+            for cap in (0, 1, power - 1, power, power + 1, 2 * power,
+                        1 << power.bit_length() - 1, 1 << power.bit_length(),
+                        DEFAULT_CAP):
+                assert counting._exceeds_cap(p, m, cap) == (power > cap), \
+                    (p, m, cap)
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         scan_skew(2, 4)
@@ -135,7 +147,7 @@ def test_invalid_arguments():
 def test_worker_counts_merge_identically(monkeypatch):
     # 2^15 matrices fit in one default chunk, which no scan splits over
     # workers; 33 chunks of 1000 give every worker count a range of tails
-    monkeypatch.setattr(counting, "_CHUNK", 1000)
+    monkeypatch.setattr(_kernel, "_CHUNK", 1000)
     base = scan_skew(3, 2, "full", workers=1)
     for w in (2, 3, 8):
         s = scan_skew(3, 2, "full", workers=w)
@@ -177,7 +189,7 @@ def test_n1_scan_above_chunk(workers):
     # the smallest prime above _CHUNK: row 0 is multiplied out in two
     # tables, in one process at any worker count
     p = 131101
-    assert p > counting._CHUNK
+    assert p > _kernel._CHUNK
     s = scan_skew(1, p, workers=workers)
     assert s.pf_counts == dict.fromkeys(range(p), 1) == s.pf_counts
     assert s.pf_counts[p - 1] == 1
@@ -199,8 +211,8 @@ def test_spot_sample_sets_every_row0_digit(monkeypatch):
     # sample zero (at a stride of 100 = 2^2 5^2, entries a_01 and a_02 at
     # p = 2 and p = 5)
     seen = []
-    det = counting._batched_det
-    monkeypatch.setattr(counting, "_batched_det",
+    det = _kernel._batched_det
+    monkeypatch.setattr(_kernel, "_batched_det",
                         lambda M: seen.append(M[:, 0, 1:].copy()) or det(M))
     for n, p in ((3, 2), (2, 5), (3, 3)):
         seen.clear()
@@ -211,12 +223,12 @@ def test_spot_sample_sets_every_row0_digit(monkeypatch):
         assert (row0 != 0).any(axis=0).all(), (n, p)
 
 
-@pytest.mark.parametrize("chunk", [1000, counting._CHUNK])
+@pytest.mark.parametrize("chunk", [1000, _kernel._CHUNK])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_spot_sample_survives_range_cuts(monkeypatch, workers, chunk):
     # every index that is a multiple of SPOT_STRIDE is checked once, however
     # the scan is cut into worker tail ranges, tail runs and row-0 tables
-    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     for n, p in ((3, 2), (2, 5), (1, 131101)):
         total = p ** (n * (2 * n - 1))
         s = scan_skew(n, p, "hist", workers=workers)
@@ -245,7 +257,7 @@ def _whole(n, p):
 
 
 def _scan_tally(n, p, tails, spot_stride=counting.SPOT_STRIDE):
-    part = counting._scan_range(n, p, *tails, True, spot_stride,
+    part = _kernel._scan_range(n, p, *tails, True, spot_stride,
                                 threading.Event())
     assert part["violations"] == 0 and part["first_bad"] is None
     assert part["tail_violations"] == 0
@@ -276,14 +288,14 @@ def _cuts(count, points):
     return list(zip([0] + edges, edges + [count]))
 
 
-@pytest.mark.parametrize("chunk", [20, 200, counting._CHUNK])
+@pytest.mark.parametrize("chunk", [20, 200, _kernel._CHUNK])
 def test_range_partitions_sum_to_whole_scan(monkeypatch, chunk):
     # tail ranges cut at random, whose rows 0 of p^(2n-1) = 27, 32 and 125
     # values a chunk of 20 splits into several tables; every tail is
     # checked once
     whole = {(n, p): _scan_tally(n, p, _whole(n, p))
              for n, p in ((2, 3), (3, 2), (2, 5))}
-    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     for (n, p), want in whole.items():
         _, tails = _whole(n, p)
         assert want[3] == tails
@@ -304,12 +316,12 @@ def test_class_tables_split_into_chunks(monkeypatch, chunk):
     whole = {(n, p): _scan_tally(n, p, _whole(n, p))
              for n, p in ((3, 2), (2, 5))}
     tables = []
-    products = counting._products
-    monkeypatch.setattr(counting, "_products", lambda v, x: (
+    products = _kernel._products
+    monkeypatch.setattr(_kernel, "_products", lambda v, x: (
         x.ndim == 2 and tables.append(v.shape[0] * x.shape[1])
         or products(v, x)))
-    monkeypatch.setattr(counting, "_CHUNK", chunk)
-    assert chunk // 32 < len(counting._plan(3)[2][2])
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+    assert chunk // 32 < len(_kernel._plan(3)[2][2])
     for (n, p), want in whole.items():
         tables.clear()
         assert _scan_tally(n, p, _whole(n, p)) == want
@@ -330,7 +342,7 @@ def test_scan_reports_phase_seconds():
 
 
 def test_scan_reports_each_worker_range(monkeypatch):
-    monkeypatch.setattr(counting, "_CHUNK", 1000)
+    monkeypatch.setattr(_kernel, "_CHUNK", 1000)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     s = scan_skew(3, 2, "full", workers=2)
     assert [(lo, hi) for lo, hi, _ in s.workers] == \
@@ -349,7 +361,7 @@ def test_batched_det_matches_bareiss():
         M[160:200, :2, :2] = 0                # zero leading 2x2 block
         upper = np.triu(M[200:], 1)           # skew: zero diagonal
         M[200:] = upper - upper.transpose(0, 2, 1)
-        got = counting._batched_det(M).tolist()
+        got = _kernel._batched_det(M).tolist()
         assert got == [bareiss_det(A.tolist()) for A in M]
         assert got.count(0) >= 80
 
@@ -364,10 +376,10 @@ def test_spot_stride_zero_skips_the_spot_check():
 def test_spot_check_failure_names_first_offender(monkeypatch):
     # a determinant off by one wherever entry (0, 1) is 2; sampled indices
     # are multiples of 1009, and entry (0, 1) is the lowest base-5 digit
-    det = counting._batched_det
-    monkeypatch.setattr(counting, "_batched_det",
+    det = _kernel._batched_det
+    monkeypatch.setattr(_kernel, "_batched_det",
                         lambda M: det(M) + (M[:, 0, 1] == 2))
-    monkeypatch.setattr(counting, "_CHUNK", 1000)  # two workers' ranges
+    monkeypatch.setattr(_kernel, "_CHUNK", 1000)  # two workers' ranges
     sampled = range(0, 5 ** 6, counting.SPOT_STRIDE)
     bad = [i for i in sampled if i % 5 == 2]
     assert len(bad) == 3
@@ -396,14 +408,14 @@ def test_tail_check_catches_a_coefficient_sign(monkeypatch):
     # adj(B) = c c^T fails in row and column 0 of every tail where c_0 and
     # some other c_j are nonzero; with no pointwise sample, only the tail
     # check can see it
-    plan = counting._plan
+    plan = _kernel._plan
 
     def flipped(n):
         pairs, avoid, forms = plan(n)
         (digit, sign, sub), *rest = forms[n][0]
         return pairs, avoid, {**forms, n: (((digit, -sign, sub), *rest),)}
 
-    monkeypatch.setattr(counting, "_plan", flipped)
+    monkeypatch.setattr(_kernel, "_plan", flipped)
     for n, p in ((2, 3), (2, 5)):
         width0 = 2 * n - 1
         with pytest.raises(ConsistencyError) as exc:
@@ -445,12 +457,12 @@ def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
     # that multiplies them by row 0; the pointwise sample takes the same
     # decode and product routines, so it catches a fault there
     if fault == "product":
-        products = counting._products
-        monkeypatch.setattr(counting, "_products",
+        products = _kernel._products
+        monkeypatch.setattr(_kernel, "_products",
                             lambda v, x: products(v, x) + 1)
     else:
-        vectors = counting._vectors
-        monkeypatch.setattr(counting, "_vectors",
+        vectors = _kernel._vectors
+        monkeypatch.setattr(_kernel, "_vectors",
                             lambda *args: vectors(*args)[:, ::-1])
     s = scan_skew(2, 5, "full", spot_stride=0)
     assert s.tails_checked == 125
@@ -463,20 +475,20 @@ def test_tail_check_compares_every_entry(monkeypatch):
     for n, p in ((2, 3), (3, 2)):
         width0 = 2 * n - 1
         tails = p ** ((n - 1) * width0)
-        tail = counting._digits(np.arange(tails), p, (n - 1) * width0)
-        pf = counting._tail_pfaffians(tail, counting._plan(n)[0], p, tails)
-        coeff = counting._coefficients(counting._plan(n)[2][n][0], pf, p,
+        tail = _kernel._digits(np.arange(tails), p, (n - 1) * width0)
+        pf = _kernel._tail_pfaffians(tail, _kernel._plan(n)[0], p, tails)
+        coeff = _kernel._coefficients(_kernel._plan(n)[2][n][0], pf, p,
                                        np.arange(tails), width0)
-        lane = counting._lane(n, p)
-        assert counting._tail_check(tail, coeff, p, lane) == (0, None)
-        adjugate = counting._adjugate
+        lane = _kernel._lane(n, p)
+        assert _kernel._tail_check(tail, coeff, p, lane) == (0, None)
+        adjugate = _kernel._adjugate
         for i, j in product(range(width0), repeat=2):
             def shifted(B, i=i, j=j):
                 adj = adjugate(B)
                 adj[i, j, 1:] += 1
                 return adj
-            monkeypatch.setattr(counting, "_adjugate", shifted)
-            bad, first = counting._tail_check(tail, coeff, p, lane)
+            monkeypatch.setattr(_kernel, "_adjugate", shifted)
+            bad, first = _kernel._tail_check(tail, coeff, p, lane)
             assert bad == tails - 1 and first[:3] == (1, i, j)
             monkeypatch.undo()
 
@@ -486,7 +498,7 @@ def test_adjugate_matches_cofactors():
     for w in (1, 3, 5, 7):
         M = np_rng.integers(-3, 4, (40, w, w))
         M[:10] = np.triu(M[:10], 1) - np.triu(M[:10], 1).transpose(0, 2, 1)
-        got = counting._adjugate(np.ascontiguousarray(M.transpose(1, 2, 0)))
+        got = _kernel._adjugate(np.ascontiguousarray(M.transpose(1, 2, 0)))
         for t, A in enumerate(M.tolist()):
             # the empty minor of a 1x1 matrix is 1
             want = [[(-1) ** (i + j) * bareiss_det(
@@ -513,13 +525,13 @@ def test_narrow_lane_matches_int64_at_its_edge(n, lane):
     signs = np_rng.choice([-1, 1], (64, size, size))
     upper = np.triu(signs * (p - 1), 1)
     M = upper - upper.transpose(0, 2, 1)
-    det = counting._batched_det(M.astype(counting._lane(n, p)))
+    det = _kernel._batched_det(M.astype(_kernel._lane(n, p)))
     assert det.tolist() == [bareiss_det(A) for A in M.tolist()]
     B = np.ascontiguousarray(M[:, 1:, 1:].transpose(1, 2, 0))
-    assert (counting._adjugate(B.astype(counting._lane(n, p))) ==
-            counting._adjugate(B.astype(object))).all()
+    assert (_kernel._adjugate(B.astype(_kernel._lane(n, p))) ==
+            _kernel._adjugate(B.astype(object))).all()
     # p is the largest prime of its lane
-    assert counting._lane(n, p) is lane and det.dtype == lane
+    assert _kernel._lane(n, p) is lane and det.dtype == lane
     q = p + 1
     while not _is_prime(q):
         q += 1
@@ -527,7 +539,7 @@ def test_narrow_lane_matches_int64_at_its_edge(n, lane):
         with pytest.raises(CapExceededError):
             counting._check_int64(n, q, q ** (n * (2 * n - 1)))
     else:
-        assert counting._lane(n, q) is not lane
+        assert _kernel._lane(n, q) is not lane
 
 
 def test_tail_runs_are_capped(monkeypatch):
@@ -535,29 +547,29 @@ def test_tail_runs_are_capped(monkeypatch):
     # runs of the 3^10 tails of (3, 3), and a range's own tails in runs
     # from its first
     runs = []
-    tail_pfaffians = counting._tail_pfaffians
-    monkeypatch.setattr(counting, "_tail_pfaffians",
+    tail_pfaffians = _kernel._tail_pfaffians
+    monkeypatch.setattr(_kernel, "_tail_pfaffians",
                         lambda tail, pairs, p, blocks: runs.append(
                             (int(tail[0][0]), blocks))
                         or tail_pfaffians(tail, pairs, p, blocks))
-    assert counting._CHUNK // 16 == 8192
+    assert _kernel._CHUNK // 16 == 8192
     s = scan_skew(3, 3, "hist", workers=1)
     assert s.tails_checked == 3 ** 10
     assert [blocks for _, blocks in runs] == [8192] * 7 + [3 ** 10 - 7 * 8192]
     runs.clear()
-    counting._scan_range(3, 3, 1000, 3 ** 10 - 7, False, 0, threading.Event())
+    _kernel._scan_range(3, 3, 1000, 3 ** 10 - 7, False, 0, threading.Event())
     assert [blocks for _, blocks in runs] == [8192] * 7 + [698]
     # the lowest tail digit of each run's first tail
     assert [d for d, _ in runs] == [(1000 + 8192 * i) % 3 for i in range(8)]
 
 
-@pytest.mark.parametrize("chunk", [20, counting._CHUNK])
+@pytest.mark.parametrize("chunk", [20, _kernel._CHUNK])
 def test_every_tail_checked_once(monkeypatch, chunk):
     # at any worker count each tail is checked by exactly one worker, and
     # n = 1 has one tail and one worker; a chunk of 20 is below every block
     # of (2, 3) and (2, 5), so row 0 is multiplied out in several tables;
     # the workers' index ranges tile the scan in order
-    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
     for n, p in ((1, 7), (1, 131101), (2, 3), (2, 5), (3, 2)):
         tails = p ** ((2 * n - 1) * (n - 1))
@@ -574,7 +586,7 @@ def test_tail_check_on_7x7_tails():
     # the (4, 2) tails 5..24, each with all 2^7 row-0 values: the 20 tails
     # are checked, the 8x8 Pfaffians tallied and the sample re-checked
     lo, hi = 5 * 128, 25 * 128
-    part = counting._scan_range(4, 2, 5, 25, True, 7, threading.Event())
+    part = _kernel._scan_range(4, 2, 5, 25, True, 7, threading.Event())
     assert part["tails_checked"] == 20
     assert part["tail_violations"] == 0 and part["violations"] == 0
     assert part["checked"] == len(range(-(-lo // 7) * 7, hi, 7))
@@ -621,7 +633,7 @@ def _deadline(seconds):
 def three_workers(monkeypatch):
     # (3, 2) and (2, 5) in chunks of 1000 give three tail ranges; no worker
     # thread outlives its scan
-    monkeypatch.setattr(counting, "_CHUNK", 1000)
+    monkeypatch.setattr(_kernel, "_CHUNK", 1000)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
     threads = threading.active_count()
     yield
@@ -644,10 +656,10 @@ def test_more_worker_threads_than_cores(monkeypatch):
     # eight worker threads, switching every microsecond, build the cached
     # cofactor plans concurrently and fill their own result slots: a lost
     # or mixed result would change the counts
-    monkeypatch.setattr(counting, "_CHUNK", 200)
+    monkeypatch.setattr(_kernel, "_CHUNK", 200)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
     base = scan_skew(3, 2, "full", workers=1)
-    counting._laplace_plan.cache_clear()
+    _kernel._laplace_plan.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -690,14 +702,14 @@ def test_worker_error_reraised_with_type_and_message(three_workers,
                                                      monkeypatch, exc_type):
     # the tails of (3, 2) from 512 on, in the second tail range at 2
     # workers: their top tail digit is 1
-    check = counting._tail_check
+    check = _kernel._tail_check
 
     def faulty(tail, coeff, p, lane):
         if tail[-1].any():
             raise exc_type("a tail with a_45 = 1 at (n, p) = (3, 2)")
         return check(tail, coeff, p, lane)
 
-    monkeypatch.setattr(counting, "_tail_check", faulty)
+    monkeypatch.setattr(_kernel, "_tail_check", faulty)
     messages = set()
     for workers in (1, 2):
         with pytest.raises(exc_type) as exc:
@@ -710,8 +722,8 @@ def test_worker_error_reraised_with_type_and_message(three_workers,
 def test_worker_sample_fault_names_same_offender(three_workers, monkeypatch):
     # a determinant off by one on the matrices of (3, 2) whose top tail
     # entry a_45 is 1, all in the second tail range at 2 workers
-    det = counting._batched_det
-    monkeypatch.setattr(counting, "_batched_det",
+    det = _kernel._batched_det
+    monkeypatch.setattr(_kernel, "_batched_det",
                         lambda M: det(M) + (M[:, 4, 5] == 1))
     messages = set()
     for workers in (1, 2):
@@ -731,7 +743,7 @@ def test_first_range_error_stops_workers(three_workers, monkeypatch,
     # the stop event, then resume the real scan, which stops before its
     # first run of tails: the scan raises at once, and only after every
     # worker thread has ended
-    scan = counting._scan_range
+    scan = _kernel._scan_range
     resumed = []
 
     def waiting_or_failing(n, p, h0, h1, want_rank, spot_stride, stop):
@@ -741,7 +753,7 @@ def test_first_range_error_stops_workers(three_workers, monkeypatch,
             return resumed[-1]
         raise exc_type("first tail range failed")
 
-    monkeypatch.setattr(counting, "_scan_range", waiting_or_failing)
+    monkeypatch.setattr(_kernel, "_scan_range", waiting_or_failing)
     threads = threading.active_count()
     start = time.perf_counter()
     with _deadline(30):
@@ -810,7 +822,7 @@ def test_mod_by_floor_division_matches_remainder(dtype):
         np.array([draw.randrange(info.min, info.max + 1)
                   for _ in range(1000)])]).astype(dtype)
     for p in (2, 3, 5, 13, 743, 1009, 32749):
-        got = counting._mod(a, p)
+        got = _kernel._mod(a, p)
         assert got.dtype == dtype
         assert np.array_equal(got, a % p), p
 
