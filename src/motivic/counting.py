@@ -236,12 +236,15 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         raise ConsistencyError("Pfaffian histogram does not sum to the scan size")
     rank_counts = None
     if want_rank:
-        # at_least[k] = #matrices of rank >= 2k
+        # at_least[k] = #matrices of rank >= 2k, which never increases in k:
+        # an increase would leave a rank bucket below zero
         at_least = [total, *ck.tolist(), 0]
+        if any(a < b for a, b in zip(at_least, at_least[1:])):
+            raise ConsistencyError(
+                f"rank at-least counts {at_least} increase at (n, p) = "
+                f"({n}, {p})")
         rank_counts = {2 * k: at_least[k] - at_least[k + 1]
                        for k in range(n + 1)}
-        if sum(rank_counts.values()) != total:
-            raise ConsistencyError("rank buckets do not sum to the scan size")
     phases = {name: sum(part["phases"][name] for part in parts)
               for name in PHASES}
     end = time.perf_counter()

@@ -1,7 +1,8 @@
 """Exact sparse bivariate Laurent polynomials and the transformation rules
 used throughout the E-polynomial bookkeeping: shift, Tate twist, duality and
-self-dual conversion; also Betti polynomials, Gaussian binomials and Euler
-products.  No floating point is used anywhere in this module.
+self-dual conversion; also Betti polynomials, exact division in q = xy,
+Gaussian binomials and Euler products.  No floating point is used anywhere
+in this module.
 """
 
 from __future__ import annotations
@@ -155,10 +156,7 @@ class LaurentPoly2:
         """Value at xy = q0 for a Tate-type polynomial; int when integral."""
         if not self.is_tate():
             raise ValueError("eval_q requires a Tate-type polynomial")
-        total = Fraction(0)
-        q0 = Fraction(q0)
-        for (a, _), c in self.terms.items():
-            total += c * q0 ** a
+        total = self.eval_at(q0, 1)
         return int(total) if total.denominator == 1 else total
 
     def __str__(self):
@@ -457,10 +455,10 @@ class BettiPoly:
     @classmethod
     def from_one_plus_powers(cls, powers):
         """Product of (1 + t^k) over the given exponents."""
-        acc = {0: 1}
+        acc = cls({0: 1})
         for k in powers:
-            acc = _u_mul(acc, {0: 1, k: 1})
-        return cls(acc)
+            acc = acc * cls({0: 1, k: 1})
+        return acc
 
     def coeff(self, k):
         return self.coeffs.get(k, 0)
@@ -477,7 +475,12 @@ class BettiPoly:
         return sum(c if k % 2 == 0 else -c for k, c in self.coeffs.items())
 
     def __mul__(self, other):
-        return BettiPoly(_u_mul(self.coeffs, other.coeffs))
+        # coefficients are positive, so no term of the product cancels
+        out = {}
+        for a, c in self.coeffs.items():
+            for b, d in other.coeffs.items():
+                out[a + b] = out.get(a + b, 0) + c * d
+        return BettiPoly(out)
 
     def __eq__(self, other):
         if isinstance(other, BettiPoly):
@@ -502,61 +505,55 @@ class BettiPoly:
     __repr__ = __str__
 
 
-# -- exact univariate helpers (dicts degree -> int, possibly negative) --------
+# -- polynomials in q = xy -----------------------------------------------------
 
-def _u_mul(f, g):
-    out = {}
-    for a, c in f.items():
-        for b, d in g.items():
-            e = a + b
-            s = out.get(e, 0) + c * d
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
+def one_minus_q_product(exponents):
+    """The product of (1 - q^e) over the exponents, in order."""
+    acc = ONE
+    for e in exponents:
+        acc = acc * (ONE - q_power(e))
+    return acc
 
 
-def _u_div_exact(num, den):
-    """Exact univariate polynomial division; nonzero remainder is fatal."""
+def divide_exact(num, den):
+    """The exact quotient num / den of two Tate-type polynomials, by long
+    division in q from the top degree down; a nonzero remainder is fatal."""
+    if not (num.is_tate() and den.is_tate()):
+        raise ValueError("divide_exact requires Tate-type polynomials")
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    num = dict(num)
-    dd = max(den)
-    dl = den[dd]
+    # coefficients by degree in q
+    rest = {a: c for (a, _), c in num.terms.items()}
+    by_degree = {b: d for (b, _), d in den.terms.items()}
+    dd = max(by_degree)
+    dl = by_degree[dd]
     out = {}
-    while num:
-        nd = max(num)
-        if nd < dd:
-            raise ConsistencyError("non-exact polynomial division (remainder)")
-        lead = num[nd]
-        if lead % dl:
-            raise ConsistencyError("non-exact polynomial division (leading term)")
-        c = lead // dl
-        e = nd - dd
-        out[e] = c
-        for b, d in den.items():
-            k = e + b
-            s = num.get(k, 0) - c * d
-            if s:
-                num[k] = s
-            else:
-                num.pop(k, None)
-    return out
+    if rest:
+        # an exact quotient has no degree below low(num) - low(den); what
+        # is left of num once those degrees are done is a remainder
+        for e in range(max(rest) - dd, min(rest) - min(by_degree) - 1, -1):
+            lead = rest.get(e + dd)
+            if not lead:
+                continue
+            if lead % dl:
+                raise ConsistencyError(
+                    "non-exact polynomial division (leading term)")
+            c = lead // dl
+            out[(e, e)] = c
+            for b, d in by_degree.items():
+                rest[e + b] = rest.get(e + b, 0) - c * d
+    if any(rest.values()):
+        raise ConsistencyError("non-exact polynomial division (remainder)")
+    return _raw(out)
 
 
 def gaussian_binomial(n, k):
-    """The q-binomial coefficient [n choose k]_q as a polynomial in q = xy,
-    computed by exact division of cyclotomic-style products."""
+    """The q-binomial coefficient [n choose k]_q as a polynomial in q = xy:
+    the product of (1 - q^i) for i = n-k+1..n divided by that for i = 1..k."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    num = {0: 1}
-    den = {0: 1}
-    for i in range(1, k + 1):
-        num = _u_mul(num, {0: 1, n - k + i: -1})
-        den = _u_mul(den, {0: 1, i: -1})
-    quot = _u_div_exact(num, den)
-    return LaurentPoly2({(d, d): c for d, c in quot.items()})
+    return divide_exact(one_minus_q_product(range(n - k + 1, n + 1)),
+                        one_minus_q_product(range(1, k + 1)))
 
 
 # -- Euler products ------------------------------------------------------------

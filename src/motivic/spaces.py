@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 from .errors import CapExceededError, MissingInclusionError, ParseError
 from .laurent import (BettiPoly, Lexer, ONE, const, format_poly,
-                      gaussian_binomial, q_power, self_dual_convert)
+                      gaussian_binomial, one_minus_q_product, q_power,
+                      self_dual_convert)
 
 
 class SpaceExpr:
@@ -106,27 +107,19 @@ def _children(e):
 
 # -- the catalog -----------------------------------------------------------------
 
-def _one_minus_q_product(exponents):
-    """The product of (1 - q^e) over the exponents, in order."""
-    acc = ONE
-    for e in exponents:
-        acc = acc * (ONE - q_power(e))
-    return acc
-
-
 def catalog_e_GL(m):
     """Ordinary E of GL(m, C): product of (1 - q^i) for i = 1..m."""
-    return _one_minus_q_product(range(1, m + 1))
+    return one_minus_q_product(range(1, m + 1))
 
 
 def catalog_e_Sp(n):
     """Ordinary E of Sp(2n, C): product of (1 - q^(2i)) for i = 1..n."""
-    return _one_minus_q_product(range(2, 2 * n + 1, 2))
+    return one_minus_q_product(range(2, 2 * n + 1, 2))
 
 
 def catalog_e_M(n):
     """Ordinary E of GL(2n)/Sp(2n): product of (1 - q^odd), odd = 1..2n-1."""
-    return _one_minus_q_product(range(1, 2 * n, 2))
+    return one_minus_q_product(range(1, 2 * n, 2))
 
 
 def catalog_e_F(n):
@@ -134,7 +127,7 @@ def catalog_e_F(n):
     for i = 2..n; equals catalog_e_M(n) divided by E(C^*)."""
     if n < 2:
         raise ValueError("catalog_e_F needs n >= 2")
-    return _one_minus_q_product(range(3, 2 * n, 2))
+    return one_minus_q_product(range(3, 2 * n, 2))
 
 
 def catalog_betti_F(n):
@@ -186,7 +179,8 @@ LEAVES = {
                       lambda n: n, q_power),
     "proj": LeafRow(
         1, lambda n: n >= 0, "projective dimension must be >= 0", lambda n: n,
-        lambda n: sum((q_power(i) for i in range(n + 1)), const(0))),
+        # P^n = Gr(1, n + 1)
+        lambda n: gaussian_binomial(n + 1, 1)),
     "grass": LeafRow(2, lambda k, n: 0 <= k <= n,
                      "need 0 <= k <= n, got grass({},{})",
                      lambda k, n: k * (n - k),

@@ -24,23 +24,6 @@ from motivic.spaces import ConeOverPlucker, Grass, MilnorFibreF, ec
 rng = random.Random(33190)
 
 
-def test_gaussian_binomial_golden():
-    gb = gaussian_binomial(6, 2)
-    want = [1, 1, 2, 2, 3, 2, 2, 1, 1]
-    assert gb == sum((c * q_power(d) for d, c in enumerate(want)), ONE * 0)
-    assert gb.eval_q(2) == 651
-    assert gb.eval_q(1) == 15
-
-
-def test_gaussian_binomial_basics():
-    for n in range(7):
-        assert gaussian_binomial(n, 0) == ONE
-        for k in range(n + 1):
-            assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
-    with pytest.raises(ValueError):
-        gaussian_binomial(3, 4)
-
-
 def test_count_by_rank_2x2():
     # smallest case: a single free entry, rank 2 iff it is nonzero
     assert scan_skew(1, 5).rank_counts == {0: 1, 2: 4}
@@ -734,6 +717,23 @@ def test_worker_sample_fault_names_same_offender(three_workers, monkeypatch):
     # the first sampled index of the second tail range
     first = -(-2 ** 14 // counting.SPOT_STRIDE) * counting.SPOT_STRIDE
     assert f"the first is index {first} at (n, p) = (3, 2)" in message
+
+
+def test_increasing_rank_counts_are_refused(monkeypatch):
+    # a faulty rank pass that finds more matrices of rank >= 4 than of
+    # rank >= 2 would leave the rank-2 bucket below zero
+    scan = _kernel._scan_range
+
+    def faulty(*args):
+        part = scan(*args)
+        part["ck"][-1] = part["ck"][0] + 1
+        return part
+
+    monkeypatch.setattr(_kernel, "_scan_range", faulty)
+    with pytest.raises(ConsistencyError) as exc:
+        scan_skew(2, 3, "full", workers=1)
+    assert str(exc.value) == ("rank at-least counts [729, 728, 729, 0] "
+                              "increase at (n, p) = (2, 3)")
 
 
 @pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])

@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from motivic.errors import ConsistencyError, ParseError
 from motivic.laurent import (BettiPoly, LaurentPoly2, ONE, Q, X, Y, ZERO,
-                             _u_div_exact, _u_mul, common_exponent, const,
-                             dualize,
-                             euler_product, format_poly, monomial, parse_poly,
+                             common_exponent, const, divide_exact, dualize,
+                             euler_product, format_poly, gaussian_binomial,
+                             monomial, one_minus_q_product, parse_poly,
                              q_power, self_dual_convert, shift_apply,
                              twist_apply)
 
@@ -271,14 +271,83 @@ def test_betti_poly():
         BettiPoly({3: -1})
 
 
-def test_univariate_division():
-    num = _u_mul({0: 1, 10: -1}, {0: 1, 12: -1})
-    den = _u_mul({0: 1, 2: -1}, {0: 1, 4: -1})
-    quot = _u_div_exact(num, den)
+def test_divide_exact():
+    num = one_minus_q_product([10, 12])
+    den = one_minus_q_product([2, 4])
+    quot = divide_exact(num, den)
     want = [1, 0, 1, 0, 2, 0, 2, 0, 3, 0, 2, 0, 2, 0, 1, 0, 1]
-    assert quot == {k: c for k, c in enumerate(want) if c}
-    with pytest.raises(ConsistencyError):
-        _u_div_exact({0: 1, 3: -1}, {0: 1, 2: -1})
+    assert quot.terms == {(k, k): c for k, c in enumerate(want) if c}
+    # a Laurent quotient may have negative degrees
+    assert divide_exact(q_power(-1) + q_power(2), Q) == q_power(-2) + Q
+    with pytest.raises(ConsistencyError, match="remainder"):
+        divide_exact(ONE - q_power(3), ONE - q_power(2))
+    with pytest.raises(ConsistencyError, match="leading term"):
+        divide_exact(ONE + Q, 2 * Q)
+
+
+_tate = st.dictionaries(st.integers(-4, 6), st.integers(-5, 5),
+                        max_size=5).map(
+    lambda coeffs: LaurentPoly2({(d, d): c for d, c in coeffs.items()}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tate, _tate.filter(bool))
+def test_divide_exact_inverts_multiplication(a, b):
+    assert divide_exact(a * b, b) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tate, st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 5))
+def test_divide_exact_refuses_non_tate_and_zero(a, i, j, c):
+    assume(i != j)
+    other = a + monomial(i, j, c)
+    for num, den in ((other, ONE), (ONE, other), (a, other)):
+        with pytest.raises(ValueError, match="Tate-type"):
+            divide_exact(num, den)
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(a, ZERO)
+
+
+def test_gaussian_binomial_golden():
+    gb = gaussian_binomial(6, 2)
+    want = [1, 1, 2, 2, 3, 2, 2, 1, 1]
+    assert gb == sum((c * q_power(d) for d, c in enumerate(want)), ONE * 0)
+    assert gb.eval_q(2) == 651
+    assert gb.eval_q(1) == 15
+
+
+def test_gaussian_binomial_basics():
+    for n in range(7):
+        assert gaussian_binomial(n, 0) == ONE
+        for k in range(n + 1):
+            assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
+    with pytest.raises(ValueError):
+        gaussian_binomial(3, 4)
+
+
+def test_gaussian_binomial_q_pascal():
+    # [n, k] = [n - 1, k - 1] + q^k [n - 1, k], a route with no division,
+    # on every 1 <= k < n <= 20
+    for n in range(2, 21):
+        for k in range(1, n):
+            assert gaussian_binomial(n, k) == (
+                gaussian_binomial(n - 1, k - 1)
+                + q_power(k) * gaussian_binomial(n - 1, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tate, st.fractions(max_denominator=6).filter(
+    lambda q: abs(q.numerator) <= 20))
+def test_eval_q_is_eval_at_q_and_one(p, q):
+    try:
+        want = p.eval_at(q, 1)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.eval_q(q)
+        return
+    got = p.eval_q(q)
+    assert got == want
+    assert isinstance(got, int) == (want.denominator == 1)
 
 
 def test_euler_product_geometric():
