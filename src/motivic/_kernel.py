@@ -9,27 +9,30 @@ whole tails h0 <= h < h1, each with all L of its row-0 values.
 
 By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
 the Pfaffian of a block is a linear form c . x in its row-0 digits x, whose
-coefficient vector c in F_p^(2n-1) is made of Pfaffians of the tail.  Ranks
-are read off from principal sub-Pfaffians (the rank of a skew matrix is the
-largest size of a nonzero one): a 2k-minor through index 0 is again a
-linear form in row 0, and one that avoids index 0 is a per-block boolean.
+coefficient vector c in F_p^(2n-1) is made of Pfaffians of the tail.
+
+The rank of a block follows from its tail.  Write A = [[0, x^T], [-x, B]]
+with x the row-0 digits; then rank A = rank B when x lies in Im B, and
+rank B + 2 otherwise.  If x = B y, then y^T x = y^T B y = 0, as B is
+alternating (so in characteristic 2 too): row 0 of A is minus the sum of
+y_i times row i, and the other rows' column 0, -x = B (-y), lies in the
+span of B's columns.  If not, [-x | B] has rank B + 1, so rank A is
+rank B + 1 or rank B + 2, and the rank of a skew matrix is even.  So a
+tail of rank 2r, the largest 2k with a nonzero principal 2k-sub-Pfaffian,
+heads p^(2r) matrices of rank 2r and p^(2n-1) - p^(2r) of rank 2r + 2.
 
 A scan of a tail range makes two passes.  The tail pass walks its tails in
-runs of at most `_CHUNK // 16`, decoding each tail's digits once, and
-reduces every tail to the base-p id of its Pfaffian coefficient vector.
-For each rank level k < n, the tails with a nonzero 2k-minor count all
-L of their matrices; for the others it keeps the ids of their 2k-forms
-through index 0.  Many tails share a vector (the 3^10 tails of the 6x6
-scan over F_3 share 3^5), so the class pass then multiplies each distinct
-vector once by every row-0 value, brute force, in tables of at most
-`_CHUNK` row-0 values and `_CHUNK` entries:
-  - the Pfaffian products are tallied unreduced, scaled by the number of
-    blocks with that vector (vectors of equal multiplicity share one
-    bincount), and the short histogram is folded onto the residues mod p;
-  - a block is of rank >= 2k at row-0 value x when any of its 2k-forms is
-    nonzero at x, read from a bit table of each distinct form.
-Coefficients and digits lie in [0, p), so every product is a small
-non-negative integer; there is no float.
+runs of at most `_CHUNK // 16`, decoding each tail's digits once, reduces
+every tail to the base-p id of its Pfaffian coefficient vector and, for a
+rank scan, tallies the tails by rank.  Many tails share a vector (the 3^10
+tails of the 6x6 scan over F_3 share 3^5), so the class pass then
+multiplies each distinct vector once by every row-0 value, brute force, in
+tables of at most `_CHUNK` row-0 values and `_CHUNK` entries.  The
+products are tallied unreduced, scaled by the number of blocks with that
+vector (vectors of equal multiplicity share one bincount), and the short
+histogram is folded onto the residues mod p.  Coefficients and digits lie
+in [0, p), so every product is a small non-negative integer; there is no
+float.
 
 Two checks re-derive the Pfaffians from determinants, which share no code
 with the Pfaffian path.  The tail check covers every matrix of the scan:
@@ -81,24 +84,19 @@ def _lane(n, p):
 def _plan(n):
     """Index recipes of the first-row factoring for size 2n.
 
-    Returns (pairs, avoid, forms): `pairs` maps (i, j), 1 <= i < j, to its
-    tail digit; for 1 <= k < n, `avoid[k]` lists the 2k-subsets of
-    {1, ..., 2n-1}; for 1 <= k <= n, `forms[k]` has, for each
-    (2k-1)-subset S, the terms (row-0 digit, sign, S without j) of
-    Pf({0} + S) = sum_j sign a_0j Pf(S without j).  `forms[n]` is the
-    Pfaffian itself.
+    Returns (pairs, avoid, pfaffian): `pairs` maps (i, j), 1 <= i < j, to
+    its tail digit; for 1 <= k < n, `avoid[k]` lists the 2k-subsets of
+    {1, ..., 2n-1}; `pfaffian` has, for j = 1, ..., 2n-1, the term
+    (sign, {1, ..., 2n-1} without j) of Pf = sum_j sign a_0j Pf(without j).
     """
     size = 2 * n
-    rest = range(1, size)
+    rest = tuple(range(1, size))
     pairs = {(i, j): _pair_index(i, j, size) - (size - 1)
              for i, j in combinations(rest, 2)}
     avoid = {k: tuple(combinations(rest, 2 * k)) for k in range(1, n)}
-    forms = {k: tuple(tuple((j - 1, 1 if pos % 2 == 0 else -1,
-                             s[:pos] + s[pos + 1:])
-                            for pos, j in enumerate(s))
-                      for s in combinations(rest, 2 * k - 1))
-             for k in range(1, n + 1)}
-    return pairs, avoid, forms
+    pfaffian = tuple((1 if pos % 2 == 0 else -1, rest[:pos] + rest[pos + 1:])
+                     for pos in range(size - 1))
+    return pairs, avoid, pfaffian
 
 
 def _mod(a, p):
@@ -146,13 +144,10 @@ def _tail_pfaffians(tail, pairs, p, blocks):
     return _TailMemo(tail, pairs, p, blocks).__getitem__
 
 
-def _coefficients(form, pf, p, blocks, width0):
-    """Row-0 coefficients mod p of one form, a row per selected block."""
-    out = np.zeros((blocks.size, width0), dtype=np.int64)
-    for digit, sign, sub in form:
-        c = pf(sub)[blocks]
-        out[:, digit] = c if sign > 0 else _mod(-c, p)
-    return out
+def _coefficients(form, pf, p):
+    """Row-0 coefficients mod p of the Pfaffian form, a row per block."""
+    return np.stack([pf(sub) if sign > 0 else _mod(-pf(sub), p)
+                     for sign, sub in form], axis=1)
 
 
 def _vectors(ids, p, width0):
@@ -164,14 +159,6 @@ def _products(vectors, row0):
     """The unreduced row-0 products of coefficient vectors and row-0 digit
     columns (a matrix product, or a stack of them)."""
     return vectors @ row0
-
-
-def _row0_tables(block, p, width0):
-    """The row-0 digit columns of all block = p^width0 row-0 values, in
-    tables of at most _CHUNK columns."""
-    for c in range(0, block, _CHUNK):
-        yield np.array(_digits(np.arange(c, min(c + _CHUNK, block),
-                                         dtype=np.int64), p, width0))
 
 
 def _skew_stack(digits, size, dtype, count):
@@ -300,17 +287,14 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
     width0 = size - 1
     block = p ** width0
     m = n * width0
-    pairs, avoid, forms = _plan(n)
+    pairs, avoid, pfaffian = _plan(n)
     powers = p ** np.arange(width0, dtype=np.int64)
     lane = _lane(n, p)
 
-    # tail pass: each tail's Pfaffian coefficient vector, as its base-p id;
-    # for k < n, the ids of the 2k-forms through index 0 of the tails with
-    # no nonzero 2k-minor
+    # tail pass: each tail's Pfaffian coefficient vector, as its base-p id,
+    # and the number of tails of each rank 2r
     pf_ids = []
-    form_ids = {}
-    # ck[k-1] = #matrices with some nonzero 2k-sub-Pfaffian
-    ck = np.zeros(n, dtype=np.int64)
+    tail_ranks = np.zeros(n, dtype=np.int64)
     phases = dict.fromkeys(PHASES, 0.0)
     checked = violations = 0
     first_bad = None
@@ -321,23 +305,18 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
         if stop.is_set():
             return None
         hi = min(lo + run, h1)
-        blocks = np.arange(hi - lo)
         tail = _digits(np.arange(lo, hi, dtype=np.int64), p, m - width0)
-        pf = _tail_pfaffians(tail, pairs, p, blocks.size)
-        coeff = _coefficients(forms[n][0], pf, p, blocks, width0)
+        pf = _tail_pfaffians(tail, pairs, p, hi - lo)
+        coeff = _coefficients(pfaffian, pf, p)
         ids = coeff @ powers
         pf_ids.append(ids)
         if want_rank:
+            # the largest k with a nonzero 2k-sub-Pfaffian, or 0
+            rank = np.zeros(hi - lo, dtype=np.intp)
             for k in range(1, n):
-                tail_hit = np.zeros(blocks.size, dtype=bool)
                 for s in avoid[k]:
-                    tail_hit |= pf(s) != 0
-                ck[k - 1] += int(tail_hit.sum()) * block
-                rest = np.flatnonzero(~tail_hit)
-                if rest.size:
-                    form_ids.setdefault(k, []).append(np.stack(
-                        [_coefficients(form, pf, p, rest, width0) @ powers
-                         for form in forms[k]], axis=1))
+                    rank[pf(s) != 0] = k
+            tail_ranks += np.bincount(rank, minlength=n)
         t = time.perf_counter()
         bad, first = _tail_check(tail, coeff, p, lane)
         if bad and first_tail_bad is None:
@@ -378,7 +357,9 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
     hist = np.zeros(p, dtype=np.int64)
     ids, mult = np.unique(np.concatenate(pf_ids), return_counts=True)
     groups = [(mu, ids[mult == mu]) for mu in sorted(set(mult.tolist()))]
-    for row0 in _row0_tables(block, p, width0):
+    for c in range(0, block, _CHUNK):
+        row0 = np.array(_digits(np.arange(c, min(c + _CHUNK, block),
+                                          dtype=np.int64), p, width0))
         rows = max(1, _CHUNK // row0.shape[1])
         for mu, group in groups:
             for i in range(0, group.size, rows):
@@ -389,31 +370,8 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
                 tally = np.bincount(raw - low if low else raw)
                 tally *= mu
                 _fold(hist, tally, low, p)
-    u = time.perf_counter()
-    phases["pfaffian_classes"] = u - t
-    for k in sorted(form_ids):
-        # x mod p != 0 for every value a row-0 form can take
-        nonzero = _mod(np.arange(width0 * (p - 1) ** 2 + 1), p) != 0
-        fids = np.concatenate(form_ids.pop(k))
-        uniq, inv = np.unique(fids, return_inverse=True)
-        inv = inv.reshape(fids.shape)
-        for row0 in _row0_tables(block, p, width0):
-            rows = max(1, _CHUNK // row0.shape[1])
-            # the nonzero table of each distinct form, 8 row-0 values a byte
-            bits = np.empty((uniq.size, -(-row0.shape[1] // 8)),
-                            dtype=np.uint8)
-            for i in range(0, uniq.size, rows):
-                bits[i:i + rows] = np.packbits(nonzero[_products(
-                    _vectors(uniq[i:i + rows], p, width0), row0)], axis=1)
-            # a tail is hit where any of its forms is nonzero
-            step = max(1, _CHUNK // (fids.shape[1] * bits.shape[1]))
-            for i in range(0, fids.shape[0], step):
-                hit = np.bitwise_or.reduce(bits[inv[i:i + step]], axis=1)
-                ck[k - 1] += int(np.count_nonzero(np.unpackbits(hit)))
-    phases["rank_classes"] = time.perf_counter() - u
-    if want_rank:
-        ck[n - 1] = (h1 - h0) * block - int(hist[0])
-    return {"hist": hist, "ck": ck, "checked": checked,
+    phases["pfaffian_classes"] = time.perf_counter() - t
+    return {"hist": hist, "tail_ranks": tail_ranks, "checked": checked,
             "violations": violations, "first_bad": first_bad,
             "tails_checked": tails_checked,
             "tail_violations": tail_violations,

@@ -3,7 +3,10 @@ truth against E-polynomial predictions evaluated at xy = p.
 
 This module admits a scan, runs the kernel (`_kernel`, imported by the
 first scan; its docstring gives the algorithm and the two checks) on
-threads, and checks and merges what they return.
+threads, and checks and merges what they return.  A rank scan's kernel
+returns a tally of its tails by rank, and the rank buckets are built here,
+in Python ints, from that tally: a tail of rank 2r heads p^(2r) matrices of
+rank 2r and the other p^(2n-1) - p^(2r) of its block have rank 2r + 2.
 
 Scans parallelise over ranges of whole tails, so each tail is checked once
 at any worker count, and n = 1, which has one tail, always runs in one
@@ -34,8 +37,8 @@ SPOT_STRIDE = 1009
 _INT64_MAX = (1 << 63) - 1
 # the most entries of a scan's p-long Pfaffian histogram, 128 MiB of int64
 HIST_MAX = 1 << 24
-PHASES = ("tail_pass", "tail_check", "pfaffian_classes", "rank_classes",
-          "spot_check", "merge")
+PHASES = ("tail_pass", "tail_check", "pfaffian_classes", "spot_check",
+          "merge")
 
 
 class PfCounts(Mapping):
@@ -168,8 +171,10 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap, the
     scan's int64 arithmetic could overflow or p exceeds HIST_MAX, and
     ConsistencyError when a tail fails adj(B) = c c^T (naming the lowest
-    such block) or a sampled matrix fails Pf^2 = det (naming the
-    lowest-index offender).  The cap and HIST_MAX are tested before p is
+    such block), a sampled matrix fails Pf^2 = det (naming the
+    lowest-index offender), or, in mode "full", the tail rank tally does
+    not count every tail once or the rank-2n bucket differs from
+    #{Pf != 0}.  The cap and HIST_MAX are tested before p is
     tested for primality.  At most min(workers, os.cpu_count(),
     ceil(p^(n(2n-1)) / _kernel._CHUNK), p^((n-1)(2n-1))) threads scan, the
     calling one and worker threads, each a range of whole tails.  So a
@@ -210,7 +215,7 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     hist = parts[0]["hist"]
     for part in parts[1:]:
         hist += part["hist"]
-    ck = sum(part["ck"] for part in parts)
+    tail_ranks = sum(part["tail_ranks"] for part in parts).tolist()
     tails = sum(part["tails_checked"] for part in parts)
     tail_violations = sum(part["tail_violations"] for part in parts)
     if tail_violations:
@@ -236,15 +241,28 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         raise ConsistencyError("Pfaffian histogram does not sum to the scan size")
     rank_counts = None
     if want_rank:
-        # at_least[k] = #matrices of rank >= 2k, which never increases in k:
-        # an increase would leave a rank bucket below zero
-        at_least = [total, *ck.tolist(), 0]
-        if any(a < b for a, b in zip(at_least, at_least[1:])):
+        if sum(tail_ranks) != tails:
             raise ConsistencyError(
-                f"rank at-least counts {at_least} increase at (n, p) = "
+                f"the tail rank tally {tail_ranks} sums to "
+                f"{sum(tail_ranks)}, not to the {tails} tails checked at "
+                f"(n, p) = ({n}, {p})")
+        # a tail of rank 2r heads p^(2r) matrices of rank 2r and the rest
+        # of its block has rank 2r + 2 (the lemma in `_kernel`)
+        rank_counts = dict.fromkeys(range(0, 2 * n + 1, 2), 0)
+        for r, count in enumerate(tail_ranks):
+            rank_counts[2 * r] += count * p ** (2 * r)
+            rank_counts[2 * r + 2] += count * (block - p ** (2 * r))
+        # Both sides read the tail's (2n-2)-sub-Pfaffians, the Pfaffian's
+        # coefficients: the tally counts the tails where one is nonzero,
+        # the histogram multiplies them by row 0.  So this checks the class
+        # pass (products, unreduced tally, `_fold`), not the memo that both
+        # read, which the tail check covers.
+        nonzero = total - int(hist[0])
+        if rank_counts[2 * n] != nonzero:
+            raise ConsistencyError(
+                f"the rank-{2 * n} bucket holds {rank_counts[2 * n]} "
+                f"matrices but #{{Pf != 0}} = {nonzero} at (n, p) = "
                 f"({n}, {p})")
-        rank_counts = {2 * k: at_least[k] - at_least[k + 1]
-                       for k in range(n + 1)}
     phases = {name: sum(part["phases"][name] for part in parts)
               for name in PHASES}
     end = time.perf_counter()

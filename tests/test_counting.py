@@ -97,6 +97,33 @@ def test_rank_buckets_agree_with_gaussian_elimination():
         assert (r == 6) == (pfaffian(A) != 0)
 
 
+def _carlitz(size, rank, q):
+    # Carlitz (Duke Math. J. 21, 1954): the number of size x size
+    # alternating matrices over F_q of rank 2r is
+    # q^(r(r-1)) prod_{i<2r} (q^(size-i) - 1) / prod_{i=1..r} (q^(2i) - 1)
+    r = rank // 2
+    top = bottom = 1
+    for i in range(2 * r):
+        top *= q ** (size - i) - 1
+    for i in range(1, r + 1):
+        bottom *= q ** (2 * i) - 1
+    return q ** (r * (r - 1)) * top // bottom
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rank_buckets_match_carlitz(workers):
+    # every bucket, the middle ones of (3, 3) and all of (2, 11) and
+    # (2, 13) among them
+    cases = [(1, 7), *((2, p) for p in (2, 3, 5, 7, 11, 13)), (3, 2), (3, 3)]
+    for n, p in cases:
+        want = {rank: _carlitz(2 * n, rank, p)
+                for rank in range(0, 2 * n + 1, 2)}
+        assert sum(want.values()) == p ** (n * (2 * n - 1))
+        assert scan_skew(n, p, "full", workers=workers).rank_counts == want, \
+            (n, p)
+    assert _carlitz(6, 2, 3) == 22022 and _carlitz(6, 4, 3) == 5153148
+
+
 def test_cap_refusal():
     assert DEFAULT_CAP == 10 ** 8
     with pytest.raises(CapExceededError) as exc:
@@ -244,8 +271,8 @@ def _scan_tally(n, p, tails, spot_stride=counting.SPOT_STRIDE):
                                 threading.Event())
     assert part["violations"] == 0 and part["first_bad"] is None
     assert part["tail_violations"] == 0
-    return (part["hist"].tolist(), part["ck"].tolist(), part["checked"],
-            part["tails_checked"])
+    return (part["hist"].tolist(), part["tail_ranks"].tolist(),
+            part["checked"], part["tails_checked"])
 
 
 def test_scan_matches_pointwise_oracle():
@@ -283,19 +310,19 @@ def test_range_partitions_sum_to_whole_scan(monkeypatch, chunk):
         _, tails = _whole(n, p)
         assert want[3] == tails
         for points in (1, 3, 6):
-            hists, cks, checked, tails_checked = zip(*(
+            hists, ranks, checked, tails_checked = zip(*(
                 _scan_tally(n, p, cut) for cut in _cuts(tails, points)))
             assert [sum(c) for c in zip(*hists)] == want[0]
-            assert [sum(c) for c in zip(*cks)] == want[1]
+            assert [sum(c) for c in zip(*ranks)] == want[1]
             assert (sum(checked), sum(tails_checked)) == want[2:]
 
 
 @pytest.mark.parametrize("chunk", [40, 100])
 def test_class_tables_split_into_chunks(monkeypatch, chunk):
     # a class table holds at most _CHUNK row-0 values and _CHUNK // width
-    # vectors: at (3, 2) row 0 takes 32 values, so each 6x6 tail's ten
-    # distinct 4-forms lie in several rank-table chunks; at (2, 5) the 125
-    # row-0 values are split into tables of at most `chunk`
+    # vectors: at (3, 2) row 0 takes 32 values, so the 32 distinct
+    # Pfaffian vectors lie in several tables; at (2, 5) the 125 row-0
+    # values are split into tables of at most `chunk`
     whole = {(n, p): _scan_tally(n, p, _whole(n, p))
              for n, p in ((3, 2), (2, 5))}
     tables = []
@@ -304,7 +331,6 @@ def test_class_tables_split_into_chunks(monkeypatch, chunk):
         x.ndim == 2 and tables.append(v.shape[0] * x.shape[1])
         or products(v, x)))
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
-    assert chunk // 32 < len(_kernel._plan(3)[2][2])
     for (n, p), want in whole.items():
         tables.clear()
         assert _scan_tally(n, p, _whole(n, p)) == want
@@ -315,6 +341,9 @@ def test_class_tables_split_into_chunks(monkeypatch, chunk):
 
 
 def test_scan_reports_phase_seconds():
+    # the tail ranks are counted in the tail pass, with no phase of their own
+    assert counting.PHASES == ("tail_pass", "tail_check", "pfaffian_classes",
+                               "spot_check", "merge")
     s = scan_skew(3, 3, "full", workers=1)
     assert tuple(s.phases) == counting.PHASES
     assert all(t >= 0 for t in s.phases.values())
@@ -394,9 +423,9 @@ def test_tail_check_catches_a_coefficient_sign(monkeypatch):
     plan = _kernel._plan
 
     def flipped(n):
-        pairs, avoid, forms = plan(n)
-        (digit, sign, sub), *rest = forms[n][0]
-        return pairs, avoid, {**forms, n: (((digit, -sign, sub), *rest),)}
+        pairs, avoid, pfaffian = plan(n)
+        (sign, sub), *rest = pfaffian
+        return pairs, avoid, ((-sign, sub), *rest)
 
     monkeypatch.setattr(_kernel, "_plan", flipped)
     for n, p in ((2, 3), (2, 5)):
@@ -438,7 +467,9 @@ def test_tail_check_catches_a_coefficient_sign(monkeypatch):
 def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
     # the tail check covers the coefficient vectors, not the class pass
     # that multiplies them by row 0; the pointwise sample takes the same
-    # decode and product routines, so it catches a fault there
+    # decode and product routines, so it catches a fault there.  A rank
+    # scan also compares the rank-4 bucket with #{Pf != 0}, which a product
+    # off by one moves
     if fault == "product":
         products = _kernel._products
         monkeypatch.setattr(_kernel, "_products",
@@ -447,10 +478,15 @@ def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
         vectors = _kernel._vectors
         monkeypatch.setattr(_kernel, "_vectors",
                             lambda *args: vectors(*args)[:, ::-1])
-    s = scan_skew(2, 5, "full", spot_stride=0)
+    s = scan_skew(2, 5, "hist", spot_stride=0)
     assert s.tails_checked == 125
     with pytest.raises(ConsistencyError, match=r"Pf\^2 = det failed on"):
         scan_skew(2, 5, "hist")
+    if fault == "product":
+        with pytest.raises(ConsistencyError,
+                           match=r"rank-4 bucket holds 12400 matrices but "
+                                 r"#\{Pf != 0\} = \d+ at \(n, p\) = \(2, 5\)"):
+            scan_skew(2, 5, "full", spot_stride=0)
 
 
 def test_tail_check_compares_every_entry(monkeypatch):
@@ -459,9 +495,9 @@ def test_tail_check_compares_every_entry(monkeypatch):
         width0 = 2 * n - 1
         tails = p ** ((n - 1) * width0)
         tail = _kernel._digits(np.arange(tails), p, (n - 1) * width0)
-        pf = _kernel._tail_pfaffians(tail, _kernel._plan(n)[0], p, tails)
-        coeff = _kernel._coefficients(_kernel._plan(n)[2][n][0], pf, p,
-                                       np.arange(tails), width0)
+        pairs, _, pfaffian = _kernel._plan(n)
+        pf = _kernel._tail_pfaffians(tail, pairs, p, tails)
+        coeff = _kernel._coefficients(pfaffian, pf, p)
         lane = _kernel._lane(n, p)
         assert _kernel._tail_check(tail, coeff, p, lane) == (0, None)
         adjugate = _kernel._adjugate
@@ -719,21 +755,28 @@ def test_worker_sample_fault_names_same_offender(three_workers, monkeypatch):
     assert f"the first is index {first} at (n, p) = (3, 2)" in message
 
 
-def test_increasing_rank_counts_are_refused(monkeypatch):
-    # a faulty rank pass that finds more matrices of rank >= 4 than of
-    # rank >= 2 would leave the rank-2 bucket below zero
+@pytest.mark.parametrize("shift, message", [
+    (lambda ranks: ranks + [1, 0],
+     "the tail rank tally [2, 26] sums to 28, not to the 27 tails checked "
+     "at (n, p) = (2, 3)"),
+    (lambda ranks: ranks[::-1],
+     "the rank-4 bucket holds 18 matrices but #{Pf != 0} = 468 at "
+     "(n, p) = (2, 3)")], ids=["extra tail", "swapped ranks"])
+def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message):
+    # the 27 tails of (2, 3) are the zero tail and 26 of rank 2: a faulty
+    # tally that counts a tail twice, or swaps the ranks, is refused
     scan = _kernel._scan_range
 
     def faulty(*args):
         part = scan(*args)
-        part["ck"][-1] = part["ck"][0] + 1
+        assert part["tail_ranks"].tolist() == [1, 26]
+        part["tail_ranks"] = shift(part["tail_ranks"])
         return part
 
     monkeypatch.setattr(_kernel, "_scan_range", faulty)
     with pytest.raises(ConsistencyError) as exc:
         scan_skew(2, 3, "full", workers=1)
-    assert str(exc.value) == ("rank at-least counts [729, 728, 729, 0] "
-                              "increase at (n, p) = (2, 3)")
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
