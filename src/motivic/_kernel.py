@@ -24,27 +24,33 @@ heads p^(2r) matrices of rank 2r and p^(2n-1) - p^(2r) of rank 2r + 2.
 A scan of a tail range makes two passes.  The tail pass walks its tails in
 runs of at most `_CHUNK // 16`, decoding each tail's digits once, reduces
 every tail to the base-p id of its Pfaffian coefficient vector and, for a
-rank scan, tallies the tails by rank.  Many tails share a vector (the 3^10
-tails of the 6x6 scan over F_3 share 3^5), so the class pass then
-multiplies each distinct vector once by every row-0 value, brute force, in
-tables of at most `_CHUNK` row-0 values and `_CHUNK` entries.  The
-products are tallied unreduced, scaled by the number of blocks with that
-vector (vectors of equal multiplicity share one bincount), and the short
-histogram is folded onto the residues mod p.  Coefficients and digits lie
-in [0, p), so every product is a small non-negative integer; there is no
-float.
+rank scan, tallies the tails by rank.  Each run reduces its ids to a tally
+of (distinct id, count), merged into the range's, so a range never holds
+one id per tail; everything else a run builds is freed before the next
+run.  Many tails share a vector (the 3^10 tails of the 6x6 scan over F_3
+share 3^5), so the class pass then multiplies each distinct vector once by
+every row-0 value, brute force, in tables of at most `_CHUNK` row-0 values
+and `_CHUNK` entries.  The products are tallied unreduced, scaled by the
+number of blocks with that vector (vectors of equal multiplicity share one
+bincount), and the short histogram is folded onto the residues mod p.
+Coefficients and digits lie in [0, p), so every product is a small
+non-negative integer; there is no float.
 
 Two checks re-derive the Pfaffians from determinants, which share no code
 with the Pfaffian path.  The tail check covers every matrix of the scan:
 since det(A) = x^T adj(B) x and Pf(A) = c . x, Pf^2 = det holds on a whole
 block when adj(B) = c c^T, an identity over Z that is checked mod p on all
-(2n-1)^2 entries once per tail, adj(B) from the maximal minors of B
-without each row.  The pointwise sample re-checks the decode and product
-path: each matrix whose global index is a multiple of `spot_stride` is
-decoded afresh from its index, its Pfaffian is its block's vector, decoded
-from its id, times its row-0 digits, and its determinant comes from the
-same batched, division-free cofactor expansion.  Both expansions run in
-the narrowest of int16, int32 and int64 that holds their bound (`_lane`).
+(2n-1)^2 entries once per tail, one column of adj(B) at a time, each from
+the maximal minors of B without one row.  The pointwise sample re-checks
+the decode and product path: each matrix whose global index is a multiple
+of `spot_stride` is decoded afresh from its index, its Pfaffian is its
+block's vector, decoded from its id, times its row-0 digits, and its
+determinant comes from the same batched, division-free cofactor expansion.
+
+A run's arrays (tail digits, sub-Pfaffians, coefficient rows, the
+expansions of both checks) are in the narrowest of int16, int32 and int64
+that holds the Hadamard bound of the scan (`_lane`).  The ids, the class
+pass's products and tallies and the index tables stay int64 or intp.
 """
 
 import os
@@ -108,12 +114,13 @@ def _mod(a, p):
     return a - a // p * p
 
 
-def _digits(values, p, count):
-    """The `count` least significant base-p digits of an int64 array."""
-    out = []
-    for _ in range(count):
+def _digits(values, p, count, dtype=np.int64):
+    """The `count` least significant base-p digits of an int64 array, a
+    row per digit, as a (count, values.size) array of `dtype`."""
+    out = np.empty((count, values.size), dtype=dtype)
+    for row in out:
         high = values // p
-        out.append(values - high * p)  # `_mod`, reusing the quotient
+        np.subtract(values, high * p, out=row)  # `_mod`, reusing the quotient
         values = high
     return out
 
@@ -121,11 +128,14 @@ def _digits(values, p, count):
 class _TailMemo(dict):
     """The memo of `_tail_pfaffians`, which fills its own missing keys."""
 
-    def __init__(self, tail, pairs, p, blocks):
-        super().__init__({(): np.ones(blocks, dtype=np.int64)})
+    def __init__(self, tail, pairs, p):
+        super().__init__({(): np.ones(tail.shape[1], dtype=tail.dtype)})
         self.tail, self.pairs, self.p = tail, pairs, p
 
     def __missing__(self, s):
+        # in the tail's lane: fewer than 2n - 1 terms, each a digit times
+        # a reduced sub-Pfaffian, so below (2n - 1)(p - 1)^2, which the
+        # lane's bound covers
         acc = 0
         for pos, j in enumerate(s[1:]):
             term = (self.tail[self.pairs[s[0], j]]
@@ -135,24 +145,47 @@ class _TailMemo(dict):
         return value
 
 
-def _tail_pfaffians(tail, pairs, p, blocks):
+def _tail_pfaffians(tail, pairs, p):
     """Sub-Pfaffians mod p of the tail (the matrix without row and column
-    0), as a function of the index subset returning one value per block;
-    the first-row recursion, memoised.  The memo is a dict, not a closure
-    that calls itself, so it is freed with its run rather than left to the
-    cyclic garbage collector."""
-    return _TailMemo(tail, pairs, p, blocks).__getitem__
+    0), as a function of the index subset returning one value per block, in
+    the dtype of the (digits, blocks) array `tail`; the first-row
+    recursion, memoised.  The memo is a dict, not a closure that calls
+    itself, so it is freed with its run rather than left to the cyclic
+    garbage collector."""
+    return _TailMemo(tail, pairs, p).__getitem__
 
 
 def _coefficients(form, pf, p):
-    """Row-0 coefficients mod p of the Pfaffian form, a row per block."""
+    """Row-0 coefficients mod p of the Pfaffian form, a row per coefficient
+    and a column per block."""
     return np.stack([pf(sub) if sign > 0 else _mod(-pf(sub), p)
-                     for sign, sub in form], axis=1)
+                     for sign, sub in form])
+
+
+def _ids(coeff, p):
+    """The base-p ids of the columns of `coeff`, coefficient k the digit of
+    p^k, as int64."""
+    ids = np.zeros(coeff.shape[1], dtype=np.int64)
+    for row in coeff[::-1]:
+        ids *= p
+        ids += row
+    return ids
 
 
 def _vectors(ids, p, width0):
     """The coefficient vectors with these base-p ids, one per row."""
-    return np.array(_digits(ids, p, width0)).T
+    return _digits(ids, p, width0).T
+
+
+def _merge_tally(ids, counts, more_ids, more_counts):
+    """The union of two tallies of sorted distinct ids, counts summed."""
+    # np.unique without an index or count output would import numpy.ma
+    union, where = np.unique(np.concatenate((ids, more_ids)),
+                             return_inverse=True)
+    total = np.zeros(union.size, dtype=np.int64)
+    total[where[:ids.size]] += counts
+    total[where[ids.size:]] += more_counts
+    return union, total
 
 
 def _products(vectors, row0):
@@ -172,93 +205,172 @@ def _skew_stack(digits, size, dtype, count):
 
 
 @lru_cache(maxsize=None)
-def _laplace_plan(rows, cols):
-    """Index recipes of the cofactor expansion of the maximal minors of a
-    rows x cols matrix, rows <= cols.
+def _laplace_plan(r, cols):
+    """Index recipes of one level of the cofactor expansion of maximal
+    minors over `cols` columns: the minors of r rows from those of the r - 1
+    rows beneath their top row.
 
-    Level r = 2, ..., rows expands the minors of the last r rows along
-    their top row, rows - r.  Returns, per level, (rows - r, terms): the
-    r-subsets S of columns in lexicographic order, and for each position
-    pos < r the pair (column S[pos] of every S, index of S without S[pos]
-    among the (r-1)-subsets), so that minor(S) = sum_pos (-1)^pos
-    a[rows-r, S[pos]] minor(S without S[pos]).
+    For the r-subsets S of columns in lexicographic order, returns for each
+    position pos < r the pair (column S[pos] of every S, index of S without
+    S[pos] among the (r-1)-subsets), so that minor(S) = sum_pos (-1)^pos
+    a[top, S[pos]] minor(S without S[pos]).
     """
-    levels = []
-    prev = {(c,): c for c in range(cols)}
-    for r in range(2, rows + 1):
-        subsets = tuple(combinations(range(cols), r))
-        terms = tuple((np.array([S[pos] for S in subsets], dtype=np.intp),
-                       np.array([prev[S[:pos] + S[pos + 1:]] for S in subsets],
-                                dtype=np.intp))
-                      for pos in range(r))
-        levels.append((rows - r, terms))
-        prev = {S: i for i, S in enumerate(subsets)}
-    return tuple(levels)
+    prev = {S: i for i, S in enumerate(combinations(range(cols), r - 1))}
+    subsets = tuple(combinations(range(cols), r))
+    return tuple((np.array([S[pos] for S in subsets], dtype=np.intp),
+                  np.array([prev[S[:pos] + S[pos + 1:]] for S in subsets],
+                           dtype=np.intp))
+                 for pos in range(r))
 
 
-def _minors(M, rows):
-    """The maximal minors of the rows `rows` of a (s, cols, N) stack, batch
-    axis innermost: one per len(rows)-subset of columns in lexicographic
-    order, as a (subsets, N) array of M's dtype.  Cofactor expansion along
-    the rows from the bottom up, the minors of the last r rows from those
-    of the last r-1; no division and no pivot search, so every matrix
-    takes the same steps, and only two levels of minors are alive at a
-    time."""
-    if not rows:
-        return np.ones((1, M.shape[2]), dtype=M.dtype)
-    minors = M[rows[-1]]
-    for level, terms in _laplace_plan(len(rows), M.shape[1]):
-        a = M[rows[level]]
-        acc = None
-        for pos, (cols, subs) in enumerate(terms):
-            term = a[cols] * minors[subs]
-            if acc is None:
-                acc = term
-            elif pos % 2:
-                acc -= term
-            else:
-                acc += term
-        minors = acc
-    return minors
+def _extend(M, minors, row, r):
+    """The maximal minors of row `row` of a (s, cols, N) stack, batch axis
+    innermost, put on top of r - 1 rows whose maximal minors are `minors`:
+    one per r-subset of columns in lexicographic order, as a (subsets, N)
+    array of M's dtype, by cofactor expansion along that row.  No division
+    and no pivot search, so every matrix takes the same steps."""
+    a = M[row]
+    if r == 1:
+        return a
+    acc = None
+    for pos, (cols, subs) in enumerate(_laplace_plan(r, M.shape[1])):
+        term = a[cols]
+        term *= minors[subs]
+        if acc is None:
+            acc = term
+        elif pos % 2:
+            acc -= term
+        else:
+            acc += term
+    return acc
 
 
 def _batched_det(M):
-    """Exact determinants of an (N, s, s) integer stack, in its dtype."""
+    """Exact determinants of an (N, s, s) integer stack, in its dtype: the
+    minors of the last r rows from those of the last r - 1, bottom up, only
+    two levels alive at a time."""
     s = M.shape[1]
     M = np.ascontiguousarray(M.transpose(1, 2, 0))  # batch axis innermost
-    return _minors(M, tuple(range(s)))[0]
+    minors = None
+    for r in range(1, s + 1):
+        minors = _extend(M, minors, s - r, r)
+    return minors[0]
 
 
-def _adjugate(B):
-    """adj(B) of a (w, w, N) stack, batch axis innermost:
-    adj(B)[i, j] = (-1)^(i+j) det(B without row j and column i), column j
-    from the maximal minors of B without row j."""
-    w = B.shape[0]
-    adj = np.empty_like(B)
-    for j in range(w):
+def _adjugate_columns(B):
+    """Yield (j, adj(B)[:, j]) for j = w-1, ..., 0 of a (w, w, N) stack,
+    batch axis innermost: adj(B)[i, j] = (-1)^(i+j) det(B without row j and
+    column i).
+
+    Column j comes from the maximal minors of B without row j, rows
+    0, ..., j-1 put on top of rows j+1, ..., w-1.  The minors of that
+    suffix of rows are kept from column to column, one row longer each
+    time, so each column expands only the rows above its own: 2170
+    products per 7x7 matrix and 280 per 5x5, against 3038 and 350 with
+    every column from scratch.
+    """
+    w, _, count = B.shape
+    suffix = np.ones((1, count), dtype=B.dtype)  # minors of rows j+1, ...
+    for j in range(w - 1, -1, -1):
+        minors = suffix
+        for row in range(j - 1, -1, -1):
+            minors = _extend(B, minors, row, w - 1 - row)
         # the (w-1)-subset of columns at lexicographic position k omits
         # column w-1-k
-        adj[:, j] = _minors(B, tuple(r for r in range(w) if r != j))[::-1]
-        adj[(j + 1) % 2::2, j] *= -1
-    return adj
+        column = minors[::-1].copy()
+        column[(j + 1) % 2::2] *= -1
+        yield j, column
+        if j:
+            suffix = _extend(B, suffix, j, w - j)
 
 
-def _tail_check(tail, coeff, p, lane):
+def _tail_check(tail, coeff, p):
     """Check adj(B) = c c^T mod p for each block, B its odd skew tail from
-    the tail digits and c its row of `coeff`.  Returns the number of failing
-    blocks and, for the first, (its row, i, j, adj(B)[i, j], c_i c_j mod p)
-    at its first failing entry."""
-    count, w = coeff.shape
-    adj = _adjugate(_skew_stack(tail, w, lane, count))
-    c = coeff.T.astype(lane)
-    bad = _mod(adj - c[:, None] * c[None], p).reshape(w * w, count)
-    hit = np.flatnonzero(bad.any(axis=0))
-    if not hit.size:
-        return 0, None
-    t = int(hit[0])
-    i, j = divmod(int(np.flatnonzero(bad[:, t])[0]), w)
-    return int(hit.size), (t, i, j, int(adj[i, j, t]),
-                           int(c[i, t]) * int(c[j, t]) % p)
+    the tail digits and c its column of the coefficient rows `coeff`, one
+    column of adj(B) at a time, in coeff's dtype.  Returns the number of
+    failing blocks and, for the first, (its index among the blocks, i, j,
+    adj(B)[i, j], c_i c_j mod p) at its first failing entry in row-major
+    order."""
+    w, count = coeff.shape
+    failing = np.zeros(count, dtype=bool)
+    first = None
+    for j, column in _adjugate_columns(
+            _skew_stack(tail, w, coeff.dtype, count)):
+        bad = _mod(column - coeff * coeff[j], p)
+        hit = bad.any(axis=0)
+        if not hit.any():
+            continue
+        failing |= hit
+        t = int(hit.argmax())
+        i = int(np.flatnonzero(bad[:, t])[0])
+        if first is None or (t, i, j) < first[:3]:
+            first = (t, i, j, int(column[i, t]),
+                     int(coeff[i, t]) * int(coeff[j, t]) % p)
+    return int(np.count_nonzero(failing)), first
+
+
+def _spot_check(n, p, ids, lo, hi, spot_stride):
+    """Pf^2 = det on every matrix of the tails lo <= h < hi whose global
+    index is a multiple of `spot_stride`, with Pf by the class pass's route:
+    the tail's vector, decoded from its id in `ids`, times the sample's
+    row-0 digits.  Returns (matrices checked, failures, the lowest failing
+    index or None)."""
+    size = 2 * n
+    width0 = size - 1
+    block = p ** width0
+    m = n * width0
+    lane = _lane(n, p)
+    checked = violations = 0
+    first_bad = None
+    end = hi * block
+    step = spot_stride * _SAMPLE_BATCH
+    for b0 in range(-(-lo * block // spot_stride) * spot_stride, end, step):
+        sel = np.arange(b0, min(b0 + step, end), spot_stride, dtype=np.int64)
+        digits = _digits(sel, p, m)
+        vec = _vectors(ids[sel // block - lo], p, width0)
+        row0 = digits[:width0].T
+        pfv = _mod(_products(vec[:, None], row0[:, :, None]).ravel(), p)
+        det = _batched_det(
+            _skew_stack(digits, size, lane, sel.size).transpose(2, 0, 1))
+        bad = np.flatnonzero(_mod(det - pfv * pfv, p))
+        if bad.size and first_bad is None:
+            first_bad = int(sel[bad[0]])
+        violations += int(bad.size)
+        checked += int(sel.size)
+    return checked, violations, first_bad
+
+
+def _tail_run(n, p, lo, hi, want_rank, spot_stride, phases):
+    """The tail pass over the tails lo <= h < hi, with both checks: returns
+    (distinct ids, their counts), the tail rank tally (or None), the tail
+    check's (failures, first) with the first's block index within the run,
+    and the spot check's (checked, failures, first).  Adds the seconds of
+    each check to `phases`.  Every per-tail array is local, so it is freed
+    on return."""
+    width0 = 2 * n - 1
+    pairs, avoid, pfaffian = _plan(n)
+    tail = _digits(np.arange(lo, hi, dtype=np.int64), p, (n - 1) * width0,
+                   _lane(n, p))
+    pf = _tail_pfaffians(tail, pairs, p)
+    coeff = _coefficients(pfaffian, pf, p)
+    ids = _ids(coeff, p)
+    ranks = None
+    if want_rank:
+        # the largest k with a nonzero 2k-sub-Pfaffian, or 0
+        rank = np.zeros(hi - lo, dtype=np.intp)
+        for k in range(1, n):
+            for s in avoid[k]:
+                rank[pf(s) != 0] = k
+        ranks = np.bincount(rank, minlength=n)
+    t = time.perf_counter()
+    tail_bad = _tail_check(tail, coeff, p)
+    u = time.perf_counter()
+    phases["tail_check"] += u - t
+    spot = (0, 0, None)
+    if spot_stride:
+        spot = _spot_check(n, p, ids, lo, hi, spot_stride)
+    phases["spot_check"] += time.perf_counter() - u
+    return np.unique(ids, return_counts=True), ranks, tail_bad, spot
 
 
 def _fold(hist, tally, low, p):
@@ -277,23 +389,21 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
     Returns None, having scanned part of the range, if `stop` is set
     before a run of tails."""
     t0 = time.perf_counter()
-    # Allocated and freed at once, never touched: freeing one 4 MiB block
-    # raises glibc's dynamic mmap and trim thresholds above a run's
-    # scratch, so the heap is not trimmed and faulted in again every run
-    # (about 5 900 page faults in the 3^15 scan otherwise, 0.02 s of its
-    # 0.055 s).  Other allocators are unaffected.
-    np.empty(1 << 22, dtype=np.uint8)
-    size = 2 * n
-    width0 = size - 1
+    # Allocated and freed at once, never touched: freeing one block of
+    # about 4 MiB raises glibc's dynamic mmap and trim thresholds above a
+    # run's scratch, so the heap is not trimmed and faulted in again every
+    # run (about 5 900 page faults in the 3^15 scan otherwise, 0.02 s of its
+    # 0.055 s).  Other allocators are unaffected.  It is a page short of
+    # 4 MiB because numpy advises huge pages for arrays from 4 MiB on: from
+    # a process's second scan the block comes from the heap, and that
+    # advice would fault the later runs' scratch in 2 MiB pages.
+    np.empty((1 << 22) - 4096, dtype=np.uint8)
+    width0 = 2 * n - 1
     block = p ** width0
-    m = n * width0
-    pairs, avoid, pfaffian = _plan(n)
-    powers = p ** np.arange(width0, dtype=np.int64)
-    lane = _lane(n, p)
 
-    # tail pass: each tail's Pfaffian coefficient vector, as its base-p id,
-    # and the number of tails of each rank 2r
-    pf_ids = []
+    # tail pass: the tally of the tails' Pfaffian coefficient vectors, by
+    # base-p id, and the number of tails of each rank 2r
+    ids = mult = np.zeros(0, dtype=np.int64)
     tail_ranks = np.zeros(n, dtype=np.int64)
     phases = dict.fromkeys(PHASES, 0.0)
     checked = violations = 0
@@ -305,49 +415,19 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
         if stop.is_set():
             return None
         hi = min(lo + run, h1)
-        tail = _digits(np.arange(lo, hi, dtype=np.int64), p, m - width0)
-        pf = _tail_pfaffians(tail, pairs, p, hi - lo)
-        coeff = _coefficients(pfaffian, pf, p)
-        ids = coeff @ powers
-        pf_ids.append(ids)
-        if want_rank:
-            # the largest k with a nonzero 2k-sub-Pfaffian, or 0
-            rank = np.zeros(hi - lo, dtype=np.intp)
-            for k in range(1, n):
-                for s in avoid[k]:
-                    rank[pf(s) != 0] = k
-            tail_ranks += np.bincount(rank, minlength=n)
-        t = time.perf_counter()
-        bad, first = _tail_check(tail, coeff, p, lane)
+        classes, ranks, (bad, first), spot = _tail_run(
+            n, p, lo, hi, want_rank, spot_stride, phases)
+        ids, mult = _merge_tally(ids, mult, *classes)
+        if ranks is not None:
+            tail_ranks += ranks
         if bad and first_tail_bad is None:
             first_tail_bad = (lo + first[0],) + first[1:]
         tail_violations += bad
         tails_checked += hi - lo
-        u = time.perf_counter()
-        phases["tail_check"] += u - t
-        if spot_stride:
-            end = hi * block
-            step = spot_stride * _SAMPLE_BATCH
-            for b0 in range(-(-lo * block // spot_stride) * spot_stride, end,
-                            step):
-                sel = np.arange(b0, min(b0 + step, end), spot_stride,
-                                dtype=np.int64)
-                digits = _digits(sel, p, m)
-                # Pf by the class pass's route: the tail's vector, decoded
-                # from its id, times the sample's row-0 digits
-                vec = _vectors(ids[sel // block - lo], p, width0)
-                row0 = np.array(digits[:width0]).T
-                pfv = _mod(_products(vec[:, None], row0[:, :, None]).ravel(),
-                           p)
-                det = _batched_det(
-                    _skew_stack(digits, size, lane, sel.size)
-                    .transpose(2, 0, 1))
-                bad = np.flatnonzero(_mod(det - pfv * pfv, p))
-                if bad.size and first_bad is None:
-                    first_bad = int(sel[bad[0]])
-                violations += int(bad.size)
-                checked += int(sel.size)
-        phases["spot_check"] += time.perf_counter() - u
+        checked += spot[0]
+        violations += spot[1]
+        if first_bad is None:
+            first_bad = spot[2]
     t = time.perf_counter()
     phases["tail_pass"] = (t - t0 - phases["tail_check"]
                            - phases["spot_check"])
@@ -355,11 +435,10 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
     # class pass: each distinct vector times every row-0 value, in tables of
     # at most _CHUNK row-0 values and _CHUNK entries
     hist = np.zeros(p, dtype=np.int64)
-    ids, mult = np.unique(np.concatenate(pf_ids), return_counts=True)
     groups = [(mu, ids[mult == mu]) for mu in sorted(set(mult.tolist()))]
     for c in range(0, block, _CHUNK):
-        row0 = np.array(_digits(np.arange(c, min(c + _CHUNK, block),
-                                          dtype=np.int64), p, width0))
+        row0 = _digits(np.arange(c, min(c + _CHUNK, block), dtype=np.int64),
+                       p, width0)
         rows = max(1, _CHUNK // row0.shape[1])
         for mu, group in groups:
             for i in range(0, group.size, rows):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
@@ -490,26 +491,70 @@ def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
 
 
 def test_tail_check_compares_every_entry(monkeypatch):
-    # one adjugate entry off by one is reported at that entry
+    # one adjugate entry off by one, in the column routine, is reported at
+    # that entry
     for n, p in ((2, 3), (3, 2)):
         width0 = 2 * n - 1
         tails = p ** ((n - 1) * width0)
-        tail = _kernel._digits(np.arange(tails), p, (n - 1) * width0)
+        tail = _kernel._digits(np.arange(tails), p, (n - 1) * width0,
+                               _kernel._lane(n, p))
         pairs, _, pfaffian = _kernel._plan(n)
-        pf = _kernel._tail_pfaffians(tail, pairs, p, tails)
+        pf = _kernel._tail_pfaffians(tail, pairs, p)
         coeff = _kernel._coefficients(pfaffian, pf, p)
-        lane = _kernel._lane(n, p)
-        assert _kernel._tail_check(tail, coeff, p, lane) == (0, None)
-        adjugate = _kernel._adjugate
+        assert _kernel._tail_check(tail, coeff, p) == (0, None)
+        columns = _kernel._adjugate_columns
         for i, j in product(range(width0), repeat=2):
             def shifted(B, i=i, j=j):
-                adj = adjugate(B)
-                adj[i, j, 1:] += 1
-                return adj
-            monkeypatch.setattr(_kernel, "_adjugate", shifted)
-            bad, first = _kernel._tail_check(tail, coeff, p, lane)
+                for k, column in columns(B):
+                    if k == j:
+                        column[i, 1:] += 1
+                    yield k, column
+            monkeypatch.setattr(_kernel, "_adjugate_columns", shifted)
+            bad, first = _kernel._tail_check(tail, coeff, p)
             assert bad == tails - 1 and first[:3] == (1, i, j)
             monkeypatch.undo()
+
+
+def test_tail_check_names_the_first_entry_in_row_major_order(monkeypatch):
+    # the columns come last first, so the first failure is the lowest
+    # failing block at its first entry in row-major order, wherever in the
+    # sequence of columns it shows
+    n, p = 3, 2
+    width0 = 2 * n - 1
+    tails = p ** ((n - 1) * width0)
+    tail = _kernel._digits(np.arange(tails), p, (n - 1) * width0,
+                           _kernel._lane(n, p))
+    pairs, _, pfaffian = _kernel._plan(n)
+    coeff = _kernel._coefficients(pfaffian,
+                                  _kernel._tail_pfaffians(tail, pairs, p), p)
+    columns = _kernel._adjugate_columns
+    # faults as (block, i, j), and the one reported
+    for faults, want in (({(3, 2, 4), (3, 1, 3), (3, 1, 1), (4, 0, 0)},
+                          (3, 1, 1)),
+                         ({(6, 0, 4), (5, 4, 0), (7, 0, 0)}, (5, 4, 0))):
+        def shifted(B, faults=faults):
+            for k, column in columns(B):
+                for t, i, j in faults:
+                    if j == k:
+                        column[i, t] += 1
+                yield k, column
+        monkeypatch.setattr(_kernel, "_adjugate_columns", shifted)
+        bad, first = _kernel._tail_check(tail, coeff, p)
+        assert bad == len({t for t, _, _ in faults})
+        assert first[:3] == want
+        monkeypatch.undo()
+
+
+def _adjugate(B):
+    # adj(B) of a (w, w, N) stack, assembled from the kernel's columns
+    w = B.shape[0]
+    adj = np.empty_like(B)
+    seen = []
+    for j, column in _kernel._adjugate_columns(B):
+        adj[:, j] = column
+        seen.append(j)
+    assert sorted(seen) == list(range(w))
+    return adj
 
 
 def test_adjugate_matches_cofactors():
@@ -517,7 +562,7 @@ def test_adjugate_matches_cofactors():
     for w in (1, 3, 5, 7):
         M = np_rng.integers(-3, 4, (40, w, w))
         M[:10] = np.triu(M[:10], 1) - np.triu(M[:10], 1).transpose(0, 2, 1)
-        got = _kernel._adjugate(np.ascontiguousarray(M.transpose(1, 2, 0)))
+        got = _adjugate(np.ascontiguousarray(M.transpose(1, 2, 0)))
         for t, A in enumerate(M.tolist()):
             # the empty minor of a 1x1 matrix is 1
             want = [[(-1) ** (i + j) * bareiss_det(
@@ -547,8 +592,8 @@ def test_narrow_lane_matches_int64_at_its_edge(n, lane):
     det = _kernel._batched_det(M.astype(_kernel._lane(n, p)))
     assert det.tolist() == [bareiss_det(A) for A in M.tolist()]
     B = np.ascontiguousarray(M[:, 1:, 1:].transpose(1, 2, 0))
-    assert (_kernel._adjugate(B.astype(_kernel._lane(n, p))) ==
-            _kernel._adjugate(B.astype(object))).all()
+    assert (_adjugate(B.astype(_kernel._lane(n, p))) ==
+            _adjugate(B.astype(object))).all()
     # p is the largest prime of its lane
     assert _kernel._lane(n, p) is lane and det.dtype == lane
     q = p + 1
@@ -561,6 +606,82 @@ def test_narrow_lane_matches_int64_at_its_edge(n, lane):
         assert _kernel._lane(n, q) is not lane
 
 
+@pytest.mark.parametrize("n, lane", sorted(
+    (key for key in LANE_EDGES if key[0] >= 2), key=str))
+def test_lane_tail_pass_matches_int64(monkeypatch, n, lane):
+    # the last tails (every high digit p - 1) and a run from a random tail,
+    # through the tail pass in the scan's lane and again in int64: the same
+    # sub-Pfaffians, coefficient ids, tail ranks and tail check.  No sample:
+    # at (2, 743) it would take 1.2e8 matrices
+    p = LANE_EDGES[n, lane]
+    tails = p ** ((n - 1) * (2 * n - 1))
+    run = min(300, tails)  # (2, 5) has 125 tails
+    lo = random.Random(p).randrange(tails - run + 1)
+    memos = []
+    tail_pfaffians = _kernel._tail_pfaffians
+    monkeypatch.setattr(_kernel, "_tail_pfaffians",
+                        lambda *args: memos.append(tail_pfaffians(*args))
+                        or memos[-1])
+
+    def tail_runs():
+        return [_kernel._tail_run(n, p, h0, h0 + run, True, 0,
+                                  dict.fromkeys(counting.PHASES, 0.0))
+                for h0 in (tails - run, lo)]
+
+    narrow = tail_runs()
+    monkeypatch.setattr(_kernel, "_lane", lambda n, p: np.int64)
+    wide = tail_runs()
+    pairs, avoid, pfaffian = _kernel._plan(n)
+    for memo, memo64 in zip(memos[:2], memos[2:]):
+        subsets = [sub for _, sub in pfaffian] + [
+            s for k in avoid for s in avoid[k]]
+        for sub in subsets:
+            assert memo(sub).dtype == lane and memo64(sub).dtype == np.int64
+            assert (memo(sub) == memo64(sub)).all()
+        assert memo.__self__.keys() == memo64.__self__.keys()
+    for (classes, ranks, tail_bad, _), (classes64, ranks64, tail_bad64,
+                                         _) in zip(narrow, wide):
+        assert all((a == b).all() for a, b in zip(classes, classes64))
+        assert ranks.tolist() == ranks64.tolist()
+        assert sum(ranks.tolist()) == run
+        assert tail_bad == tail_bad64 == (0, None)
+
+
+def test_scan_range_memory_is_bounded(monkeypatch):
+    # the 3^10 tails of (3, 3), with ranks and the sample, under tracemalloc
+    # (numpy reports its buffers to it).  The whole call peaks at the block
+    # of about 4 MiB that `_scan_range` allocates and frees untouched,
+    # which hides a smaller working set; so the peak is read again from
+    # the first run of tails on.  Measured with numpy 2.4: 4.0 MiB in all,
+    # 1.9 MiB from the first run; runs in int64 peak at 7.1 MiB, and a list
+    # of every tail's id, held to the class pass, at 2.26 MiB from the
+    # first run
+    _kernel._scan_range(3, 3, 0, 3, True, counting.SPOT_STRIDE,
+                        threading.Event())  # fills the plan caches
+    block_peak = []
+    tail_run = _kernel._tail_run
+
+    def first_run_resets(*args):
+        if not block_peak:
+            block_peak.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return tail_run(*args)
+
+    monkeypatch.setattr(_kernel, "_tail_run", first_run_resets)
+    tracemalloc.start()
+    try:
+        part = _kernel._scan_range(3, 3, 0, 3 ** 10, True,
+                                   counting.SPOT_STRIDE, threading.Event())
+        runs_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part["tails_checked"] == 3 ** 10
+    mib = 1 << 20
+    assert 4 * mib - 4096 <= block_peak[0] < 4.25 * mib
+    assert max(block_peak[0], runs_peak) < 4.25 * mib
+    assert runs_peak < 2.1 * mib
+
+
 def test_tail_runs_are_capped(monkeypatch):
     # the tail pass walks runs of at most _CHUNK // 16 = 8192 tails: eight
     # runs of the 3^10 tails of (3, 3), and a range's own tails in runs
@@ -568,9 +689,9 @@ def test_tail_runs_are_capped(monkeypatch):
     runs = []
     tail_pfaffians = _kernel._tail_pfaffians
     monkeypatch.setattr(_kernel, "_tail_pfaffians",
-                        lambda tail, pairs, p, blocks: runs.append(
-                            (int(tail[0][0]), blocks))
-                        or tail_pfaffians(tail, pairs, p, blocks))
+                        lambda tail, pairs, p: runs.append(
+                            (int(tail[0, 0]), tail.shape[1]))
+                        or tail_pfaffians(tail, pairs, p))
     assert _kernel._CHUNK // 16 == 8192
     s = scan_skew(3, 3, "hist", workers=1)
     assert s.tails_checked == 3 ** 10
@@ -723,10 +844,10 @@ def test_worker_error_reraised_with_type_and_message(three_workers,
     # workers: their top tail digit is 1
     check = _kernel._tail_check
 
-    def faulty(tail, coeff, p, lane):
+    def faulty(tail, coeff, p):
         if tail[-1].any():
             raise exc_type("a tail with a_45 = 1 at (n, p) = (3, 2)")
-        return check(tail, coeff, p, lane)
+        return check(tail, coeff, p)
 
     monkeypatch.setattr(_kernel, "_tail_check", faulty)
     messages = set()
