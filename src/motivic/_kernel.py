@@ -4,8 +4,9 @@ Matrices are enumerated by a mixed-radix integer index over the n(2n-1) free
 upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
 digits.  The index h L + r splits into a tail h and a row-0 value r, one
 of L = p^(2n-1): each block of L consecutive indices shares one tail, the
-odd skew matrix B without row and column 0.  A worker scans a range of
-whole tails h0 <= h < h1, each with all L of its row-0 values.
+odd skew matrix B without row and column 0.  `_scan_range` scans a range
+of whole tails h0 <= h < h1, each with all L of its row-0 values; a scan
+is one range, of all its tails, in the calling thread.
 
 By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
 the Pfaffian of a block is a linear form c . x in its row-0 digits x, whose
@@ -384,10 +385,8 @@ def _fold(hist, tally, low, p):
         pos += take
 
 
-def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
-    """Scan the tails h0 <= h < h1, each with all its row-0 values.
-    Returns None, having scanned part of the range, if `stop` is set
-    before a run of tails."""
+def _scan_range(n, p, h0, h1, want_rank, spot_stride):
+    """Scan the tails h0 <= h < h1, each with all its row-0 values."""
     t0 = time.perf_counter()
     # Allocated and freed at once, never touched: freeing one block of
     # about 4 MiB raises glibc's dynamic mmap and trim thresholds above a
@@ -412,8 +411,6 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
     first_tail_bad = None
     run = max(1, _CHUNK // 16)
     for lo in range(h0, h1, run):
-        if stop.is_set():
-            return None
         hi = min(lo + run, h1)
         classes, ranks, (bad, first), spot = _tail_run(
             n, p, lo, hi, want_rank, spot_stride, phases)
@@ -455,4 +452,4 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride, stop):
             "tails_checked": tails_checked,
             "tail_violations": tail_violations,
             "first_tail_bad": first_tail_bad,
-            "phases": phases, "elapsed": time.perf_counter() - t0}
+            "phases": phases}

@@ -86,7 +86,8 @@ def _worker_count(text):
 
 def _add_scan_flags(p):
     p.add_argument("--workers", type=_worker_count, default=1,
-                   help="worker threads for exhaustive scans")
+                   help="at least 1; kept for callers that pass it, as "
+                        "a scan runs in one thread whatever the bound")
     p.add_argument("--cap", type=int, default=None,
                    help="enumeration cap (default 10^8)")
 

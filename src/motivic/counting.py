@@ -2,27 +2,22 @@
 truth against E-polynomial predictions evaluated at xy = p.
 
 This module admits a scan, runs the kernel (`_kernel`, imported by the
-first scan; its docstring gives the algorithm and the two checks) on
-threads, and checks and merges what they return.  A rank scan's kernel
-returns a tally of its tails by rank, and the rank buckets are built here,
-in Python ints, from that tally: a tail of rank 2r heads p^(2r) matrices of
-rank 2r and the other p^(2n-1) - p^(2r) of its block have rank 2r + 2.
+first scan; its docstring gives the algorithm and the two checks) over
+every tail in the calling thread, and checks what it returns.  A rank
+scan's kernel returns a tally of its tails by rank, and the rank buckets
+are built here, in Python ints, from that tally: a tail of rank 2r heads
+p^(2r) matrices of rank 2r and the other p^(2n-1) - p^(2r) of its block
+have rank 2r + 2.
 
-Scans parallelise over ranges of whole tails, so each tail is checked once
-at any worker count, and n = 1, which has one tail, always runs in one
-thread.  The calling thread starts one worker thread per tail range after
-the first and scans the first itself; the kernel's array loops release the
-GIL.  The Pfaffian histograms of the ranges are added in range order, so
-the tallies merge by summation, bit-identically for any worker count.
-These histograms are short: `_check_int64` admits p <= 743 at n = 2 and
-p <= 17 at n = 3.  Only n = 1 holds a long one, in one thread, and
-`HIST_MAX` bounds it.
+A scan runs in the calling thread alone, whatever `workers` bound its
+caller passes: the kernel's many short numpy calls hold the GIL, and no
+measured shape gained from a second thread.  The Pfaffian histogram is
+short: `_check_int64` admits p <= 743 at n = 2 and p <= 17 at n = 3.
+Only n = 1 holds a long one, and `HIST_MAX` bounds it.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -76,8 +71,7 @@ class ScanResult:
     spot_checked: int
     tails_checked: int
     elapsed: float
-    phases: dict   # seconds per phase (PHASES), summed over workers
-    workers: list  # (lo, hi, elapsed) of each worker's index range
+    phases: dict   # seconds per phase (PHASES)
 
 
 def _check_int64(n, p, total):
@@ -95,45 +89,6 @@ def _check_int64(n, p, total):
         raise CapExceededError(
             f"a scan of {2 * n}x{2 * n} matrices over F_{p} would overflow "
             f"int64 arithmetic")
-
-
-def _scan_ranges(scan_range, ranges):
-    """Run scan_range(h0, h1, stop) on each tail range (h0, h1): each after
-    the first in a worker thread, the first in this one.  Returns the
-    results in order.  An error or interrupt in any range sets the one stop
-    event, which every range checks before its next run of tails.  Every
-    worker thread has ended before this returns or raises; then the first
-    error is raised, with its type and message."""
-    stop = threading.Event()
-    parts = [None] * len(ranges)
-    errors = []
-
-    def scan(i):
-        try:
-            parts[i] = scan_range(*ranges[i], stop)
-        except BaseException as exc:
-            errors.append(exc)
-            stop.set()
-
-    threads = [threading.Thread(target=scan, args=(i,))
-               for i in range(1, len(ranges))]
-    try:
-        for thread in threads:
-            thread.start()
-        scan(0)
-    except BaseException as exc:  # a worker not started, or an interrupt
-        errors.append(exc)
-        stop.set()
-    for thread in threads:
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as exc:  # an interrupt while waiting
-                errors.append(exc)
-                stop.set()
-    if errors:
-        raise errors[0]
-    return parts
 
 
 def _exceeds_cap(p, m, cap):
@@ -157,13 +112,6 @@ def _power_text(p, m):
     return f"{p ** m} = {p}^{m}"
 
 
-def _split_ranges(total, parts):
-    parts = max(1, min(parts, total))
-    step, rem = divmod(total, parts)
-    edges = [i * step + min(i, rem) for i in range(parts + 1)]
-    return list(zip(edges, edges[1:]))
-
-
 def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     """Scan all 2n x 2n skew matrices over F_p.
 
@@ -175,11 +123,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     lowest-index offender), or, in mode "full", the tail rank tally does
     not count every tail once or the rank-2n bucket differs from
     #{Pf != 0}.  The cap and HIST_MAX are tested before p is
-    tested for primality.  At most min(workers, os.cpu_count(),
-    ceil(p^(n(2n-1)) / _kernel._CHUNK), p^((n-1)(2n-1))) threads scan, the
-    calling one and worker threads, each a range of whole tails.  So a
-    scan of at most _kernel._CHUNK matrices, and every n = 1 scan (one
-    tail), runs in the calling thread alone.
+    tested for primality.  The scan runs in the calling thread alone;
+    `workers` is accepted for callers that bound it, and changes nothing.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -201,26 +146,19 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     total = p ** m
     _check_int64(n, p, total)
     want_rank = mode == "full"
-    # the kernel and numpy load here, in the calling thread, so that no
-    # worker thread loads them and the scan's clocks time the scan alone
+    # the kernel and numpy load here, before the clock starts, so that the
+    # scan's clocks time the scan alone
     from . import _kernel
     t0 = time.perf_counter()
-    procs = min(workers, os.cpu_count() or 1, -(-total // _kernel._CHUNK))
-    # each worker takes whole tails times all of row 0
     block = p ** (2 * n - 1)
-    ranges = _split_ranges(total // block, procs)
-    parts = _scan_ranges(lambda h0, h1, stop: _kernel._scan_range(
-        n, p, h0, h1, want_rank, spot_stride, stop), ranges)
+    part = _kernel._scan_range(n, p, 0, total // block, want_rank,
+                               spot_stride)
     t_merge = time.perf_counter()
-    hist = parts[0]["hist"]
-    for part in parts[1:]:
-        hist += part["hist"]
-    tail_ranks = sum(part["tail_ranks"] for part in parts).tolist()
-    tails = sum(part["tails_checked"] for part in parts)
-    tail_violations = sum(part["tail_violations"] for part in parts)
+    hist = part["hist"]
+    tails = part["tails_checked"]
+    tail_violations = part["tail_violations"]
     if tail_violations:
-        h, i, j, a, b = min(part["first_tail_bad"] for part in parts
-                            if part["first_tail_bad"] is not None)
+        h, i, j, a, b = part["first_tail_bad"]
         first = h * block
         raise ConsistencyError(
             f"adj(B) = c c^T failed on {tail_violations} of {tails} tails; "
@@ -228,11 +166,10 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
             f"({n}, {p}), whose matrix B without row and column 0 has "
             f"adj(B)[{i}, {j}] = {a} but c_{i} c_{j} = {b} mod {p}: "
             f"{_matrix_at(n, p, first)!r}")
-    checked = sum(part["checked"] for part in parts)
-    violations = sum(part["violations"] for part in parts)
+    checked = part["checked"]
+    violations = part["violations"]
     if violations:
-        first = min(part["first_bad"] for part in parts
-                    if part["first_bad"] is not None)
+        first = part["first_bad"]
         raise ConsistencyError(
             f"Pf^2 = det failed on {violations} of {checked} sampled "
             f"matrices; the first is index {first} at (n, p) = ({n}, {p}): "
@@ -241,6 +178,7 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         raise ConsistencyError("Pfaffian histogram does not sum to the scan size")
     rank_counts = None
     if want_rank:
+        tail_ranks = part["tail_ranks"].tolist()
         if sum(tail_ranks) != tails:
             raise ConsistencyError(
                 f"the tail rank tally {tail_ranks} sums to "
@@ -263,12 +201,9 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
                 f"the rank-{2 * n} bucket holds {rank_counts[2 * n]} "
                 f"matrices but #{{Pf != 0}} = {nonzero} at (n, p) = "
                 f"({n}, {p})")
-    phases = {name: sum(part["phases"][name] for part in parts)
-              for name in PHASES}
+    phases = part["phases"]
     end = time.perf_counter()
     phases["merge"] += end - t_merge
     return ScanResult(n=n, p=p, total=total, pf_counts=PfCounts(hist),
                       rank_counts=rank_counts, spot_checked=checked,
-                      tails_checked=tails, elapsed=end - t0, phases=phases,
-                      workers=[(h0 * block, h1 * block, part["elapsed"])
-                               for (h0, h1), part in zip(ranges, parts)])
+                      tails_checked=tails, elapsed=end - t0, phases=phases)

@@ -81,7 +81,7 @@ class SuiteResult:
 class SuiteContext:
     p_list: tuple = (2, 3)
     cap: int | None = None
-    workers: int = 1
+    workers: int = 1   # passed to scan_skew, which runs in one thread
     katz_family: str | None = None
 
 

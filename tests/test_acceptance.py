@@ -233,9 +233,9 @@ def test_criterion_10_fixed_point_residual():
 
 
 def test_criterion_11_determinism(monkeypatch):
-    # scans start no more workers than they have chunks of _CHUNK matrices,
-    # so chunks of 2^14 make the 2^15-matrix scan run on more than one
-    # worker too
+    # every scan runs in one thread at any worker count; chunks of 2^14
+    # also cut the 2^15-matrix scan's tails into runs of 1024 and its
+    # row-0 tables smaller, and the bytes must not move
     monkeypatch.setattr(_kernel, "_CHUNK", 1 << 14)
     with criterion(11, "byte-identical suite JSON across runs and worker "
                       "counts 1, 2, 8"):

@@ -220,7 +220,7 @@ def test_count_cap_refusal_exit_3(capsys):
 def test_count_int64_overflow_exit_3(capsys, monkeypatch):
     # the cap admits 751^6 matrices, but the spot check's int64 elimination
     # could overflow, so the scan is refused before it starts
-    monkeypatch.setattr(counting, "_split_ranges",
+    monkeypatch.setattr(_kernel, "_scan_range",
                         lambda *args: pytest.fail("the scan started"))
     code, _, err = run(capsys, "count", "rank", "--n", "2", "--p", "751",
                        "--cap", str(10 ** 18))
