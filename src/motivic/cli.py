@@ -207,7 +207,7 @@ def _cmd_epoly(args):
 
 
 def _cmd_count_rank(args):
-    scan = scan_skew(args.n, args.p, "full", args.cap, args.workers)
+    scan = scan_skew(args.n, args.p, "full", args.cap)
     payload = {"kind": "rank", "n": args.n, "p": args.p,
                "counts": {str(r): c for r, c in scan.rank_counts.items()},
                "enumeration_size": scan.total}
@@ -218,7 +218,7 @@ def _cmd_count_rank(args):
 
 
 def _cmd_count_fibre(args):
-    scan = scan_skew(args.n, args.p, "hist", args.cap, args.workers)
+    scan = scan_skew(args.n, args.p, "hist", args.cap)
     c = args.value % args.p
     observed = scan.pf_counts[c]
     payload = {"label": f"pf-fibre-n{args.n}-c{c}", "n": args.n, "p": args.p,
@@ -254,7 +254,6 @@ def _run_and_emit(names, args):
                   f"{', '.join(SUITES)}", file=sys.stderr)
             return 2
     ctx = SuiteContext(p_list=tuple(args.p), cap=args.cap,
-                       workers=args.workers,
                        katz_family=getattr(args, "suite", None))
     results = [run_suite(name, ctx) for name in names]
     sys.stdout.write(emit_report(results, args.format))

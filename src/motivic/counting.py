@@ -124,7 +124,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     not count every tail once or the rank-2n bucket differs from
     #{Pf != 0}.  The cap and HIST_MAX are tested before p is
     tested for primality.  The scan runs in the calling thread alone;
-    `workers` is accepted for callers that bound it, and changes nothing.
+    `workers` changes nothing, and is kept because `perfbench/tracer.py`
+    binds it by name.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

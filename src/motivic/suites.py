@@ -81,7 +81,6 @@ class SuiteResult:
 class SuiteContext:
     p_list: tuple = (2, 3)
     cap: int | None = None
-    workers: int = 1   # passed to scan_skew, which runs in one thread
     katz_family: str | None = None
 
 
@@ -466,7 +465,7 @@ def _suite_katz(ctx):
             if _exceeds_cap(p, m, cap):
                 continue
             total = p ** m
-            scan = scan_skew(n, p, "full", cap, ctx.workers)
+            scan = scan_skew(n, p, "full", cap)
             size = 2 * n
             tag = f"{size}x{size} over F_{p}"
             pf0 = scan.pf_counts[0]

@@ -688,34 +688,17 @@ def test_import_does_not_load_multiprocessing():
     assert out.stdout.strip() == "False"
 
 
-def test_scans_run_in_the_calling_thread(monkeypatch):
-    # with eight CPUs on offer and any worker bound, a scan starts no
-    # thread and checks every tail once
+def test_n1_scans_in_process(monkeypatch):
+    # 10007 matrices make eleven chunks of 1000, and (3, 2), (2, 5), (2, 13)
+    # and (3, 3) many runs of tails; with eight CPUs on offer and any worker
+    # bound, no scan starts a thread, and each checks every tail once
     def no_thread(self):
         raise AssertionError("a scan started a thread")
 
+    monkeypatch.setattr(_kernel, "_CHUNK", 1000)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     threads = threading.active_count()
-    for n, p, mode, workers in ((3, 3, "full", 8), (2, 13, "hist", 2)):
-        base = scan_skew(n, p, mode, workers=1)
-        s = scan_skew(n, p, mode, workers=workers)
-        assert (s.pf_counts, s.rank_counts, s.total, s.spot_checked) == \
-            (base.pf_counts, base.rank_counts, base.total,
-             base.spot_checked), (n, p)
-        assert s.tails_checked == base.tails_checked == \
-            p ** ((2 * n - 1) * (n - 1))
-    assert threading.active_count() == threads
-
-
-def test_n1_scans_in_process(monkeypatch):
-    # 10007 matrices make eleven chunks of 1000, and (3, 2) and (2, 5) many
-    # runs of tails, but no scan forks at any n or worker count
-    def no_fork():
-        raise AssertionError("a scan forked")
-
-    monkeypatch.setattr(_kernel, "_CHUNK", 1000)
-    monkeypatch.setattr(os, "fork", no_fork)
     p = 10007
     for workers in (1, 2, 3):
         s = scan_skew(1, p, "full", workers=workers)
@@ -723,12 +706,17 @@ def test_n1_scans_in_process(monkeypatch):
         assert s.rank_counts == {0: 1, 2: p - 1}
         assert s.tails_checked == 1
         assert s.spot_checked == -(-p // counting.SPOT_STRIDE)
-    for n, p in ((3, 2), (2, 5)):
-        base = scan_skew(n, p, "full", workers=1)
-        for workers in (2, 3):
-            s = scan_skew(n, p, "full", workers=workers)
-            assert (s.pf_counts, s.rank_counts, s.tails_checked) == \
-                (base.pf_counts, base.rank_counts, base.tails_checked)
+    for n, p, mode, bounds in ((3, 2, "full", (2, 3)), (2, 5, "full", (2, 3)),
+                               (3, 3, "full", (8,)), (2, 13, "hist", (2,))):
+        base = scan_skew(n, p, mode, workers=1)
+        for workers in bounds:
+            s = scan_skew(n, p, mode, workers=workers)
+            assert (s.pf_counts, s.rank_counts, s.total, s.spot_checked) == \
+                (base.pf_counts, base.rank_counts, base.total,
+                 base.spot_checked), (n, p, workers)
+            assert s.tails_checked == base.tails_checked == \
+                p ** ((2 * n - 1) * (n - 1))
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("exc_type", [ConsistencyError, ValueError])
