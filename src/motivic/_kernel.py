@@ -4,9 +4,8 @@ Matrices are enumerated by a mixed-radix integer index over the n(2n-1) free
 upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
 digits.  The index h L + r splits into a tail h and a row-0 value r, one
 of L = p^(2n-1): each block of L consecutive indices shares one tail, the
-odd skew matrix B without row and column 0.  `_scan_range` scans a range
-of whole tails h0 <= h < h1, each with all L of its row-0 values; a scan
-is one range, of all its tails, in the calling thread.
+odd skew matrix B without row and column 0.  `_scan` scans every tail,
+each with all L of its row-0 values, in the calling thread.
 
 By the first-row expansion Pf = sum_j (-1)^(j-1) a_0j Pf(A without 0, j),
 the Pfaffian of a block is a linear form c . x in its row-0 digits x, whose
@@ -22,14 +21,14 @@ rank B + 1 or rank B + 2, and the rank of a skew matrix is even.  So a
 tail of rank 2r, the largest 2k with a nonzero principal 2k-sub-Pfaffian,
 heads p^(2r) matrices of rank 2r and p^(2n-1) - p^(2r) of rank 2r + 2.
 
-A scan of a tail range makes two passes.  The tail pass walks its tails in
-runs of at most `_CHUNK // 16`, decoding each tail's digits once, reduces
-every tail to the base-p id of its Pfaffian coefficient vector and, for a
-rank scan, tallies the tails by rank.  Each run reduces its ids to a tally
-of (distinct id, count), merged into the range's, so a range never holds
-one id per tail; everything else a run builds is freed before the next
-run.  Many tails share a vector (the 3^10 tails of the 6x6 scan over F_3
-share 3^5), so the class pass then multiplies each distinct vector once by
+A scan makes two passes.  The tail pass walks the tails in runs of at
+most `_CHUNK // 16`, decoding each tail's digits once, reduces every tail
+to the base-p id of its Pfaffian coefficient vector and, for a rank scan,
+tallies the tails by rank.  Each run reduces its ids to a tally of
+(distinct id, count), merged into the scan's, so a scan never holds one
+id per tail; everything else a run builds is freed before the next run.
+Many tails share a vector (the 3^10 tails of the 6x6 scan over F_3 share
+3^5), so the class pass then multiplies each distinct vector once by
 every row-0 value, brute force, in tables of at most `_CHUNK` row-0 values
 and `_CHUNK` entries.  The products are tallied unreduced, scaled by the
 number of blocks with that vector (vectors of equal multiplicity share one
@@ -385,8 +384,8 @@ def _fold(hist, tally, low, p):
         pos += take
 
 
-def _scan_range(n, p, h0, h1, want_rank, spot_stride):
-    """Scan the tails h0 <= h < h1, each with all its row-0 values."""
+def _scan(n, p, want_rank, spot_stride):
+    """Scan every tail, each with all its row-0 values."""
     t0 = time.perf_counter()
     # Allocated and freed at once, never touched: freeing one block of
     # about 4 MiB raises glibc's dynamic mmap and trim thresholds above a
@@ -399,6 +398,7 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride):
     np.empty((1 << 22) - 4096, dtype=np.uint8)
     width0 = 2 * n - 1
     block = p ** width0
+    tails = p ** ((n - 1) * width0)
 
     # tail pass: the tally of the tails' Pfaffian coefficient vectors, by
     # base-p id, and the number of tails of each rank 2r
@@ -410,8 +410,8 @@ def _scan_range(n, p, h0, h1, want_rank, spot_stride):
     tails_checked = tail_violations = 0
     first_tail_bad = None
     run = max(1, _CHUNK // 16)
-    for lo in range(h0, h1, run):
-        hi = min(lo + run, h1)
+    for lo in range(0, tails, run):
+        hi = min(lo + run, tails)
         classes, ranks, (bad, first), spot = _tail_run(
             n, p, lo, hi, want_rank, spot_stride, phases)
         ids, mult = _merge_tally(ids, mult, *classes)

@@ -1,9 +1,10 @@
 """Exhaustive finite-field point counts of skew-matrix loci, used as ground
 truth against E-polynomial predictions evaluated at xy = p.
 
-This module admits a scan, runs the kernel (`_kernel`, imported by the
-first scan; its docstring gives the algorithm and the two checks) over
-every tail in the calling thread, and checks what it returns.  A rank
+This module admits a scan, makes one call of the kernel (`_kernel._scan`,
+imported by the first scan; the `_kernel` docstring gives the algorithm
+and the two checks), which walks every tail in the calling thread, and
+checks what it returns; the scan's phases are the kernel's.  A rank
 scan's kernel returns a tally of its tails by rank, and the rank buckets
 are built here, in Python ints, from that tally: a tail of rank 2r heads
 p^(2r) matrices of rank 2r and the other p^(2n-1) - p^(2r) of its block
@@ -32,8 +33,7 @@ SPOT_STRIDE = 1009
 _INT64_MAX = (1 << 63) - 1
 # the most entries of a scan's p-long Pfaffian histogram, 128 MiB of int64
 HIST_MAX = 1 << 24
-PHASES = ("tail_pass", "tail_check", "pfaffian_classes", "spot_check",
-          "merge")
+PHASES = ("tail_pass", "tail_check", "pfaffian_classes", "spot_check")
 
 
 class PfCounts(Mapping):
@@ -151,10 +151,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     # scan's clocks time the scan alone
     from . import _kernel
     t0 = time.perf_counter()
+    part = _kernel._scan(n, p, want_rank, spot_stride)
     block = p ** (2 * n - 1)
-    part = _kernel._scan_range(n, p, 0, total // block, want_rank,
-                               spot_stride)
-    t_merge = time.perf_counter()
     hist = part["hist"]
     tails = part["tails_checked"]
     tail_violations = part["tail_violations"]
@@ -202,9 +200,8 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
                 f"the rank-{2 * n} bucket holds {rank_counts[2 * n]} "
                 f"matrices but #{{Pf != 0}} = {nonzero} at (n, p) = "
                 f"({n}, {p})")
-    phases = part["phases"]
-    end = time.perf_counter()
-    phases["merge"] += end - t_merge
     return ScanResult(n=n, p=p, total=total, pf_counts=PfCounts(hist),
                       rank_counts=rank_counts, spot_checked=checked,
-                      tails_checked=tails, elapsed=end - t0, phases=phases)
+                      tails_checked=tails,
+                      elapsed=time.perf_counter() - t0,
+                      phases=part["phases"])

@@ -108,8 +108,7 @@ def _carlitz(size, rank, q):
     return q ** (r * (r - 1)) * top // bottom
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_rank_buckets_match_carlitz(workers):
+def test_rank_buckets_match_carlitz():
     # every bucket, the middle ones of (3, 3) and all of (2, 11) and
     # (2, 13) among them
     cases = [(1, 7), *((2, p) for p in (2, 3, 5, 7, 11, 13)), (3, 2), (3, 3)]
@@ -117,8 +116,7 @@ def test_rank_buckets_match_carlitz(workers):
         want = {rank: _carlitz(2 * n, rank, p)
                 for rank in range(0, 2 * n + 1, 2)}
         assert sum(want.values()) == p ** (n * (2 * n - 1))
-        assert scan_skew(n, p, "full", workers=workers).rank_counts == want, \
-            (n, p)
+        assert scan_skew(n, p, "full").rank_counts == want, (n, p)
     assert _carlitz(6, 2, 3) == 22022 and _carlitz(6, 4, 3) == 5153148
 
 
@@ -152,13 +150,12 @@ def test_invalid_arguments():
         scan_skew(2, 2, mode="bogus")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_n1_scan_above_chunk(workers):
+def test_n1_scan_above_chunk():
     # the smallest prime above _CHUNK: row 0 is multiplied out in two
-    # tables, in one process at any worker count
+    # tables
     p = 131101
     assert p > _kernel._CHUNK
-    s = scan_skew(1, p, workers=workers)
+    s = scan_skew(1, p)
     assert s.pf_counts == dict.fromkeys(range(p), 1) == s.pf_counts
     assert s.pf_counts[p - 1] == 1
     assert type(s.pf_counts[0]) is int
@@ -169,8 +166,8 @@ def test_n1_scan_above_chunk(workers):
 def test_spot_check_runs():
     assert counting.SPOT_STRIDE == 1009 and _is_prime(counting.SPOT_STRIDE)
     # the 729 matrices of (2, 3) sample only index 0
-    assert scan_skew(2, 3, "hist", workers=1).spot_checked == 1
-    assert scan_skew(3, 3, "hist", workers=1).spot_checked == \
+    assert scan_skew(2, 3, "hist").spot_checked == 1
+    assert scan_skew(3, 3, "hist").spot_checked == \
         -(-3 ** 15 // counting.SPOT_STRIDE) == 14221
 
 
@@ -192,14 +189,13 @@ def test_spot_sample_sets_every_row0_digit(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [1000, _kernel._CHUNK])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_spot_sample_survives_range_cuts(monkeypatch, workers, chunk):
+def test_spot_sample_survives_run_cuts(monkeypatch, chunk):
     # every index that is a multiple of SPOT_STRIDE is checked once, however
     # the scan is cut into tail runs and row-0 tables
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     for n, p in ((3, 2), (2, 5), (1, 131101)):
         total = p ** (n * (2 * n - 1))
-        s = scan_skew(n, p, "hist", workers=workers)
+        s = scan_skew(n, p, "hist")
         assert s.spot_checked == -(-total // counting.SPOT_STRIDE)
 
 
@@ -219,19 +215,6 @@ def test_one_scan_serves_every_count():
     assert nonzero == scan.rank_counts[6] == predicted == 13888
 
 
-def _whole(n, p):
-    # the range of every tail
-    return 0, p ** ((2 * n - 1) * (n - 1))
-
-
-def _scan_tally(n, p, tails, spot_stride=counting.SPOT_STRIDE):
-    part = _kernel._scan_range(n, p, *tails, True, spot_stride)
-    assert part["violations"] == 0 and part["first_bad"] is None
-    assert part["tail_violations"] == 0
-    return (part["hist"].tolist(), part["tail_ranks"].tolist(),
-            part["checked"], part["tails_checked"])
-
-
 def test_scan_matches_pointwise_oracle():
     # every matrix through skew.pfaffian and skew.skew_rank, tallied; at
     # (2, 5) the raw row-0 products reach 48 and fold over ten residue runs;
@@ -249,39 +232,21 @@ def test_scan_matches_pointwise_oracle():
         assert s.rank_counts == rank
 
 
-def _cuts(count, points):
-    # [0, count) cut at up to `points` random points
-    edges = sorted(rng.sample(range(1, count), min(points, count - 1)))
-    return list(zip([0] + edges, edges + [count]))
-
-
-@pytest.mark.parametrize("chunk", [20, 200, _kernel._CHUNK])
-def test_range_partitions_sum_to_whole_scan(monkeypatch, chunk):
-    # tail ranges cut at random, whose rows 0 of p^(2n-1) = 27, 32 and 125
-    # values a chunk of 20 splits into several tables; every tail is
-    # checked once
-    whole = {(n, p): _scan_tally(n, p, _whole(n, p))
-             for n, p in ((2, 3), (3, 2), (2, 5))}
-    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
-    for (n, p), want in whole.items():
-        _, tails = _whole(n, p)
-        assert want[3] == tails
-        for points in (1, 3, 6):
-            hists, ranks, checked, tails_checked = zip(*(
-                _scan_tally(n, p, cut) for cut in _cuts(tails, points)))
-            assert [sum(c) for c in zip(*hists)] == want[0]
-            assert [sum(c) for c in zip(*ranks)] == want[1]
-            assert (sum(checked), sum(tails_checked)) == want[2:]
-
-
-@pytest.mark.parametrize("chunk", [40, 100])
+@pytest.mark.parametrize("chunk", [20, 40, 100])
 def test_class_tables_split_into_chunks(monkeypatch, chunk):
     # a class table holds at most _CHUNK row-0 values and _CHUNK // width
     # vectors: at (3, 2) row 0 takes 32 values, so the 32 distinct
-    # Pfaffian vectors lie in several tables; at (2, 5) the 125 row-0
-    # values are split into tables of at most `chunk`
-    whole = {(n, p): _scan_tally(n, p, _whole(n, p))
-             for n, p in ((3, 2), (2, 5))}
+    # Pfaffian vectors lie in several tables; at (2, 3) and (2, 5) the 27
+    # and 125 row-0 values are split into tables of at most `chunk`.  The
+    # tail pass walks runs of _CHUNK // 16 tails, one tail at a chunk of
+    # 20, so each run samples from its own first tail on; every tail is
+    # checked once, and the counts are those of the default chunk
+    def counts(n, p):
+        s = scan_skew(n, p, "full")
+        return dict(s.pf_counts), s.rank_counts, s.spot_checked, \
+            s.tails_checked
+
+    whole = {(n, p): counts(n, p) for n, p in ((2, 3), (3, 2), (2, 5))}
     tables = []
     products = _kernel._products
     monkeypatch.setattr(_kernel, "_products", lambda v, x: (
@@ -289,19 +254,17 @@ def test_class_tables_split_into_chunks(monkeypatch, chunk):
         or products(v, x)))
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     for (n, p), want in whole.items():
+        assert want[3] == p ** ((2 * n - 1) * (n - 1))
         tables.clear()
-        assert _scan_tally(n, p, _whole(n, p)) == want
+        assert counts(n, p) == want
         assert 0 < max(tables) <= chunk
-        s = scan_skew(n, p, "full")
-        assert ([s.pf_counts[v] for v in range(p)], s.spot_checked) == \
-            (want[0], want[2])
 
 
 def test_scan_reports_phase_seconds():
     # the tail ranks are counted in the tail pass, with no phase of their own
     assert counting.PHASES == ("tail_pass", "tail_check", "pfaffian_classes",
-                               "spot_check", "merge")
-    s = scan_skew(3, 3, "full", workers=1)
+                               "spot_check")
+    s = scan_skew(3, 3, "full")
     assert tuple(s.phases) == counting.PHASES
     assert all(t >= 0 for t in s.phases.values())
     # the phases are disjoint parts of the scan, and nearly all of it
@@ -341,7 +304,7 @@ def test_spot_check_failure_names_first_offender(monkeypatch):
     bad = [i for i in sampled if i % 5 == 2]
     assert len(bad) == 3
     with pytest.raises(ConsistencyError) as exc:
-        scan_skew(2, 5, "hist", workers=2)
+        scan_skew(2, 5, "hist")
     message = str(exc.value)
     assert f"failed on {len(bad)} of {len(sampled)} sampled" in message
     assert f"index {bad[0]} at (n, p) = (2, 5)" in message
@@ -594,14 +557,15 @@ def test_lane_tail_pass_matches_int64(monkeypatch, n, lane):
 def test_scan_range_memory_is_bounded(monkeypatch):
     # the 3^10 tails of (3, 3), with ranks and the sample, under tracemalloc
     # (numpy reports its buffers to it).  The whole call peaks at the block
-    # of about 4 MiB that `_scan_range` allocates and frees untouched,
+    # of about 4 MiB that `_scan` allocates and frees untouched,
     # which hides a smaller working set; so the peak is read again from
     # the first run of tails on.  Measured with numpy 2.4: 4.0 MiB in all,
     # 1.9 MiB from the first run; runs in int64 peak at 7.1 MiB, and a list
     # of every tail's id, held to the class pass, at 2.26 MiB from the
     # first run
     # fills the plan caches
-    _kernel._scan_range(3, 3, 0, 3, True, counting.SPOT_STRIDE)
+    _kernel._tail_run(3, 3, 0, 3, True, counting.SPOT_STRIDE,
+                      dict.fromkeys(counting.PHASES, 0.0))
     block_peak = []
     tail_run = _kernel._tail_run
 
@@ -614,8 +578,7 @@ def test_scan_range_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(_kernel, "_tail_run", first_run_resets)
     tracemalloc.start()
     try:
-        part = _kernel._scan_range(3, 3, 0, 3 ** 10, True,
-                                   counting.SPOT_STRIDE)
+        part = _kernel._scan(3, 3, True, counting.SPOT_STRIDE)
         runs_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -628,8 +591,7 @@ def test_scan_range_memory_is_bounded(monkeypatch):
 
 def test_tail_runs_are_capped(monkeypatch):
     # the tail pass walks runs of at most _CHUNK // 16 = 8192 tails: eight
-    # runs of the 3^10 tails of (3, 3), and a range's own tails in runs
-    # from its first
+    # runs of the 3^10 tails of (3, 3)
     runs = []
     tail_pfaffians = _kernel._tail_pfaffians
     monkeypatch.setattr(_kernel, "_tail_pfaffians",
@@ -637,41 +599,42 @@ def test_tail_runs_are_capped(monkeypatch):
                             (int(tail[0, 0]), tail.shape[1]))
                         or tail_pfaffians(tail, pairs, p))
     assert _kernel._CHUNK // 16 == 8192
-    s = scan_skew(3, 3, "hist", workers=1)
+    s = scan_skew(3, 3, "hist")
     assert s.tails_checked == 3 ** 10
     assert [blocks for _, blocks in runs] == [8192] * 7 + [3 ** 10 - 7 * 8192]
-    runs.clear()
-    _kernel._scan_range(3, 3, 1000, 3 ** 10 - 7, False, 0)
-    assert [blocks for _, blocks in runs] == [8192] * 7 + [698]
     # the lowest tail digit of each run's first tail
-    assert [d for d, _ in runs] == [(1000 + 8192 * i) % 3 for i in range(8)]
+    assert [d for d, _ in runs] == [8192 * i % 3 for i in range(8)]
 
 
 @pytest.mark.parametrize("chunk", [20, _kernel._CHUNK])
 def test_every_tail_checked_once(monkeypatch, chunk):
-    # each tail is checked once at any worker count, and n = 1 has one
-    # tail; a chunk of 20 is below every block of (2, 3) and (2, 5), so row
-    # 0 is multiplied out in several tables
+    # each tail is checked once, and n = 1 has one tail; a chunk of 20 is
+    # below every block of (2, 3) and (2, 5), so row 0 is multiplied out in
+    # several tables
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     for n, p in ((1, 7), (1, 131101), (2, 3), (2, 5), (3, 2)):
         tails = p ** ((2 * n - 1) * (n - 1))
-        for workers in (1, 2, 3):
-            s = scan_skew(n, p, "hist", workers=workers)
-            assert s.tails_checked == tails, (n, p, workers)
+        s = scan_skew(n, p, "hist")
+        assert s.tails_checked == tails, (n, p)
+
 
 def test_tail_check_on_7x7_tails():
     # the (4, 2) tails 5..24, each with all 2^7 row-0 values: the 20 tails
-    # are checked, the 8x8 Pfaffians tallied and the sample re-checked
+    # are checked, the sample re-checked, and the 8x8 Pfaffians of their
+    # coefficient vectors tallied against skew.pfaffian
     lo, hi = 5 * 128, 25 * 128
-    part = _kernel._scan_range(4, 2, 5, 25, True, 7)
-    assert part["tails_checked"] == 20
-    assert part["tail_violations"] == 0 and part["violations"] == 0
-    assert part["checked"] == len(range(-(-lo // 7) * 7, hi, 7))
+    (ids, mult), ranks, tail_bad, spot = _kernel._tail_run(
+        4, 2, 5, 25, True, 7, dict.fromkeys(counting.PHASES, 0.0))
+    assert int(mult.sum()) == sum(ranks.tolist()) == 20
+    assert tail_bad == (0, None)
+    assert spot == (len(range(-(-lo // 7) * 7, hi, 7)), 0, None)
+    row0 = _kernel._digits(np.arange(128), 2, 7)
+    values = _kernel._vectors(ids, 2, 7) @ row0 % 2
     pf = [0, 0]
     for index in range(lo, hi):
         pf[pfaffian(SkewMatrix(8, [index >> t & 1 for t in range(28)],
                                GF(2)))] += 1
-    assert part["hist"].tolist() == pf
+    assert [int(mult @ (values == v).sum(axis=1)) for v in (0, 1)] == pf
 
 
 def test_import_does_not_load_multiprocessing():
@@ -720,8 +683,8 @@ def test_n1_scans_in_process(monkeypatch):
 
 
 @pytest.mark.parametrize("exc_type", [ConsistencyError, ValueError])
-def test_worker_error_reraised_with_type_and_message(monkeypatch,
-                                                     exc_type):
+def test_error_in_a_later_run_reraised_with_type_and_message(monkeypatch,
+                                                             exc_type):
     # the tails of (3, 2) from 512 on, from the middle of the ninth run of
     # 62 tails: their top tail digit is 1
     monkeypatch.setattr(_kernel, "_CHUNK", 1000)
@@ -733,28 +696,22 @@ def test_worker_error_reraised_with_type_and_message(monkeypatch,
         return check(tail, coeff, p)
 
     monkeypatch.setattr(_kernel, "_tail_check", faulty)
-    messages = set()
-    for workers in (1, 2):
-        with pytest.raises(exc_type) as exc:
-            scan_skew(3, 2, "hist", workers=workers)
-        assert type(exc.value) is exc_type
-        messages.add(str(exc.value))
-    assert messages == {"a tail with a_45 = 1 at (n, p) = (3, 2)"}
+    with pytest.raises(exc_type) as exc:
+        scan_skew(3, 2, "hist")
+    assert type(exc.value) is exc_type
+    assert str(exc.value) == "a tail with a_45 = 1 at (n, p) = (3, 2)"
 
 
-def test_worker_sample_fault_names_same_offender(monkeypatch):
+def test_sample_fault_in_a_later_run_names_first_offender(monkeypatch):
     # a determinant off by one on the matrices of (3, 2) whose top tail
     # entry a_45 is 1, all from the middle of the ninth run of 62 tails on
     monkeypatch.setattr(_kernel, "_CHUNK", 1000)
     det = _kernel._batched_det
     monkeypatch.setattr(_kernel, "_batched_det",
                         lambda M: det(M) + (M[:, 4, 5] == 1))
-    messages = set()
-    for workers in (1, 2):
-        with pytest.raises(ConsistencyError) as exc:
-            scan_skew(3, 2, "hist", workers=workers)
-        messages.add(str(exc.value))
-    [message] = messages
+    with pytest.raises(ConsistencyError) as exc:
+        scan_skew(3, 2, "hist")
+    message = str(exc.value)
     # the first sampled index from 2^14 on, where a_45 becomes 1
     first = -(-2 ** 14 // counting.SPOT_STRIDE) * counting.SPOT_STRIDE
     assert f"the first is index {first} at (n, p) = (3, 2)" in message
@@ -770,7 +727,7 @@ def test_worker_sample_fault_names_same_offender(monkeypatch):
 def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message):
     # the 27 tails of (2, 3) are the zero tail and 26 of rank 2: a faulty
     # tally that counts a tail twice, or swaps the ranks, is refused
-    scan = _kernel._scan_range
+    scan = _kernel._scan
 
     def faulty(*args):
         part = scan(*args)
@@ -778,9 +735,9 @@ def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message):
         part["tail_ranks"] = shift(part["tail_ranks"])
         return part
 
-    monkeypatch.setattr(_kernel, "_scan_range", faulty)
+    monkeypatch.setattr(_kernel, "_scan", faulty)
     with pytest.raises(ConsistencyError) as exc:
-        scan_skew(2, 3, "full", workers=1)
+        scan_skew(2, 3, "full")
     assert str(exc.value) == message
 
 
@@ -848,7 +805,7 @@ def test_mod_by_floor_division_matches_remainder(dtype):
 
 
 def test_int64_overflow_refused_before_scanning(monkeypatch):
-    monkeypatch.setattr(_kernel, "_scan_range",
+    monkeypatch.setattr(_kernel, "_scan",
                         lambda *args: pytest.fail("the scan started"))
     # the cap admits 751^6 and 19^15 matrices; int64 could overflow in the
     # spot check's cofactor expansion (n = 2) or in the matrix index (n = 3)
