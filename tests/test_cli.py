@@ -669,8 +669,9 @@ def test_only_a_scan_loads_numpy():
             [(False, False), (False, False), (True, True)], argv
 
 
-def test_full_report_matches_golden_digest():
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_full_report_matches_golden_digest(workers):
     out = _fresh_process("-m", "motivic.cli", "report", "--format",
-                         "json", "--workers", "1")
+                         "json", "--workers", workers)
     assert hashlib.sha256(out.stdout).hexdigest() == (
         "a299071cc34c4a9f590cb191ff23c2a6d0f03d20ac83543d3bac65350cb510b7")

@@ -108,15 +108,17 @@ def _carlitz(size, rank, q):
     return q ** (r * (r - 1)) * top // bottom
 
 
-def test_rank_buckets_match_carlitz():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rank_buckets_match_carlitz(workers):
     # every bucket, the middle ones of (3, 3) and all of (2, 11) and
-    # (2, 13) among them
+    # (2, 13) among them; the scan runs in one thread at any worker count
     cases = [(1, 7), *((2, p) for p in (2, 3, 5, 7, 11, 13)), (3, 2), (3, 3)]
     for n, p in cases:
         want = {rank: _carlitz(2 * n, rank, p)
                 for rank in range(0, 2 * n + 1, 2)}
         assert sum(want.values()) == p ** (n * (2 * n - 1))
-        assert scan_skew(n, p, "full").rank_counts == want, (n, p)
+        assert scan_skew(n, p, "full", workers=workers).rank_counts == \
+            want, (n, p)
     assert _carlitz(6, 2, 3) == 22022 and _carlitz(6, 4, 3) == 5153148
 
 
@@ -150,12 +152,13 @@ def test_invalid_arguments():
         scan_skew(2, 2, mode="bogus")
 
 
-def test_n1_scan_above_chunk():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_n1_scan_above_chunk(workers):
     # the smallest prime above _CHUNK: row 0 is multiplied out in two
-    # tables
+    # tables, in the calling thread at any worker count
     p = 131101
     assert p > _kernel._CHUNK
-    s = scan_skew(1, p)
+    s = scan_skew(1, p, workers=workers)
     assert s.pf_counts == dict.fromkeys(range(p), 1) == s.pf_counts
     assert s.pf_counts[p - 1] == 1
     assert type(s.pf_counts[0]) is int
@@ -189,13 +192,15 @@ def test_spot_sample_sets_every_row0_digit(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [1000, _kernel._CHUNK])
-def test_spot_sample_survives_run_cuts(monkeypatch, chunk):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_spot_sample_survives_range_cuts(monkeypatch, workers, chunk):
     # every index that is a multiple of SPOT_STRIDE is checked once, however
-    # the scan is cut into tail runs and row-0 tables
+    # the scan's range of tails is cut into tail runs and row-0 tables, at
+    # any worker count
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
     for n, p in ((3, 2), (2, 5), (1, 131101)):
         total = p ** (n * (2 * n - 1))
-        s = scan_skew(n, p, "hist")
+        s = scan_skew(n, p, "hist", workers=workers)
         assert s.spot_checked == -(-total // counting.SPOT_STRIDE)
 
 
