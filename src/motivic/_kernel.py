@@ -22,11 +22,12 @@ tail of rank 2r, the largest 2k with a nonzero principal 2k-sub-Pfaffian,
 heads p^(2r) matrices of rank 2r and p^(2n-1) - p^(2r) of rank 2r + 2.
 
 A scan makes two passes.  The tail pass walks the tails in runs of at
-most `_CHUNK // 16`, decoding each tail's digits once, reduces every tail
-to the base-p id of its Pfaffian coefficient vector and, for a rank scan,
-tallies the tails by rank.  Each run reduces its ids to a tally of
-(distinct id, count), merged into the scan's, so a scan never holds one
-id per tail; everything else a run builds is freed before the next run.
+most `_CHUNK // 16`, decoding each run once into its stack of odd skew
+tails B, reduces every tail to the base-p id of its Pfaffian coefficient
+vector and, for a rank scan, tallies the tails by rank.  Each run reduces
+its ids to a tally of (distinct id, count), merged into the scan's, so a
+scan never holds one id per tail; everything else a run builds is freed
+before the next run.
 Many tails share a vector (the 3^10 tails of the 6x6 scan over F_3 share
 3^5), so the class pass then multiplies each distinct vector once by
 every row-0 value, brute force, in tables of at most `_CHUNK` row-0 values
@@ -47,10 +48,11 @@ of `spot_stride` is decoded afresh from its index, its Pfaffian is its
 block's vector, decoded from its id, times its row-0 digits, and its
 determinant comes from the same batched, division-free cofactor expansion.
 
-A run's arrays (tail digits, sub-Pfaffians, coefficient rows, the
-expansions of both checks) are in the narrowest of int16, int32 and int64
-that holds the Hadamard bound of the scan (`_lane`).  The ids, the class
-pass's products and tallies and the index tables stay int64 or intp.
+A run's arrays (its skew stack, which is its only copy of the tails,
+sub-Pfaffians, coefficient rows, the expansions of both checks) are in the
+narrowest of int16, int32 and int64 that holds the Hadamard bound of the
+scan (`_lane`).  The ids, the class pass's products and tallies and the
+index tables stay int64 or intp.
 """
 
 import os
@@ -68,7 +70,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .counting import PHASES
-from .skew import _pair_index
 
 _CHUNK = 1 << 17
 _SAMPLE_BATCH = 2048
@@ -88,21 +89,19 @@ def _lane(n, p):
 
 @lru_cache(maxsize=None)
 def _plan(n):
-    """Index recipes of the first-row factoring for size 2n.
+    """Index recipes of the first-row factoring for size 2n, over the rows
+    0, ..., 2n-2 of the tail B (rows 1, ..., 2n-1 of the matrix).
 
-    Returns (pairs, avoid, pfaffian): `pairs` maps (i, j), 1 <= i < j, to
-    its tail digit; for 1 <= k < n, `avoid[k]` lists the 2k-subsets of
-    {1, ..., 2n-1}; `pfaffian` has, for j = 1, ..., 2n-1, the term
-    (sign, {1, ..., 2n-1} without j) of Pf = sum_j sign a_0j Pf(without j).
+    Returns (avoid, pfaffian): for 1 <= k < n, `avoid[k]` lists the
+    2k-subsets of the tail's rows; `pfaffian` has, for j = 0, ..., 2n-2,
+    the term (sign, the tail's rows without j) of
+    Pf = sum_j sign a_0,j+1 Pf(B without j).
     """
-    size = 2 * n
-    rest = tuple(range(1, size))
-    pairs = {(i, j): _pair_index(i, j, size) - (size - 1)
-             for i, j in combinations(rest, 2)}
+    rest = tuple(range(2 * n - 1))
     avoid = {k: tuple(combinations(rest, 2 * k)) for k in range(1, n)}
     pfaffian = tuple((1 if pos % 2 == 0 else -1, rest[:pos] + rest[pos + 1:])
-                     for pos in range(size - 1))
-    return pairs, avoid, pfaffian
+                     for pos in rest)
+    return avoid, pfaffian
 
 
 def _mod(a, p):
@@ -114,10 +113,10 @@ def _mod(a, p):
     return a - a // p * p
 
 
-def _digits(values, p, count, dtype=np.int64):
+def _digits(values, p, count):
     """The `count` least significant base-p digits of an int64 array, a
-    row per digit, as a (count, values.size) array of `dtype`."""
-    out = np.empty((count, values.size), dtype=dtype)
+    row per digit, as a (count, values.size) int64 array."""
+    out = np.empty((count, values.size), dtype=np.int64)
     for row in out:
         high = values // p
         np.subtract(values, high * p, out=row)  # `_mod`, reusing the quotient
@@ -125,40 +124,48 @@ def _digits(values, p, count, dtype=np.int64):
     return out
 
 
-class _TailMemo(dict):
-    """The memo of `_tail_pfaffians`, which fills its own missing keys."""
+def _skew_stack(values, p, size, dtype):
+    """The (size, size, values.size) skew matrices whose upper triangles, in
+    row-major order, are the least significant base-p digits of an int64
+    array, batch axis innermost, in `dtype`: upper entries the digits,
+    lower entries their negatives."""
+    M = np.zeros((size, size, values.size), dtype=dtype)
+    for i, j in combinations(range(size), 2):
+        high = values // p
+        np.subtract(values, high * p, out=M[i, j])  # `_mod`, as in `_digits`
+        np.negative(M[i, j], out=M[j, i])
+        values = high
+    return M
 
-    def __init__(self, tail, pairs, p):
-        super().__init__({(): np.ones(tail.shape[1], dtype=tail.dtype)})
-        self.tail, self.pairs, self.p = tail, pairs, p
+
+class _TailMemo(dict):
+    """Sub-Pfaffians mod p of a (w, w, N) stack of tails B (the matrices
+    without row and column 0), keyed by the tuple of B's rows, one value
+    per tail, in B's dtype; the first-row recursion, memoised.  The memo
+    is a dict that fills its own missing keys, not a closure that calls
+    itself, so it is freed with its run rather than left to the cyclic
+    garbage collector."""
+
+    def __init__(self, B, p):
+        super().__init__({(): np.ones(B.shape[2], dtype=B.dtype)})
+        self.B, self.p = B, p
 
     def __missing__(self, s):
-        # in the tail's lane: fewer than 2n - 1 terms, each a digit times
-        # a reduced sub-Pfaffian, so below (2n - 1)(p - 1)^2, which the
+        # in B's lane: fewer than 2n - 1 terms, each an entry times a
+        # reduced sub-Pfaffian, so below (2n - 1)(p - 1)^2, which the
         # lane's bound covers
         acc = 0
         for pos, j in enumerate(s[1:]):
-            term = (self.tail[self.pairs[s[0], j]]
-                    * self[s[1:pos + 1] + s[pos + 2:]])
+            term = self.B[s[0], j] * self[s[1:pos + 1] + s[pos + 2:]]
             acc = acc - term if pos % 2 else acc + term
         value = self[s] = _mod(acc, self.p)
         return value
 
 
-def _tail_pfaffians(tail, pairs, p):
-    """Sub-Pfaffians mod p of the tail (the matrix without row and column
-    0), as a function of the index subset returning one value per block, in
-    the dtype of the (digits, blocks) array `tail`; the first-row
-    recursion, memoised.  The memo is a dict, not a closure that calls
-    itself, so it is freed with its run rather than left to the cyclic
-    garbage collector."""
-    return _TailMemo(tail, pairs, p).__getitem__
-
-
 def _coefficients(form, pf, p):
-    """Row-0 coefficients mod p of the Pfaffian form, a row per coefficient
-    and a column per block."""
-    return np.stack([pf(sub) if sign > 0 else _mod(-pf(sub), p)
+    """Row-0 coefficients mod p of the Pfaffian form, from the memo `pf`, a
+    row per coefficient and a column per block."""
+    return np.stack([pf[sub] if sign > 0 else _mod(-pf[sub], p)
                      for sign, sub in form])
 
 
@@ -192,16 +199,6 @@ def _products(vectors, row0):
     """The unreduced row-0 products of coefficient vectors and row-0 digit
     columns (a matrix product, or a stack of them)."""
     return vectors @ row0
-
-
-def _skew_stack(digits, size, dtype, count):
-    """The (size, size, count) integer lifts of upper-triangle digit arrays,
-    batch axis innermost: upper entries as stored, lower entries negated."""
-    M = np.zeros((size, size, count), dtype=dtype)
-    for (i, j), d in zip(combinations(range(size), 2), digits):
-        M[i, j] = d
-        M[j, i] = -d
-    return M
 
 
 @lru_cache(maxsize=None)
@@ -246,11 +243,10 @@ def _extend(M, minors, row, r):
 
 
 def _batched_det(M):
-    """Exact determinants of an (N, s, s) integer stack, in its dtype: the
-    minors of the last r rows from those of the last r - 1, bottom up, only
-    two levels alive at a time."""
-    s = M.shape[1]
-    M = np.ascontiguousarray(M.transpose(1, 2, 0))  # batch axis innermost
+    """Exact determinants of an (s, s, N) integer stack, batch axis
+    innermost, in its dtype: the minors of the last r rows from those of the
+    last r - 1, bottom up, only two levels alive at a time."""
+    s = M.shape[0]
     minors = None
     for r in range(1, s + 1):
         minors = _extend(M, minors, s - r, r)
@@ -284,18 +280,16 @@ def _adjugate_columns(B):
             suffix = _extend(B, suffix, j, w - j)
 
 
-def _tail_check(tail, coeff, p):
-    """Check adj(B) = c c^T mod p for each block, B its odd skew tail from
-    the tail digits and c its column of the coefficient rows `coeff`, one
-    column of adj(B) at a time, in coeff's dtype.  Returns the number of
+def _tail_check(B, coeff, p):
+    """Check adj(B) = c c^T mod p for each block, B its odd skew tail in the
+    run's (w, w, N) stack and c its column of the coefficient rows `coeff`,
+    one column of adj(B) at a time, in B's dtype.  Returns the number of
     failing blocks and, for the first, (its index among the blocks, i, j,
     adj(B)[i, j], c_i c_j mod p) at its first failing entry in row-major
     order."""
-    w, count = coeff.shape
-    failing = np.zeros(count, dtype=bool)
+    failing = np.zeros(coeff.shape[1], dtype=bool)
     first = None
-    for j, column in _adjugate_columns(
-            _skew_stack(tail, w, coeff.dtype, count)):
+    for j, column in _adjugate_columns(B):
         bad = _mod(column - coeff * coeff[j], p)
         hit = bad.any(axis=0)
         if not hit.any():
@@ -318,7 +312,6 @@ def _spot_check(n, p, ids, lo, hi, spot_stride):
     size = 2 * n
     width0 = size - 1
     block = p ** width0
-    m = n * width0
     lane = _lane(n, p)
     checked = violations = 0
     first_bad = None
@@ -326,12 +319,11 @@ def _spot_check(n, p, ids, lo, hi, spot_stride):
     step = spot_stride * _SAMPLE_BATCH
     for b0 in range(-(-lo * block // spot_stride) * spot_stride, end, step):
         sel = np.arange(b0, min(b0 + step, end), spot_stride, dtype=np.int64)
-        digits = _digits(sel, p, m)
+        M = _skew_stack(sel, p, size, lane)
         vec = _vectors(ids[sel // block - lo], p, width0)
-        row0 = digits[:width0].T
+        row0 = M[0, 1:].T
         pfv = _mod(_products(vec[:, None], row0[:, :, None]).ravel(), p)
-        det = _batched_det(
-            _skew_stack(digits, size, lane, sel.size).transpose(2, 0, 1))
+        det = _batched_det(M)
         bad = np.flatnonzero(_mod(det - pfv * pfv, p))
         if bad.size and first_bad is None:
             first_bad = int(sel[bad[0]])
@@ -347,11 +339,10 @@ def _tail_run(n, p, lo, hi, want_rank, spot_stride, phases):
     and the spot check's (checked, failures, first).  Adds the seconds of
     each check to `phases`.  Every per-tail array is local, so it is freed
     on return."""
-    width0 = 2 * n - 1
-    pairs, avoid, pfaffian = _plan(n)
-    tail = _digits(np.arange(lo, hi, dtype=np.int64), p, (n - 1) * width0,
-                   _lane(n, p))
-    pf = _tail_pfaffians(tail, pairs, p)
+    avoid, pfaffian = _plan(n)
+    B = _skew_stack(np.arange(lo, hi, dtype=np.int64), p, 2 * n - 1,
+                    _lane(n, p))
+    pf = _TailMemo(B, p)
     coeff = _coefficients(pfaffian, pf, p)
     ids = _ids(coeff, p)
     ranks = None
@@ -360,10 +351,10 @@ def _tail_run(n, p, lo, hi, want_rank, spot_stride, phases):
         rank = np.zeros(hi - lo, dtype=np.intp)
         for k in range(1, n):
             for s in avoid[k]:
-                rank[pf(s) != 0] = k
+                rank[pf[s] != 0] = k
         ranks = np.bincount(rank, minlength=n)
     t = time.perf_counter()
-    tail_bad = _tail_check(tail, coeff, p)
+    tail_bad = _tail_check(B, coeff, p)
     u = time.perf_counter()
     phases["tail_check"] += u - t
     spot = (0, 0, None)

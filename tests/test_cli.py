@@ -1,18 +1,22 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motivic import _kernel, counting
 from motivic.cli import main
 from motivic.laurent import q_power
+from motivic.spaces import LEAVES
 from motivic.suites import (SuiteContext, SuiteResult, emit_report,
                             run_suite)
 
@@ -174,6 +178,45 @@ def test_epoly_large_expression_exit_3_at_once(capsys):
         assert code == 3 and out == ""
         assert err.startswith("refused: leaf dimensions sum to ")
         assert len(err.splitlines()) == 1
+
+
+# CLI text: pieces drawn evenly from both grammars' symbols (with what a
+# rational may hold besides), digit runs and every leaf name; or a
+# well-formed space expression; or, for --at, a rational
+_digit_runs = st.integers(0, 30).map(str)
+_pieces = st.lists(st.one_of(
+    st.sampled_from(sorted(set("*+\\();," "+-*^()xy" " ./e_"))),
+    _digit_runs, st.sampled_from(sorted(set(LEAVES) | {"fib"}))),
+    max_size=60).map("".join)
+_leaf = st.sampled_from(sorted(LEAVES)).flatmap(
+    lambda name: st.lists(_digit_runs, min_size=LEAVES[name].arity,
+                          max_size=LEAVES[name].arity).map(
+        lambda args: f"{name}({','.join(args)})" if args else name))
+_expr = st.recursive(_leaf, lambda inner: st.one_of(
+    st.builds("{} {} {}".format, inner, st.sampled_from("*+\\"), inner),
+    st.builds("({})".format, inner),
+    st.builds("fib({}; {})".format, inner, inner),
+    st.builds("cone({})".format, inner)), max_leaves=6)
+_rational = st.one_of(
+    st.fractions().map(str),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-99, 99)))
+_expr_text = st.one_of(_pieces, _expr).map(lambda text: text[:200])
+_at_text = st.one_of(_pieces, _rational).map(lambda text: text[:200])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_expr_text, _at_text, _at_text)
+def test_epoly_any_text_exits_cleanly(expr, x0, y0):
+    # any expression, and any pair of --at values on an expression with
+    # negative and positive exponents, exits 0, 2 or 3, with no fatal line
+    # and no traceback
+    for argv in (["epoly", expr], ["epoly", "gl(2) * torus", "--at", x0, y0]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "fatal:" not in err.getvalue(), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 def test_count_rank_json(capsys):

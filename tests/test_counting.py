@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import re
@@ -181,7 +182,7 @@ def test_spot_sample_sets_every_row0_digit(monkeypatch):
     seen = []
     det = _kernel._batched_det
     monkeypatch.setattr(_kernel, "_batched_det",
-                        lambda M: seen.append(M[:, 0, 1:].copy()) or det(M))
+                        lambda M: seen.append(M[0, 1:].T.copy()) or det(M))
     for n, p in ((3, 2), (2, 5), (3, 3)):
         seen.clear()
         scan_skew(n, p, "hist")
@@ -286,7 +287,7 @@ def test_batched_det_matches_bareiss():
         M[160:200, :2, :2] = 0                # zero leading 2x2 block
         upper = np.triu(M[200:], 1)           # skew: zero diagonal
         M[200:] = upper - upper.transpose(0, 2, 1)
-        got = _kernel._batched_det(M).tolist()
+        got = _kernel._batched_det(np.moveaxis(M, 0, -1)).tolist()
         assert got == [bareiss_det(A.tolist()) for A in M]
         assert got.count(0) >= 80
 
@@ -303,7 +304,7 @@ def test_spot_check_failure_names_first_offender(monkeypatch):
     # are multiples of 1009, and entry (0, 1) is the lowest base-5 digit
     det = _kernel._batched_det
     monkeypatch.setattr(_kernel, "_batched_det",
-                        lambda M: det(M) + (M[:, 0, 1] == 2))
+                        lambda M: det(M) + (M[0, 1] == 2))
     monkeypatch.setattr(_kernel, "_CHUNK", 1000)  # three runs of 62 tails
     sampled = range(0, 5 ** 6, counting.SPOT_STRIDE)
     bad = [i for i in sampled if i % 5 == 2]
@@ -336,9 +337,9 @@ def test_tail_check_catches_a_coefficient_sign(monkeypatch):
     plan = _kernel._plan
 
     def flipped(n):
-        pairs, avoid, pfaffian = plan(n)
+        avoid, pfaffian = plan(n)
         (sign, sub), *rest = pfaffian
-        return pairs, avoid, ((-sign, sub), *rest)
+        return avoid, ((-sign, sub), *rest)
 
     monkeypatch.setattr(_kernel, "_plan", flipped)
     for n, p in ((2, 3), (2, 5)):
@@ -408,12 +409,12 @@ def test_tail_check_compares_every_entry(monkeypatch):
     for n, p in ((2, 3), (3, 2)):
         width0 = 2 * n - 1
         tails = p ** ((n - 1) * width0)
-        tail = _kernel._digits(np.arange(tails), p, (n - 1) * width0,
-                               _kernel._lane(n, p))
-        pairs, _, pfaffian = _kernel._plan(n)
-        pf = _kernel._tail_pfaffians(tail, pairs, p)
+        B = _kernel._skew_stack(np.arange(tails), p, width0,
+                                _kernel._lane(n, p))
+        _, pfaffian = _kernel._plan(n)
+        pf = _kernel._TailMemo(B, p)
         coeff = _kernel._coefficients(pfaffian, pf, p)
-        assert _kernel._tail_check(tail, coeff, p) == (0, None)
+        assert _kernel._tail_check(B, coeff, p) == (0, None)
         columns = _kernel._adjugate_columns
         for i, j in product(range(width0), repeat=2):
             def shifted(B, i=i, j=j):
@@ -422,7 +423,7 @@ def test_tail_check_compares_every_entry(monkeypatch):
                         column[i, 1:] += 1
                     yield k, column
             monkeypatch.setattr(_kernel, "_adjugate_columns", shifted)
-            bad, first = _kernel._tail_check(tail, coeff, p)
+            bad, first = _kernel._tail_check(B, coeff, p)
             assert bad == tails - 1 and first[:3] == (1, i, j)
             monkeypatch.undo()
 
@@ -434,11 +435,9 @@ def test_tail_check_names_the_first_entry_in_row_major_order(monkeypatch):
     n, p = 3, 2
     width0 = 2 * n - 1
     tails = p ** ((n - 1) * width0)
-    tail = _kernel._digits(np.arange(tails), p, (n - 1) * width0,
-                           _kernel._lane(n, p))
-    pairs, _, pfaffian = _kernel._plan(n)
-    coeff = _kernel._coefficients(pfaffian,
-                                  _kernel._tail_pfaffians(tail, pairs, p), p)
+    B = _kernel._skew_stack(np.arange(tails), p, width0, _kernel._lane(n, p))
+    _, pfaffian = _kernel._plan(n)
+    coeff = _kernel._coefficients(pfaffian, _kernel._TailMemo(B, p), p)
     columns = _kernel._adjugate_columns
     # faults as (block, i, j), and the one reported
     for faults, want in (({(3, 2, 4), (3, 1, 3), (3, 1, 1), (4, 0, 0)},
@@ -451,7 +450,7 @@ def test_tail_check_names_the_first_entry_in_row_major_order(monkeypatch):
                         column[i, t] += 1
                 yield k, column
         monkeypatch.setattr(_kernel, "_adjugate_columns", shifted)
-        bad, first = _kernel._tail_check(tail, coeff, p)
+        bad, first = _kernel._tail_check(B, coeff, p)
         assert bad == len({t for t, _, _ in faults})
         assert first[:3] == want
         monkeypatch.undo()
@@ -501,7 +500,8 @@ def test_narrow_lane_matches_int64_at_its_edge(n, lane):
     signs = np_rng.choice([-1, 1], (64, size, size))
     upper = np.triu(signs * (p - 1), 1)
     M = upper - upper.transpose(0, 2, 1)
-    det = _kernel._batched_det(M.astype(_kernel._lane(n, p)))
+    det = _kernel._batched_det(
+        np.moveaxis(M, 0, -1).astype(_kernel._lane(n, p)))
     assert det.tolist() == [bareiss_det(A) for A in M.tolist()]
     B = np.ascontiguousarray(M[:, 1:, 1:].transpose(1, 2, 0))
     assert (_adjugate(B.astype(_kernel._lane(n, p))) ==
@@ -530,9 +530,9 @@ def test_lane_tail_pass_matches_int64(monkeypatch, n, lane):
     run = min(300, tails)  # (2, 5) has 125 tails
     lo = random.Random(p).randrange(tails - run + 1)
     memos = []
-    tail_pfaffians = _kernel._tail_pfaffians
-    monkeypatch.setattr(_kernel, "_tail_pfaffians",
-                        lambda *args: memos.append(tail_pfaffians(*args))
+    tail_memo = _kernel._TailMemo
+    monkeypatch.setattr(_kernel, "_TailMemo",
+                        lambda *args: memos.append(tail_memo(*args))
                         or memos[-1])
 
     def tail_runs():
@@ -543,14 +543,14 @@ def test_lane_tail_pass_matches_int64(monkeypatch, n, lane):
     narrow = tail_runs()
     monkeypatch.setattr(_kernel, "_lane", lambda n, p: np.int64)
     wide = tail_runs()
-    pairs, avoid, pfaffian = _kernel._plan(n)
+    avoid, pfaffian = _kernel._plan(n)
     for memo, memo64 in zip(memos[:2], memos[2:]):
         subsets = [sub for _, sub in pfaffian] + [
             s for k in avoid for s in avoid[k]]
         for sub in subsets:
-            assert memo(sub).dtype == lane and memo64(sub).dtype == np.int64
-            assert (memo(sub) == memo64(sub)).all()
-        assert memo.__self__.keys() == memo64.__self__.keys()
+            assert memo[sub].dtype == lane and memo64[sub].dtype == np.int64
+            assert (memo[sub] == memo64[sub]).all()
+        assert memo.keys() == memo64.keys()
     for (classes, ranks, tail_bad, _), (classes64, ranks64, tail_bad64,
                                          _) in zip(narrow, wide):
         assert all((a == b).all() for a, b in zip(classes, classes64))
@@ -565,7 +565,8 @@ def test_scan_range_memory_is_bounded(monkeypatch):
     # of about 4 MiB that `_scan` allocates and frees untouched,
     # which hides a smaller working set; so the peak is read again from
     # the first run of tails on.  Measured with numpy 2.4: 4.0 MiB in all,
-    # 1.9 MiB from the first run; runs in int64 peak at 7.1 MiB, and a list
+    # 1.74 MiB from the first run (1.89 MiB while a run kept its tail
+    # digits beside its skew stack); runs in int64 peak at 7.1 MiB, and a list
     # of every tail's id, held to the class pass, at 2.26 MiB from the
     # first run
     # fills the plan caches
@@ -597,18 +598,53 @@ def test_scan_range_memory_is_bounded(monkeypatch):
 def test_tail_runs_are_capped(monkeypatch):
     # the tail pass walks runs of at most _CHUNK // 16 = 8192 tails: eight
     # runs of the 3^10 tails of (3, 3)
+    # (entry (0, 1) of B, the lowest tail digit, of the run's first tail;
+    # the run's length)
     runs = []
-    tail_pfaffians = _kernel._tail_pfaffians
-    monkeypatch.setattr(_kernel, "_tail_pfaffians",
-                        lambda tail, pairs, p: runs.append(
-                            (int(tail[0, 0]), tail.shape[1]))
-                        or tail_pfaffians(tail, pairs, p))
+    tail_memo = _kernel._TailMemo
+    monkeypatch.setattr(_kernel, "_TailMemo",
+                        lambda B, p: runs.append((int(B[0, 1, 0]), B.shape[2]))
+                        or tail_memo(B, p))
     assert _kernel._CHUNK // 16 == 8192
     s = scan_skew(3, 3, "hist")
     assert s.tails_checked == 3 ** 10
     assert [blocks for _, blocks in runs] == [8192] * 7 + [3 ** 10 - 7 * 8192]
     # the lowest tail digit of each run's first tail
     assert [d for d, _ in runs] == [8192 * i % 3 for i in range(8)]
+
+
+def test_kernel_imports_nothing_from_skew():
+    # the scan is checked against skew's Pfaffian and rank routes, so the
+    # kernel keeps its own recursion and its own coding of the index layout
+    tree = ast.parse(Path(_kernel.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module or ''}.{alias.name}"
+                       for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            assert "skew" not in module.split("."), ast.unparse(node)
+
+
+@pytest.mark.parametrize("n, p", [(2, 5), (3, 3), (4, 2)])
+def test_skew_stack_matches_skew_layout(n, p):
+    # random scan indices decoded into a stack of matrices and their tails
+    # into a stack of tails, each against skew's own decode of the index
+    width0 = 2 * n - 1
+    indices = [random.Random(p).randrange(p ** (n * width0))
+               for _ in range(40)]
+    A = _kernel._skew_stack(np.array(indices, dtype=np.int64), p, 2 * n,
+                            np.int64)
+    B = _kernel._skew_stack(np.array(indices, dtype=np.int64) // p ** width0,
+                            p, width0, np.int64)
+    assert A.shape == (2 * n, 2 * n, 40) and B.shape == (width0, width0, 40)
+    for k, index in enumerate(indices):
+        full = counting._matrix_at(n, p, index).full()
+        assert A[:, :, k].tolist() == full
+        assert B[:, :, k].tolist() == [row[1:] for row in full[1:]]
 
 
 @pytest.mark.parametrize("chunk", [20, _kernel._CHUNK])
@@ -652,7 +688,8 @@ def test_import_does_not_load_multiprocessing():
             "print('multiprocessing' in sys.modules)")
     src = str(Path(counting.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={"PYTHONPATH": src})
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
 
 
@@ -695,10 +732,10 @@ def test_error_in_a_later_run_reraised_with_type_and_message(monkeypatch,
     monkeypatch.setattr(_kernel, "_CHUNK", 1000)
     check = _kernel._tail_check
 
-    def faulty(tail, coeff, p):
-        if tail[-1].any():
+    def faulty(B, coeff, p):
+        if B[3, 4].any():  # a_45, the top tail digit
             raise exc_type("a tail with a_45 = 1 at (n, p) = (3, 2)")
-        return check(tail, coeff, p)
+        return check(B, coeff, p)
 
     monkeypatch.setattr(_kernel, "_tail_check", faulty)
     with pytest.raises(exc_type) as exc:
@@ -713,7 +750,7 @@ def test_sample_fault_in_a_later_run_names_first_offender(monkeypatch):
     monkeypatch.setattr(_kernel, "_CHUNK", 1000)
     det = _kernel._batched_det
     monkeypatch.setattr(_kernel, "_batched_det",
-                        lambda M: det(M) + (M[:, 4, 5] == 1))
+                        lambda M: det(M) + (M[4, 5] == 1))
     with pytest.raises(ConsistencyError) as exc:
         scan_skew(3, 2, "hist")
     message = str(exc.value)
