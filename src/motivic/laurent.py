@@ -35,10 +35,12 @@ class LaurentPoly2:
         cleaned = {}
         if terms:
             for (a, b), c in terms.items():
-                if not isinstance(c, int) or isinstance(c, bool):
+                if not _is_int(c):
                     raise TypeError(f"coefficient {c!r} is not an integer")
+                if not (_is_int(a) and _is_int(b)):
+                    raise TypeError(f"exponents {(a, b)!r} are not integers")
                 if c:
-                    cleaned[(int(a), int(b))] = c
+                    cleaned[(a, b)] = c
         self.terms = cleaned
 
     # -- queries -----------------------------------------------------------
@@ -56,7 +58,7 @@ class LaurentPoly2:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             other = const(other)
         if isinstance(other, LaurentPoly2):
             return self.terms == other.terms
@@ -107,7 +109,7 @@ class LaurentPoly2:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not _is_int(k):
             raise TypeError("exponent must be an integer")
         if k == 0:
             return ONE
@@ -192,10 +194,14 @@ def _raw(terms):
     return p
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _as_poly(v):
     if isinstance(v, LaurentPoly2):
         return v
-    if isinstance(v, int) and not isinstance(v, bool):
+    if _is_int(v):
         return const(v)
     return NotImplemented
 
@@ -323,9 +329,10 @@ class Lexer:
                 pos += 1
                 col += 1
                 continue
-            if ch.isdigit():
+            # isdecimal, not isdigit: exactly the digits int() reads
+            if ch.isdecimal():
                 start = pos
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos].isdecimal():
                     pos += 1
                 self.tokens.append(("INT", text[start:pos], line, col))
                 col += pos - start
@@ -444,12 +451,12 @@ class BettiPoly:
         cleaned = {}
         if coeffs:
             for k, c in coeffs.items():
-                if k < 0 or not isinstance(c, int) or isinstance(c, bool):
-                    raise ValueError(f"bad Betti entry {k}: {c!r}")
+                if not (_is_int(k) and k >= 0 and _is_int(c)):
+                    raise ValueError(f"bad Betti entry {k!r}: {c!r}")
                 if c < 0:
                     raise ValueError(f"negative Betti number b_{k} = {c}")
                 if c:
-                    cleaned[int(k)] = c
+                    cleaned[k] = c
         self.coeffs = cleaned
 
     @classmethod
@@ -474,13 +481,13 @@ class BettiPoly:
         """Alternating sum of the coefficients."""
         return sum(c if k % 2 == 0 else -c for k, c in self.coeffs.items())
 
+    def _in_x(self):
+        """The same coefficients as a LaurentPoly2, degree k at x^k."""
+        return _raw({(k, 0): c for k, c in self.coeffs.items()})
+
     def __mul__(self, other):
-        # coefficients are positive, so no term of the product cancels
-        out = {}
-        for a, c in self.coeffs.items():
-            for b, d in other.coeffs.items():
-                out[a + b] = out.get(a + b, 0) + c * d
-        return BettiPoly(out)
+        product = self._in_x() * other._in_x()
+        return BettiPoly({k: c for (k, _), c in product.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, BettiPoly):
@@ -488,19 +495,7 @@ class BettiPoly:
         return NotImplemented
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            if not mono:
-                chunks.append(str(c))
-            elif c == 1:
-                chunks.append(mono)
-            else:
-                chunks.append(f"{c}*{mono}")
-        return " + ".join(chunks)
+        return format_poly(self._in_x()).replace("x", "t")
 
     __repr__ = __str__
 

@@ -2,16 +2,15 @@ import gc
 import hashlib
 import io
 import json
-import os
 import signal
-import subprocess
-import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import fresh_python
 
 from motivic import _kernel, counting
 from motivic.cli import main
@@ -168,6 +167,13 @@ def test_epoly_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "epoly", "fib(cone(point()); milnorF(2))")
     assert code == 2
     assert err == "error: line 1, column 5: cone(...) takes a Grassmannian\n"
+
+
+def test_epoly_non_decimal_digit_exit_2_at_its_column(capsys):
+    # '²' passes str.isdigit but int() refuses it; the lexer must stop there
+    code, out, err = run(capsys, "epoly", "affine(²)")
+    assert code == 2 and out == ""
+    assert err == "error: line 1, column 8: unexpected character '²'\n"
 
 
 def test_epoly_large_expression_exit_3_at_once(capsys):
@@ -647,33 +653,26 @@ def test_in_process_main_does_not_freeze_the_heap(capsys):
     assert gc.get_freeze_count() == frozen
 
 
-def _fresh_process(*args):
-    """The completed `python *args`, with motivic importable."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=src))
-
-
 def test_process_entry_point_freezes_the_heap():
     # main() reading sys.argv is the process entry point (python -m
     # motivic.cli and the console script)
-    out = _fresh_process("-c", "import gc, sys\n"
-                         "from motivic.cli import main\n"
-                         "sys.argv = ['motivic', 'goettsche', '--n', '3']\n"
-                         "code = main()\n"
-                         "print(code, gc.get_freeze_count(), "
-                         "file=sys.stderr)")
+    out = fresh_python("-c", "import gc, sys\n"
+                        "from motivic.cli import main\n"
+                        "sys.argv = ['motivic', 'goettsche', '--n', '3']\n"
+                        "code = main()\n"
+                        "print(code, gc.get_freeze_count(), "
+                        "file=sys.stderr)")
     code, frozen = map(int, out.stderr.split())
     assert code == 0 and frozen > 0
     # a scan loads numpy after the first freeze; the second freezes it too
-    out = _fresh_process("-c", "import gc, sys\n"
-                         "from motivic.cli import main\n"
-                         "sys.argv = ['motivic', 'count', 'rank', '--n', "
-                         "'2', '--p', '3']\n"
-                         "code = main()\n"
-                         "import numpy\n"
-                         "print(code, any(o is vars(numpy) "
-                         "for o in gc.get_objects()), file=sys.stderr)")
+    out = fresh_python("-c", "import gc, sys\n"
+                        "from motivic.cli import main\n"
+                        "sys.argv = ['motivic', 'count', 'rank', '--n', "
+                        "'2', '--p', '3']\n"
+                        "code = main()\n"
+                        "import numpy\n"
+                        "print(code, any(o is vars(numpy) "
+                        "for o in gc.get_objects()), file=sys.stderr)")
     assert out.stderr.split() == [b"0", b"False"]
 
 
@@ -693,7 +692,7 @@ def _numpy_loaded_after(*commands):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
             "    " + loaded)
-    lines = _fresh_process("-c", code).stderr.decode().splitlines()
+    lines = fresh_python("-c", code).stderr.decode().splitlines()
     assert len(lines) == 2 + len(commands)
     return [tuple(word == "True" for word in line.split()) for line in lines]
 
@@ -714,7 +713,7 @@ def test_only_a_scan_loads_numpy():
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_full_report_matches_golden_digest(workers):
-    out = _fresh_process("-m", "motivic.cli", "report", "--format",
-                         "json", "--workers", workers)
+    out = fresh_python("-m", "motivic.cli", "report", "--format",
+                        "json", "--workers", workers)
     assert hashlib.sha256(out.stdout).hexdigest() == (
         "a299071cc34c4a9f590cb191ff23c2a6d0f03d20ac83543d3bac65350cb510b7")

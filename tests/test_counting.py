@@ -2,8 +2,6 @@ import ast
 import os
 import random
 import re
-import subprocess
-import sys
 import threading
 import tracemalloc
 from itertools import product
@@ -11,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import fresh_python
 
 from motivic import _kernel, counting
 from motivic.counting import DEFAULT_CAP, scan_skew
@@ -686,11 +686,8 @@ def test_import_does_not_load_multiprocessing():
             "for n, p in ((3, 2), (2, 11), (1, 131101)):\n"
             "    scan_skew(n, p, workers=2)\n"
             "print('multiprocessing' in sys.modules)")
-    src = str(Path(counting.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    out = fresh_python("-c", code)
+    assert out.stdout.decode().strip() == "False"
 
 
 def test_n1_scans_in_process(monkeypatch):
@@ -783,17 +780,6 @@ def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message):
     assert str(exc.value) == message
 
 
-def _import_in_fresh_process(code, **extra_env):
-    """stdout words of `python -c code` run without the caller's
-    OPENBLAS_NUM_THREADS, plus extra_env."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(counting.__file__).resolve().parents[1]))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    env.update(extra_env)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env).stdout.split()
-
-
 # records OPENBLAS_NUM_THREADS as numpy starts to load, and then runs a scan,
 # which loads numpy if nothing has
 _WATCH_NUMPY = ("import os, sys\n"
@@ -820,14 +806,15 @@ def test_import_runs_on_one_thread():
             "print(len(os.listdir('/proc/self/task')))\n"
             + _SCAN
             + "print(len(os.listdir('/proc/self/task')), *loaded_under)")
-    assert _import_in_fresh_process(code) == ["1", "1", "1", "1"]
+    out = fresh_python("-c", code, unset=["OPENBLAS_NUM_THREADS"])
+    assert out.stdout.decode().split() == ["1", "1", "1", "1"]
 
 
 def test_import_keeps_callers_openblas_thread_count():
     code = (_WATCH_NUMPY + "import motivic.cli\n" + _SCAN
             + "print(os.environ['OPENBLAS_NUM_THREADS'], *loaded_under)")
-    assert _import_in_fresh_process(code, OPENBLAS_NUM_THREADS="2") == \
-        ["2", "2"]
+    out = fresh_python("-c", code, OPENBLAS_NUM_THREADS="2")
+    assert out.stdout.decode().split() == ["2", "2"]
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])

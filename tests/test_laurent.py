@@ -255,6 +255,17 @@ def test_parse_errors_carry_position():
         parse_poly("(1 + x*y)^-2")
 
 
+def test_lexer_reads_only_decimal_digits():
+    # '²' is a digit to str.isdigit but not to int(); Arabic-Indic and
+    # fullwidth digits are decimal, and int() reads them
+    with pytest.raises(ParseError) as exc:
+        parse_poly("x^²")
+    assert (exc.value.line, exc.value.col) == (1, 3)
+    assert "unexpected character '²'" in str(exc.value)
+    assert parse_poly("x^٣") == X ** 3
+    assert parse_poly("(x*y)^１２") == q_power(12)
+
+
 def test_parse_input_cap():
     with pytest.raises(ParseError):
         parse_poly("1 + " * 30000 + "1")
@@ -269,6 +280,55 @@ def test_betti_poly():
     assert str(b) == "1 + t^5 + t^9 + t^14"
     with pytest.raises(ValueError):
         BettiPoly({3: -1})
+
+
+def test_bad_exponents_refused_like_bad_coefficients():
+    for terms in ({(1.5, 0): 1}, {(True, 2): 3}, {(0, "1"): 1}):
+        with pytest.raises(TypeError, match="not integers"):
+            LaurentPoly2(terms)
+
+
+def test_bad_betti_degrees_refused():
+    for coeffs in ({1.5: 1}, {True: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="bad Betti entry"):
+            BettiPoly(coeffs)
+
+
+def _betti_convolution(a, b):
+    out = {}
+    for i, c in a.coeffs.items():
+        for j, d in b.coeffs.items():
+            out[i + j] = out.get(i + j, 0) + c * d
+    return out
+
+
+def _betti_text(b):
+    if not b.coeffs:
+        return "0"
+    chunks = []
+    for k in sorted(b.coeffs):
+        c = b.coeffs[k]
+        mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
+        if not mono:
+            chunks.append(str(c))
+        elif c == 1:
+            chunks.append(mono)
+        else:
+            chunks.append(f"{c}*{mono}")
+    return " + ".join(chunks)
+
+
+_betti = st.dictionaries(st.integers(0, 20), st.integers(0, 5),
+                         max_size=8).map(BettiPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_betti, _betti)
+def test_betti_product_and_text_match_own_convolution(a, b):
+    # the Betti product and text go through LaurentPoly2; the direct
+    # convolution and the t-printer are the reference
+    assert (a * b).coeffs == _betti_convolution(a, b)
+    assert str(a) == _betti_text(a)
 
 
 def test_divide_exact():
