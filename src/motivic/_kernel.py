@@ -24,10 +24,10 @@ heads p^(2r) matrices of rank 2r and p^(2n-1) - p^(2r) of rank 2r + 2.
 A scan makes two passes.  The tail pass walks the tails in runs of at
 most `_CHUNK // 16`, decoding each run once into its stack of odd skew
 tails B, reduces every tail to the base-p id of its Pfaffian coefficient
-vector and, for a rank scan, tallies the tails by rank.  Each run reduces
-its ids to a tally of (distinct id, count), merged into the scan's, so a
-scan never holds one id per tail; everything else a run builds is freed
-before the next run.
+vector and tallies the tails by rank.  Each run reduces its ids to a
+tally of (distinct id, count), merged into the scan's, so a scan never
+holds one id per tail; everything else a run builds is freed before the
+next run.
 Many tails share a vector (the 3^10 tails of the 6x6 scan over F_3 share
 3^5), so the class pass then multiplies each distinct vector once by
 every row-0 value, brute force, in tables of at most `_CHUNK` row-0 values
@@ -171,12 +171,8 @@ def _coefficients(form, pf, p):
 
 def _ids(coeff, p):
     """The base-p ids of the columns of `coeff`, coefficient k the digit of
-    p^k, as int64."""
-    ids = np.zeros(coeff.shape[1], dtype=np.int64)
-    for row in coeff[::-1]:
-        ids *= p
-        ids += row
-    return ids
+    p^k, as int64: the layout `_digits` decodes."""
+    return p ** np.arange(coeff.shape[0], dtype=np.int64) @ coeff
 
 
 def _vectors(ids, p, width0):
@@ -332,27 +328,25 @@ def _spot_check(n, p, ids, lo, hi, spot_stride):
     return checked, violations, first_bad
 
 
-def _tail_run(n, p, lo, hi, want_rank, spot_stride, phases):
+def _tail_run(n, p, lo, hi, spot_stride, phases):
     """The tail pass over the tails lo <= h < hi, with both checks: returns
-    (distinct ids, their counts), the tail rank tally (or None), the tail
-    check's (failures, first) with the first's block index within the run,
-    and the spot check's (checked, failures, first).  Adds the seconds of
-    each check to `phases`.  Every per-tail array is local, so it is freed
-    on return."""
+    (distinct ids, their counts), the tail rank tally, the tail check's
+    (failures, first) with the first's block index within the run, and the
+    spot check's (checked, failures, first).  Adds the seconds of each
+    check to `phases`.  Every per-tail array is local, so it is freed on
+    return."""
     avoid, pfaffian = _plan(n)
     B = _skew_stack(np.arange(lo, hi, dtype=np.int64), p, 2 * n - 1,
                     _lane(n, p))
     pf = _TailMemo(B, p)
     coeff = _coefficients(pfaffian, pf, p)
     ids = _ids(coeff, p)
-    ranks = None
-    if want_rank:
-        # the largest k with a nonzero 2k-sub-Pfaffian, or 0
-        rank = np.zeros(hi - lo, dtype=np.intp)
-        for k in range(1, n):
-            for s in avoid[k]:
-                rank[pf[s] != 0] = k
-        ranks = np.bincount(rank, minlength=n)
+    # the largest k with a nonzero 2k-sub-Pfaffian, or 0
+    rank = np.zeros(hi - lo, dtype=np.intp)
+    for k in range(1, n):
+        for s in avoid[k]:
+            rank[pf[s] != 0] = k
+    ranks = np.bincount(rank, minlength=n)
     t = time.perf_counter()
     tail_bad = _tail_check(B, coeff, p)
     u = time.perf_counter()
@@ -375,7 +369,7 @@ def _fold(hist, tally, low, p):
         pos += take
 
 
-def _scan(n, p, want_rank, spot_stride):
+def _scan(n, p, spot_stride):
     """Scan every tail, each with all its row-0 values."""
     t0 = time.perf_counter()
     # Allocated and freed at once, never touched: freeing one block of
@@ -398,20 +392,18 @@ def _scan(n, p, want_rank, spot_stride):
     phases = dict.fromkeys(PHASES, 0.0)
     checked = violations = 0
     first_bad = None
-    tails_checked = tail_violations = 0
+    tail_violations = 0
     first_tail_bad = None
     run = max(1, _CHUNK // 16)
     for lo in range(0, tails, run):
         hi = min(lo + run, tails)
         classes, ranks, (bad, first), spot = _tail_run(
-            n, p, lo, hi, want_rank, spot_stride, phases)
+            n, p, lo, hi, spot_stride, phases)
         ids, mult = _merge_tally(ids, mult, *classes)
-        if ranks is not None:
-            tail_ranks += ranks
+        tail_ranks += ranks
         if bad and first_tail_bad is None:
             first_tail_bad = (lo + first[0],) + first[1:]
         tail_violations += bad
-        tails_checked += hi - lo
         checked += spot[0]
         violations += spot[1]
         if first_bad is None:
@@ -440,7 +432,6 @@ def _scan(n, p, want_rank, spot_stride):
     phases["pfaffian_classes"] = time.perf_counter() - t
     return {"hist": hist, "tail_ranks": tail_ranks, "checked": checked,
             "violations": violations, "first_bad": first_bad,
-            "tails_checked": tails_checked,
             "tail_violations": tail_violations,
             "first_tail_bad": first_tail_bad,
             "phases": phases}

@@ -207,7 +207,7 @@ def _cmd_epoly(args):
 
 
 def _cmd_count_rank(args):
-    scan = scan_skew(args.n, args.p, "full", args.cap)
+    scan = scan_skew(args.n, args.p, cap=args.cap)
     payload = {"kind": "rank", "n": args.n, "p": args.p,
                "counts": {str(r): c for r, c in scan.rank_counts.items()},
                "enumeration_size": scan.total}
@@ -218,7 +218,7 @@ def _cmd_count_rank(args):
 
 
 def _cmd_count_fibre(args):
-    scan = scan_skew(args.n, args.p, "hist", args.cap)
+    scan = scan_skew(args.n, args.p, cap=args.cap)
     c = args.value % args.p
     observed = scan.pf_counts[c]
     payload = {"label": f"pf-fibre-n{args.n}-c{c}", "n": args.n, "p": args.p,

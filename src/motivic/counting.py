@@ -4,11 +4,11 @@ truth against E-polynomial predictions evaluated at xy = p.
 This module admits a scan, makes one call of the kernel (`_kernel._scan`,
 imported by the first scan; the `_kernel` docstring gives the algorithm
 and the two checks), which walks every tail in the calling thread, and
-checks what it returns; the scan's phases are the kernel's.  A rank
-scan's kernel returns a tally of its tails by rank, and the rank buckets
-are built here, in Python ints, from that tally: a tail of rank 2r heads
-p^(2r) matrices of rank 2r and the other p^(2n-1) - p^(2r) of its block
-have rank 2r + 2.
+checks what it returns; the scan's phases are the kernel's.  Every scan
+counts both the Pfaffian values and the ranks.  The kernel returns a
+tally of the tails by rank, and the rank buckets are built here, in Python
+ints, from that tally: a tail of rank 2r heads p^(2r) matrices of rank 2r
+and the other p^(2n-1) - p^(2r) of its block have rank 2r + 2.
 
 A scan runs in the calling thread alone, whatever `workers` bound its
 caller passes: the kernel's many short numpy calls hold the GIL, and no
@@ -67,7 +67,7 @@ class ScanResult:
     p: int
     total: int
     pf_counts: PfCounts
-    rank_counts: dict | None
+    rank_counts: dict
     spot_checked: int
     tails_checked: int
     elapsed: float
@@ -113,19 +113,20 @@ def _power_text(p, m):
 
 
 def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
-    """Scan all 2n x 2n skew matrices over F_p.
+    """Scan all 2n x 2n skew matrices over F_p, tallying them by Pfaffian
+    value and bucketing them by rank.
 
-    mode "hist" tallies Pfaffian values only; mode "full" also buckets by
-    rank.  Raises CapExceededError when p^(n(2n-1)) exceeds the cap, the
-    scan's int64 arithmetic could overflow or p exceeds HIST_MAX, and
+    Raises CapExceededError when p^(n(2n-1)) exceeds the cap, the scan's
+    int64 arithmetic could overflow or p exceeds HIST_MAX, and
     ConsistencyError when a tail fails adj(B) = c c^T (naming the lowest
     such block), a sampled matrix fails Pf^2 = det (naming the
-    lowest-index offender), or, in mode "full", the tail rank tally does
-    not count every tail once or the rank-2n bucket differs from
-    #{Pf != 0}.  The cap and HIST_MAX are tested before p is
-    tested for primality.  The scan runs in the calling thread alone;
-    `workers` changes nothing, and is kept because `perfbench/tracer.py`
-    binds it by name.
+    lowest-index offender), the tail rank tally does not count each of the
+    p^((n-1)(2n-1)) tails once, or the rank-2n bucket differs from
+    #{Pf != 0}.  The cap and HIST_MAX are tested before p is tested for
+    primality.  `mode` must be "hist" or "full" and `workers` is any
+    bound, but neither changes the scan, which runs every count and check
+    in the calling thread: both are kept because `perfbench/probe.py`
+    passes them, and `perfbench/tracer.py` binds `workers` by name.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -146,15 +147,14 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
         raise ValueError(f"{p} is not prime")
     total = p ** m
     _check_int64(n, p, total)
-    want_rank = mode == "full"
     # the kernel and numpy load here, before the clock starts, so that the
     # scan's clocks time the scan alone
     from . import _kernel
     t0 = time.perf_counter()
-    part = _kernel._scan(n, p, want_rank, spot_stride)
+    part = _kernel._scan(n, p, spot_stride)
     block = p ** (2 * n - 1)
+    tails = p ** ((n - 1) * (2 * n - 1))
     hist = part["hist"]
-    tails = part["tails_checked"]
     tail_violations = part["tail_violations"]
     if tail_violations:
         h, i, j, a, b = part["first_tail_bad"]
@@ -175,31 +175,27 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
             f"{_matrix_at(n, p, first)!r}")
     if int(hist.sum()) != total:
         raise ConsistencyError("Pfaffian histogram does not sum to the scan size")
-    rank_counts = None
-    if want_rank:
-        tail_ranks = part["tail_ranks"].tolist()
-        if sum(tail_ranks) != tails:
-            raise ConsistencyError(
-                f"the tail rank tally {tail_ranks} sums to "
-                f"{sum(tail_ranks)}, not to the {tails} tails checked at "
-                f"(n, p) = ({n}, {p})")
-        # a tail of rank 2r heads p^(2r) matrices of rank 2r and the rest
-        # of its block has rank 2r + 2 (the lemma in `_kernel`)
-        rank_counts = dict.fromkeys(range(0, 2 * n + 1, 2), 0)
-        for r, count in enumerate(tail_ranks):
-            rank_counts[2 * r] += count * p ** (2 * r)
-            rank_counts[2 * r + 2] += count * (block - p ** (2 * r))
-        # Both sides read the tail's (2n-2)-sub-Pfaffians, the Pfaffian's
-        # coefficients: the tally counts the tails where one is nonzero,
-        # the histogram multiplies them by row 0.  So this checks the class
-        # pass (products, unreduced tally, `_fold`), not the memo that both
-        # read, which the tail check covers.
-        nonzero = total - int(hist[0])
-        if rank_counts[2 * n] != nonzero:
-            raise ConsistencyError(
-                f"the rank-{2 * n} bucket holds {rank_counts[2 * n]} "
-                f"matrices but #{{Pf != 0}} = {nonzero} at (n, p) = "
-                f"({n}, {p})")
+    tail_ranks = part["tail_ranks"].tolist()
+    if sum(tail_ranks) != tails:
+        raise ConsistencyError(
+            f"the tail rank tally {tail_ranks} sums to {sum(tail_ranks)}, "
+            f"not to the {tails} tails checked at (n, p) = ({n}, {p})")
+    # a tail of rank 2r heads p^(2r) matrices of rank 2r and the rest of its
+    # block has rank 2r + 2 (the lemma in `_kernel`)
+    rank_counts = dict.fromkeys(range(0, 2 * n + 1, 2), 0)
+    for r, count in enumerate(tail_ranks):
+        rank_counts[2 * r] += count * p ** (2 * r)
+        rank_counts[2 * r + 2] += count * (block - p ** (2 * r))
+    # Both sides read the tail's (2n-2)-sub-Pfaffians, the Pfaffian's
+    # coefficients: the tally counts the tails where one is nonzero, the
+    # histogram multiplies them by row 0.  So this checks the class pass
+    # (products, unreduced tally, `_fold`), not the memo that both read,
+    # which the tail check covers.
+    nonzero = total - int(hist[0])
+    if rank_counts[2 * n] != nonzero:
+        raise ConsistencyError(
+            f"the rank-{2 * n} bucket holds {rank_counts[2 * n]} matrices "
+            f"but #{{Pf != 0}} = {nonzero} at (n, p) = ({n}, {p})")
     return ScanResult(n=n, p=p, total=total, pf_counts=PfCounts(hist),
                       rank_counts=rank_counts, spot_checked=checked,
                       tails_checked=tails,

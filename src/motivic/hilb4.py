@@ -83,9 +83,11 @@ def _rows_below(bound, budget):
 
 
 def plane_partitions(m, cap=PLANE_PARTITION_CAP):
-    """Exhaustive, duplicate-free list of plane partitions of weight m, in
-    lexicographic depth-first order over row profiles.  Refuses m above
-    the cap, and any cap above PLANE_PARTITION_MAX, with CapExceededError."""
+    """Exhaustive, duplicate-free list of plane partitions of weight m,
+    depth-first over rows: each row, the first under the bound (m,) * m, is
+    taken in the descending-lexicographic order of `_rows_below`, so a
+    shorter row comes before its extensions.  Refuses m above the cap, and
+    any cap above PLANE_PARTITION_MAX, with CapExceededError."""
     if m < 0:
         raise ValueError("weight must be >= 0")
     if cap > PLANE_PARTITION_MAX:
@@ -95,8 +97,6 @@ def plane_partitions(m, cap=PLANE_PARTITION_CAP):
     if m > cap:
         raise CapExceededError(
             f"plane-partition enumeration of weight {m} exceeds cap {cap}")
-    if m == 0:
-        return [PlanePartition(())]
     out = []
 
     def rec(rows, prev, left):
@@ -108,9 +108,7 @@ def plane_partitions(m, cap=PLANE_PARTITION_CAP):
             rec(rows, row, left - sum(row))
             rows.pop()
 
-    for w in range(m, 0, -1):
-        for first in partitions(w):
-            rec([first], first, m - w)
+    rec([], (m,) * m, m)
     return out
 
 

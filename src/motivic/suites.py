@@ -465,7 +465,7 @@ def _suite_katz(ctx):
             if _exceeds_cap(p, m, cap):
                 continue
             total = p ** m
-            scan = scan_skew(n, p, "full", cap)
+            scan = scan_skew(n, p, cap=cap)
             size = 2 * n
             tag = f"{size}x{size} over F_{p}"
             pf0 = scan.pf_counts[0]

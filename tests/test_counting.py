@@ -219,6 +219,8 @@ def test_one_scan_serves_every_count():
     predicted = (ec(MilnorFibreF(3)) * (q_power(1) - ONE)).eval_q(2)
     nonzero = scan.total - scan.pf_counts[0]
     assert nonzero == scan.rank_counts[6] == predicted == 13888
+    # a "hist" scan buckets by rank too
+    assert scan_skew(3, 2, "hist").rank_counts == scan.rank_counts
 
 
 def test_scan_matches_pointwise_oracle():
@@ -381,9 +383,11 @@ def test_tail_check_catches_a_coefficient_sign(monkeypatch):
 def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
     # the tail check covers the coefficient vectors, not the class pass
     # that multiplies them by row 0; the pointwise sample takes the same
-    # decode and product routines, so it catches a fault there.  A rank
+    # decode and product routines, so it catches a fault there.  Every
     # scan also compares the rank-4 bucket with #{Pf != 0}, which a product
-    # off by one moves
+    # off by one moves, so with no sample that check catches it in either
+    # mode; a reversed vector is nonzero where the true one is, so only the
+    # sample sees a decode fault
     if fault == "product":
         products = _kernel._products
         monkeypatch.setattr(_kernel, "_products",
@@ -392,15 +396,18 @@ def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
         vectors = _kernel._vectors
         monkeypatch.setattr(_kernel, "_vectors",
                             lambda *args: vectors(*args)[:, ::-1])
-    s = scan_skew(2, 5, "hist", spot_stride=0)
-    assert s.tails_checked == 125
     with pytest.raises(ConsistencyError, match=r"Pf\^2 = det failed on"):
         scan_skew(2, 5, "hist")
-    if fault == "product":
-        with pytest.raises(ConsistencyError,
-                           match=r"rank-4 bucket holds 12400 matrices but "
-                                 r"#\{Pf != 0\} = \d+ at \(n, p\) = \(2, 5\)"):
-            scan_skew(2, 5, "full", spot_stride=0)
+    for mode in ("hist", "full"):
+        if fault == "product":
+            with pytest.raises(ConsistencyError,
+                               match=r"rank-4 bucket holds 12400 matrices "
+                                     r"but #\{Pf != 0\} = \d+ at "
+                                     r"\(n, p\) = \(2, 5\)"):
+                scan_skew(2, 5, mode, spot_stride=0)
+        else:
+            s = scan_skew(2, 5, mode, spot_stride=0)
+            assert s.tails_checked == 125
 
 
 def test_tail_check_compares_every_entry(monkeypatch):
@@ -536,7 +543,7 @@ def test_lane_tail_pass_matches_int64(monkeypatch, n, lane):
                         or memos[-1])
 
     def tail_runs():
-        return [_kernel._tail_run(n, p, h0, h0 + run, True, 0,
+        return [_kernel._tail_run(n, p, h0, h0 + run, 0,
                                   dict.fromkeys(counting.PHASES, 0.0))
                 for h0 in (tails - run, lo)]
 
@@ -570,7 +577,7 @@ def test_scan_range_memory_is_bounded(monkeypatch):
     # of every tail's id, held to the class pass, at 2.26 MiB from the
     # first run
     # fills the plan caches
-    _kernel._tail_run(3, 3, 0, 3, True, counting.SPOT_STRIDE,
+    _kernel._tail_run(3, 3, 0, 3, counting.SPOT_STRIDE,
                       dict.fromkeys(counting.PHASES, 0.0))
     block_peak = []
     tail_run = _kernel._tail_run
@@ -584,11 +591,11 @@ def test_scan_range_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(_kernel, "_tail_run", first_run_resets)
     tracemalloc.start()
     try:
-        part = _kernel._scan(3, 3, True, counting.SPOT_STRIDE)
+        part = _kernel._scan(3, 3, counting.SPOT_STRIDE)
         runs_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert part["tails_checked"] == 3 ** 10
+    assert part["tail_ranks"].sum() == 3 ** 10
     mib = 1 << 20
     assert 4 * mib - 4096 <= block_peak[0] < 4.25 * mib
     assert max(block_peak[0], runs_peak) < 4.25 * mib
@@ -665,7 +672,7 @@ def test_tail_check_on_7x7_tails():
     # coefficient vectors tallied against skew.pfaffian
     lo, hi = 5 * 128, 25 * 128
     (ids, mult), ranks, tail_bad, spot = _kernel._tail_run(
-        4, 2, 5, 25, True, 7, dict.fromkeys(counting.PHASES, 0.0))
+        4, 2, 5, 25, 7, dict.fromkeys(counting.PHASES, 0.0))
     assert int(mult.sum()) == sum(ranks.tolist()) == 20
     assert tail_bad == (0, None)
     assert spot == (len(range(-(-lo // 7) * 7, hi, 7)), 0, None)
@@ -763,9 +770,12 @@ def test_sample_fault_in_a_later_run_names_first_offender(monkeypatch):
     (lambda ranks: ranks[::-1],
      "the rank-4 bucket holds 18 matrices but #{Pf != 0} = 468 at "
      "(n, p) = (2, 3)")], ids=["extra tail", "swapped ranks"])
-def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message):
+@pytest.mark.parametrize("mode", ["hist", "full"])
+def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message,
+                                            mode):
     # the 27 tails of (2, 3) are the zero tail and 26 of rank 2: a faulty
-    # tally that counts a tail twice, or swaps the ranks, is refused
+    # tally that counts a tail twice, or swaps the ranks, is refused in
+    # either mode
     scan = _kernel._scan
 
     def faulty(*args):
@@ -776,7 +786,7 @@ def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message):
 
     monkeypatch.setattr(_kernel, "_scan", faulty)
     with pytest.raises(ConsistencyError) as exc:
-        scan_skew(2, 3, "full")
+        scan_skew(2, 3, mode)
     assert str(exc.value) == message
 
 
