@@ -11,7 +11,6 @@ import argparse
 import gc
 import re
 import sys
-from fractions import Fraction
 
 from .counting import scan_skew
 from .errors import CapExceededError, ConsistencyError
@@ -52,6 +51,7 @@ def _rational(text):
         if max(digits) > limit:
             raise ValueError(f"{text.strip()}: numerator or denominator of "
                              f"more than {limit} digits")
+    from fractions import Fraction  # here: it loads decimal
     return Fraction(text)
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import CapExceededError, ConsistencyError
 from .skew import SkewMatrix, _is_prime
 
@@ -61,17 +61,21 @@ class PfCounts(Mapping):
         return repr(dict(self))
 
 
-@dataclass
-class ScanResult:
-    n: int
-    p: int
-    total: int
-    pf_counts: PfCounts
-    rank_counts: dict
-    spot_checked: int
-    tails_checked: int
-    elapsed: float
-    phases: dict   # seconds per phase (PHASES)
+class ScanResult(Record):
+    __slots__ = ("n", "p", "total", "pf_counts", "rank_counts",
+                 "spot_checked", "tails_checked", "elapsed", "phases")
+
+    def __init__(self, n, p, total, pf_counts, rank_counts, spot_checked,
+                 tails_checked, elapsed, phases):
+        self.n = n
+        self.p = p
+        self.total = total
+        self.pf_counts = pf_counts          # a PfCounts
+        self.rank_counts = rank_counts
+        self.spot_checked = spot_checked
+        self.tails_checked = tails_checked
+        self.elapsed = elapsed
+        self.phases = phases                # seconds per phase (PHASES)
 
 
 def _check_int64(n, p, total):

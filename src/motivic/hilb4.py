@@ -5,11 +5,10 @@ count that it categorifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .errors import CapExceededError
-from .laurent import (LaurentPoly2, ONE, const, euler_product, format_poly,
-                      parse_poly, q_power, shift_apply, twist_apply)
+from .laurent import (ONE, const, euler_product, format_poly, parse_poly,
+                      q_power, shift_apply, twist_apply)
 from .spaces import Affine, FibrationTotal, Proj, ec, format_space_expr
 from .weights import V4, ec_vanishing_cycles, phi4_restricted_object
 
@@ -34,16 +33,15 @@ def partitions(n, max_part=None):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class PlanePartition:
+class PlanePartition(FrozenRecord):
     """Finite array of positive integers, weakly decreasing along rows and
     down columns; trailing zeros are not stored."""
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows):
         prev = None
-        for row in self.rows:
+        for row in rows:
             if not row:
                 raise ValueError("rows must be nonempty")
             if any(v <= 0 for v in row):
@@ -56,6 +54,7 @@ class PlanePartition:
                 if any(v > prev[i] for i, v in enumerate(row)):
                     raise ValueError("columns must be weakly decreasing")
             prev = row
+        object.__setattr__(self, "rows", rows)
 
     @property
     def weight(self):
@@ -224,14 +223,20 @@ def singular_fixed_point_residual():
     return ec_hilb4_total() - smooth_fixed_point_poly()
 
 
-@dataclass(frozen=True)
-class HilbStratum:
-    label: str
-    geometry: str
-    coefficient: str
-    citation: str
-    contribution: LaurentPoly2
-    derivation: tuple = ()
+class HilbStratum(FrozenRecord):
+    """A stratum with its module data and its contribution, a LaurentPoly2."""
+
+    __slots__ = ("label", "geometry", "coefficient", "citation",
+                 "contribution", "derivation")
+
+    def __init__(self, label, geometry, coefficient, citation, contribution,
+                 derivation=()):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "contribution", contribution)
+        object.__setattr__(self, "derivation", derivation)
 
     def to_json_dict(self):
         d = {"label": self.label, "geometry": self.geometry,

@@ -7,8 +7,6 @@ in this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ConsistencyError, ParseError
 
 # the most terms of a power, and the size 2^POW_MAX_BITS of its coefficients
@@ -143,6 +141,7 @@ class LaurentPoly2:
         Raises ZeroDivisionError when a negative exponent meets a zero
         argument.
         """
+        from fractions import Fraction  # here: it loads decimal
         x0 = Fraction(x0)
         y0 = Fraction(y0)
         xy = x0 * y0

@@ -6,9 +6,9 @@ rank-stratum dimensions and the determinant equivariance identity.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import FrozenRecord
 from .errors import ParseError
 
 
@@ -23,15 +23,15 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class CoeffDomain:
+class CoeffDomain(FrozenRecord):
     """Coefficient domain: a prime field F_p, or the integers when p is None."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p=None):
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
     @property
     def is_field(self):
@@ -104,6 +104,9 @@ class SkewMatrix:
         return cls.from_full(rows, domain)
 
     def entry(self, i, j):
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise IndexError(f"entry ({i}, {j}) of a {self.size}x{self.size} "
+                             f"matrix")
         if i == j:
             return 0
         if i < j:
@@ -243,9 +246,14 @@ def stratum_dim(n, k):
 # -- determinants and equivariance ------------------------------------------------
 
 def bareiss_det(rows):
-    """Exact integer determinant by fraction-free Gaussian elimination."""
+    """Exact integer determinant by fraction-free Gaussian elimination;
+    the empty matrix has determinant 1."""
     n = len(rows)
     M = [list(map(int, r)) for r in rows]
+    if any(len(r) != n for r in M):
+        raise ValueError("matrix is not square")
+    if not n:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

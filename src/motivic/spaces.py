@@ -12,19 +12,18 @@ an ordinary E at its leaf by smooth duality in the leaf's dimension.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import partial
 from itertools import combinations_with_replacement
-from typing import Callable, NamedTuple
 
+from ._record import FrozenRecord
 from .errors import CapExceededError, MissingInclusionError, ParseError
 from .laurent import (BettiPoly, Lexer, ONE, const, format_poly,
                       gaussian_binomial, one_minus_q_product, q_power,
                       self_dual_convert)
 
 
-class SpaceExpr:
+class SpaceExpr(FrozenRecord):
     """Base class for space-expression nodes."""
 
     __slots__ = ()
@@ -33,55 +32,62 @@ class SpaceExpr:
         return format_space_expr(self)
 
 
-@dataclass(frozen=True)
 class Leaf(SpaceExpr):
     """A catalog leaf `name(args...)`, checked against its LEAVES row."""
 
-    name: str
-    args: tuple = ()
+    __slots__ = ("name", "args")
 
-    def __post_init__(self):
-        row = LEAVES.get(self.name)
+    def __init__(self, name, args=()):
+        row = LEAVES.get(name)
         if row is None:
-            raise ValueError(f"unknown space {self.name!r}")
-        if len(self.args) != row.arity:
-            raise TypeError(f"{self.name} takes {row.arity} argument(s), "
-                            f"got {len(self.args)}")
-        if not row.valid(*self.args):
-            raise ValueError(row.error.format(*self.args))
+            raise ValueError(f"unknown space {name!r}")
+        if len(args) != row.arity:
+            raise TypeError(f"{name} takes {row.arity} argument(s), "
+                            f"got {len(args)}")
+        if not row.valid(*args):
+            raise ValueError(row.error.format(*args))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Product(SpaceExpr):
-    left: SpaceExpr
-    right: SpaceExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class FibrationTotal(SpaceExpr):
     """Total space of a Zariski locally trivial fibration (asserted)."""
 
-    base: SpaceExpr
-    fibre: SpaceExpr
+    __slots__ = ("base", "fibre")
+
+    def __init__(self, base, fibre):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "fibre", fibre)
 
 
-@dataclass(frozen=True)
 class Complement(SpaceExpr):
     """whole minus closed; requires a recognized closed inclusion or an
-    explicit note asserting one."""
+    explicit note asserting one.  The note takes no part in equality."""
 
-    whole: SpaceExpr
-    closed: SpaceExpr
-    note: str | None = field(default=None, compare=False)
+    __slots__ = ("whole", "closed", "note")
+    _compare = ("whole", "closed")
+
+    def __init__(self, whole, closed, note=None):
+        object.__setattr__(self, "whole", whole)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
 class Disjoint(SpaceExpr):
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __init__(self, parts):
+        if len(parts) < 2:
             raise ValueError("disjoint union needs at least two parts")
+        object.__setattr__(self, "parts", parts)
 
 
 # -- dimensions ----------------------------------------------------------------
@@ -154,7 +160,8 @@ def betti_grassmannian(k=2, n=6):
     return BettiPoly({2 * d: c for d, c in Counter(sizes).items()})
 
 
-class LeafRow(NamedTuple):
+class LeafRow(namedtuple("LeafRow", "arity valid error dim stated compact",
+                         defaults=(None, True))):
     """One leaf of the grammar, as functions of its arguments in grammar
     order: whether they are valid (if not, the ValueError text is `error`
     formatted with them), its smooth dimension and its catalog entry: the
@@ -162,12 +169,7 @@ class LeafRow(NamedTuple):
     variety if not.  Leaves that _ec expands by rule have no catalog
     entry."""
 
-    arity: int
-    valid: Callable
-    error: str
-    dim: Callable
-    stated: Callable | None = None
-    compact: bool = True
+    __slots__ = ()
 
 
 LEAVES = {

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import hilb4 as h4
+from ._record import Record
 from .counting import DEFAULT_CAP, _exceeds_cap, _power_text, scan_skew
 from .errors import CapExceededError
 from .laurent import (BettiPoly, LaurentPoly2, ONE, divide_exact, format_poly,
@@ -39,12 +39,14 @@ def _canon(v):
     return str(v)
 
 
-@dataclass
-class CheckResult:
-    description: str
-    citation: str
-    expected: str
-    observed: str
+class CheckResult(Record):
+    __slots__ = ("description", "citation", "expected", "observed")
+
+    def __init__(self, description, citation, expected, observed):
+        self.description = description
+        self.citation = citation
+        self.expected = expected
+        self.observed = observed
 
     @property
     def passed(self):
@@ -61,10 +63,12 @@ def _check(description, citation, expected, observed):
                        _canon(observed))
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    checks: list
+class SuiteResult(Record):
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite, checks):
+        self.suite = suite
+        self.checks = checks
 
     @property
     def passed(self):
@@ -77,11 +81,13 @@ class SuiteResult:
                             "passed": sum(c.passed for c in self.checks)}}
 
 
-@dataclass
-class SuiteContext:
-    p_list: tuple = (2, 3)
-    cap: int | None = None
-    katz_family: str | None = None
+class SuiteContext(Record):
+    __slots__ = ("p_list", "cap", "katz_family")
+
+    def __init__(self, p_list=(2, 3), cap=None, katz_family=None):
+        self.p_list = p_list
+        self.cap = cap
+        self.katz_family = katz_family
 
 
 # -- pfaffian ---------------------------------------------------------------------

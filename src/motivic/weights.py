@@ -11,32 +11,30 @@ E-polynomials computable by two independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .errors import MissingBasePolynomialError
 from .laurent import const, q_power, self_dual_convert, shift_apply
 from .skew import stratum_dim
-from .spaces import (Affine, ConeOverPlucker, Grass, Product, SpaceExpr,
+from .spaces import (Affine, ConeOverPlucker, Grass, Product,
                      dimension, ec, format_space_expr)
 
 KINDS = ("point", "IC", "constant")
 
 
-@dataclass(frozen=True)
-class CompFactor:
+class CompFactor(FrozenRecord):
     """A composition factor; `kind` is "point", "IC" or "constant" and
-    `space` is None exactly for a point, which counts as dimension 0."""
+    `space`, a SpaceExpr, is None exactly for a point, which counts as
+    dimension 0."""
 
-    kind: str
-    shift: int
-    twist: int
-    space: SpaceExpr | None = None
+    __slots__ = ("kind", "shift", "twist", "space")
 
-    def __post_init__(self):
-        if self.kind not in KINDS or \
-                (self.space is None) != (self.kind == "point"):
-            raise TypeError(f"not a module kind: {self.kind!r} on "
-                            f"{self.space!r}")
+    def __init__(self, kind, shift, twist, space=None):
+        if kind not in KINDS or (space is None) != (kind == "point"):
+            raise TypeError(f"not a module kind: {kind!r} on {space!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "space", space)
 
     @property
     def weight(self):
@@ -49,17 +47,17 @@ class CompFactor:
         return f"{self.kind}({format_space_expr(self.space)})"
 
 
-@dataclass(frozen=True)
-class FilteredHodgeObject:
+class FilteredHodgeObject(FrozenRecord):
     """Ordered composition factors of a weight filtration, weights strictly
     increasing; E-polynomials are additive over the factors."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        ws = self.weights()
+    def __init__(self, factors):
+        ws = [f.weight for f in factors]
         if any(a >= b for a, b in zip(ws, ws[1:])):
             raise ValueError(f"weights must be strictly increasing, got {ws}")
+        object.__setattr__(self, "factors", factors)
 
     def weights(self):
         return [f.weight for f in self.factors]

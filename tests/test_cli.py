@@ -697,6 +697,18 @@ def _numpy_loaded_after(*commands):
     return [tuple(word == "True" for word in line.split()) for line in lines]
 
 
+def test_import_loads_no_code_generation_or_rationals():
+    # against a bare interpreter in the same environment, whose `site` may
+    # preload modules of its own
+    probe = ("import sys\n"
+             "{}\n"
+             "print(*sorted(m for m in ('dataclasses', 'inspect', "
+             "'fractions', 'decimal', 'numpy') if m in sys.modules))")
+    bare = fresh_python("-c", probe.format("pass")).stdout.split()
+    loaded = fresh_python("-c", probe.format("import motivic.cli"))
+    assert loaded.stdout.split() == bare
+
+
 def test_only_a_scan_loads_numpy():
     # the algebra needs no numpy; only the katz oracle's scan imports the
     # kernel, and with it numpy

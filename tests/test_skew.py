@@ -187,6 +187,23 @@ def test_equivariance_errors():
         check_equivariance(A, singular)
 
 
+@pytest.mark.parametrize("i,j", [(1, 4), (4, 1), (-1, 2), (0, -1), (4, 4),
+                                 (-1, -1)])
+def test_entry_outside_the_matrix_is_refused(i, j):
+    # a flat upper-triangle index would read some other entry: (1, 4) read
+    # a_23, (-1, 2) a_23 and (0, -1) -a_03
+    with pytest.raises(IndexError):
+        SkewMatrix(4, (1, 2, 3, 4, 5, 6)).entry(i, j)
+
+
+def test_bareiss_det_refuses_non_square_input():
+    assert bareiss_det([]) == 1
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]],
+                 [[1, 2], [3]], [[1], [2, 3]], [[]]):
+        with pytest.raises(ValueError, match="not square"):
+            bareiss_det(rows)
+
+
 def test_bareiss_det():
     assert bareiss_det([[2, 0], [0, 3]]) == 6
     assert bareiss_det([[0, 1], [1, 0]]) == -1

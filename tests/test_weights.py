@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 
 from motivic.errors import MissingBasePolynomialError
@@ -25,8 +23,10 @@ def test_vanishing_cycle_object_shape():
 
 
 def test_factor_is_kind_shift_twist_and_space():
-    assert [f.name for f in fields(CompFactor)] == \
-        ["kind", "shift", "twist", "space"]
+    # a record's fields are its slots, in constructor order
+    assert CompFactor.__slots__ == ("kind", "shift", "twist", "space")
+    f = CompFactor("IC", 1, -3, CONE)
+    assert (f.kind, f.shift, f.twist, f.space) == ("IC", 1, -3, CONE)
 
 
 def test_weight_rules():
