@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import sys
 
@@ -255,9 +256,87 @@ def _run_and_emit(names, args):
             return 2
     ctx = SuiteContext(p_list=tuple(args.p), cap=args.cap,
                        katz_family=getattr(args, "suite", None))
-    results = [run_suite(name, ctx) for name in names]
+    others = [name for name in names if name != "katz"]
+    if len(others) in (0, len(names)) or not hasattr(os, "fork"):
+        results = [run_suite(name, ctx) for name in names]
+    else:
+        results = _run_beside_katz(names, others, ctx)
     sys.stdout.write(emit_report(results, args.format))
     return 0 if all(r.passed for r in results) else 1
+
+
+def _run_beside_katz(names, others, ctx):
+    """The results of `names` in order, as `run_suite` gives them one after
+    another: the scan-free suites `others` run in one forked child while
+    katz scans here, so that numpy, the scans and their errors stay in this
+    process.  Each side stops at its first error, and the first error in
+    the order of `names` is raised."""
+    import pickle  # here: no other command sends objects between processes
+
+    def until_error(todo, caught):
+        done = []
+        for name in todo:
+            try:
+                done.append(run_suite(name, ctx))
+            except caught as exc:
+                done.append(exc)
+                break
+        return done
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns into the caller's stack and never flushes
+        # the stdio it inherited; an interrupt or exit in a suite crosses
+        # like an error and is raised here in its turn
+        code = 1
+        try:
+            os.close(read_end)
+            done = until_error(others, BaseException)
+            try:
+                data = pickle.dumps(done)
+            except Exception as exc:
+                # pickle cannot carry what they gave: send what it was
+                last = done[-1]
+                data = pickle.dumps([ChildProcessError(
+                    f"the scan-free suites' results could not be sent "
+                    f"({type(exc).__name__}: {exc})" + (
+                        f"; they stopped at {type(last).__name__}: {last}"
+                        if isinstance(last, BaseException) else ""))])
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        scanned = until_error(["katz"] * (len(names) - len(others)),
+                              Exception)
+    finally:
+        try:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if not data:
+        done = [ChildProcessError(
+            f"the scan-free suites sent no result (exit code {code})")]
+    else:
+        try:
+            done = pickle.loads(data)
+        except Exception as exc:
+            done = [ChildProcessError(
+                f"the scan-free suites' result could not be read: "
+                f"{type(exc).__name__}: {exc}")]
+    done, scanned = iter(done), iter(scanned)
+    results = []
+    for name in names:
+        result = next(scanned if name == "katz" else done)
+        if isinstance(result, BaseException):
+            raise result
+        results.append(result)
+    return results
 
 
 def _cmd_hilb4(args):

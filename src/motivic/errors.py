@@ -10,6 +10,10 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
 
+    def __reduce__(self):
+        # the default rebuilds from `args`, the one formatted string
+        return type(self), (self.message, self.line, self.col), self.__dict__
+
 
 class CapExceededError(RuntimeError):
     """An exhaustive enumeration was refused because it exceeds the cap."""

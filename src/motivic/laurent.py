@@ -87,7 +87,10 @@ class LaurentPoly2:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -485,6 +488,8 @@ class BettiPoly:
         return _raw({(k, 0): c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        if not isinstance(other, BettiPoly):
+            return NotImplemented
         product = self._in_x() * other._in_x()
         return BettiPoly({k: c for (k, _), c in product.terms.items()})
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import signal
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +15,7 @@ from conftest import fresh_python
 
 from motivic import _kernel, counting
 from motivic.cli import main
+from motivic.errors import ConsistencyError, ParseError
 from motivic.laurent import q_power
 from motivic.spaces import LEAVES
 from motivic.suites import (SuiteContext, SuiteResult, emit_report,
@@ -597,6 +599,140 @@ def test_failing_suite_exit_1(capsys, monkeypatch):
     assert "[FAIL]" in out and "expected: 1" in out
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_reaped(capsys, *argv):
+    """`run`, then check that the command left no child process."""
+    result = run(capsys, *argv)
+    assert_no_child_left()
+    return result
+
+
+def test_report_beside_katz_matches_the_sequential_report(capsys):
+    # katz runs here, twice, while dt and pfaffian run in one child
+    names = ["katz", "dt", "katz", "pfaffian"]
+    code, out, err = run_reaped(capsys, "report", "--suites", ",".join(names),
+                                "--format", "json")
+    ctx = SuiteContext(p_list=(2, 3))
+    assert (code, err) == (0, "")
+    assert out == emit_report([run_suite(name, ctx) for name in names],
+                              "json")
+
+
+def _raising(exc):
+    def suite(ctx):
+        raise exc
+    return suite
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (ConsistencyError("routes disagree"), 1, "fatal: routes disagree\n"),
+    (ParseError("unexpected end of input", 1, 2), 2,
+     "error: line 1, column 2: unexpected end of input\n"),
+    (OverflowError("int too large"), 1,
+     "fatal: OverflowError: int too large\n"),
+    (KeyError("x"), 2, "error: 'x'\n"),
+], ids=["consistency", "parse", "overflow", "key"])
+def test_scan_free_suite_error_crosses_from_the_child(capsys, monkeypatch,
+                                                      exc, code, err):
+    import motivic.suites as suites
+    monkeypatch.setitem(suites.SUITES, "dt", _raising(exc))
+    # alone, dt runs in this process; beside katz, in the child
+    assert run_reaped(capsys, "verify", "dt") == (code, "", err)
+    assert run_reaped(capsys, "report", "--suites", "pfaffian,dt,katz",
+                      "--p", "2") == (code, "", err)
+
+
+def test_keyboard_interrupt_crosses_from_the_child(monkeypatch):
+    import motivic.suites as suites
+    monkeypatch.setitem(suites.SUITES, "dt", _raising(KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        main(["report", "--suites", "katz,dt", "--p", "2"])
+    assert_no_child_left()
+
+
+def test_first_error_in_suite_order_wins(capsys, monkeypatch):
+    import motivic.suites as suites
+    monkeypatch.setitem(suites.SUITES, "dt",
+                        _raising(ConsistencyError("dt broke")))
+    monkeypatch.setitem(suites.SUITES, "katz",
+                        _raising(ValueError("katz broke")))
+    assert run_reaped(capsys, "report", "--suites", "dt,katz") == (
+        1, "", "fatal: dt broke\n")
+    assert run_reaped(capsys, "report", "--suites", "katz,dt") == (
+        2, "", "error: katz broke\n")
+
+
+def test_report_katz_cap_refusal_exit_3(capsys):
+    code, out, err = run_reaped(capsys, "report", "--p", "5", "--cap", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ") and len(err.splitlines()) == 1
+
+
+def test_child_that_dies_is_one_fatal_line(capsys, monkeypatch):
+    import motivic.suites as suites
+    monkeypatch.setitem(suites.SUITES, "dt", lambda ctx: os._exit(7))
+    assert run_reaped(capsys, "report", "--suites", "dt,katz", "--p", "2") == (
+        1, "", "fatal: ChildProcessError: the scan-free suites sent no "
+               "result (exit code 7)\n")
+
+
+class _TwoPartError(ValueError):
+    # pickle rebuilds an exception from its `args`, here one formatted text
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def test_child_result_that_cannot_be_read_is_one_fatal_line(capsys,
+                                                             monkeypatch):
+    import motivic.suites as suites
+    monkeypatch.setitem(suites.SUITES, "dt",
+                        _raising(_TwoPartError("dt", "broke")))
+    assert run_reaped(capsys, "report", "--suites", "dt,katz", "--p", "2") == (
+        1, "", "fatal: ChildProcessError: the scan-free suites' result could "
+               "not be read: TypeError: _TwoPartError.__init__() missing 1 "
+               "required positional argument: 'why'\n")
+
+
+def test_child_result_that_cannot_be_sent_is_one_fatal_line(capsys,
+                                                             monkeypatch):
+    import motivic.suites as suites
+    exc = ConsistencyError("dt broke")
+    exc.hook = lambda: None
+    monkeypatch.setitem(suites.SUITES, "dt", _raising(exc))
+    code, out, err = run_reaped(capsys, "report", "--suites", "katz,dt",
+                                "--p", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("fatal: ChildProcessError: the scan-free suites' "
+                          "results could not be sent (AttributeError: "
+                          "Can't pickle local object ")
+    assert err.endswith("; they stopped at ConsistencyError: dt broke\n")
+    assert len(err.splitlines()) == 1
+
+
+def _error_types():
+    import motivic.errors as errors
+    return [value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", _error_types(), ids=lambda cls: cls.__name__)
+def test_every_error_type_crosses_from_the_child(cls):
+    # a suite's error reaches `main` through pickle, so each type of ours
+    # must come back whole: same type, text and attributes
+    import pickle
+    args = {ParseError: ("unexpected end of input", 1, 2)}.get(cls, ("why",))
+    exc = cls(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert (back.args, str(back), vars(back)) == (exc.args, str(exc),
+                                                  vars(exc))
+
+
 def test_json_reports_byte_identical_across_runs(capsys):
     outs = set()
     for _ in range(2):
@@ -703,7 +839,8 @@ def test_import_loads_no_code_generation_or_rationals():
     probe = ("import sys\n"
              "{}\n"
              "print(*sorted(m for m in ('dataclasses', 'inspect', "
-             "'fractions', 'decimal', 'numpy') if m in sys.modules))")
+             "'fractions', 'decimal', 'numpy', 'pickle', "
+             "'multiprocessing') if m in sys.modules))")
     bare = fresh_python("-c", probe.format("pass")).stdout.split()
     loaded = fresh_python("-c", probe.format("import motivic.cli"))
     assert loaded.stdout.split() == bare

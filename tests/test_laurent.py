@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -255,6 +257,32 @@ def test_parse_errors_carry_position():
         parse_poly("(1 + x*y)^-2")
 
 
+def test_parse_error_survives_copy_and_pickle():
+    error = ParseError("unexpected end of input", 1, 2)
+    for clone in (copy.copy(error), copy.deepcopy(error),
+                  pickle.loads(pickle.dumps(error))):
+        assert type(clone) is ParseError
+        assert clone.args == ("line 1, column 2: unexpected end of input",)
+        assert (clone.message, clone.line, clone.col) == (
+            "unexpected end of input", 1, 2)
+
+
+@pytest.mark.parametrize("other, name", [("a", "str"), (None, "NoneType"),
+                                         (1.5, "float")])
+def test_unconvertible_left_operand_is_refused_by_python(other, name):
+    # the operand's own method decides, as for any pair of unrelated types
+    with pytest.raises(TypeError) as exc:
+        other - const(1)
+    assert str(exc.value) == (f"unsupported operand type(s) for -: "
+                              f"'{name}' and 'LaurentPoly2'")
+    with pytest.raises(TypeError) as exc:
+        other + const(1)
+    assert str(exc.value) == (
+        'can only concatenate str (not "LaurentPoly2") to str'
+        if other == "a" else
+        f"unsupported operand type(s) for +: '{name}' and 'LaurentPoly2'")
+
+
 def test_lexer_reads_only_decimal_digits():
     # '²' is a digit to str.isdigit but not to int(); Arabic-Indic and
     # fullwidth digits are decimal, and int() reads them
@@ -280,6 +308,14 @@ def test_betti_poly():
     assert str(b) == "1 + t^5 + t^9 + t^14"
     with pytest.raises(ValueError):
         BettiPoly({3: -1})
+
+
+@pytest.mark.parametrize("other", [2, ONE, None])
+def test_betti_poly_multiplies_only_betti_polys(other):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        BettiPoly({0: 1}) * other
+    with pytest.raises(TypeError, match="unsupported operand"):
+        other * BettiPoly({0: 1})
 
 
 def test_bad_exponents_refused_like_bad_coefficients():
