@@ -3,9 +3,9 @@
 A record class declares its fields, in order, as its `__slots__` and
 writes its own `__init__`; this base supplies equality, hashing, repr and
 copying from those fields, so that defining a record runs no generated
-code.  Two records are equal when they are of the same class and their
-compared fields are equal: every field, unless the class names fewer in
-`_compare`.  The repr lists every field, as `Name(field=value, ...)`.
+code.  Two records are equal when they are of the same class and all
+their fields are equal, and a frozen record hashes all its fields.  The
+repr lists every field, as `Name(field=value, ...)`.
 """
 
 
@@ -13,16 +13,14 @@ class Record:
     """A mutable record: equal by value, and so unhashable."""
 
     __slots__ = ()
-    _compare = None
     __hash__ = None
 
-    def _compared(self):
-        return tuple([getattr(self, name)
-                      for name in self._compare or self.__slots__])
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._compared() == other._compared()
+            return self._fields() == other._fields()
         return NotImplemented
 
     def __repr__(self):
@@ -33,18 +31,17 @@ class Record:
     def __reduce__(self):
         # every `__init__` takes the fields in order, so copy and pickle
         # rebuild through it, and a frozen record is never assigned to
-        return type(self), tuple([getattr(self, name)
-                                  for name in self.__slots__])
+        return type(self), self._fields()
 
 
 class FrozenRecord(Record):
-    """An immutable record, hashed by its compared fields.  Its `__init__`
+    """An immutable record, hashed by its fields.  Its `__init__`
     sets each field with `object.__setattr__`."""
 
     __slots__ = ()
 
     def __hash__(self):
-        return hash(self._compared())
+        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

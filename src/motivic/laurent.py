@@ -209,11 +209,12 @@ def _as_poly(v):
 
 
 def const(c):
-    return _raw({(0, 0): c}) if c else _raw({})
+    return monomial(0, 0, c)
 
 
 def monomial(a, b, c=1):
-    return _raw({(a, b): c}) if c else _raw({})
+    """c x^a y^b, refusing what `LaurentPoly2` refuses."""
+    return LaurentPoly2({(a, b): c})
 
 
 def q_power(k):

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 from ._record import FrozenRecord
 from .errors import CapExceededError, MissingInclusionError, ParseError
-from .laurent import (BettiPoly, Lexer, ONE, const, format_poly,
+from .laurent import (BettiPoly, Lexer, ONE, _is_int, const, format_poly,
                       gaussian_binomial, one_minus_q_product, q_power,
                       self_dual_convert)
 
@@ -33,7 +33,8 @@ class SpaceExpr(FrozenRecord):
 
 
 class Leaf(SpaceExpr):
-    """A catalog leaf `name(args...)`, checked against its LEAVES row."""
+    """A catalog leaf `name(args...)`, checked against its LEAVES row: the
+    arguments of a cone are one Grassmannian, of every other leaf ints."""
 
     __slots__ = ("name", "args")
 
@@ -41,9 +42,12 @@ class Leaf(SpaceExpr):
         row = LEAVES.get(name)
         if row is None:
             raise ValueError(f"unknown space {name!r}")
+        args = tuple(args)
         if len(args) != row.arity:
             raise TypeError(f"{name} takes {row.arity} argument(s), "
                             f"got {len(args)}")
+        if name != "cone" and not all(map(_is_int, args)):
+            raise TypeError(f"{name} takes integer arguments, got {args!r}")
         if not row.valid(*args):
             raise ValueError(row.error.format(*args))
         object.__setattr__(self, "name", name)
@@ -69,22 +73,22 @@ class FibrationTotal(SpaceExpr):
 
 
 class Complement(SpaceExpr):
-    """whole minus closed; requires a recognized closed inclusion or an
-    explicit note asserting one.  The note takes no part in equality."""
+    """whole minus closed.  It is built for any pair, but evaluated only
+    when `closed_inclusion_note` recognizes the closed inclusion; there is
+    no way to assert one."""
 
-    __slots__ = ("whole", "closed", "note")
-    _compare = ("whole", "closed")
+    __slots__ = ("whole", "closed")
 
-    def __init__(self, whole, closed, note=None):
+    def __init__(self, whole, closed):
         object.__setattr__(self, "whole", whole)
         object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "note", note)
 
 
 class Disjoint(SpaceExpr):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
+        parts = tuple(parts)
         if len(parts) < 2:
             raise ValueError("disjoint union needs at least two parts")
         object.__setattr__(self, "parts", parts)
@@ -333,7 +337,7 @@ def _ec(e, steps):
             steps, e,
             "fibration (Zariski local triviality asserted): multiply", value)
     if isinstance(e, Complement):
-        note = e.note or closed_inclusion_note(e.whole, e.closed)
+        note = closed_inclusion_note(e.whole, e.closed)
         if note is None:
             raise MissingInclusionError(
                 f"no recognized closed inclusion of "
@@ -372,17 +376,18 @@ def parse_space_expr(text):
 
 
 def _parse_expr(sc):
+    """One sum/complement chain, left associative: the consecutive '+' of
+    this chain make one disjoint union, and a union in parentheses is one
+    part of it, never merged into it."""
     acc = _parse_term(sc)
+    union = (acc,)
     while sc.peek()[0] in ("+", "\\"):
-        op = sc.next()[0]
-        rhs = _parse_term(sc)
-        if op == "+":
-            if isinstance(acc, Disjoint):
-                acc = Disjoint(acc.parts + (rhs,))
-            else:
-                acc = Disjoint((acc, rhs))
+        if sc.next()[0] == "+":
+            union += (_parse_term(sc),)
+            acc = Disjoint(union)
         else:
-            acc = Complement(acc, rhs)
+            acc = Complement(acc, _parse_term(sc))
+            union = (acc,)
     return acc
 
 

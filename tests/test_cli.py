@@ -18,8 +18,8 @@ from motivic.cli import main
 from motivic.errors import ConsistencyError, ParseError
 from motivic.laurent import q_power
 from motivic.spaces import LEAVES
-from motivic.suites import (SuiteContext, SuiteResult, emit_report,
-                            run_suite)
+from motivic.suites import (KATZ_FAMILIES, SUITE_NAMES, SuiteContext,
+                            SuiteResult, emit_report, run_suite)
 
 
 def run(capsys, *argv):
@@ -308,7 +308,7 @@ def test_count_long_histogram_exit_3(capsys, monkeypatch):
 
 
 def _expire(signum, frame):
-    raise TimeoutError("over the 2 s budget")
+    raise TimeoutError("over the time budget")
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,6 +335,58 @@ def test_hostile_sizes_refused_at_once(capsys, argv):
         signal.signal(signal.SIGALRM, old)
     assert (code, out) == (3, ""), err
     assert err.startswith("refused: ") and len(err.splitlines()) == 1
+
+
+# argv for every command but epoly, which the test above covers: a command
+# with its required options, then option-value pairs and loose tokens (any
+# option, small, negative, huge and over-long numbers, names and junk),
+# then, for the commands that scan, a last --cap, which wins, of at most
+# 10^5, so that every scan admitted is small
+_COMMANDS = [(("count", "rank"), ("--n", "--p")),
+             (("count", "pfaffian-fibre"), ("--n", "--p", "--value")),
+             (("dt", "count"), ("--m",)), (("goettsche",), ("--n",)),
+             (("hilb4", "total"), ()), (("hilb4", "strata"), ()),
+             (("report",), ()), (("count", "all"), ())] + [
+    (("verify", name), ()) for name in (*SUITE_NAMES, "nosuch")]
+_OPTIONS = ["--n", "--p", "--m", "--value", "--cap", "--workers",
+            "--format", "--suite", "--suites", "--trace", "--at", "--ca",
+            "--", "-h"]
+_WORDS = ["json", "text", "total", "strata", "count", "rank", "katz,dt",
+          "katz,katz", ",", "pfaffian,milnor,mhm", *SUITE_NAMES,
+          *KATZ_FAMILIES]
+_number = st.one_of(
+    st.integers(-3, 24).map(str), st.integers(-10 ** 40, 10 ** 40).map(str),
+    st.sampled_from([4300, 4301, 65536]).map("9".__mul__))
+_value = st.one_of(_number, st.sampled_from(_WORDS), st.text(max_size=12))
+_token = st.one_of(st.sampled_from(_OPTIONS), _value)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(_COMMANDS), st.lists(_number, min_size=3, max_size=3),
+       st.lists(st.one_of(st.tuples(st.sampled_from(_OPTIONS), _value),
+                          st.tuples(_token)), max_size=4),
+       st.integers(-10 ** 20, 10 ** 5), st.booleans())
+def test_any_command_line_exits_cleanly(command, numbers, body, cap, dt_cap):
+    # whatever the command line, main exits 0, 2 or 3 in a generous budget,
+    # and prints no traceback
+    head, required = command
+    argv = [*head, *(token for pair in zip(required, numbers)
+                     for token in pair),
+            *(token for tokens in body for token in tokens)]
+    if head[0] in ("count", "verify", "report") or (head[0] == "dt"
+                                                   and dt_cap):
+        argv += ["--cap", str(cap)]
+    old = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
 
 
 def test_workers_below_one_exit_2(capsys):
@@ -844,6 +896,20 @@ def test_import_loads_no_code_generation_or_rationals():
     bare = fresh_python("-c", probe.format("pass")).stdout.split()
     loaded = fresh_python("-c", probe.format("import motivic.cli"))
     assert loaded.stdout.split() == bare
+
+
+def test_package_import_loads_no_module_and_cli_loads_every_layer():
+    # the package re-exports nothing; the benchmark's tracer wraps the
+    # layers that `import motivic.cli` loads through cli's own imports
+    probe = ("import sys\n"
+             "import {}\n"
+             "print(*sorted(m for m in sys.modules "
+             "if m.startswith('motivic.')))")
+    assert fresh_python("-c", probe.format("motivic")).stdout.split() == []
+    loaded = fresh_python("-c", probe.format("motivic.cli")).stdout.split()
+    assert {f"motivic.{layer}".encode() for layer in (
+        "laurent", "skew", "counting", "spaces", "weights", "hilb4",
+        "suites")} <= set(loaded)
 
 
 def test_only_a_scan_loads_numpy():

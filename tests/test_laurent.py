@@ -324,6 +324,23 @@ def test_bad_exponents_refused_like_bad_coefficients():
             LaurentPoly2(terms)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: q_power(3.0), "exponents (3.0, 3.0) are not integers"),
+    (lambda: q_power(True), "exponents (True, True) are not integers"),
+    (lambda: monomial(1, 2.0), "exponents (1, 2.0) are not integers"),
+    (lambda: monomial(1, 2, 0.5), "coefficient 0.5 is not an integer"),
+    (lambda: monomial(1, 2, False), "coefficient False is not an integer"),
+    (lambda: const(1.0), "coefficient 1.0 is not an integer"),
+    (lambda: const(True), "coefficient True is not an integer"),
+])
+def test_constructors_refuse_what_the_class_refuses(make, message):
+    # monomial, const and q_power check as LaurentPoly2 does, so no float
+    # or bool enters the exact arithmetic through them
+    with pytest.raises(TypeError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_bad_betti_degrees_refused():
     for coeffs in ({1.5: 1}, {True: 1}, {-1: 1}):
         with pytest.raises(ValueError, match="bad Betti entry"):

@@ -16,8 +16,8 @@ from motivic.spaces import (Affine, Complement, Disjoint, FibrationTotal,
 from motivic.suites import CheckResult, SuiteContext, SuiteResult
 from motivic.weights import CompFactor, FilteredHodgeObject
 
-# one constructor call per record class, with its repr as it was printed
-# when the classes were dataclasses
+# one constructor call per record class, with its repr in the form the
+# dataclasses printed
 FROZEN = [
     (lambda: CoeffDomain(3), "CoeffDomain(p=3)"),
     (lambda: Leaf("grass", (2, 6)), "Leaf(name='grass', args=(2, 6))"),
@@ -27,9 +27,9 @@ FROZEN = [
     (lambda: FibrationTotal(Grass(2, 4), Affine(1)),
      "FibrationTotal(base=Leaf(name='grass', args=(2, 4)), "
      "fibre=Leaf(name='affine', args=(1,)))"),
-    (lambda: Complement(Affine(2), Point(), "origin"),
+    (lambda: Complement(Affine(2), Point()),
      "Complement(whole=Leaf(name='affine', args=(2,)), "
-     "closed=Leaf(name='point', args=()), note='origin')"),
+     "closed=Leaf(name='point', args=()))"),
     (lambda: Disjoint((Point(), Affine(1))),
      "Disjoint(parts=(Leaf(name='point', args=()), "
      "Leaf(name='affine', args=(1,))))"),
@@ -103,6 +103,7 @@ def test_one_differing_field_makes_values_unequal():
     assert CoeffDomain(3) != CoeffDomain()
     assert Leaf("affine", (2,)) != Leaf("affine", (3,))
     assert Product(Affine(2), Point()) != Product(Point(), Affine(2))
+    assert Complement(Affine(2), Point()) != Complement(Affine(2), Affine(1))
     assert CompFactor("point", 0, -7) != CompFactor("point", 1, -7)
     assert PlanePartition(((2, 1),)) != PlanePartition(((2,), (1,)))
     assert SuiteContext() != SuiteContext(cap=10)
@@ -136,13 +137,23 @@ def test_mutable_records_take_assignment():
     assert ctx == SuiteContext(cap=10)
 
 
-def test_complement_equality_ignores_the_note():
-    a, b = Affine(2), Point()
-    noted = Complement(a, b, "origin")
-    assert noted == Complement(a, b, "elsewhere") == Complement(a, b)
-    assert hash(noted) == hash(Complement(a, b))
-    assert noted.note == "origin" and copy.copy(noted).note == "origin"
-    assert noted != Complement(a, Affine(1), "origin")
+def test_complement_takes_no_note():
+    # a complement is evaluated only for a recognized closed inclusion, so
+    # nothing may assert one beside its two fields
+    with pytest.raises(TypeError):
+        Complement(Affine(2), Point(), "origin")
+    with pytest.raises(TypeError):
+        Complement(Affine(2), Point(), note="origin")
+
+
+def test_sequences_of_fields_are_stored_as_tuples():
+    # a list gives the same value as the tuple, and a hashable one
+    listed = Disjoint([Point(), Affine(1)])
+    assert listed == Disjoint((Point(), Affine(1)))
+    assert hash(listed) == hash(Disjoint((Point(), Affine(1))))
+    assert Leaf("grass", [2, 6]) == Grass(2, 6)
+    assert hash(Leaf("grass", [2, 6])) == hash(Grass(2, 6))
+    assert Disjoint(iter([Point(), Point()])).parts == (Point(), Point())
 
 
 @pytest.mark.parametrize("make,error,message", [
@@ -175,3 +186,17 @@ def test_constructors_validate_as_before(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name,args", [
+    ("affine", (3.0,)), ("affine", (True,)), ("proj", (False,)),
+    ("grass", (2, 6.0)), ("grass", (True, 2)), ("gl", ("2",)),
+    ("sp", (2.0,)), ("homM", (1.5,)), ("milnorF", (3.0,)),
+    ("pfhyp", (True,)),
+])
+def test_leaves_take_only_integer_arguments(name, args):
+    # a float or a bool would print as text the grammar refuses
+    with pytest.raises(TypeError) as info:
+        Leaf(name, args)
+    assert str(info.value) == (f"{name} takes integer arguments, "
+                               f"got {args!r}")
