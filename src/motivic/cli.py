@@ -257,52 +257,32 @@ def _run_and_emit(names, args):
     ctx = SuiteContext(p_list=tuple(args.p), cap=args.cap,
                        katz_family=getattr(args, "suite", None))
     others = [name for name in names if name != "katz"]
-    if len(others) in (0, len(names)) or not hasattr(os, "fork"):
-        results = [run_suite(name, ctx) for name in names]
-    else:
+    results = None
+    if 0 < len(others) < len(names) and hasattr(os, "fork"):
         results = _run_beside_katz(names, others, ctx)
+    if results is None:
+        results = [run_suite(name, ctx) for name in names]
     sys.stdout.write(emit_report(results, args.format))
     return 0 if all(r.passed for r in results) else 1
 
 
 def _run_beside_katz(names, others, ctx):
     """The results of `names` in order, as `run_suite` gives them one after
-    another: the scan-free suites `others` run in one forked child while
-    katz scans here, so that numpy, the scans and their errors stay in this
-    process.  Each side stops at its first error, and the first error in
-    the order of `names` is raised."""
+    another, or None if anything failed: the scan-free suites `others` run
+    in one forked child while katz scans here, so that numpy and the scans
+    stay in this process.  On None the caller runs the suites one after
+    another, which raises any error as a report without the child does."""
     import pickle  # here: no other command sends objects between processes
-
-    def until_error(todo, caught):
-        done = []
-        for name in todo:
-            try:
-                done.append(run_suite(name, ctx))
-            except caught as exc:
-                done.append(exc)
-                break
-        return done
 
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         # the child never returns into the caller's stack and never flushes
-        # the stdio it inherited; an interrupt or exit in a suite crosses
-        # like an error and is raised here in its turn
+        # the stdio it inherited; on any error it exits 1 and sends nothing
         code = 1
         try:
             os.close(read_end)
-            done = until_error(others, BaseException)
-            try:
-                data = pickle.dumps(done)
-            except Exception as exc:
-                # pickle cannot carry what they gave: send what it was
-                last = done[-1]
-                data = pickle.dumps([ChildProcessError(
-                    f"the scan-free suites' results could not be sent "
-                    f"({type(exc).__name__}: {exc})" + (
-                        f"; they stopped at {type(last).__name__}: {last}"
-                        if isinstance(last, BaseException) else ""))])
+            data = pickle.dumps([run_suite(name, ctx) for name in others])
             with open(write_end, "wb") as pipe:
                 pipe.write(data)
             code = 0
@@ -310,33 +290,18 @@ def _run_beside_katz(names, others, ctx):
             os._exit(code)
     os.close(write_end)
     try:
-        scanned = until_error(["katz"] * (len(names) - len(others)),
-                              Exception)
+        with open(read_end, "rb") as pipe:
+            scanned = iter([run_suite("katz", ctx)
+                            for _ in range(len(names) - len(others))])
+            done = iter(pickle.loads(pipe.read()))
+    except Exception:
+        return None
     finally:
-        try:
-            with open(read_end, "rb") as pipe:
-                data = pipe.read()
-        finally:
-            _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if not data:
-        done = [ChildProcessError(
-            f"the scan-free suites sent no result (exit code {code})")]
-    else:
-        try:
-            done = pickle.loads(data)
-        except Exception as exc:
-            done = [ChildProcessError(
-                f"the scan-free suites' result could not be read: "
-                f"{type(exc).__name__}: {exc}")]
-    done, scanned = iter(done), iter(scanned)
-    results = []
-    for name in names:
-        result = next(scanned if name == "katz" else done)
-        if isinstance(result, BaseException):
-            raise result
-        results.append(result)
-    return results
+        # a child still writing stops at the pipe closed above
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        return None
+    return [next(scanned if name == "katz" else done) for name in names]
 
 
 def _cmd_hilb4(args):

@@ -63,7 +63,7 @@ class SkewMatrix:
     def __init__(self, size, upper, domain=INTEGERS):
         if size < 2 or size % 2:
             raise ValueError(f"size must be even and >= 2, got {size}")
-        upper = tuple(domain.normalize_all(map(int, upper)))
+        upper = tuple(domain.normalize_all(map(operator.index, upper)))
         want = size * (size - 1) // 2
         if len(upper) != want:
             raise ValueError(
@@ -249,7 +249,7 @@ def bareiss_det(rows):
     """Exact integer determinant by fraction-free Gaussian elimination;
     the empty matrix has determinant 1."""
     n = len(rows)
-    M = [list(map(int, r)) for r in rows]
+    M = [list(map(operator.index, r)) for r in rows]
     if any(len(r) != n for r in M):
         raise ValueError("matrix is not square")
     if not n:

@@ -378,17 +378,19 @@ def parse_space_expr(text):
 def _parse_expr(sc):
     """One sum/complement chain, left associative: the consecutive '+' of
     this chain make one disjoint union, and a union in parentheses is one
-    part of it, never merged into it."""
-    acc = _parse_term(sc)
-    union = (acc,)
+    part of it, never merged into it.  The union is built once, when its
+    chain ends or meets a '\\'."""
+    union = [_parse_term(sc)]
     while sc.peek()[0] in ("+", "\\"):
         if sc.next()[0] == "+":
-            union += (_parse_term(sc),)
-            acc = Disjoint(union)
+            union.append(_parse_term(sc))
         else:
-            acc = Complement(acc, _parse_term(sc))
-            union = (acc,)
-    return acc
+            union = [Complement(_disjoint(union), _parse_term(sc))]
+    return _disjoint(union)
+
+
+def _disjoint(parts):
+    return Disjoint(parts) if len(parts) > 1 else parts[0]
 
 
 def _parse_term(sc):

@@ -16,7 +16,7 @@ from conftest import fresh_python
 from motivic import _kernel, counting
 from motivic.cli import main
 from motivic.errors import ConsistencyError, ParseError
-from motivic.laurent import q_power
+from motivic.laurent import MAX_INPUT_BYTES, q_power
 from motivic.spaces import LEAVES
 from motivic.suites import (KATZ_FAMILIES, SUITE_NAMES, SuiteContext,
                             SuiteResult, emit_report, run_suite)
@@ -186,6 +186,33 @@ def test_epoly_large_expression_exit_3_at_once(capsys):
         assert code == 3 and out == ""
         assert err.startswith("refused: leaf dimensions sum to ")
         assert len(err.splitlines()) == 1
+
+
+def test_epoly_union_at_the_input_limit(capsys):
+    # the longest point + point + ... that the lexer takes, and one part more
+    k = (MAX_INPUT_BYTES + 1) // len("+point")
+    expr = "+".join(["point"] * k)
+    assert len(expr) <= MAX_INPUT_BYTES < len(expr + "+point")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "epoly", expr)
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, f"{k}\n", "")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "epoly", expr + "+point")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, column 1: input exceeds 64 KiB\n"
+
+
+@pytest.mark.parametrize("digits", [4301, 9000, 60000])
+def test_epoly_at_value_of_thousands_of_digits_exit_2(capsys, digits):
+    for at in (("7" * digits, "1"), ("1", "1/" + "3" * digits)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "epoly", "proj(3)", "--at", *at)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 # CLI text: pieces drawn evenly from both grammars' symbols (with what a
@@ -692,7 +719,8 @@ def test_scan_free_suite_error_crosses_from_the_child(capsys, monkeypatch,
                                                       exc, code, err):
     import motivic.suites as suites
     monkeypatch.setitem(suites.SUITES, "dt", _raising(exc))
-    # alone, dt runs in this process; beside katz, in the child
+    # alone, dt runs in this process; beside katz, in the child, which
+    # exits 1, and then again in this process
     assert run_reaped(capsys, "verify", "dt") == (code, "", err)
     assert run_reaped(capsys, "report", "--suites", "pfaffian,dt,katz",
                       "--p", "2") == (code, "", err)
@@ -724,12 +752,21 @@ def test_report_katz_cap_refusal_exit_3(capsys):
     assert err.startswith("refused: ") and len(err.splitlines()) == 1
 
 
-def test_child_that_dies_is_one_fatal_line(capsys, monkeypatch):
+def test_child_that_dies_falls_back_to_the_plain_loop(capsys, monkeypatch):
     import motivic.suites as suites
-    monkeypatch.setitem(suites.SUITES, "dt", lambda ctx: os._exit(7))
+    dt, parent = suites.SUITES["dt"], os.getpid()
+
+    def dies_in_the_child(ctx):
+        # only in the child: the calling process reruns dt itself
+        if os.getpid() != parent:
+            os._exit(7)
+        return dt(ctx)
+
+    monkeypatch.setitem(suites.SUITES, "dt", dies_in_the_child)
+    ctx = SuiteContext(p_list=(2,))
     assert run_reaped(capsys, "report", "--suites", "dt,katz", "--p", "2") == (
-        1, "", "fatal: ChildProcessError: the scan-free suites sent no "
-               "result (exit code 7)\n")
+        0, emit_report([run_suite(name, ctx) for name in ("dt", "katz")],
+                       "text"), "")
 
 
 class _TwoPartError(ValueError):
@@ -738,31 +775,23 @@ class _TwoPartError(ValueError):
         super().__init__(f"{what}: {why}")
 
 
-def test_child_result_that_cannot_be_read_is_one_fatal_line(capsys,
-                                                             monkeypatch):
-    import motivic.suites as suites
-    monkeypatch.setitem(suites.SUITES, "dt",
-                        _raising(_TwoPartError("dt", "broke")))
-    assert run_reaped(capsys, "report", "--suites", "dt,katz", "--p", "2") == (
-        1, "", "fatal: ChildProcessError: the scan-free suites' result could "
-               "not be read: TypeError: _TwoPartError.__init__() missing 1 "
-               "required positional argument: 'why'\n")
-
-
-def test_child_result_that_cannot_be_sent_is_one_fatal_line(capsys,
-                                                             monkeypatch):
-    import motivic.suites as suites
-    exc = ConsistencyError("dt broke")
+def _holding_a_lambda(exc):
     exc.hook = lambda: None
+    return exc
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (_TwoPartError("dt", "broke"), 2, "error: dt: broke\n"),
+    (_holding_a_lambda(ConsistencyError("dt broke")), 1, "fatal: dt broke\n"),
+], ids=["unrebuildable", "unpicklable"])
+def test_error_pickle_cannot_carry_is_as_the_plain_loop(capsys, monkeypatch,
+                                                       exc, code, err):
+    # the child sends no error: the calling process reruns the suites
+    import motivic.suites as suites
     monkeypatch.setitem(suites.SUITES, "dt", _raising(exc))
-    code, out, err = run_reaped(capsys, "report", "--suites", "katz,dt",
-                                "--p", "2")
-    assert (code, out) == (1, "")
-    assert err.startswith("fatal: ChildProcessError: the scan-free suites' "
-                          "results could not be sent (AttributeError: "
-                          "Can't pickle local object ")
-    assert err.endswith("; they stopped at ConsistencyError: dt broke\n")
-    assert len(err.splitlines()) == 1
+    assert run_reaped(capsys, "verify", "dt") == (code, "", err)
+    assert run_reaped(capsys, "report", "--suites", "katz,dt",
+                      "--p", "2") == (code, "", err)
 
 
 def _error_types():
@@ -774,8 +803,9 @@ def _error_types():
 
 @pytest.mark.parametrize("cls", _error_types(), ids=lambda cls: cls.__name__)
 def test_every_error_type_crosses_from_the_child(cls):
-    # a suite's error reaches `main` through pickle, so each type of ours
-    # must come back whole: same type, text and attributes
+    # no error crosses from a report's child, which sends only results;
+    # still, each type of ours survives pickle whole (same type, text and
+    # attributes), as a caller that sends one between processes needs
     import pickle
     args = {ParseError: ("unexpected end of input", 1, 2)}.get(cls, ("why",))
     exc = cls(*args)

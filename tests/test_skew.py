@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -211,6 +212,27 @@ def test_bareiss_det():
     M = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)]
     MT = [[M[j][i] for j in range(5)] for i in range(5)]
     assert bareiss_det(M) == bareiss_det(MT)
+
+
+@pytest.mark.parametrize("bad", [1.9, "3", Fraction(5, 2), Fraction(2)],
+                         ids=["float", "str", "fraction", "whole_fraction"])
+def test_non_integer_entries_are_refused(bad):
+    # int() truncated them: [1.9, 0, 0, 0, 0, 2.5] was stored as
+    # [1, 0, 0, 0, 0, 2] with Pf 2, and [[1.5, 0], [0, 2.7]] had det 2
+    with pytest.raises(TypeError):
+        SkewMatrix(4, [bad, 0, 0, 0, 0, 1])
+    with pytest.raises(TypeError):
+        bareiss_det([[bad, 0], [0, 1]])
+
+
+def test_integer_like_entries_are_taken_as_ints():
+    import numpy as np
+    A = SkewMatrix(4, np.array([1, 0, 0, 0, 0, 2], dtype=np.int64), GF(3))
+    assert A.upper == (1, 0, 0, 0, 0, 2)
+    assert all(type(v) is int for v in A.upper)
+    assert pfaffian(A) == 2
+    assert bareiss_det(np.array([[2, 1], [1, 3]], dtype=np.int16)) == 5
+    assert bareiss_det([[True, False], [False, True]]) == 1
 
 
 def test_parse_skew_literal():
