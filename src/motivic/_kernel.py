@@ -24,10 +24,15 @@ heads p^(2r) matrices of rank 2r and p^(2n-1) - p^(2r) of rank 2r + 2.
 A scan makes two passes.  The tail pass walks the tails in runs of at
 most `_CHUNK // 16`, decoding each run once into its stack of odd skew
 tails B, reduces every tail to the base-p id of its Pfaffian coefficient
-vector and tallies the tails by rank.  Each run reduces its ids to a
-tally of (distinct id, count), merged into the scan's, so a scan never
-holds one id per tail; everything else a run builds is freed before the
-next run.
+vector and tallies the tails by rank.  The ids lie below p^(2n-1).  When
+that range is no longer than a run, as in every shape the report scans,
+each run bincounts its ids into one count array, which the class pass
+reads through `np.flatnonzero`: the distinct ids in ascending order and
+their multiplicities.  Otherwise (n = 1 above p = 8192, or a shape only a
+raised cap admits) each run reduces its ids to a sorted tally of
+(distinct id, count), merged into the scan's, which grows with the ids
+seen rather than with p^(2n-1).  Either way a scan never holds one id per
+tail; everything else a run builds is freed before the next run.
 Many tails share a vector (the 3^10 tails of the 6x6 scan over F_3 share
 3^5), so the class pass then multiplies each distinct vector once by
 every row-0 value, brute force, in tables of at most `_CHUNK` row-0 values
@@ -330,11 +335,11 @@ def _spot_check(n, p, ids, lo, hi, spot_stride):
 
 def _tail_run(n, p, lo, hi, spot_stride, phases):
     """The tail pass over the tails lo <= h < hi, with both checks: returns
-    (distinct ids, their counts), the tail rank tally, the tail check's
+    the run's ids, one per tail, the tail rank tally, the tail check's
     (failures, first) with the first's block index within the run, and the
     spot check's (checked, failures, first).  Adds the seconds of each
-    check to `phases`.  Every per-tail array is local, so it is freed on
-    return."""
+    check to `phases`.  Every other per-tail array is local, so it is freed
+    on return."""
     avoid, pfaffian = _plan(n)
     B = _skew_stack(np.arange(lo, hi, dtype=np.int64), p, 2 * n - 1,
                     _lane(n, p))
@@ -355,7 +360,7 @@ def _tail_run(n, p, lo, hi, spot_stride, phases):
     if spot_stride:
         spot = _spot_check(n, p, ids, lo, hi, spot_stride)
     phases["spot_check"] += time.perf_counter() - u
-    return np.unique(ids, return_counts=True), ranks, tail_bad, spot
+    return ids, ranks, tail_bad, spot
 
 
 def _fold(hist, tally, low, p):
@@ -387,6 +392,9 @@ def _scan(n, p, spot_stride):
 
     # tail pass: the tally of the tails' Pfaffian coefficient vectors, by
     # base-p id, and the number of tails of each rank 2r
+    run = max(1, _CHUNK // 16)
+    counted = block <= run
+    counts = np.zeros(block if counted else 0, dtype=np.int64)
     ids = mult = np.zeros(0, dtype=np.int64)
     tail_ranks = np.zeros(n, dtype=np.int64)
     phases = dict.fromkeys(PHASES, 0.0)
@@ -394,12 +402,16 @@ def _scan(n, p, spot_stride):
     first_bad = None
     tail_violations = 0
     first_tail_bad = None
-    run = max(1, _CHUNK // 16)
     for lo in range(0, tails, run):
         hi = min(lo + run, tails)
-        classes, ranks, (bad, first), spot = _tail_run(
+        run_ids, ranks, (bad, first), spot = _tail_run(
             n, p, lo, hi, spot_stride, phases)
-        ids, mult = _merge_tally(ids, mult, *classes)
+        if counted:
+            counts += np.bincount(run_ids, minlength=block)
+        else:
+            ids, mult = _merge_tally(
+                ids, mult, *np.unique(run_ids, return_counts=True))
+        del run_ids
         tail_ranks += ranks
         if bad and first_tail_bad is None:
             first_tail_bad = (lo + first[0],) + first[1:]
@@ -408,6 +420,9 @@ def _scan(n, p, spot_stride):
         violations += spot[1]
         if first_bad is None:
             first_bad = spot[2]
+    if counted:
+        ids = np.flatnonzero(counts)
+        mult = counts[ids]
     t = time.perf_counter()
     phases["tail_pass"] = (t - t0 - phases["tail_check"]
                            - phases["spot_check"])

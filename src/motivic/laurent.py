@@ -157,9 +157,12 @@ class LaurentPoly2:
         return total
 
     def eval_q(self, q0):
-        """Value at xy = q0 for a Tate-type polynomial; int when integral."""
+        """Value at xy = q0 for a Tate-type polynomial; int when integral.
+        An int q0 and no negative exponent sum in ints, with no Fraction."""
         if not self.is_tate():
             raise ValueError("eval_q requires a Tate-type polynomial")
+        if _is_int(q0) and all(a >= 0 for a, _ in self.terms):
+            return sum(c * q0 ** a for (a, _), c in self.terms.items())
         total = self.eval_at(q0, 1)
         return int(total) if total.denominator == 1 else total
 

@@ -140,19 +140,41 @@ def _pair_index(i, j, size):
 
 
 def parse_skew_literal(text, domain=INTEGERS):
-    """Parse the test literal format, e.g. ``skew6 [0,1,0,1,0, 1,0,0,0, 1,0,0, 0,1, 0]``."""
+    """Parse the test literal format, e.g. ``skew6 [0,1,0,1,0, 1,0,0,0, 1,0,0, 0,1, 0]``.
+    Every error is a ParseError at its column of `text`: a missing entry
+    at the closing ']', a surplus or non-integer one at its own column."""
+    lead = len(text) - len(text.lstrip())
     s = text.strip()
     if not s.startswith("skew"):
-        raise ParseError("expected 'skew<size>' prefix", 1, 1)
+        raise ParseError("expected 'skew<size>' prefix", 1, lead + 1)
     head, _, rest = s.partition("[")
     if not rest.endswith("]"):
-        raise ParseError("expected closing ']'", 1, len(s))
+        raise ParseError("expected closing ']'", 1, lead + len(s))
     try:
         size = int(head[4:].strip())
     except ValueError:
-        raise ParseError("bad size in 'skew<size>'", 1, 5) from None
-    body = rest[:-1].strip()
-    entries = [int(v) for v in body.split(",")] if body else []
+        raise ParseError("bad size in 'skew<size>'", 1, lead + 5) from None
+    if size < 2 or size % 2:
+        raise ParseError(f"size must be even and >= 2, got {size}", 1,
+                         lead + 5)
+    want = size * (size - 1) // 2
+    body = rest[:-1]
+    entries = []
+    col = lead + len(head) + 2  # the column after '['
+    for field in body.split(",") if body.strip() else ():
+        at = col + len(field) - len(field.lstrip())
+        if len(entries) == want:
+            raise ParseError(f"expected {want} upper-triangle entries, "
+                             f"found more", 1, at)
+        try:
+            entries.append(int(field))
+        except ValueError:
+            raise ParseError(f"expected an integer entry, found "
+                             f"{field.strip()!r}", 1, at) from None
+        col += len(field) + 1
+    if len(entries) < want:
+        raise ParseError(f"expected {want} upper-triangle entries, found "
+                         f"{len(entries)}", 1, lead + len(s))
     return SkewMatrix(size, entries, domain)
 
 

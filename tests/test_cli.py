@@ -928,6 +928,23 @@ def test_import_loads_no_code_generation_or_rationals():
     assert loaded.stdout.split() == bare
 
 
+def test_katz_report_loads_no_rationals():
+    # the katz suite evaluates its integer polynomials at q = 2 and 3 in
+    # ints (`LaurentPoly2.eval_q`), so its scans share the process with
+    # neither fractions nor decimal; against a bare interpreter, as above
+    probe = ("import contextlib, io, sys\n"
+             "{}\n"
+             "print(*sorted(m for m in ('fractions', 'decimal') "
+             "if m in sys.modules))")
+    report = ("from motivic.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['report', '--suites', 'katz', '--format', "
+              "'json']) == 0")
+    bare = fresh_python("-c", probe.format("pass")).stdout.split()
+    loaded = fresh_python("-c", probe.format(report))
+    assert loaded.stdout.split() == bare
+
+
 def test_package_import_loads_no_module_and_cli_loads_every_layer():
     # the package re-exports nothing; the benchmark's tracer wraps the
     # layers that `import motivic.cli` loads through cli's own imports

@@ -205,6 +205,75 @@ def test_spot_sample_survives_range_cuts(monkeypatch, workers, chunk):
         assert s.spot_checked == -(-total // counting.SPOT_STRIDE)
 
 
+def _kernel_scan(n, p):
+    # every field of `_kernel._scan` but its phase seconds, as plain values
+    got = _kernel._scan(n, p, counting.SPOT_STRIDE)
+    del got["phases"]
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in got.items()}
+
+
+@pytest.mark.parametrize("n, p", [(2, 5), (3, 2), (2, 13), (1, 8191),
+                                  (1, 8209)])
+@pytest.mark.parametrize("fault", [None, "determinant", "coefficient sign"])
+def test_count_array_and_sorted_tally_agree(monkeypatch, n, p, fault):
+    # a scan counts its tails' Pfaffian ids in an array of p^(2n-1) entries
+    # when that fits in a run of _CHUNK // 16 tails, and in a sorted tally
+    # of (distinct id, count) otherwise: the default run of 8192 tails
+    # counts (1, 8191) in an array and (1, 8209) in a sorted tally.  Runs of
+    # 8 tails sort every shape here and runs of 8209 count every one; both
+    # give the same histogram, tail ranks and spot count, and with a fault
+    # the same failures, first ones included
+    if fault == "determinant":
+        det = _kernel._batched_det
+        monkeypatch.setattr(_kernel, "_batched_det",
+                            lambda M: det(M) + M[0, 1] % 2)
+    elif fault == "coefficient sign":
+        plan = _kernel._plan
+
+        def flipped(n):
+            avoid, pfaffian = plan(n)
+            (sign, sub), *rest = pfaffian
+            return avoid, ((-sign, sub), *rest)
+
+        monkeypatch.setattr(_kernel, "_plan", flipped)
+    merges = []
+    merge_tally = _kernel._merge_tally
+    monkeypatch.setattr(_kernel, "_merge_tally",
+                        lambda *args: merges.append(1) or merge_tally(*args))
+    scans = []
+    for run in (8, 8209):
+        monkeypatch.setattr(_kernel, "_CHUNK", 16 * run)
+        merges.clear()
+        scans.append(_kernel_scan(n, p))
+        assert bool(merges) == (p ** (2 * n - 1) > run)
+    sorted_tally, count_array = scans
+    assert sorted_tally == count_array
+    if fault == "determinant":
+        # the first sample whose entry (0, 1), its lowest digit, is odd
+        assert count_array["violations"]
+        assert count_array["first_bad"] == next(
+            i for i in range(0, p ** (n * (2 * n - 1)),
+                             counting.SPOT_STRIDE) if i % p % 2)
+    elif fault == "coefficient sign" and n > 1 and p > 2:
+        assert count_array["tail_violations"]
+        assert count_array["first_tail_bad"] is not None
+
+
+def test_report_shapes_never_sort_their_ids(monkeypatch):
+    # the report scans 4x4 and 6x6 matrices over F_2 and F_3, whose ids
+    # (below 3^5) fit in one run: each scan counts them in an array and
+    # never calls numpy's sort
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(_kernel.np, "unique", refuse)
+    assert scan_skew(3, 2).pf_counts[1] == 13888
+    for n, p in ((2, 2), (2, 3), (3, 3)):
+        assert sum(scan_skew(n, p).pf_counts.values()) == \
+            p ** (n * (2 * n - 1))
+
+
 def test_scan_counts_match_ec_predictions():
     scan = scan_skew(3, 2, "full")
     assert scan.total == 32768 == q_power(15).eval_q(2)
@@ -558,9 +627,9 @@ def test_lane_tail_pass_matches_int64(monkeypatch, n, lane):
             assert memo[sub].dtype == lane and memo64[sub].dtype == np.int64
             assert (memo[sub] == memo64[sub]).all()
         assert memo.keys() == memo64.keys()
-    for (classes, ranks, tail_bad, _), (classes64, ranks64, tail_bad64,
-                                         _) in zip(narrow, wide):
-        assert all((a == b).all() for a, b in zip(classes, classes64))
+    for (ids, ranks, tail_bad, _), (ids64, ranks64, tail_bad64,
+                                     _) in zip(narrow, wide):
+        assert ids.tolist() == ids64.tolist()
         assert ranks.tolist() == ranks64.tolist()
         assert sum(ranks.tolist()) == run
         assert tail_bad == tail_bad64 == (0, None)
@@ -671,8 +740,9 @@ def test_tail_check_on_7x7_tails():
     # are checked, the sample re-checked, and the 8x8 Pfaffians of their
     # coefficient vectors tallied against skew.pfaffian
     lo, hi = 5 * 128, 25 * 128
-    (ids, mult), ranks, tail_bad, spot = _kernel._tail_run(
+    run_ids, ranks, tail_bad, spot = _kernel._tail_run(
         4, 2, 5, 25, 7, dict.fromkeys(counting.PHASES, 0.0))
+    ids, mult = np.unique(run_ids, return_counts=True)
     assert int(mult.sum()) == sum(ranks.tolist()) == 20
     assert tail_bad == (0, None)
     assert spot == (len(range(-(-lo // 7) * 7, hi, 7)), 0, None)

@@ -449,8 +449,12 @@ def test_gaussian_binomial_q_pascal():
 
 
 @settings(max_examples=200, deadline=None)
-@given(_tate, st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)))
+@given(_tate, st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))))
 def test_eval_q_is_eval_at_q_and_one(p, q):
+    # an int q with no negative exponent sums in ints, any other q or
+    # exponent through `eval_at`'s Fractions
     try:
         want = p.eval_at(q, 1)
     except ZeroDivisionError:

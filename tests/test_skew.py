@@ -245,3 +245,25 @@ def test_parse_skew_literal():
         parse_skew_literal("mat6 [1]")
     with pytest.raises(ParseError):
         parse_skew_literal("skew6 [1,2")
+
+
+@pytest.mark.parametrize("literal, col, message", [
+    # a non-integer entry, at its first character
+    ("skew4 [1.5,0,0,0,0,1]", 8, "expected an integer entry, found '1.5'"),
+    ("skew4 [1,0, x,0,0,1]", 13, "found 'x'"),
+    ("skew4 [1,,0,0,0,1]", 10, "found ''"),
+    # the first surplus entry
+    ("skew4 [1,0,0,0,0,1, 7]", 21, "expected 6 upper-triangle entries, "
+                                   "found more"),
+    # a missing entry, at the closing ']'
+    ("skew4 [1,0,0]", 13, "expected 6 upper-triangle entries, found 3"),
+    ("skew4 []", 8, "found 0"),
+    # columns count from the start of the text, leading blanks too
+    ("  skew4 [0,0,0,0,0,0.0]", 20, "found '0.0'"),
+    ("skew5 [1]", 5, "size must be even and >= 2, got 5"),
+])
+def test_parse_skew_literal_names_the_column(literal, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_skew_literal(literal)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert message in exc.value.message
