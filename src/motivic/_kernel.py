@@ -24,15 +24,12 @@ heads p^(2r) matrices of rank 2r and p^(2n-1) - p^(2r) of rank 2r + 2.
 A scan makes two passes.  The tail pass walks the tails in runs of at
 most `_CHUNK // 16`, decoding each run once into its stack of odd skew
 tails B, reduces every tail to the base-p id of its Pfaffian coefficient
-vector and tallies the tails by rank.  The ids lie below p^(2n-1).  When
-that range is no longer than a run, as in every shape the report scans,
-each run bincounts its ids into one count array, which the class pass
-reads through `np.flatnonzero`: the distinct ids in ascending order and
-their multiplicities.  Otherwise (n = 1 above p = 8192, or a shape only a
-raised cap admits) each run reduces its ids to a sorted tally of
-(distinct id, count), merged into the scan's, which grows with the ids
-seen rather than with p^(2n-1).  Either way a scan never holds one id per
-tail; everything else a run builds is freed before the next run.
+vector and tallies the tails by rank.  Each run bincounts its ids into
+one count array, which grows to the largest id seen and so never past
+p^(2n-1) entries; the class pass takes the distinct ids, ascending, from
+`np.flatnonzero` and their multiplicities from the array.  A scan never
+holds one id per tail, and everything else a run builds is freed before
+the next run.
 Many tails share a vector (the 3^10 tails of the 6x6 scan over F_3 share
 3^5), so the class pass then multiplies each distinct vector once by
 every row-0 value, brute force, in tables of at most `_CHUNK` row-0 values
@@ -183,17 +180,6 @@ def _ids(coeff, p):
 def _vectors(ids, p, width0):
     """The coefficient vectors with these base-p ids, one per row."""
     return _digits(ids, p, width0).T
-
-
-def _merge_tally(ids, counts, more_ids, more_counts):
-    """The union of two tallies of sorted distinct ids, counts summed."""
-    # np.unique without an index or count output would import numpy.ma
-    union, where = np.unique(np.concatenate((ids, more_ids)),
-                             return_inverse=True)
-    total = np.zeros(union.size, dtype=np.int64)
-    total[where[:ids.size]] += counts
-    total[where[ids.size:]] += more_counts
-    return union, total
 
 
 def _products(vectors, row0):
@@ -393,9 +379,7 @@ def _scan(n, p, spot_stride):
     # tail pass: the tally of the tails' Pfaffian coefficient vectors, by
     # base-p id, and the number of tails of each rank 2r
     run = max(1, _CHUNK // 16)
-    counted = block <= run
-    counts = np.zeros(block if counted else 0, dtype=np.int64)
-    ids = mult = np.zeros(0, dtype=np.int64)
+    counts = np.zeros(0, dtype=np.int64)
     tail_ranks = np.zeros(n, dtype=np.int64)
     phases = dict.fromkeys(PHASES, 0.0)
     checked = violations = 0
@@ -406,12 +390,14 @@ def _scan(n, p, spot_stride):
         hi = min(lo + run, tails)
         run_ids, ranks, (bad, first), spot = _tail_run(
             n, p, lo, hi, spot_stride, phases)
-        if counted:
-            counts += np.bincount(run_ids, minlength=block)
-        else:
-            ids, mult = _merge_tally(
-                ids, mult, *np.unique(run_ids, return_counts=True))
+        # the count array grows to the largest id seen, never past block
+        more = np.bincount(run_ids)
         del run_ids
+        if more.size > counts.size:
+            more[:counts.size] += counts
+            counts = more
+        else:
+            counts[:more.size] += more
         tail_ranks += ranks
         if bad and first_tail_bad is None:
             first_tail_bad = (lo + first[0],) + first[1:]
@@ -420,9 +406,8 @@ def _scan(n, p, spot_stride):
         violations += spot[1]
         if first_bad is None:
             first_bad = spot[2]
-    if counted:
-        ids = np.flatnonzero(counts)
-        mult = counts[ids]
+    ids = np.flatnonzero(counts)
+    mult = counts[ids]
     t = time.perf_counter()
     phases["tail_pass"] = (t - t0 - phases["tail_check"]
                            - phases["spot_check"])

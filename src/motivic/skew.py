@@ -53,6 +53,14 @@ def GF(p):
     return CoeffDomain(p)
 
 
+def _upper_count(size):
+    """The number of upper-triangle entries of a skew matrix of this size;
+    ValueError unless the size is even and >= 2."""
+    if size < 2 or size % 2:
+        raise ValueError(f"size must be even and >= 2, got {size}")
+    return size * (size - 1) // 2
+
+
 class SkewMatrix:
     """Skew-symmetric matrix of even size, stored as its strict upper
     triangle in row-major order; the lower triangle is implied by
@@ -61,10 +69,8 @@ class SkewMatrix:
     __slots__ = ("size", "upper", "domain")
 
     def __init__(self, size, upper, domain=INTEGERS):
-        if size < 2 or size % 2:
-            raise ValueError(f"size must be even and >= 2, got {size}")
+        want = _upper_count(size)
         upper = tuple(domain.normalize_all(map(operator.index, upper)))
-        want = size * (size - 1) // 2
         if len(upper) != want:
             raise ValueError(
                 f"expected {want} upper-triangle entries, got {len(upper)}")
@@ -88,7 +94,7 @@ class SkewMatrix:
 
     @classmethod
     def zero(cls, size, domain=INTEGERS):
-        return cls(size, [0] * (size * (size - 1) // 2), domain)
+        return cls(size, [0] * _upper_count(size), domain)
 
     @classmethod
     def standard_rank(cls, n, k, domain=INTEGERS):
@@ -154,10 +160,10 @@ def parse_skew_literal(text, domain=INTEGERS):
         size = int(head[4:].strip())
     except ValueError:
         raise ParseError("bad size in 'skew<size>'", 1, lead + 5) from None
-    if size < 2 or size % 2:
-        raise ParseError(f"size must be even and >= 2, got {size}", 1,
-                         lead + 5)
-    want = size * (size - 1) // 2
+    try:
+        want = _upper_count(size)
+    except ValueError as e:
+        raise ParseError(str(e), 1, lead + 5) from None
     body = rest[:-1]
     entries = []
     col = lead + len(head) + 2  # the column after '['

@@ -216,14 +216,13 @@ def _kernel_scan(n, p):
 @pytest.mark.parametrize("n, p", [(2, 5), (3, 2), (2, 13), (1, 8191),
                                   (1, 8209)])
 @pytest.mark.parametrize("fault", [None, "determinant", "coefficient sign"])
-def test_count_array_and_sorted_tally_agree(monkeypatch, n, p, fault):
-    # a scan counts its tails' Pfaffian ids in an array of p^(2n-1) entries
-    # when that fits in a run of _CHUNK // 16 tails, and in a sorted tally
-    # of (distinct id, count) otherwise: the default run of 8192 tails
-    # counts (1, 8191) in an array and (1, 8209) in a sorted tally.  Runs of
-    # 8 tails sort every shape here and runs of 8209 count every one; both
-    # give the same histogram, tail ranks and spot count, and with a fault
-    # the same failures, first ones included
+def test_count_array_grows_across_runs(monkeypatch, n, p, fault):
+    # a scan bincounts each run's Pfaffian ids into one count array that
+    # grows to the largest id seen.  Runs of 8 tails grow it run by run
+    # (one run at n = 1, which has one tail); one run of 8209 tails
+    # counts every shape here at once.  Both give the same histogram, tail
+    # ranks and spot count, and with a fault the same failures, first ones
+    # included; the array never passes p^(2n-1) entries
     if fault == "determinant":
         det = _kernel._batched_det
         monkeypatch.setattr(_kernel, "_batched_det",
@@ -237,39 +236,43 @@ def test_count_array_and_sorted_tally_agree(monkeypatch, n, p, fault):
             return avoid, ((-sign, sub), *rest)
 
         monkeypatch.setattr(_kernel, "_plan", flipped)
-    merges = []
-    merge_tally = _kernel._merge_tally
-    monkeypatch.setattr(_kernel, "_merge_tally",
-                        lambda *args: merges.append(1) or merge_tally(*args))
-    scans = []
+    # a scan's last np.flatnonzero reads its count array
+    seen = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(_kernel.np, "flatnonzero",
+                        lambda a: seen.append(a.size) or flatnonzero(a))
+    scans, sizes = [], []
     for run in (8, 8209):
         monkeypatch.setattr(_kernel, "_CHUNK", 16 * run)
-        merges.clear()
         scans.append(_kernel_scan(n, p))
-        assert bool(merges) == (p ** (2 * n - 1) > run)
-    sorted_tally, count_array = scans
-    assert sorted_tally == count_array
+        sizes.append(seen[-1])
+    short_runs, one_run = scans
+    assert short_runs == one_run
+    assert sizes[0] == sizes[1] <= p ** (2 * n - 1)
+    if n == 1:
+        # the one tail's id is 1, or p - 1 with its sign flipped
+        assert sizes == ([p, p] if fault == "coefficient sign" else [2, 2])
     if fault == "determinant":
         # the first sample whose entry (0, 1), its lowest digit, is odd
-        assert count_array["violations"]
-        assert count_array["first_bad"] == next(
+        assert one_run["violations"]
+        assert one_run["first_bad"] == next(
             i for i in range(0, p ** (n * (2 * n - 1)),
                              counting.SPOT_STRIDE) if i % p % 2)
     elif fault == "coefficient sign" and n > 1 and p > 2:
-        assert count_array["tail_violations"]
-        assert count_array["first_tail_bad"] is not None
+        assert one_run["tail_violations"]
+        assert one_run["first_tail_bad"] is not None
 
 
-def test_report_shapes_never_sort_their_ids(monkeypatch):
-    # the report scans 4x4 and 6x6 matrices over F_2 and F_3, whose ids
-    # (below 3^5) fit in one run: each scan counts them in an array and
-    # never calls numpy's sort
+def test_scans_never_sort_their_ids(monkeypatch):
+    # every scan counts its ids in an array, so none calls numpy's sort:
+    # not the report's 4x4 and 6x6 scans over F_2 and F_3, nor an n = 1
+    # scan at a prime above 8192
     def refuse(*args, **kwargs):
         raise AssertionError("np.unique called")
 
     monkeypatch.setattr(_kernel.np, "unique", refuse)
     assert scan_skew(3, 2).pf_counts[1] == 13888
-    for n, p in ((2, 2), (2, 3), (3, 3)):
+    for n, p in ((2, 2), (2, 3), (3, 3), (1, 8209)):
         assert sum(scan_skew(n, p).pf_counts.values()) == \
             p ** (n * (2 * n - 1))
 
