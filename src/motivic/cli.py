@@ -13,16 +13,16 @@ import os
 import re
 import sys
 
-from .counting import scan_skew
+from .counting import DEFAULT_CAP, scan_skew
 from .errors import CapExceededError, ConsistencyError
 from .hilb4 import (PLANE_PARTITION_CAP, PLANE_PARTITION_MAX, dt_invariant,
                     ec_hilb4_total, goettsche_coeff, goettsche_series,
                     hilb4_strata, macmahon_series)
 from .laurent import common_exponent, format_poly, parse_poly
 from .spaces import dimension, ec_traced, format_space_expr, parse_space_expr
-from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, KATZ_FAMILIES,
-                     SUITE_NAMES, SUITES, SuiteContext, canonical_json,
-                     emit_report, run_suite)
+from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, SUITE_NAMES,
+                     SUITES, SuiteContext, canonical_json, emit_report,
+                     run_suite)
 
 
 # a rational in exponent notation, as `Fraction` reads it
@@ -89,8 +89,16 @@ def _add_scan_flags(p):
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="at least 1; kept for callers that pass it, as "
                         "a scan runs in one thread whatever the bound")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="enumeration cap (default 10^8)")
+
+
+def _add_suite_flags(p):
+    p.add_argument("--p", type=int, nargs="+",
+                   default=list(SuiteContext().p_list),
+                   help="field sizes for the katz suite")
+    _add_scan_flags(p)
+    _add_format(p)
 
 
 def build_parser():
@@ -132,13 +140,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("name", metavar=f"{{{','.join(SUITE_NAMES)}}}")
-    p.add_argument("--suite", default=None,
-                   help="katz only: restrict to a family "
-                        f"({', '.join(KATZ_FAMILIES)})")
-    p.add_argument("--p", type=int, nargs="+", default=[2, 3],
-                   help="field sizes for the katz suite")
-    _add_scan_flags(p)
-    _add_format(p)
+    _add_suite_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hilb4", help="four points on affine 3-space")
@@ -164,9 +166,7 @@ def build_parser():
     p = sub.add_parser("report", help="run suites and emit one report")
     p.add_argument("--suites", default=",".join(SUITE_NAMES),
                    help="comma-separated suite names")
-    p.add_argument("--p", type=int, nargs="+", default=[2, 3])
-    _add_scan_flags(p)
-    _add_format(p)
+    _add_suite_flags(p)
     p.set_defaults(func=_cmd_report)
 
     return parser
@@ -231,10 +231,6 @@ def _cmd_count_fibre(args):
 
 
 def _cmd_verify(args):
-    if args.suite is not None and args.name != "katz":
-        print("error: --suite applies to the katz suite only",
-              file=sys.stderr)
-        return 2
     return _run_and_emit([args.name], args)
 
 
@@ -254,8 +250,7 @@ def _run_and_emit(names, args):
             print(f"error: unknown suite {name!r}; choose from "
                   f"{', '.join(SUITES)}", file=sys.stderr)
             return 2
-    ctx = SuiteContext(p_list=tuple(args.p), cap=args.cap,
-                       katz_family=getattr(args, "suite", None))
+    ctx = SuiteContext(p_list=tuple(args.p), cap=args.cap)
     others = [name for name in names if name != "katz"]
     results = None
     if 0 < len(others) < len(names) and hasattr(os, "fork"):

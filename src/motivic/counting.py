@@ -116,12 +116,14 @@ def _power_text(p, m):
     return f"{p ** m} = {p}^{m}"
 
 
-def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
+def scan_skew(n, p, mode="full", cap=DEFAULT_CAP, workers=1,
+              spot_stride=SPOT_STRIDE):
     """Scan all 2n x 2n skew matrices over F_p, tallying them by Pfaffian
     value and bucketing them by rank.
 
-    Raises CapExceededError when p^(n(2n-1)) exceeds the cap, the scan's
-    int64 arithmetic could overflow or p exceeds HIST_MAX, and
+    Raises CapExceededError when p^(n(2n-1)) exceeds `cap`, an int count
+    of matrices that defaults to DEFAULT_CAP = 10^8, when the scan's
+    int64 arithmetic could overflow or when p exceeds HIST_MAX, and
     ConsistencyError when a tail fails adj(B) = c c^T (naming the lowest
     such block), a sampled matrix fails Pf^2 = det (naming the
     lowest-index offender), the tail rank tally does not count each of the
@@ -139,7 +141,6 @@ def scan_skew(n, p, mode="full", cap=None, workers=1, spot_stride=SPOT_STRIDE):
     if p < 2:
         raise ValueError(f"{p} is not prime")
     m = n * (2 * n - 1)
-    cap = DEFAULT_CAP if cap is None else cap
     if _exceeds_cap(p, m, cap):
         raise CapExceededError(
             f"enumeration of {_power_text(p, m)} matrices exceeds cap {cap}")

@@ -82,12 +82,11 @@ class SuiteResult(Record):
 
 
 class SuiteContext(Record):
-    __slots__ = ("p_list", "cap", "katz_family")
+    __slots__ = ("p_list", "cap")
 
-    def __init__(self, p_list=(2, 3), cap=None, katz_family=None):
+    def __init__(self, p_list=(2, 3), cap=DEFAULT_CAP):
         self.p_list = p_list
         self.cap = cap
-        self.katz_family = katz_family
 
 
 # -- pfaffian ---------------------------------------------------------------------
@@ -452,26 +451,31 @@ def _suite_dt(ctx):
 
 # -- katz -------------------------------------------------------------------------
 
-KATZ_FAMILIES = ("all", "pfaffian", "rank")
-
-
 def _suite_katz(ctx):
-    if ctx.katz_family is not None and ctx.katz_family not in KATZ_FAMILIES:
-        raise ValueError(f"unknown katz family {ctx.katz_family!r}; "
-                         f"choose from {', '.join(KATZ_FAMILIES)}")
-    cap = ctx.cap if ctx.cap is not None else DEFAULT_CAP
+    """Prop 1.1, Prop 2.3 and §2.4 by counting.  For each p in `ctx.p_list`
+    and n = 2, 3 it scans the p^m skew 2n x 2n matrices over F_p, m =
+    n(2n-1), and gives 11 rows, in order: (1) the whole space has p^m
+    matrices; #{Pf = 1}, #{Pf != 0} and #{Pf = 0} are (2) E_c(F), (3)
+    E_c(M) and (4) E_c(Z) at xy = p; (5) #{Pf != 0} = (p-1) #{Pf = 1};
+    (6) each fibre {Pf = c}, c != 0, has the size of {Pf = 1}; (7) the
+    rank buckets sum to p^m; (8) only the zero matrix has rank 0; the
+    rank <= 2 locus is (9) E_c of the cone over Gr(2, 2n) and (10)
+    1 + (p-1) [2n choose 2]_q at q = p; (11) the full-rank bucket is
+    #{Pf != 0}.
 
-    def want(fam):
-        return ctx.katz_family in (None, "all", fam)
-
+    A shape whose p^m exceeds `ctx.cap` is skipped and gives no row.  The
+    suite refuses with CapExceededError (exit 3) when it skips every
+    shape, or when `scan_skew` refuses an admitted shape (p above
+    HIST_MAX, or int64 arithmetic that could overflow).
+    """
     checks = []
     for p in ctx.p_list:
         for n in (2, 3):
             m = n * (2 * n - 1)
-            if _exceeds_cap(p, m, cap):
+            if _exceeds_cap(p, m, ctx.cap):
                 continue
             total = p ** m
-            scan = scan_skew(n, p, cap=cap)
+            scan = scan_skew(n, p, cap=ctx.cap)
             size = 2 * n
             tag = f"{size}x{size} over F_{p}"
             pf0 = scan.pf_counts[0]
@@ -479,54 +483,52 @@ def _suite_katz(ctx):
             fibre1 = scan.pf_counts.get(1, 0)
             rk = scan.rank_counts
 
-            if want("all"):
-                checks.append(_check(
-                    f"whole skew space {tag}", "eq (1)",
-                    q_power(m).eval_q(p), scan.total))
-            if want("pfaffian"):
-                ec_f = ec(MilnorFibreF(n))
-                checks.append(_check(
-                    f"Milnor fibre {{Pf = 1}} {tag} matches E_c(F) at "
-                    f"xy = {p}", "Prop 2.3(iii) + (VD2)",
-                    ec_f.eval_q(p), fibre1))
-                checks.append(_check(
-                    f"nondegenerate locus {{Pf != 0}} {tag} matches E_c(M)",
-                    "Prop 2.3(iii)", ec(HomSpaceM(n)).eval_q(p), nonzero))
-                checks.append(_check(
-                    f"hypersurface {{Pf = 0}} {tag} matches E_c(Z)",
-                    "Prop 1.1", ec(PfaffianHypersurface(n)).eval_q(p), pf0))
-                checks.append(_check(
-                    f"triviality: #{{Pf != 0}} = (p-1) #{{Pf = 1}} {tag}",
-                    "Prop 2.3(i)", (p - 1) * fibre1, nonzero))
-                checks.append(_check(
-                    f"all nonzero fibres have equal size {tag}",
-                    "Prop 2.3(i)", True,
-                    all(scan.pf_counts[c] == fibre1 for c in range(1, p))))
-            if want("rank"):
-                checks.append(_check(
-                    f"rank buckets sum to p^{m} {tag}", "Prop 2.1",
-                    total, sum(rk.values())))
-                checks.append(_check(
-                    f"only the zero matrix has rank 0 {tag}", "eq (3)",
-                    1, rk[0]))
-                cone = ConeOverPlucker(Grass(2, size))
-                checks.append(_check(
-                    f"rank <= 2 locus {tag} matches E_c of the cone over "
-                    f"Gr(2,{size})", "§2.4", ec(cone).eval_q(p),
-                    rk[0] + rk[2]))
-                checks.append(_check(
-                    f"rank <= 2 locus {tag} equals 1 + (p-1) * "
-                    f"[{size} choose 2]_q at q = {p}", "§2.4",
-                    1 + (p - 1) * gaussian_binomial(size, 2).eval_q(p),
-                    rk[0] + rk[2]))
-                checks.append(_check(
-                    f"full-rank bucket {tag} equals #{{Pf != 0}}", "derived",
-                    nonzero, rk[size]))
+            checks.append(_check(
+                f"whole skew space {tag}", "eq (1)",
+                q_power(m).eval_q(p), scan.total))
+            ec_f = ec(MilnorFibreF(n))
+            checks.append(_check(
+                f"Milnor fibre {{Pf = 1}} {tag} matches E_c(F) at "
+                f"xy = {p}", "Prop 2.3(iii) + (VD2)",
+                ec_f.eval_q(p), fibre1))
+            checks.append(_check(
+                f"nondegenerate locus {{Pf != 0}} {tag} matches E_c(M)",
+                "Prop 2.3(iii)", ec(HomSpaceM(n)).eval_q(p), nonzero))
+            checks.append(_check(
+                f"hypersurface {{Pf = 0}} {tag} matches E_c(Z)",
+                "Prop 1.1", ec(PfaffianHypersurface(n)).eval_q(p), pf0))
+            checks.append(_check(
+                f"triviality: #{{Pf != 0}} = (p-1) #{{Pf = 1}} {tag}",
+                "Prop 2.3(i)", (p - 1) * fibre1, nonzero))
+            checks.append(_check(
+                f"all nonzero fibres have equal size {tag}",
+                "Prop 2.3(i)", True,
+                all(scan.pf_counts[c] == fibre1 for c in range(1, p))))
+            checks.append(_check(
+                f"rank buckets sum to p^{m} {tag}", "Prop 2.1",
+                total, sum(rk.values())))
+            checks.append(_check(
+                f"only the zero matrix has rank 0 {tag}", "eq (3)",
+                1, rk[0]))
+            cone = ConeOverPlucker(Grass(2, size))
+            checks.append(_check(
+                f"rank <= 2 locus {tag} matches E_c of the cone over "
+                f"Gr(2,{size})", "§2.4", ec(cone).eval_q(p),
+                rk[0] + rk[2]))
+            checks.append(_check(
+                f"rank <= 2 locus {tag} equals 1 + (p-1) * "
+                f"[{size} choose 2]_q at q = {p}", "§2.4",
+                1 + (p - 1) * gaussian_binomial(size, 2).eval_q(p),
+                rk[0] + rk[2]))
+            checks.append(_check(
+                f"full-rank bucket {tag} equals #{{Pf != 0}}", "derived",
+                nonzero, rk[size]))
     if not checks:
         sizes = ", ".join(_power_text(p, n * (2 * n - 1))
                           for p in ctx.p_list for n in (2, 3))
         raise CapExceededError(
-            f"every requested enumeration exceeds the cap {cap}: {sizes}")
+            f"every requested enumeration exceeds the cap {ctx.cap}: "
+            f"{sizes}")
     return checks
 
 

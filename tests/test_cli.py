@@ -18,8 +18,8 @@ from motivic.cli import main
 from motivic.errors import ConsistencyError, ParseError
 from motivic.laurent import MAX_INPUT_BYTES, q_power
 from motivic.spaces import LEAVES
-from motivic.suites import (KATZ_FAMILIES, SUITE_NAMES, SuiteContext,
-                            SuiteResult, emit_report, run_suite)
+from motivic.suites import (SUITE_NAMES, SuiteContext, SuiteResult,
+                            emit_report, run_suite)
 
 
 def run(capsys, *argv):
@@ -379,8 +379,8 @@ _OPTIONS = ["--n", "--p", "--m", "--value", "--cap", "--workers",
             "--format", "--suite", "--suites", "--trace", "--at", "--ca",
             "--", "-h"]
 _WORDS = ["json", "text", "total", "strata", "count", "rank", "katz,dt",
-          "katz,katz", ",", "pfaffian,milnor,mhm", *SUITE_NAMES,
-          *KATZ_FAMILIES]
+          "katz,katz", ",", "pfaffian,milnor,mhm", *SUITE_NAMES, "all",
+          "pfaffian", "rank"]
 _number = st.one_of(
     st.integers(-3, 24).map(str), st.integers(-10 ** 40, 10 ** 40).map(str),
     st.sampled_from([4300, 4301, 65536]).map("9".__mul__))
@@ -449,28 +449,22 @@ def test_verify_unknown_suite_exit_2(capsys):
     assert err == UNKNOWN_SUITE
 
 
-def test_verify_suite_flag_only_for_katz(capsys):
-    code, _, err = run(capsys, "verify", "dt", "--suite", "pfaffian")
-    assert code == 2
-    code, out, _ = run(capsys, "verify", "katz", "--suite", "pfaffian",
-                       "--p", "2", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["checks"]
-    assert all("rank" not in c["description"] for c in payload["checks"])
-    assert all(c["pass"] for c in payload["checks"])
-    code, _, err = run(capsys, "verify", "katz", "--suite", "bogus",
-                       "--p", "2")
-    assert code == 2
+def test_verify_katz_has_no_row_filter(capsys):
+    # katz prints every row of each admitted shape; no option hides any
+    for family in ("pfaffian", "all"):
+        code, out, err = run(capsys, "verify", "katz", "--suite", family,
+                             "--p", "2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --suite" in err
 
 
-def test_verify_katz_suite_all_keeps_every_row(capsys):
-    code, every, _ = run(capsys, "verify", "katz", "--p", "2", "--format",
-                         "json")
-    assert code == 0
-    code, out, _ = run(capsys, "verify", "katz", "--suite", "all", "--p", "2",
-                       "--format", "json")
-    assert code == 0 and out == every
+@pytest.mark.parametrize("name", SUITE_NAMES)
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_verify_is_a_report_of_one_suite(capsys, name, fmt):
+    verify = run(capsys, "verify", name, "--p", "2", "--format", fmt)
+    report = run(capsys, "report", "--suites", name, "--p", "2", "--format",
+                 fmt)
+    assert verify[:2] == report[:2]
 
 
 def test_verify_katz_impossible_cap_exit_3(capsys):

@@ -55,8 +55,8 @@ MUTABLE = [
      "CheckResult(description='d', citation='Ex 2.2', expected='729', "
      "observed='729')"),
     (lambda: SuiteResult("dt", []), "SuiteResult(suite='dt', checks=[])"),
-    (lambda: SuiteContext(katz_family="rank"),
-     "SuiteContext(p_list=(2, 3), cap=None, katz_family='rank')"),
+    (lambda: SuiteContext(),
+     "SuiteContext(p_list=(2, 3), cap=100000000)"),
 ]
 ALL = FROZEN + MUTABLE
 
