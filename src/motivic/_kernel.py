@@ -81,7 +81,8 @@ def _lane(n, p):
     """The integer dtype of the cofactor expansions of a 2n x 2n scan over
     F_p: the narrowest of int16, int32 and int64 whose range holds twice
     the Hadamard bound ((p-1) sqrt(2n))^(2n), which bounds every term and
-    partial sum (`counting._check_int64`; the tail's minors are smaller)."""
+    partial sum (the tail's minors are smaller); under `counting.SCAN_MAX`
+    it always fits int64."""
     bound = 2 * (p - 1) ** (2 * n) * (2 * n) ** n
     for lane in (np.int16, np.int32):
         if bound <= np.iinfo(lane).max:

@@ -13,7 +13,7 @@ import os
 import re
 import sys
 
-from .counting import DEFAULT_CAP, scan_skew
+from .counting import DEFAULT_CAP, SCAN_MAX, scan_skew
 from .errors import CapExceededError, ConsistencyError
 from .hilb4 import (PLANE_PARTITION_CAP, PLANE_PARTITION_MAX, dt_invariant,
                     ec_hilb4_total, goettsche_coeff, goettsche_series,
@@ -90,7 +90,8 @@ def _add_scan_flags(p):
                    help="at least 1; kept for callers that pass it, as "
                         "a scan runs in one thread whatever the bound")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="enumeration cap (default 10^8)")
+                   help="enumeration cap in matrices (default 10^8, at "
+                        f"most 2^35 = {SCAN_MAX}; a larger one exits 3)")
 
 
 def _add_suite_flags(p):

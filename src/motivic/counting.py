@@ -12,9 +12,15 @@ and the other p^(2n-1) - p^(2r) of its block have rank 2r + 2.
 
 A scan runs in the calling thread alone, whatever `workers` bound its
 caller passes: the kernel's many short numpy calls hold the GIL, and no
-measured shape gained from a second thread.  The Pfaffian histogram is
-short: `_check_int64` admits p <= 743 at n = 2 and p <= 17 at n = 3.
-Only n = 1 holds a long one, and `HIST_MAX` bounds it.
+measured shape gained from a second thread.
+
+Admission takes one rule per resource: the cap, at most `SCAN_MAX`, for
+the work, `HIST_MAX` for memory, primality for the field.  No scan can
+overflow int64: its index is below SCAN_MAX, and each term and partial sum
+of the checks' cofactor expansions, an r x r minor with entries at most
+p-1 in size, is within twice the square of the order-(2n-1) Hadamard
+bound, which first passes int64 at (n, p) = (2, 751), as the index does at
+(3, 19); SCAN_MAX admits p <= 53, 5 and 2 at n = 2, 3, 4 (a test checks).
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ DEFAULT_CAP = 10 ** 8
 # a prime: a stride divisible by p would leave the lowest row-0 digits of
 # every sample zero
 SPOT_STRIDE = 1009
-_INT64_MAX = (1 << 63) - 1
+# the hard maximum cap, in matrices: the slowest shape it admits, (2, 53),
+# scanned its 53^6 matrices in 145 s on one core of a 2-core x86 host
+SCAN_MAX = 1 << 35
 # the most entries of a scan's p-long Pfaffian histogram, 128 MiB of int64
 HIST_MAX = 1 << 24
 PHASES = ("tail_pass", "tail_check", "pfaffian_classes", "spot_check")
@@ -78,23 +86,6 @@ class ScanResult(Record):
         self.phases = phases                # seconds per phase (PHASES)
 
 
-def _check_int64(n, p, total):
-    """Refuse a scan whose int64 arithmetic could overflow.  The largest
-    quantities are the matrix index, below p^(n(2n-1)), and the cofactor
-    expansions of the two checks.  Each of their terms and partial sums
-    is the determinant of an r x r matrix with entries at most p-1 in
-    size (a minor with part of its top row zeroed), so it is at most the
-    Hadamard bound ((p-1) sqrt(r))^r <= ((p-1) sqrt(2n))^(2n).  The test
-    below, twice the square of the order-(2n-1) bound, exceeds that bound
-    for every n and p and is kept as a margin.  The row-0 forms, at most
-    (2n-1)(p-1)^2, are smaller."""
-    r = 2 * n - 1
-    if total - 1 > _INT64_MAX or 2 * (p - 1) ** (2 * r) * r ** r > _INT64_MAX:
-        raise CapExceededError(
-            f"a scan of {2 * n}x{2 * n} matrices over F_{p} would overflow "
-            f"int64 arithmetic")
-
-
 def _exceeds_cap(p, m, cap):
     """Whether an enumeration of p^m matrices exceeds the cap.  p^m >=
     2^(m (bits(p) - 1)), so the first test answers without building p^m
@@ -121,18 +112,18 @@ def scan_skew(n, p, mode="full", cap=DEFAULT_CAP, workers=1,
     """Scan all 2n x 2n skew matrices over F_p, tallying them by Pfaffian
     value and bucketing them by rank.
 
-    Raises CapExceededError when p^(n(2n-1)) exceeds `cap`, an int count
-    of matrices that defaults to DEFAULT_CAP = 10^8, when the scan's
-    int64 arithmetic could overflow or when p exceeds HIST_MAX, and
-    ConsistencyError when a tail fails adj(B) = c c^T (naming the lowest
-    such block), a sampled matrix fails Pf^2 = det (naming the
-    lowest-index offender), the tail rank tally does not count each of the
-    p^((n-1)(2n-1)) tails once, or the rank-2n bucket differs from
-    #{Pf != 0}.  The cap and HIST_MAX are tested before p is tested for
-    primality.  `mode` must be "hist" or "full" and `workers` is any
-    bound, but neither changes the scan, which runs every count and check
-    in the calling thread: both are kept because `perfbench/probe.py`
-    passes them, and `perfbench/tracer.py` binds `workers` by name.
+    Raises CapExceededError when `cap`, an int count of matrices that
+    defaults to DEFAULT_CAP = 10^8, exceeds SCAN_MAX, when p^(n(2n-1))
+    exceeds `cap` or when p exceeds HIST_MAX, and ConsistencyError when a
+    tail fails adj(B) = c c^T (naming the lowest such block), a sampled
+    matrix fails Pf^2 = det (naming the lowest-index offender), the tail
+    rank tally does not count each of the p^((n-1)(2n-1)) tails once, or
+    the rank-2n bucket differs from #{Pf != 0}.  The cap and HIST_MAX are
+    tested before p is tested for primality.  `mode` must be "hist" or
+    "full" and `workers` is any bound, but neither changes the scan, which
+    runs every count and check in the calling thread: both are kept
+    because `perfbench/probe.py` passes them, and `perfbench/tracer.py`
+    binds `workers` by name.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -140,6 +131,9 @@ def scan_skew(n, p, mode="full", cap=DEFAULT_CAP, workers=1,
         raise ValueError(f"unknown scan mode {mode!r}")
     if p < 2:
         raise ValueError(f"{p} is not prime")
+    if cap > SCAN_MAX:
+        raise CapExceededError(
+            f"scan cap {cap} exceeds the hard maximum of {SCAN_MAX} matrices")
     m = n * (2 * n - 1)
     if _exceeds_cap(p, m, cap):
         raise CapExceededError(
@@ -151,7 +145,6 @@ def scan_skew(n, p, mode="full", cap=DEFAULT_CAP, workers=1,
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     total = p ** m
-    _check_int64(n, p, total)
     # the kernel and numpy load here, before the clock starts, so that the
     # scan's clocks time the scan alone
     from . import _kernel

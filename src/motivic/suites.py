@@ -10,7 +10,8 @@ from itertools import product as iproduct
 
 from . import hilb4 as h4
 from ._record import Record
-from .counting import DEFAULT_CAP, _exceeds_cap, _power_text, scan_skew
+from .counting import (DEFAULT_CAP, SCAN_MAX, _exceeds_cap, _power_text,
+                       scan_skew)
 from .errors import CapExceededError
 from .laurent import (BettiPoly, LaurentPoly2, ONE, divide_exact, format_poly,
                       gaussian_binomial, parse_poly, q_power,
@@ -85,6 +86,9 @@ class SuiteContext(Record):
     __slots__ = ("p_list", "cap")
 
     def __init__(self, p_list=(2, 3), cap=DEFAULT_CAP):
+        if cap > SCAN_MAX:  # before any suite runs, whatever suites run
+            raise CapExceededError(f"scan cap {cap} exceeds the hard "
+                                   f"maximum of {SCAN_MAX} matrices")
         self.p_list = p_list
         self.cap = cap
 
@@ -465,8 +469,8 @@ def _suite_katz(ctx):
 
     A shape whose p^m exceeds `ctx.cap` is skipped and gives no row.  The
     suite refuses with CapExceededError (exit 3) when it skips every
-    shape, or when `scan_skew` refuses an admitted shape (p above
-    HIST_MAX, or int64 arithmetic that could overflow).
+    shape; `SuiteContext` has already refused a cap above SCAN_MAX, which
+    admits no shape past p = 53 at n = 2 and p = 5 at n = 3.
     """
     checks = []
     for p in ctx.p_list:

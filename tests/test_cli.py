@@ -296,14 +296,16 @@ def test_count_cap_refusal_exit_3(capsys):
 
 
 def test_count_int64_overflow_exit_3(capsys, monkeypatch):
-    # the cap admits 751^6 matrices, but the spot check's int64 elimination
-    # could overflow, so the scan is refused before it starts
+    # 751^6 matrices, the first shape whose cofactor expansions could
+    # overflow int64, need a cap above SCAN_MAX, which is refused before
+    # the scan starts
     monkeypatch.setattr(_kernel, "_scan",
                         lambda *args: pytest.fail("the scan started"))
-    code, _, err = run(capsys, "count", "rank", "--n", "2", "--p", "751",
-                       "--cap", str(10 ** 18))
-    assert code == 3
-    assert "overflow int64" in err
+    code, out, err = run(capsys, "count", "rank", "--n", "2", "--p", "751",
+                         "--cap", str(10 ** 18))
+    assert (code, out) == (3, "")
+    assert err == (f"refused: scan cap {10 ** 18} exceeds the hard maximum "
+                   f"of {counting.SCAN_MAX} matrices\n")
 
 
 def test_count_long_histogram_exit_3(capsys, monkeypatch):
@@ -349,10 +351,21 @@ def _expire(signum, frame):
     ("count", "rank", "--n", "100000", "--p", "2"),
     # a composite p above HIST_MAX is refused before the primality test
     ("count", "rank", "--n", "1", "--p", str(2 ** 24 + 1)),
+    # a cap above SCAN_MAX; without the ceiling, the first two scanned
+    # 17^15 matrices for over 13 minutes
+    ("verify", "katz", "--p", "17", "--cap", str(10 ** 21)),
+    ("count", "rank", "--n", "3", "--p", "17", "--cap", str(10 ** 19)),
+    ("report", "--format", "json", "--cap", str(10 ** 21)),
 ])
-def test_hostile_sizes_refused_at_once(capsys, argv):
+def test_hostile_sizes_refused_at_once(capsys, monkeypatch, argv):
     # the cap and HIST_MAX are tested before any work on p or p^m; a budget
-    # overrun raises TimeoutError, which main reports as a fatal exit 1
+    # overrun raises TimeoutError, which main reports as a fatal exit 1.
+    # Nothing forks, and a cap above SCAN_MAX runs no suite
+    suites_run = []
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr("motivic.cli.run_suite",
+                        lambda name, ctx: suites_run.append(name)
+                        or run_suite(name, ctx))
     old = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, 2)
     try:
@@ -362,13 +375,15 @@ def test_hostile_sizes_refused_at_once(capsys, argv):
         signal.signal(signal.SIGALRM, old)
     assert (code, out) == (3, ""), err
     assert err.startswith("refused: ") and len(err.splitlines()) == 1
+    if "--cap" in argv:
+        assert "hard maximum" in err and suites_run == []
 
 
 # argv for every command but epoly, which the test above covers: a command
 # with its required options, then option-value pairs and loose tokens (any
 # option, small, negative, huge and over-long numbers, names and junk),
-# then, for the commands that scan, a last --cap, which wins, of at most
-# 10^5, so that every scan admitted is small
+# then, for the commands that scan, a last --cap, which wins: at most 10^5,
+# so that every scan admitted is small, or above SCAN_MAX, up to 10^40
 _COMMANDS = [(("count", "rank"), ("--n", "--p")),
              (("count", "pfaffian-fibre"), ("--n", "--p", "--value")),
              (("dt", "count"), ("--m",)), (("goettsche",), ("--n",)),
@@ -392,7 +407,9 @@ _token = st.one_of(st.sampled_from(_OPTIONS), _value)
 @given(st.sampled_from(_COMMANDS), st.lists(_number, min_size=3, max_size=3),
        st.lists(st.one_of(st.tuples(st.sampled_from(_OPTIONS), _value),
                           st.tuples(_token)), max_size=4),
-       st.integers(-10 ** 20, 10 ** 5), st.booleans())
+       st.one_of(st.integers(-10 ** 20, 10 ** 5),
+                 st.integers(counting.SCAN_MAX + 1, 10 ** 40)),
+       st.booleans())
 def test_any_command_line_exits_cleanly(command, numbers, body, cap, dt_cap):
     # whatever the command line, main exits 0, 2 or 3 in a generous budget,
     # and prints no traceback

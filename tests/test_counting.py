@@ -4,7 +4,7 @@ import random
 import re
 import threading
 import tracemalloc
-from itertools import product
+from itertools import product, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from conftest import fresh_python
 
 from motivic import _kernel, counting
-from motivic.counting import DEFAULT_CAP, scan_skew
+from motivic.counting import DEFAULT_CAP, SCAN_MAX, scan_skew
 from motivic.errors import CapExceededError, ConsistencyError
 from motivic.laurent import ONE, gaussian_binomial, q_power
 from motivic.skew import (GF, SkewMatrix, _is_prime, bareiss_det,
@@ -561,8 +561,19 @@ def test_adjugate_matches_cofactors():
             assert got[:, :, t].tolist() == want
 
 
+INT64_MAX = (1 << 63) - 1
+
+
+def _fits_int64(n, p):
+    """Whether a scan's largest index and twice the square of its
+    order-(2n-1) Hadamard bound, the margin over every term and partial
+    sum of its cofactor expansions, fit in int64."""
+    r = 2 * n - 1
+    return max(p ** (n * r) - 1, 2 * (p - 1) ** (2 * r) * r ** r) <= INT64_MAX
+
+
 # the largest prime of each lane at n = 1, 2, 3; the int64 lane ends where
-# _check_int64 refuses
+# _fits_int64 fails
 LANE_EDGES = {(1, np.int16): 89, (1, np.int32): 23167,
               (1, np.int64): 2147483647, (2, np.int16): 5,
               (2, np.int32): 89, (2, np.int64): 743, (3, np.int16): 3,
@@ -570,7 +581,7 @@ LANE_EDGES = {(1, np.int16): 89, (1, np.int32): 23167,
 
 
 @pytest.mark.parametrize("n, lane", sorted(LANE_EDGES, key=str))
-def test_narrow_lane_matches_int64_at_its_edge(n, lane):
+def test_narrow_lane_matches_int64_at_its_edge(monkeypatch, n, lane):
     # every entry +-(p-1): the determinants of the pointwise sample and the
     # adjugates of the tail check, in the scan's lane and in exact integers
     p = LANE_EDGES[n, lane]
@@ -591,8 +602,12 @@ def test_narrow_lane_matches_int64_at_its_edge(n, lane):
     while not _is_prime(q):
         q += 1
     if lane is np.int64:
+        # past int64's edge, and a scan there is refused before it starts
+        assert _fits_int64(n, p) and not _fits_int64(n, q)
+        monkeypatch.setattr(_kernel, "_scan",
+                            lambda *args: pytest.fail("the scan started"))
         with pytest.raises(CapExceededError):
-            counting._check_int64(n, q, q ** (n * (2 * n - 1)))
+            scan_skew(n, q, cap=SCAN_MAX)
     else:
         assert _kernel._lane(n, q) is not lane
 
@@ -917,14 +932,49 @@ def test_mod_by_floor_division_matches_remainder(dtype):
 
 
 def test_int64_overflow_refused_before_scanning(monkeypatch):
-    monkeypatch.setattr(_kernel, "_scan",
-                        lambda *args: pytest.fail("the scan started"))
-    # the cap admits 751^6 and 19^15 matrices; int64 could overflow in the
-    # spot check's cofactor expansion (n = 2) or in the matrix index (n = 3)
-    with pytest.raises(CapExceededError, match="overflow int64"):
-        scan_skew(2, 751, "hist", cap=10 ** 18)
-    with pytest.raises(CapExceededError, match="overflow int64"):
-        scan_skew(3, 19, "hist", cap=10 ** 20)
-    # the largest admitted primes; at n = 1 HIST_MAX refuses first
-    for n, p in ((1, 2147483647), (2, 743), (3, 17), (1, 99999989)):
-        counting._check_int64(n, p, p ** (n * (2 * n - 1)))
+    class Admitted(Exception):
+        pass
+
+    def scan(*args):
+        raise Admitted
+
+    monkeypatch.setattr(_kernel, "_scan", scan)
+    assert SCAN_MAX == 1 << 35
+    with pytest.raises(CapExceededError, match="hard maximum"):
+        scan_skew(2, 3, cap=SCAN_MAX + 1)
+    with pytest.raises(Admitted):
+        scan_skew(2, 3, cap=SCAN_MAX)
+    # the first shapes whose int64 arithmetic could overflow, 751^6 and
+    # 19^15 matrices, are refused for their cap, above SCAN_MAX
+    for n, p, cap in ((2, 751, 10 ** 18), (3, 19, 10 ** 20)):
+        assert not _fits_int64(n, p)
+        with pytest.raises(CapExceededError, match="hard maximum"):
+            scan_skew(n, p, "hist", cap=cap)
+    # every shape that SCAN_MAX admits (and HIST_MAX, at n = 1) fits int64,
+    # twice its Hadamard bound, which its lane holds, included: the largest
+    # admitted prime of each n reaches the kernel, and the next is refused
+    primes = np.ones(counting.HIST_MAX + 1, dtype=bool)
+    primes[:2] = False
+    for d in range(2, int(counting.HIST_MAX ** 0.5) + 1):
+        if primes[d]:
+            primes[d * d::d] = False
+    primes = np.flatnonzero(primes).tolist()
+    largest = {}
+    for n in range(1, 6):
+        m = n * (2 * n - 1)
+        admitted = list(takewhile(lambda p: p ** m <= SCAN_MAX, primes))
+        for p in admitted:
+            assert _fits_int64(n, p), (n, p)
+            assert 2 * (p - 1) ** (2 * n) * (2 * n) ** n <= INT64_MAX, (n, p)
+        if admitted:
+            largest[n] = p = admitted[-1]
+            assert (np.iinfo(_kernel._lane(n, p)).max
+                    >= 2 * (p - 1) ** (2 * n) * (2 * n) ** n)
+            with pytest.raises(Admitted):
+                scan_skew(n, p, cap=SCAN_MAX)
+        q = admitted[-1] + 1 if admitted else 2
+        while not _is_prime(q):
+            q += 1
+        with pytest.raises(CapExceededError):
+            scan_skew(n, q, cap=SCAN_MAX)
+    assert largest == {1: 16777213, 2: 53, 3: 5, 4: 2}
