@@ -15,9 +15,8 @@ import sys
 
 from .counting import DEFAULT_CAP, SCAN_MAX, scan_skew
 from .errors import CapExceededError, ConsistencyError
-from .hilb4 import (PLANE_PARTITION_CAP, PLANE_PARTITION_MAX, dt_invariant,
-                    ec_hilb4_total, goettsche_coeff, goettsche_series,
-                    hilb4_strata, macmahon_series)
+from .hilb4 import (dt_invariant, ec_hilb4_total, goettsche_coeff,
+                    goettsche_series, hilb4_strata, macmahon_series)
 from .laurent import common_exponent, format_poly, parse_poly
 from .spaces import dimension, ec_traced, format_space_expr, parse_space_expr
 from .suites import (HILB4_STRATA_QUOTED, HILB4_TOTAL_QUOTED, SUITE_NAMES,
@@ -151,11 +150,8 @@ def build_parser():
 
     p = sub.add_parser("dt", help="plane-partition counting")
     p.add_argument("what", choices=("count",))
-    p.add_argument("--m", type=int, default=4, help="partition weight")
-    p.add_argument("--cap", type=int, default=PLANE_PARTITION_CAP,
-                   help="largest weight the enumerator will attempt "
-                        f"(default {PLANE_PARTITION_CAP}, at most "
-                        f"{PLANE_PARTITION_MAX})")
+    p.add_argument("--m", type=int, default=4,
+                   help="partition weight (at most 20; a larger one exits 3)")
     _add_format(p)
     p.set_defaults(func=_cmd_dt)
 
@@ -326,7 +322,7 @@ def _cmd_hilb4(args):
 
 def _cmd_dt(args):
     m = args.m
-    count = dt_invariant(m, cap=args.cap)
+    count = dt_invariant(m)
     coeff = macmahon_series(m).integer_coefficients()[m]
     payload = {"m": m, "plane_partitions": count,
                "macmahon_coefficient": coeff, "match": count == coeff}

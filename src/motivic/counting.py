@@ -86,6 +86,13 @@ class ScanResult(Record):
         self.phases = phases                # seconds per phase (PHASES)
 
 
+def check_cap(cap):
+    """Refuse a scan cap above SCAN_MAX with CapExceededError."""
+    if cap > SCAN_MAX:
+        raise CapExceededError(
+            f"scan cap {cap} exceeds the hard maximum of {SCAN_MAX} matrices")
+
+
 def _exceeds_cap(p, m, cap):
     """Whether an enumeration of p^m matrices exceeds the cap.  p^m >=
     2^(m (bits(p) - 1)), so the first test answers without building p^m
@@ -131,9 +138,7 @@ def scan_skew(n, p, mode="full", cap=DEFAULT_CAP, workers=1,
         raise ValueError(f"unknown scan mode {mode!r}")
     if p < 2:
         raise ValueError(f"{p} is not prime")
-    if cap > SCAN_MAX:
-        raise CapExceededError(
-            f"scan cap {cap} exceeds the hard maximum of {SCAN_MAX} matrices")
+    check_cap(cap)
     m = n * (2 * n - 1)
     if _exceeds_cap(p, m, cap):
         raise CapExceededError(

@@ -12,7 +12,6 @@ from .laurent import (ONE, const, euler_product, format_poly, parse_poly,
 from .spaces import Affine, FibrationTotal, Proj, ec, format_space_expr
 from .weights import V4, ec_vanishing_cycles, phi4_restricted_object
 
-PLANE_PARTITION_CAP = 12
 # hard maximum weight: weight 20 has 75,278 plane partitions and takes
 # about 1.5 s; the count grows about 1.6x per unit of weight
 PLANE_PARTITION_MAX = 20
@@ -81,21 +80,18 @@ def _rows_below(bound, budget):
     return out
 
 
-def plane_partitions(m, cap=PLANE_PARTITION_CAP):
+def plane_partitions(m):
     """Exhaustive, duplicate-free list of plane partitions of weight m,
     depth-first over rows: each row, the first under the bound (m,) * m, is
     taken in the descending-lexicographic order of `_rows_below`, so a
-    shorter row comes before its extensions.  Refuses m above the cap, and
-    any cap above PLANE_PARTITION_MAX, with CapExceededError."""
+    shorter row comes before its extensions.  Refuses m above
+    PLANE_PARTITION_MAX with CapExceededError."""
     if m < 0:
         raise ValueError("weight must be >= 0")
-    if cap > PLANE_PARTITION_MAX:
+    if m > PLANE_PARTITION_MAX:
         raise CapExceededError(
-            f"plane-partition cap {cap} exceeds the hard maximum weight "
-            f"{PLANE_PARTITION_MAX}")
-    if m > cap:
-        raise CapExceededError(
-            f"plane-partition enumeration of weight {m} exceeds cap {cap}")
+            f"plane-partition enumeration of weight {m} exceeds the hard "
+            f"maximum weight {PLANE_PARTITION_MAX}")
     out = []
 
     def rec(rows, prev, left):
@@ -117,9 +113,9 @@ def macmahon_series(order):
         [(ONE, k) for k in range(1, order + 1) for _ in range(k)], order)
 
 
-def dt_invariant(m, cap=PLANE_PARTITION_CAP):
+def dt_invariant(m):
     """Number of plane partitions of weight m."""
-    return len(plane_partitions(m, cap))
+    return len(plane_partitions(m))
 
 
 # -- Hilbert schemes of points on a line and a plane --------------------------------

@@ -10,7 +10,7 @@ from itertools import product as iproduct
 
 from . import hilb4 as h4
 from ._record import Record
-from .counting import (DEFAULT_CAP, SCAN_MAX, _exceeds_cap, _power_text,
+from .counting import (DEFAULT_CAP, _exceeds_cap, _power_text, check_cap,
                        scan_skew)
 from .errors import CapExceededError
 from .laurent import (BettiPoly, LaurentPoly2, ONE, divide_exact, format_poly,
@@ -86,18 +86,16 @@ class SuiteContext(Record):
     __slots__ = ("p_list", "cap")
 
     def __init__(self, p_list=(2, 3), cap=DEFAULT_CAP):
-        if cap > SCAN_MAX:  # before any suite runs, whatever suites run
-            raise CapExceededError(f"scan cap {cap} exceeds the hard "
-                                   f"maximum of {SCAN_MAX} matrices")
+        check_cap(cap)  # before any suite runs, whatever suites run
         self.p_list = p_list
         self.cap = cap
 
 
 # -- pfaffian ---------------------------------------------------------------------
 
-def _random_skew(rng, size, lo=-3, hi=3):
+def _random_skew(rng, size):
     m = size * (size - 1) // 2
-    return SkewMatrix(size, [rng.randint(lo, hi) for _ in range(m)])
+    return SkewMatrix(size, [rng.randint(-3, 3) for _ in range(m)])
 
 
 def _suite_pfaffian(ctx):

@@ -408,17 +408,15 @@ _token = st.one_of(st.sampled_from(_OPTIONS), _value)
        st.lists(st.one_of(st.tuples(st.sampled_from(_OPTIONS), _value),
                           st.tuples(_token)), max_size=4),
        st.one_of(st.integers(-10 ** 20, 10 ** 5),
-                 st.integers(counting.SCAN_MAX + 1, 10 ** 40)),
-       st.booleans())
-def test_any_command_line_exits_cleanly(command, numbers, body, cap, dt_cap):
+                 st.integers(counting.SCAN_MAX + 1, 10 ** 40)))
+def test_any_command_line_exits_cleanly(command, numbers, body, cap):
     # whatever the command line, main exits 0, 2 or 3 in a generous budget,
     # and prints no traceback
     head, required = command
     argv = [*head, *(token for pair in zip(required, numbers)
                      for token in pair),
             *(token for tokens in body for token in tokens)]
-    if head[0] in ("count", "verify", "report") or (head[0] == "dt"
-                                                   and dt_cap):
+    if head[0] in ("count", "verify", "report"):
         argv += ["--cap", str(cap)]
     old = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, 20)
@@ -561,10 +559,28 @@ def test_dt_cap_exit_3(capsys):
 
 
 def test_dt_cap_above_hard_maximum_exit_3(capsys):
-    for argv in (("--m", "30", "--cap", "30"), ("--m", "4", "--cap", "21")):
-        code, out, err = run(capsys, "dt", "count", *argv)
-        assert code == 3 and out == ""
-        assert "hard maximum weight 20" in err
+    code, out, err = run(capsys, "dt", "count", "--m", "30")
+    assert code == 3 and out == ""
+    assert "hard maximum weight 20" in err
+
+
+def test_dt_count_runs_to_the_ceiling(capsys):
+    # one ceiling, weight 20, and no default cap below it
+    code, out, _ = run(capsys, "dt", "count", "--m", "13", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["plane_partitions"] == 2485 and payload["match"] is True
+    code, out, _ = run(capsys, "dt", "count", "--m", "20", "--format", "json")
+    assert code == 0 and json.loads(out)["plane_partitions"] == 75278
+    code, out, err = run(capsys, "dt", "count", "--m", "21")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ") and len(err.splitlines()) == 1
+
+
+def test_dt_cap_flag_is_gone(capsys):
+    code, out, err = run(capsys, "dt", "count", "--m", "4", "--cap", "12")
+    assert (code, out) == (2, "")
+    assert "--cap" in err
 
 
 def test_goettsche(capsys):
