@@ -1,4 +1,5 @@
-"""The kernel of `counting.scan_skew`, the only module that imports numpy.
+"""The numpy kernel of `counting.scan_skew`, the only module that imports
+numpy; `_pykernel` runs the same algorithm in pure Python for small scans.
 
 Matrices are enumerated by a mixed-radix integer index over the n(2n-1) free
 upper-triangle entries in row-major order, so row 0 is the 2n-1 fastest
@@ -71,7 +72,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .counting import PHASES
+from . import counting
+from .counting import PHASES, _plan
 
 _CHUNK = 1 << 17
 _SAMPLE_BATCH = 2048
@@ -88,23 +90,6 @@ def _lane(n, p):
         if bound <= np.iinfo(lane).max:
             return lane
     return np.int64
-
-
-@lru_cache(maxsize=None)
-def _plan(n):
-    """Index recipes of the first-row factoring for size 2n, over the rows
-    0, ..., 2n-2 of the tail B (rows 1, ..., 2n-1 of the matrix).
-
-    Returns (avoid, pfaffian): for 1 <= k < n, `avoid[k]` lists the
-    2k-subsets of the tail's rows; `pfaffian` has, for j = 0, ..., 2n-2,
-    the term (sign, the tail's rows without j) of
-    Pf = sum_j sign a_0,j+1 Pf(B without j).
-    """
-    rest = tuple(range(2 * n - 1))
-    avoid = {k: tuple(combinations(rest, 2 * k)) for k in range(1, n)}
-    pfaffian = tuple((1 if pos % 2 == 0 else -1, rest[:pos] + rest[pos + 1:])
-                     for pos in rest)
-    return avoid, pfaffian
 
 
 def _mod(a, p):
@@ -191,21 +176,10 @@ def _products(vectors, row0):
 
 @lru_cache(maxsize=None)
 def _laplace_plan(r, cols):
-    """Index recipes of one level of the cofactor expansion of maximal
-    minors over `cols` columns: the minors of r rows from those of the r - 1
-    rows beneath their top row.
-
-    For the r-subsets S of columns in lexicographic order, returns for each
-    position pos < r the pair (column S[pos] of every S, index of S without
-    S[pos] among the (r-1)-subsets), so that minor(S) = sum_pos (-1)^pos
-    a[top, S[pos]] minor(S without S[pos]).
-    """
-    prev = {S: i for i, S in enumerate(combinations(range(cols), r - 1))}
-    subsets = tuple(combinations(range(cols), r))
-    return tuple((np.array([S[pos] for S in subsets], dtype=np.intp),
-                  np.array([prev[S[:pos] + S[pos + 1:]] for S in subsets],
-                           dtype=np.intp))
-                 for pos in range(r))
+    """`counting._laplace_plan(r, cols)` with its index tuples as intp
+    arrays, for fancy indexing."""
+    return tuple((np.array(cols, dtype=np.intp), np.array(subs, dtype=np.intp))
+                 for cols, subs in counting._laplace_plan(r, cols))
 
 
 def _extend(M, minors, row, r):

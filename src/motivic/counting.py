@@ -1,14 +1,21 @@
 """Exhaustive finite-field point counts of skew-matrix loci, used as ground
 truth against E-polynomial predictions evaluated at xy = p.
 
-This module admits a scan, makes one call of the kernel (`_kernel._scan`,
-imported by the first scan; the `_kernel` docstring gives the algorithm
-and the two checks), which walks every tail in the calling thread, and
-checks what it returns; the scan's phases are the kernel's.  Every scan
-counts both the Pfaffian values and the ranks.  The kernel returns a
-tally of the tails by rank, and the rank buckets are built here, in Python
-ints, from that tally: a tail of rank 2r heads p^(2r) matrices of rank 2r
-and the other p^(2n-1) - p^(2r) of its block have rank 2r + 2.
+This module admits a scan, makes one call of one of two kernels, which
+walks every tail in the calling thread, and checks what it returns; the
+scan's phases are the kernel's.  The two kernels run one algorithm (the
+`_kernel` docstring gives it and its two checks) and return the same
+fields: `_kernel._scan` over numpy arrays, and `_pykernel._scan` over
+Python lists and ints, which imports no numpy.  A scan of at most
+`PURE_MAX` matrices takes the pure kernel unless `_kernel` is already
+loaded: there the import of numpy, about 60 ms, costs more than the scan.
+Larger scans, and every scan once numpy's kernel is loaded, take
+`_kernel`.  Both read the index recipes `_plan` and `_laplace_plan` from
+here.  Every scan counts both the Pfaffian values and the ranks.  The
+kernel returns a tally of the tails by rank, and the rank buckets are
+built here, in Python ints, from that tally: a tail of rank 2r heads
+p^(2r) matrices of rank 2r and the other p^(2n-1) - p^(2r) of its block
+have rank 2r + 2.
 
 A scan runs in the calling thread alone, whatever `workers` bound its
 caller passes: the kernel's many short numpy calls hold the GIL, and no
@@ -16,17 +23,21 @@ measured shape gained from a second thread.
 
 Admission takes one rule per resource: the cap, at most `SCAN_MAX`, for
 the work, `HIST_MAX` for memory, primality for the field.  No scan can
-overflow int64: its index is below SCAN_MAX, and each term and partial sum
-of the checks' cofactor expansions, an r x r minor with entries at most
-p-1 in size, is within twice the square of the order-(2n-1) Hadamard
-bound, which first passes int64 at (n, p) = (2, 751), as the index does at
-(3, 19); SCAN_MAX admits p <= 53, 5 and 2 at n = 2, 3, 4 (a test checks).
+overflow int64 in the numpy kernel (the pure kernel's ints are exact):
+its index is below SCAN_MAX, and each term and partial sum of the checks'
+cofactor expansions, an r x r minor with entries at most p-1 in size, is
+within twice the square of the order-(2n-1) Hadamard bound, which first
+passes int64 at (n, p) = (2, 751), as the index does at (3, 19);
+SCAN_MAX admits p <= 53, 5 and 2 at n = 2, 3, 4 (a test checks).
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from collections.abc import Mapping
+from functools import lru_cache
+from itertools import combinations
 
 from ._record import Record
 from .errors import CapExceededError, ConsistencyError
@@ -41,13 +52,54 @@ SPOT_STRIDE = 1009
 SCAN_MAX = 1 << 35
 # the most entries of a scan's p-long Pfaffian histogram, 128 MiB of int64
 HIST_MAX = 1 << 24
+# the most matrices of a scan that the pure-Python kernel takes, when numpy's
+# is not loaded: on a 2-core x86 host every such scan took at most 30 ms in
+# pure Python ((3, 2) 20 ms, p = 2^17 - 1 at n = 1 27 ms), and `import numpy`
+# 55-65 ms; above it (2, 11) took 0.14 s, against 9 ms in numpy
+PURE_MAX = 1 << 17
 PHASES = ("tail_pass", "tail_check", "pfaffian_classes", "spot_check")
 
 
+@lru_cache(maxsize=None)
+def _plan(n):
+    """Index recipes of the first-row factoring for size 2n, over the rows
+    0, ..., 2n-2 of the tail B (rows 1, ..., 2n-1 of the matrix).
+
+    Returns (avoid, pfaffian): for 1 <= k < n, `avoid[k]` lists the
+    2k-subsets of the tail's rows; `pfaffian` has, for j = 0, ..., 2n-2,
+    the term (sign, the tail's rows without j) of
+    Pf = sum_j sign a_0,j+1 Pf(B without j).
+    """
+    rest = tuple(range(2 * n - 1))
+    avoid = {k: tuple(combinations(rest, 2 * k)) for k in range(1, n)}
+    pfaffian = tuple((1 if pos % 2 == 0 else -1, rest[:pos] + rest[pos + 1:])
+                     for pos in rest)
+    return avoid, pfaffian
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(r, cols):
+    """Index recipes of one level of the cofactor expansion of maximal
+    minors over `cols` columns: the minors of r rows from those of the r - 1
+    rows beneath their top row.
+
+    For the r-subsets S of columns in lexicographic order, returns for each
+    position pos < r the pair (column S[pos] of every S, index of S without
+    S[pos] among the (r-1)-subsets), two tuples, so that minor(S) =
+    sum_pos (-1)^pos a[top, S[pos]] minor(S without S[pos]).
+    """
+    prev = {S: i for i, S in enumerate(combinations(range(cols), r - 1))}
+    subsets = tuple(combinations(range(cols), r))
+    return tuple((tuple(S[pos] for S in subsets),
+                  tuple(prev[S[:pos] + S[pos + 1:]] for S in subsets))
+                 for pos in range(r))
+
+
 class PfCounts(Mapping):
-    """Read-only map from each value v in [0, p) to #{Pf = v}, held as one
-    int64 array of counts and read as Python ints; it compares equal to the
-    dict with the same items."""
+    """Read-only map from each value v in [0, p) to #{Pf = v}, held as the
+    kernel's counts, an int64 array from `_kernel` or a list from
+    `_pykernel`, and read as Python ints; it compares equal to the dict
+    with the same items."""
 
     __slots__ = ("_counts",)
 
@@ -114,6 +166,17 @@ def _power_text(p, m):
     return f"{p ** m} = {p}^{m}"
 
 
+def _kernel_for(total):
+    """The kernel module of a scan of `total` matrices: `_pykernel` up to
+    PURE_MAX unless `_kernel` is already loaded, else `_kernel`, imported
+    here (and numpy with it) at its first use."""
+    if total <= PURE_MAX and f"{__package__}._kernel" not in sys.modules:
+        from . import _pykernel
+        return _pykernel
+    from . import _kernel
+    return _kernel
+
+
 def scan_skew(n, p, mode="full", cap=DEFAULT_CAP, workers=1,
               spot_stride=SPOT_STRIDE):
     """Scan all 2n x 2n skew matrices over F_p, tallying them by Pfaffian
@@ -150,11 +213,11 @@ def scan_skew(n, p, mode="full", cap=DEFAULT_CAP, workers=1,
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     total = p ** m
-    # the kernel and numpy load here, before the clock starts, so that the
-    # scan's clocks time the scan alone
-    from . import _kernel
+    # the kernel (and numpy with `_kernel`) loads here, before the clock
+    # starts, so that the scan's clocks time the scan alone
+    kernel = _kernel_for(total)
     t0 = time.perf_counter()
-    part = _kernel._scan(n, p, spot_stride)
+    part = kernel._scan(n, p, spot_stride)
     block = p ** (2 * n - 1)
     tails = p ** ((n - 1) * (2 * n - 1))
     hist = part["hist"]
@@ -176,9 +239,11 @@ def scan_skew(n, p, mode="full", cap=DEFAULT_CAP, workers=1,
             f"Pf^2 = det failed on {violations} of {checked} sampled "
             f"matrices; the first is index {first} at (n, p) = ({n}, {p}): "
             f"{_matrix_at(n, p, first)!r}")
-    if int(hist.sum()) != total:
+    # an int64 array from `_kernel`, a list from `_pykernel`
+    seen = sum(hist) if isinstance(hist, list) else int(hist.sum())
+    if seen != total:
         raise ConsistencyError("Pfaffian histogram does not sum to the scan size")
-    tail_ranks = part["tail_ranks"].tolist()
+    tail_ranks = [int(count) for count in part["tail_ranks"]]
     if sum(tail_ranks) != tails:
         raise ConsistencyError(
             f"the tail rank tally {tail_ranks} sums to {sum(tail_ranks)}, "

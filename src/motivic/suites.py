@@ -453,6 +453,62 @@ def _suite_dt(ctx):
 
 # -- katz -------------------------------------------------------------------------
 
+def _katz_rows(n, p, scan):
+    """The 11 katz rows of the 2n x 2n scan over F_p, in the order that
+    `_suite_katz` gives."""
+    rows = []
+    m = n * (2 * n - 1)
+    total = p ** m
+    size = 2 * n
+    tag = f"{size}x{size} over F_{p}"
+    pf0 = scan.pf_counts[0]
+    nonzero = total - pf0
+    fibre1 = scan.pf_counts.get(1, 0)
+    rk = scan.rank_counts
+
+    rows.append(_check(
+        f"whole skew space {tag}", "eq (1)",
+        q_power(m).eval_q(p), scan.total))
+    ec_f = ec(MilnorFibreF(n))
+    rows.append(_check(
+        f"Milnor fibre {{Pf = 1}} {tag} matches E_c(F) at "
+        f"xy = {p}", "Prop 2.3(iii) + (VD2)",
+        ec_f.eval_q(p), fibre1))
+    rows.append(_check(
+        f"nondegenerate locus {{Pf != 0}} {tag} matches E_c(M)",
+        "Prop 2.3(iii)", ec(HomSpaceM(n)).eval_q(p), nonzero))
+    rows.append(_check(
+        f"hypersurface {{Pf = 0}} {tag} matches E_c(Z)",
+        "Prop 1.1", ec(PfaffianHypersurface(n)).eval_q(p), pf0))
+    rows.append(_check(
+        f"triviality: #{{Pf != 0}} = (p-1) #{{Pf = 1}} {tag}",
+        "Prop 2.3(i)", (p - 1) * fibre1, nonzero))
+    rows.append(_check(
+        f"all nonzero fibres have equal size {tag}",
+        "Prop 2.3(i)", True,
+        all(scan.pf_counts[c] == fibre1 for c in range(1, p))))
+    rows.append(_check(
+        f"rank buckets sum to p^{m} {tag}", "Prop 2.1",
+        total, sum(rk.values())))
+    rows.append(_check(
+        f"only the zero matrix has rank 0 {tag}", "eq (3)",
+        1, rk[0]))
+    cone = ConeOverPlucker(Grass(2, size))
+    rows.append(_check(
+        f"rank <= 2 locus {tag} matches E_c of the cone over "
+        f"Gr(2,{size})", "§2.4", ec(cone).eval_q(p),
+        rk[0] + rk[2]))
+    rows.append(_check(
+        f"rank <= 2 locus {tag} equals 1 + (p-1) * "
+        f"[{size} choose 2]_q at q = {p}", "§2.4",
+        1 + (p - 1) * gaussian_binomial(size, 2).eval_q(p),
+        rk[0] + rk[2]))
+    rows.append(_check(
+        f"full-rank bucket {tag} equals #{{Pf != 0}}", "derived",
+        nonzero, rk[size]))
+    return rows
+
+
 def _suite_katz(ctx):
     """Prop 1.1, Prop 2.3 and §2.4 by counting.  For each p in `ctx.p_list`
     and n = 2, 3 it scans the p^m skew 2n x 2n matrices over F_p, m =
@@ -465,66 +521,23 @@ def _suite_katz(ctx):
     1 + (p-1) [2n choose 2]_q at q = p; (11) the full-rank bucket is
     #{Pf != 0}.
 
-    A shape whose p^m exceeds `ctx.cap` is skipped and gives no row.  The
-    suite refuses with CapExceededError (exit 3) when it skips every
-    shape; `SuiteContext` has already refused a cap above SCAN_MAX, which
-    admits no shape past p = 53 at n = 2 and p = 5 at n = 3.
+    The shapes are scanned largest first, each once, and their rows built
+    in the order above.  A shape whose p^m exceeds `ctx.cap` is skipped and
+    gives no row.  The suite refuses with CapExceededError (exit 3) when it
+    skips every shape; `SuiteContext` has already refused a cap above
+    SCAN_MAX, which admits no shape past p = 53 at n = 2 and p = 5 at
+    n = 3.
     """
-    checks = []
-    for p in ctx.p_list:
-        for n in (2, 3):
-            m = n * (2 * n - 1)
-            if _exceeds_cap(p, m, ctx.cap):
-                continue
-            total = p ** m
-            scan = scan_skew(n, p, cap=ctx.cap)
-            size = 2 * n
-            tag = f"{size}x{size} over F_{p}"
-            pf0 = scan.pf_counts[0]
-            nonzero = total - pf0
-            fibre1 = scan.pf_counts.get(1, 0)
-            rk = scan.rank_counts
-
-            checks.append(_check(
-                f"whole skew space {tag}", "eq (1)",
-                q_power(m).eval_q(p), scan.total))
-            ec_f = ec(MilnorFibreF(n))
-            checks.append(_check(
-                f"Milnor fibre {{Pf = 1}} {tag} matches E_c(F) at "
-                f"xy = {p}", "Prop 2.3(iii) + (VD2)",
-                ec_f.eval_q(p), fibre1))
-            checks.append(_check(
-                f"nondegenerate locus {{Pf != 0}} {tag} matches E_c(M)",
-                "Prop 2.3(iii)", ec(HomSpaceM(n)).eval_q(p), nonzero))
-            checks.append(_check(
-                f"hypersurface {{Pf = 0}} {tag} matches E_c(Z)",
-                "Prop 1.1", ec(PfaffianHypersurface(n)).eval_q(p), pf0))
-            checks.append(_check(
-                f"triviality: #{{Pf != 0}} = (p-1) #{{Pf = 1}} {tag}",
-                "Prop 2.3(i)", (p - 1) * fibre1, nonzero))
-            checks.append(_check(
-                f"all nonzero fibres have equal size {tag}",
-                "Prop 2.3(i)", True,
-                all(scan.pf_counts[c] == fibre1 for c in range(1, p))))
-            checks.append(_check(
-                f"rank buckets sum to p^{m} {tag}", "Prop 2.1",
-                total, sum(rk.values())))
-            checks.append(_check(
-                f"only the zero matrix has rank 0 {tag}", "eq (3)",
-                1, rk[0]))
-            cone = ConeOverPlucker(Grass(2, size))
-            checks.append(_check(
-                f"rank <= 2 locus {tag} matches E_c of the cone over "
-                f"Gr(2,{size})", "§2.4", ec(cone).eval_q(p),
-                rk[0] + rk[2]))
-            checks.append(_check(
-                f"rank <= 2 locus {tag} equals 1 + (p-1) * "
-                f"[{size} choose 2]_q at q = {p}", "§2.4",
-                1 + (p - 1) * gaussian_binomial(size, 2).eval_q(p),
-                rk[0] + rk[2]))
-            checks.append(_check(
-                f"full-rank bucket {tag} equals #{{Pf != 0}}", "derived",
-                nonzero, rk[size]))
+    # largest first: a scan above PURE_MAX matrices loads numpy's kernel,
+    # which the smaller scans after it then take instead of pure Python;
+    # each shape's rows are built right after its scan, as before
+    shapes = {(n, p) for p in ctx.p_list for n in (2, 3)
+              if not _exceeds_cap(p, n * (2 * n - 1), ctx.cap)}
+    rows = {(n, p): _katz_rows(n, p, scan_skew(n, p, cap=ctx.cap))
+            for n, p in sorted(shapes, key=lambda shape: shape[1] ** (
+                shape[0] * (2 * shape[0] - 1)), reverse=True)}
+    checks = [row for p in ctx.p_list for n in (2, 3)
+              for row in rows.get((n, p), ())]
     if not checks:
         sizes = ", ".join(_power_text(p, n * (2 * n - 1))
                           for p in ctx.p_list for n in (2, 3))

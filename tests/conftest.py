@@ -26,3 +26,13 @@ def fresh_python(*args, unset=(), **env):
     environ.update(env)
     return subprocess.run([sys.executable, *args], capture_output=True,
                           check=True, env=environ)
+
+
+def spy_scans(monkeypatch, kernel):
+    """The (n, p) of every `kernel._scan` call, in order, recorded in a list
+    that the caller keeps: which of the two scan kernels ran."""
+    calls = []
+    scan = kernel._scan
+    monkeypatch.setattr(kernel, "_scan", lambda n, p, stride: (
+        calls.append((n, p)) or scan(n, p, stride)))
+    return calls

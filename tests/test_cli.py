@@ -909,11 +909,12 @@ def test_process_entry_point_freezes_the_heap():
                         "file=sys.stderr)")
     code, frozen = map(int, out.stderr.split())
     assert code == 0 and frozen > 0
-    # a scan loads numpy after the first freeze; the second freezes it too
+    # a scan above PURE_MAX matrices, (2, 11), loads numpy after the first
+    # freeze; the second freezes it too
     out = fresh_python("-c", "import gc, sys\n"
                         "from motivic.cli import main\n"
                         "sys.argv = ['motivic', 'count', 'rank', '--n', "
-                        "'2', '--p', '3']\n"
+                        "'2', '--p', '11']\n"
                         "code = main()\n"
                         "import numpy\n"
                         "print(code, any(o is vars(numpy) "
@@ -987,15 +988,22 @@ def test_package_import_loads_no_module_and_cli_loads_every_layer():
 
 
 def test_only_a_scan_loads_numpy():
-    # the algebra needs no numpy; only the katz oracle's scan imports the
-    # kernel, and with it numpy
+    # the algebra needs no numpy, nor does a scan of at most PURE_MAX = 2^17
+    # matrices, which the pure-Python kernel takes; a larger scan imports
+    # numpy's kernel, and with it numpy: (2, 11) has 11^6 matrices and the
+    # default report's katz scans 3^15
+    assert counting.PURE_MAX == 1 << 17
     assert _numpy_loaded_after(
         ["epoly", "gl(4) * cone(grass(2,6))"], ["hilb4", "strata"],
         ["dt", "count"], ["goettsche", "--n", "3"], ["verify", "mhm"],
         ["report", "--suites", "pfaffian,milnor,mhm,hilb4,dt"]) == \
         [(False, False)] * 8
-    for argv in (["count", "rank", "--n", "2", "--p", "3"],
+    for argv in (["count", "rank", "--n", "3", "--p", "2"],
+                 ["count", "pfaffian-fibre", "--n", "2", "--p", "7",
+                  "--value", "1"],
                  ["verify", "katz", "--p", "2"]):
+        assert _numpy_loaded_after(argv) == [(False, False)] * 3, argv
+    for argv in (["count", "rank", "--n", "2", "--p", "11"], ["report"]):
         assert _numpy_loaded_after(argv) == \
             [(False, False), (False, False), (True, True)], argv
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fresh_python
+from conftest import fresh_python, spy_scans
 
-from motivic import _kernel, counting
+from motivic import _kernel, _pykernel, counting
 from motivic.counting import DEFAULT_CAP, SCAN_MAX, scan_skew
 from motivic.errors import CapExceededError, ConsistencyError
 from motivic.laurent import ONE, gaussian_binomial, q_power
@@ -199,10 +199,14 @@ def test_spot_sample_survives_range_cuts(monkeypatch, workers, chunk):
     # the scan's range of tails is cut into tail runs and row-0 tables, at
     # any worker count
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+    # the patch ran: numpy's kernel, which this process has loaded, took
+    # every scan, the small ones too
+    scans = spy_scans(monkeypatch, _kernel)
     for n, p in ((3, 2), (2, 5), (1, 131101)):
         total = p ** (n * (2 * n - 1))
         s = scan_skew(n, p, "hist", workers=workers)
         assert s.spot_checked == -(-total // counting.SPOT_STRIDE)
+    assert scans == [(3, 2), (2, 5), (1, 131101)]
 
 
 def _kernel_scan(n, p):
@@ -271,10 +275,12 @@ def test_scans_never_sort_their_ids(monkeypatch):
         raise AssertionError("np.unique called")
 
     monkeypatch.setattr(_kernel.np, "unique", refuse)
+    scans = spy_scans(monkeypatch, _kernel)
     assert scan_skew(3, 2).pf_counts[1] == 13888
     for n, p in ((2, 2), (2, 3), (3, 3), (1, 8209)):
         assert sum(scan_skew(n, p).pf_counts.values()) == \
             p ** (n * (2 * n - 1))
+    assert scans == [(3, 2), (2, 2), (2, 3), (3, 3), (1, 8209)]
 
 
 def test_scan_counts_match_ec_predictions():
@@ -708,19 +714,25 @@ def test_tail_runs_are_capped(monkeypatch):
 
 
 def test_kernel_imports_nothing_from_skew():
-    # the scan is checked against skew's Pfaffian and rank routes, so the
-    # kernel keeps its own recursion and its own coding of the index layout
-    tree = ast.parse(Path(_kernel.__file__).read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [f"{node.module or ''}.{alias.name}"
-                       for alias in node.names]
-        else:
-            continue
-        for module in modules:
-            assert "skew" not in module.split("."), ast.unparse(node)
+    # the scan is checked against skew's Pfaffian and rank routes, so each
+    # kernel keeps its own recursion and its own coding of the index
+    # layout; the pure kernel imports no numpy either
+    for kernel in (_kernel, _pykernel):
+        tree = ast.parse(Path(kernel.__file__).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module or ''}.{alias.name}"
+                           for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert "skew" not in module.split("."), ast.unparse(node)
+            imported += modules
+        numpy = [m for m in imported if "numpy" in m.split(".")]
+        assert numpy == (["numpy"] if kernel is _kernel else []), kernel
 
 
 @pytest.mark.parametrize("n, p", [(2, 5), (3, 3), (4, 2)])
@@ -747,10 +759,13 @@ def test_every_tail_checked_once(monkeypatch, chunk):
     # below every block of (2, 3) and (2, 5), so row 0 is multiplied out in
     # several tables
     monkeypatch.setattr(_kernel, "_CHUNK", chunk)
-    for n, p in ((1, 7), (1, 131101), (2, 3), (2, 5), (3, 2)):
+    scans = spy_scans(monkeypatch, _kernel)
+    shapes = ((1, 7), (1, 131101), (2, 3), (2, 5), (3, 2))
+    for n, p in shapes:
         tails = p ** ((2 * n - 1) * (n - 1))
         s = scan_skew(n, p, "hist")
         assert s.tails_checked == tails, (n, p)
+    assert scans == list(shapes)
 
 
 def test_tail_check_on_7x7_tails():
@@ -795,6 +810,7 @@ def test_n1_scans_in_process(monkeypatch):
     monkeypatch.setattr(_kernel, "_CHUNK", 1000)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
+    scans = spy_scans(monkeypatch, _kernel)
     threads = threading.active_count()
     p = 10007
     for workers in (1, 2, 3):
@@ -814,6 +830,7 @@ def test_n1_scans_in_process(monkeypatch):
             assert s.tails_checked == base.tails_checked == \
                 p ** ((2 * n - 1) * (n - 1))
     assert threading.active_count() == threads
+    assert len(scans) == 3 + 3 + 3 + 2 + 2
 
 
 @pytest.mark.parametrize("exc_type", [ConsistencyError, ValueError])
@@ -878,8 +895,8 @@ def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message,
     assert str(exc.value) == message
 
 
-# records OPENBLAS_NUM_THREADS as numpy starts to load, and then runs a scan,
-# which loads numpy if nothing has
+# records OPENBLAS_NUM_THREADS as numpy starts to load, and then runs a scan
+# above PURE_MAX matrices, which loads numpy if nothing has
 _WATCH_NUMPY = ("import os, sys\n"
                 "loaded_under = []\n"
                 "class Watch:\n"
@@ -889,7 +906,7 @@ _WATCH_NUMPY = ("import os, sys\n"
                 "os.environ.get('OPENBLAS_NUM_THREADS'))\n"
                 "sys.meta_path.insert(0, Watch())\n")
 _SCAN = ("from motivic.counting import scan_skew\n"
-         "scan_skew(2, 3)\n")
+         "scan_skew(2, 11)\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -940,10 +957,11 @@ def test_int64_overflow_refused_before_scanning(monkeypatch):
 
     monkeypatch.setattr(_kernel, "_scan", scan)
     assert SCAN_MAX == 1 << 35
+    # (2, 11), 11^6 matrices, is above PURE_MAX, so numpy's kernel takes it
     with pytest.raises(CapExceededError, match="hard maximum"):
-        scan_skew(2, 3, cap=SCAN_MAX + 1)
+        scan_skew(2, 11, cap=SCAN_MAX + 1)
     with pytest.raises(Admitted):
-        scan_skew(2, 3, cap=SCAN_MAX)
+        scan_skew(2, 11, cap=SCAN_MAX)
     # the first shapes whose int64 arithmetic could overflow, 751^6 and
     # 19^15 matrices, are refused for their cap, above SCAN_MAX
     for n, p, cap in ((2, 751, 10 ** 18), (3, 19, 10 ** 20)):
