@@ -36,7 +36,12 @@ Many tails share a vector (the 3^10 tails of the 6x6 scan over F_3 share
 every row-0 value, brute force, in tables of at most `_CHUNK` row-0 values
 and `_CHUNK` entries.  The products are tallied unreduced, scaled by the
 number of blocks with that vector (vectors of equal multiplicity share one
-bincount), and the short histogram is folded onto the residues mod p.
+bincount), and the short histogram is folded onto the residues mod p.  A
+table whose products could span `_CHUNK` values or more is reduced mod p
+before its bincount, so no tally passes max(p, `_CHUNK`) entries, whatever
+the vectors; no correct scan under `counting.SCAN_MAX` does this (its
+products span at most 3 * 52^2 = 8112 values at n >= 2, and less than
+the table at n = 1, whose one coefficient is 1).
 Coefficients and digits lie in [0, p), so every product is a small
 non-negative integer; there is no float.
 
@@ -395,11 +400,19 @@ def _scan(n, p, spot_stride):
         row0 = _digits(np.arange(c, min(c + _CHUNK, block), dtype=np.int64),
                        p, width0)
         rows = max(1, _CHUNK // row0.shape[1])
+        # what each digit spans in this table: p - 1 below the top digit,
+        # which rises with the row-0 value
+        span = np.full(width0, p - 1, dtype=np.int64)
+        span[-1] = row0[-1, -1] - row0[-1, 0]
         for mu, group in groups:
             for i in range(0, group.size, rows):
-                # tallied unreduced over the products' own value range
-                raw = _products(_vectors(group[i:i + rows], p, width0),
-                                row0).ravel()
+                vectors = _vectors(group[i:i + rows], p, width0)
+                raw = _products(vectors, row0).ravel()
+                # tallied unreduced over the products' own value range,
+                # unless that range could reach _CHUNK values, which no
+                # correct vector's can
+                if int((vectors @ span).max()) >= _CHUNK:
+                    raw = _mod(raw, p)
                 low = int(raw.min())
                 tally = np.bincount(raw - low if low else raw)
                 tally *= mu

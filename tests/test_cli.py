@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fresh_python
+from conftest import REPORT_SHA256, fresh_python
 
 from motivic import _kernel, counting
 from motivic.cli import main
@@ -1012,5 +1012,4 @@ def test_only_a_scan_loads_numpy():
 def test_full_report_matches_golden_digest(workers):
     out = fresh_python("-m", "motivic.cli", "report", "--format",
                         "json", "--workers", workers)
-    assert hashlib.sha256(out.stdout).hexdigest() == (
-        "a299071cc34c4a9f590cb191ff23c2a6d0f03d20ac83543d3bac65350cb510b7")
+    assert hashlib.sha256(out.stdout).hexdigest() == REPORT_SHA256

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fresh_python, spy_scans
+from conftest import flip_sign, fresh_python, shift_det, spy_scans
 
 from motivic import _kernel, _pykernel, counting
 from motivic.counting import DEFAULT_CAP, SCAN_MAX, scan_skew
@@ -175,21 +175,23 @@ def test_spot_check_runs():
         -(-3 ** 15 // counting.SPOT_STRIDE) == 14221
 
 
-def test_spot_sample_sets_every_row0_digit(monkeypatch):
+def test_spot_sample_sets_every_row0_digit(monkeypatch, kernel, scans):
     # a stride divisible by p would leave the lowest row-0 digits of every
     # sample zero (at a stride of 100 = 2^2 5^2, entries a_01 and a_02 at
     # p = 2 and p = 5)
     seen = []
-    det = _kernel._batched_det
-    monkeypatch.setattr(_kernel, "_batched_det",
-                        lambda M: seen.append(M[0, 1:].T.copy()) or det(M))
-    for n, p in ((3, 2), (2, 5), (3, 3)):
+    det = kernel._batched_det
+    monkeypatch.setattr(kernel, "_batched_det",
+                        lambda M: seen.extend(zip(*M[0][1:])) or det(M))
+    shapes = [(3, 2), (2, 5), (2, 7)]
+    if kernel is _kernel:
+        shapes.append((3, 3))  # 3^15 matrices, above PURE_MAX
+    for n, p in shapes:
         seen.clear()
         scan_skew(n, p, "hist")
-        row0 = np.concatenate(seen)
-        assert row0.shape == (-(-p ** (n * (2 * n - 1))
-                                // counting.SPOT_STRIDE), 2 * n - 1)
-        assert (row0 != 0).any(axis=0).all(), (n, p)
+        assert len(seen) == -(-p ** (n * (2 * n - 1)) // counting.SPOT_STRIDE)
+        assert all(any(row[k] for row in seen) for k in range(2 * n - 1))
+    assert scans == shapes
 
 
 @pytest.mark.parametrize("chunk", [1000, _kernel._CHUNK])
@@ -228,18 +230,9 @@ def test_count_array_grows_across_runs(monkeypatch, n, p, fault):
     # ranks and spot count, and with a fault the same failures, first ones
     # included; the array never passes p^(2n-1) entries
     if fault == "determinant":
-        det = _kernel._batched_det
-        monkeypatch.setattr(_kernel, "_batched_det",
-                            lambda M: det(M) + M[0, 1] % 2)
+        shift_det(monkeypatch, _kernel, lambda M: M[0, 1] % 2)
     elif fault == "coefficient sign":
-        plan = _kernel._plan
-
-        def flipped(n):
-            avoid, pfaffian = plan(n)
-            (sign, sub), *rest = pfaffian
-            return avoid, ((-sign, sub), *rest)
-
-        monkeypatch.setattr(_kernel, "_plan", flipped)
+        flip_sign(monkeypatch, _kernel)
     # a scan's last np.flatnonzero reads its count array
     seen = []
     flatnonzero = np.flatnonzero
@@ -319,31 +312,44 @@ def test_scan_matches_pointwise_oracle():
 
 
 @pytest.mark.parametrize("chunk", [20, 40, 100])
-def test_class_tables_split_into_chunks(monkeypatch, chunk):
-    # a class table holds at most _CHUNK row-0 values and _CHUNK // width
-    # vectors: at (3, 2) row 0 takes 32 values, so the 32 distinct
-    # Pfaffian vectors lie in several tables; at (2, 3) and (2, 5) the 27
-    # and 125 row-0 values are split into tables of at most `chunk`.  The
-    # tail pass walks runs of _CHUNK // 16 tails, one tail at a chunk of
-    # 20, so each run samples from its own first tail on; every tail is
-    # checked once, and the counts are those of the default chunk
+def test_class_tables_split_into_chunks(monkeypatch, kernel, scans, chunk):
+    # numpy's class table holds at most _CHUNK row-0 values and
+    # _CHUNK // width vectors: at (3, 2) row 0 takes 32 values, so the 32
+    # distinct Pfaffian vectors lie in several tables; at (2, 3) and (2, 5)
+    # the 27 and 125 row-0 values are split into tables of at most
+    # `chunk`.  Its tail pass walks runs of _CHUNK // 16 tails, one tail at
+    # a chunk of 20, so each run samples from its own first tail on.  The
+    # pure kernel's table is one vector times at most max(_TABLE, p^(2n-2))
+    # row-0 values: the top row-0 digit is cut into ranges.  Every row-0
+    # value is met and every tail checked once, and the counts are those of
+    # the default tables
     def counts(n, p):
         s = scan_skew(n, p, "full")
         return dict(s.pf_counts), s.rank_counts, s.spot_checked, \
             s.tails_checked
 
-    whole = {(n, p): counts(n, p) for n, p in ((2, 3), (3, 2), (2, 5))}
+    shapes = [(2, 3), (3, 2), (2, 5), (1, 8191)]
+    whole = {shape: counts(*shape) for shape in shapes}
     tables = []
-    products = _kernel._products
-    monkeypatch.setattr(_kernel, "_products", lambda v, x: (
-        x.ndim == 2 and tables.append(v.shape[0] * x.shape[1])
-        or products(v, x)))
-    monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+    products = kernel._products
+
+    def spy(v, x):
+        out = products(v, x)
+        if np.ndim(out) < 3 and np.size(out) > 1:  # not a sample's product
+            tables.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(kernel, "_products", spy)
+    monkeypatch.setattr(kernel, "_CHUNK" if kernel is _kernel else "_TABLE",
+                        chunk)
     for (n, p), want in whole.items():
         assert want[3] == p ** ((2 * n - 1) * (n - 1))
         tables.clear()
         assert counts(n, p) == want
-        assert 0 < max(tables) <= chunk
+        assert 0 < max(tables) <= (chunk if kernel is _kernel else
+                                   max(chunk, p ** (2 * n - 2)))
+        assert sum(tables) >= p ** (2 * n - 1)
+    assert scans == shapes * 2
 
 
 def test_scan_reports_phase_seconds():
@@ -357,9 +363,16 @@ def test_scan_reports_phase_seconds():
     assert 0.8 * s.elapsed <= sum(s.phases.values()) <= s.elapsed
 
 
-def test_batched_det_matches_bareiss():
+def _stack(kernel, M):
+    # a (N, s, s) integer array as the kernel's stack, batch axis innermost
+    stack = np.ascontiguousarray(np.moveaxis(M, 0, -1))
+    return stack if kernel is _kernel else stack.tolist()
+
+
+def test_batched_det_matches_bareiss(kernel):
+    # at every matrix size of the shapes each kernel takes
     np_rng = np.random.default_rng(33190)
-    for size in (2, 4, 6, 8):
+    for size in (2, 4, 6, 8) if kernel is _kernel else (2, 4, 6):
         M = np_rng.integers(-3, 4, (300, size, size))
         M[:40, :, 0] = 0                      # singular: zero column
         M[40:80, 1] = M[40:80, 0]             # singular: equal rows
@@ -367,7 +380,7 @@ def test_batched_det_matches_bareiss():
         M[160:200, :2, :2] = 0                # zero leading 2x2 block
         upper = np.triu(M[200:], 1)           # skew: zero diagonal
         M[200:] = upper - upper.transpose(0, 2, 1)
-        got = _kernel._batched_det(np.moveaxis(M, 0, -1)).tolist()
+        got = list(kernel._batched_det(_stack(kernel, M)))
         assert got == [bareiss_det(A.tolist()) for A in M]
         assert got.count(0) >= 80
 
@@ -379,13 +392,13 @@ def test_spot_stride_zero_skips_the_spot_check():
     assert (s.pf_counts, s.rank_counts) == (base.pf_counts, base.rank_counts)
 
 
-def test_spot_check_failure_names_first_offender(monkeypatch):
+def test_spot_check_failure_names_first_offender(monkeypatch, kernel,
+                                                 scans):
     # a determinant off by one wherever entry (0, 1) is 2; sampled indices
     # are multiples of 1009, and entry (0, 1) is the lowest base-5 digit
-    det = _kernel._batched_det
-    monkeypatch.setattr(_kernel, "_batched_det",
-                        lambda M: det(M) + (M[0, 1] == 2))
-    monkeypatch.setattr(_kernel, "_CHUNK", 1000)  # three runs of 62 tails
+    shift_det(monkeypatch, kernel, lambda M: np.equal(M[0][1], 2))
+    if kernel is _kernel:
+        monkeypatch.setattr(_kernel, "_CHUNK", 1000)  # runs of 62 tails
     sampled = range(0, 5 ** 6, counting.SPOT_STRIDE)
     bad = [i for i in sampled if i % 5 == 2]
     assert len(bad) == 3
@@ -398,6 +411,7 @@ def test_spot_check_failure_names_first_offender(monkeypatch):
     A = parse_skew_literal(literal, GF(5))
     assert A.upper == tuple(bad[0] // 5 ** t % 5 for t in range(6))
     assert A.entry(0, 1) == 2
+    assert scans == [(2, 5)]
 
 
 def _row0_coefficients(A):
@@ -409,19 +423,12 @@ def _row0_coefficients(A):
             for j in range(size - 1)]
 
 
-def test_tail_check_catches_a_coefficient_sign(monkeypatch):
+def test_tail_check_catches_a_coefficient_sign(monkeypatch, kernel, scans):
     # the Pfaffian's a_01 term with its sign flipped: c_0 becomes -c_0, so
     # adj(B) = c c^T fails in row and column 0 of every tail where c_0 and
     # some other c_j are nonzero; with no pointwise sample, only the tail
     # check can see it
-    plan = _kernel._plan
-
-    def flipped(n):
-        avoid, pfaffian = plan(n)
-        (sign, sub), *rest = pfaffian
-        return avoid, ((-sign, sub), *rest)
-
-    monkeypatch.setattr(_kernel, "_plan", flipped)
+    flip_sign(monkeypatch, kernel)
     for n, p in ((2, 3), (2, 5)):
         width0 = 2 * n - 1
         with pytest.raises(ConsistencyError) as exc:
@@ -455,10 +462,12 @@ def test_tail_check_catches_a_coefficient_sign(monkeypatch):
         c = _row0_coefficients(SkewMatrix(2 * n, A.upper, GF(p)))
         assert 0 in (i, j) and i != j
         assert cc == -c[i] * c[j] % p != adj % p
+    assert scans == [(2, 3), (2, 5)]
 
 
 @pytest.mark.parametrize("fault", ["product", "vector decode"])
-def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
+def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, kernel, scans,
+                                                  fault):
     # the tail check covers the coefficient vectors, not the class pass
     # that multiplies them by row 0; the pointwise sample takes the same
     # decode and product routines, so it catches a fault there.  Every
@@ -467,13 +476,15 @@ def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
     # mode; a reversed vector is nonzero where the true one is, so only the
     # sample sees a decode fault
     if fault == "product":
-        products = _kernel._products
-        monkeypatch.setattr(_kernel, "_products",
-                            lambda v, x: products(v, x) + 1)
+        products = kernel._products
+        monkeypatch.setattr(kernel, "_products",
+                            lambda v, x: np.add(products(v, x), 1))
     else:
-        vectors = _kernel._vectors
-        monkeypatch.setattr(_kernel, "_vectors",
-                            lambda *args: vectors(*args)[:, ::-1])
+        # numpy's kernel decodes a vector per row, the pure kernel one vector
+        name = "_vectors" if kernel is _kernel else "_vector"
+        vectors = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name,
+                            lambda *args: np.flip(vectors(*args), -1))
     with pytest.raises(ConsistencyError, match=r"Pf\^2 = det failed on"):
         scan_skew(2, 5, "hist")
     for mode in ("hist", "full"):
@@ -486,85 +497,97 @@ def test_class_pass_fault_is_caught_by_the_sample(monkeypatch, fault):
         else:
             s = scan_skew(2, 5, mode, spot_stride=0)
             assert s.tails_checked == 125
+    assert scans == [(2, 5)] * 3
 
 
-def test_tail_check_compares_every_entry(monkeypatch):
-    # one adjugate entry off by one, in the column routine, is reported at
-    # that entry
-    for n, p in ((2, 3), (3, 2)):
-        width0 = 2 * n - 1
-        tails = p ** ((n - 1) * width0)
+def _tails(kernel, n, p):
+    # every tail of (n, p) as one stack, in the scan's lane in numpy's
+    # kernel, with its Pfaffian coefficients
+    width0 = 2 * n - 1
+    tails = p ** ((n - 1) * width0)
+    if kernel is _kernel:
         B = _kernel._skew_stack(np.arange(tails), p, width0,
                                 _kernel._lane(n, p))
-        _, pfaffian = _kernel._plan(n)
-        pf = _kernel._TailMemo(B, p)
-        coeff = _kernel._coefficients(pfaffian, pf, p)
-        assert _kernel._tail_check(B, coeff, p) == (0, None)
-        columns = _kernel._adjugate_columns
-        for i, j in product(range(width0), repeat=2):
-            def shifted(B, i=i, j=j):
-                for k, column in columns(B):
-                    if k == j:
-                        column[i, 1:] += 1
-                    yield k, column
-            monkeypatch.setattr(_kernel, "_adjugate_columns", shifted)
-            bad, first = _kernel._tail_check(B, coeff, p)
+    else:
+        B = _pykernel._skew_stack(range(tails), p, width0)
+    _, pfaffian = counting._plan(n)
+    return B, kernel._coefficients(pfaffian, kernel._TailMemo(B, p), p)
+
+
+def _shift_entries(monkeypatch, kernel, faults):
+    # adj(B)[i, j] of tail t off by one, in the column routine, for each
+    # (t, i, j) in `faults`
+    columns = kernel._adjugate_columns
+
+    def shifted(B):
+        for k, column in columns(B):
+            for t, i, j in faults:
+                if j == k:
+                    column[i][t] += 1
+            yield k, column
+
+    monkeypatch.setattr(kernel, "_adjugate_columns", shifted)
+
+
+def test_tail_check_compares_every_entry(monkeypatch, kernel):
+    # one adjugate entry off by one in every tail but the first is
+    # reported at that entry
+    for n, p in ((2, 3), (3, 2)):
+        B, coeff = _tails(kernel, n, p)
+        tails = p ** ((n - 1) * (2 * n - 1))
+        assert kernel._tail_check(B, coeff, p) == (0, None)
+        for i, j in product(range(2 * n - 1), repeat=2):
+            _shift_entries(monkeypatch, kernel,
+                           [(t, i, j) for t in range(1, tails)])
+            bad, first = kernel._tail_check(B, coeff, p)
             assert bad == tails - 1 and first[:3] == (1, i, j)
             monkeypatch.undo()
 
 
-def test_tail_check_names_the_first_entry_in_row_major_order(monkeypatch):
+def test_tail_check_names_the_first_entry_in_row_major_order(monkeypatch,
+                                                             kernel):
     # the columns come last first, so the first failure is the lowest
-    # failing block at its first entry in row-major order, wherever in the
+    # failing tail at its first entry in row-major order, wherever in the
     # sequence of columns it shows
-    n, p = 3, 2
-    width0 = 2 * n - 1
-    tails = p ** ((n - 1) * width0)
-    B = _kernel._skew_stack(np.arange(tails), p, width0, _kernel._lane(n, p))
-    _, pfaffian = _kernel._plan(n)
-    coeff = _kernel._coefficients(pfaffian, _kernel._TailMemo(B, p), p)
-    columns = _kernel._adjugate_columns
-    # faults as (block, i, j), and the one reported
+    B, coeff = _tails(kernel, 3, 2)
+    # faults as (tail, i, j), and the one reported
     for faults, want in (({(3, 2, 4), (3, 1, 3), (3, 1, 1), (4, 0, 0)},
                           (3, 1, 1)),
-                         ({(6, 0, 4), (5, 4, 0), (7, 0, 0)}, (5, 4, 0))):
-        def shifted(B, faults=faults):
-            for k, column in columns(B):
-                for t, i, j in faults:
-                    if j == k:
-                        column[i, t] += 1
-                yield k, column
-        monkeypatch.setattr(_kernel, "_adjugate_columns", shifted)
-        bad, first = _kernel._tail_check(B, coeff, p)
+                         ({(6, 0, 4), (5, 4, 0), (7, 0, 0)}, (5, 4, 0)),
+                         ({(2, 0, 3), (2, 1, 0)}, (2, 0, 3))):
+        _shift_entries(monkeypatch, kernel, faults)
+        bad, first = kernel._tail_check(B, coeff, 2)
         assert bad == len({t for t, _, _ in faults})
         assert first[:3] == want
         monkeypatch.undo()
 
 
-def _adjugate(B):
-    # adj(B) of a (w, w, N) stack, assembled from the kernel's columns
-    w = B.shape[0]
-    adj = np.empty_like(B)
-    seen = []
-    for j, column in _kernel._adjugate_columns(B):
-        adj[:, j] = column
-        seen.append(j)
-    assert sorted(seen) == list(range(w))
+def _adjugate(kernel, B):
+    # adj(B) of a w x w stack as rows of per-matrix lists, assembled from
+    # the kernel's columns, each column once
+    w = len(B)
+    adj = [[None] * w for _ in range(w)]
+    for j, column in kernel._adjugate_columns(B):
+        assert adj[0][j] is None
+        for i in range(w):
+            adj[i][j] = list(column[i])
+    assert None not in adj[0]
     return adj
 
 
-def test_adjugate_matches_cofactors():
+def test_adjugate_matches_cofactors(kernel):
+    # at every tail width of the shapes each kernel takes
     np_rng = np.random.default_rng(33190)
-    for w in (1, 3, 5, 7):
+    for w in (1, 3, 5, 7) if kernel is _kernel else (1, 3, 5):
         M = np_rng.integers(-3, 4, (40, w, w))
         M[:10] = np.triu(M[:10], 1) - np.triu(M[:10], 1).transpose(0, 2, 1)
-        got = _adjugate(np.ascontiguousarray(M.transpose(1, 2, 0)))
+        got = _adjugate(kernel, _stack(kernel, M))
         for t, A in enumerate(M.tolist()):
             # the empty minor of a 1x1 matrix is 1
             want = [[(-1) ** (i + j) * bareiss_det(
                 [row[:i] + row[i + 1:] for r, row in enumerate(A) if r != j]
                 or [[1]]) for j in range(w)] for i in range(w)]
-            assert got[:, :, t].tolist() == want
+            assert [[x[t] for x in row] for row in got] == want
 
 
 INT64_MAX = (1 << 63) - 1
@@ -600,8 +623,8 @@ def test_narrow_lane_matches_int64_at_its_edge(monkeypatch, n, lane):
         np.moveaxis(M, 0, -1).astype(_kernel._lane(n, p)))
     assert det.tolist() == [bareiss_det(A) for A in M.tolist()]
     B = np.ascontiguousarray(M[:, 1:, 1:].transpose(1, 2, 0))
-    assert (_adjugate(B.astype(_kernel._lane(n, p))) ==
-            _adjugate(B.astype(object))).all()
+    assert _adjugate(_kernel, B.astype(_kernel._lane(n, p))) == \
+        _adjugate(_kernel, B.astype(object))
     # p is the largest prime of its lane
     assert _kernel._lane(n, p) is lane and det.dtype == lane
     q = p + 1
@@ -735,17 +758,24 @@ def test_kernel_imports_nothing_from_skew():
         assert numpy == (["numpy"] if kernel is _kernel else []), kernel
 
 
-@pytest.mark.parametrize("n, p", [(2, 5), (3, 3), (4, 2)])
-def test_skew_stack_matches_skew_layout(n, p):
+@pytest.mark.parametrize("kernel, n, p", [
+    ("numpy", 2, 5), ("numpy", 3, 3), ("numpy", 4, 2), ("pure", 2, 5),
+    ("pure", 2, 7), ("pure", 3, 2)], indirect=["kernel"])
+def test_skew_stack_matches_skew_layout(kernel, n, p):
     # random scan indices decoded into a stack of matrices and their tails
     # into a stack of tails, each against skew's own decode of the index
     width0 = 2 * n - 1
-    indices = [random.Random(p).randrange(p ** (n * width0))
-               for _ in range(40)]
-    A = _kernel._skew_stack(np.array(indices, dtype=np.int64), p, 2 * n,
-                            np.int64)
-    B = _kernel._skew_stack(np.array(indices, dtype=np.int64) // p ** width0,
-                            p, width0, np.int64)
+    draw = random.Random(p)
+    indices = [draw.randrange(p ** (n * width0)) for _ in range(40)]
+    if kernel is _kernel:
+        def stack(values, size):
+            return _kernel._skew_stack(np.array(values, dtype=np.int64), p,
+                                       size, np.int64)
+    else:
+        def stack(values, size):
+            return _pykernel._skew_stack(values, p, size)
+    A = np.array(stack(indices, 2 * n))
+    B = np.array(stack([index // p ** width0 for index in indices], width0))
     assert A.shape == (2 * n, 2 * n, 40) and B.shape == (width0, width0, 40)
     for k, index in enumerate(indices):
         full = counting._matrix_at(n, p, index).full()
@@ -834,65 +864,69 @@ def test_n1_scans_in_process(monkeypatch):
 
 
 @pytest.mark.parametrize("exc_type", [ConsistencyError, ValueError])
-def test_error_in_a_later_run_reraised_with_type_and_message(monkeypatch,
-                                                             exc_type):
-    # the tails of (3, 2) from 512 on, from the middle of the ninth run of
-    # 62 tails: their top tail digit is 1
-    monkeypatch.setattr(_kernel, "_CHUNK", 1000)
-    check = _kernel._tail_check
+def test_tail_check_error_reraised_with_type_and_message(monkeypatch, kernel,
+                                                         scans, exc_type):
+    # the tails of (3, 2) from 512 on, whose top tail digit is 1; in numpy's
+    # kernel, from the middle of the ninth run of 62 tails
+    if kernel is _kernel:
+        monkeypatch.setattr(_kernel, "_CHUNK", 1000)
+    check = kernel._tail_check
 
     def faulty(B, coeff, p):
-        if B[3, 4].any():  # a_45, the top tail digit
+        if np.any(B[3][4]):  # a_45, the top tail digit
             raise exc_type("a tail with a_45 = 1 at (n, p) = (3, 2)")
         return check(B, coeff, p)
 
-    monkeypatch.setattr(_kernel, "_tail_check", faulty)
+    monkeypatch.setattr(kernel, "_tail_check", faulty)
     with pytest.raises(exc_type) as exc:
         scan_skew(3, 2, "hist")
     assert type(exc.value) is exc_type
     assert str(exc.value) == "a tail with a_45 = 1 at (n, p) = (3, 2)"
+    assert scans == [(3, 2)]
 
 
-def test_sample_fault_in_a_later_run_names_first_offender(monkeypatch):
+def test_sample_fault_names_first_offender(monkeypatch, kernel, scans):
     # a determinant off by one on the matrices of (3, 2) whose top tail
-    # entry a_45 is 1, all from the middle of the ninth run of 62 tails on
-    monkeypatch.setattr(_kernel, "_CHUNK", 1000)
-    det = _kernel._batched_det
-    monkeypatch.setattr(_kernel, "_batched_det",
-                        lambda M: det(M) + (M[4, 5] == 1))
+    # entry a_45 is 1; in numpy's kernel, all from the middle of the ninth
+    # run of 62 tails on
+    if kernel is _kernel:
+        monkeypatch.setattr(_kernel, "_CHUNK", 1000)
+    shift_det(monkeypatch, kernel, lambda M: np.equal(M[4][5], 1))
     with pytest.raises(ConsistencyError) as exc:
         scan_skew(3, 2, "hist")
     message = str(exc.value)
     # the first sampled index from 2^14 on, where a_45 becomes 1
     first = -(-2 ** 14 // counting.SPOT_STRIDE) * counting.SPOT_STRIDE
     assert f"the first is index {first} at (n, p) = (3, 2)" in message
+    assert scans == [(3, 2)]
 
 
 @pytest.mark.parametrize("shift, message", [
-    (lambda ranks: ranks + [1, 0],
+    (lambda ranks: np.add(ranks, [1, 0]),
      "the tail rank tally [2, 26] sums to 28, not to the 27 tails checked "
      "at (n, p) = (2, 3)"),
     (lambda ranks: ranks[::-1],
      "the rank-4 bucket holds 18 matrices but #{Pf != 0} = 468 at "
      "(n, p) = (2, 3)")], ids=["extra tail", "swapped ranks"])
 @pytest.mark.parametrize("mode", ["hist", "full"])
-def test_shifted_tail_rank_tally_is_refused(monkeypatch, shift, message,
-                                            mode):
+def test_shifted_tail_rank_tally_is_refused(monkeypatch, kernel, scans,
+                                            shift, message, mode):
     # the 27 tails of (2, 3) are the zero tail and 26 of rank 2: a faulty
     # tally that counts a tail twice, or swaps the ranks, is refused in
     # either mode
-    scan = _kernel._scan
+    scan = kernel._scan
 
     def faulty(*args):
         part = scan(*args)
-        assert part["tail_ranks"].tolist() == [1, 26]
+        assert list(part["tail_ranks"]) == [1, 26]
         part["tail_ranks"] = shift(part["tail_ranks"])
         return part
 
-    monkeypatch.setattr(_kernel, "_scan", faulty)
+    monkeypatch.setattr(kernel, "_scan", faulty)
     with pytest.raises(ConsistencyError) as exc:
         scan_skew(2, 3, mode)
     assert str(exc.value) == message
+    assert scans == [(2, 3)]
 
 
 # records OPENBLAS_NUM_THREADS as numpy starts to load, and then runs a scan
