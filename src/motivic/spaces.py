@@ -164,14 +164,16 @@ def betti_grassmannian(k=2, n=6):
     return BettiPoly({2 * d: c for d, c in Counter(sizes).items()})
 
 
-class LeafRow(namedtuple("LeafRow", "arity valid error dim stated compact",
-                         defaults=(None, True))):
+class LeafRow(namedtuple("LeafRow",
+                         "arity valid error dim stated compact rule",
+                         defaults=(None, True, None))):
     """One leaf of the grammar, as functions of its arguments in grammar
     order: whether they are valid (if not, the ValueError text is `error`
     formatted with them), its smooth dimension and its catalog entry: the
     stated polynomial, which is E_c if `compact` and ordinary E of a smooth
-    variety if not.  Leaves that _ec expands by rule have no catalog
-    entry."""
+    variety if not.  A leaf with no catalog entry has a `rule` instead: its
+    trace note and its E_c as a function of its arguments and an evaluator
+    of the spaces it is built from."""
 
     __slots__ = ()
 
@@ -205,12 +207,18 @@ LEAVES = {
                        lambda n: 2 * n * n - n - 1, catalog_e_F,
                        compact=False),
     # {Pf = 0} inside the space of 2n x 2n skew matrices
-    "pfhyp": LeafRow(1, lambda n: n >= 1, "pfhyp(n) needs n >= 1",
-                     lambda n: n * (2 * n - 1) - 1),
+    "pfhyp": LeafRow(
+        1, lambda n: n >= 1, "pfhyp(n) needs n >= 1",
+        lambda n: n * (2 * n - 1) - 1, rule=(
+            "hypersurface: ambient affine space minus the open "
+            "nondegenerate stratum",
+            lambda n, ec: q_power(n * (2 * n - 1)) - ec(HomSpaceM(n)))),
     # the affine cone over a Grassmannian in its Pluecker embedding
-    "cone": LeafRow(1, lambda g: isinstance(g, Leaf) and g.name == "grass",
-                    "cone(...) takes a Grassmannian",
-                    lambda g: dimension(g) + 1),
+    "cone": LeafRow(
+        1, lambda g: isinstance(g, Leaf) and g.name == "grass",
+        "cone(...) takes a Grassmannian", lambda g: dimension(g) + 1, rule=(
+            "cone: vertex + torus bundle over the base",
+            lambda g, ec: ONE + (q_power(1) - ONE) * ec(g))),
 }
 
 
@@ -314,20 +322,11 @@ def _record(steps, e, rule, value):
 
 
 def _ec(e, steps):
-    if isinstance(e, Leaf) and e.name == "cone":
-        # vertex plus a torus bundle over the projective base
-        base = _ec(e.args[0], steps)
-        value = ONE + (q_power(1) - ONE) * base
-        return _record(steps, e, "cone: vertex + torus bundle over the base",
-                       value)
-    if isinstance(e, Leaf) and e.name == "pfhyp":
-        n, = e.args
-        ambient = n * (2 * n - 1)
-        open_part = _ec(HomSpaceM(n), steps)
-        value = q_power(ambient) - open_part
-        return _record(
-            steps, e, "hypersurface: ambient affine space minus the open "
-            "nondegenerate stratum", value)
+    rule = LEAVES[e.name].rule if isinstance(e, Leaf) else None
+    if rule:
+        note, expand = rule
+        return _record(steps, e, note,
+                       expand(*e.args, lambda part: _ec(part, steps)))
     if isinstance(e, Product):
         value = _ec(e.left, steps) * _ec(e.right, steps)
         return _record(steps, e, "product: multiply factors", value)

@@ -17,7 +17,7 @@ from motivic import _kernel, counting
 from motivic.cli import main
 from motivic.errors import ConsistencyError, ParseError
 from motivic.laurent import MAX_INPUT_BYTES, q_power
-from motivic.spaces import LEAVES
+from motivic.spaces import LEAVES, ec, parse_space_expr
 from motivic.suites import (SUITE_NAMES, SuiteContext, SuiteResult,
                             emit_report, run_suite)
 
@@ -143,6 +143,37 @@ def test_epoly_value_past_digit_limit_exit_2_at_once(capsys):
     assert code == 2 and out == ""
     assert err == ("error: --at 1e4000 1: the term of exponents (400, 400) "
                    "would have more than 4300 digits\n")
+
+
+def test_epoly_value_past_digit_limit_in_the_denominator_exit_2(capsys):
+    # (xy)^400 at xy = 1e-4000 would have a 1.6-million-digit denominator
+    start = time.perf_counter()
+    code, out, err = run(capsys, "epoly", "gl(20)", "--at", "1", "1e-4000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: --at 1 1e-4000: the term of exponents (400, 400) "
+                   "would have more than 4300 digits\n")
+
+
+_small_rational = st.fractions(min_value=-20, max_value=20,
+                               max_denominator=12)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(["gl(2) * torus", "cone(grass(2,6))", "pfhyp(3)",
+                        "proj(3) + torus", "milnorF(3)"]),
+       _small_rational, _small_rational)
+def test_epoly_at_depends_on_xy_only(expr, x, y):
+    # E_c is a polynomial in q = xy: its value at (x, y) is the one at
+    # (xy, 1), and the plain sum of c x^a y^b
+    def value_at(*at):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["epoly", expr, "--format", "json", "--at", *at]) == 0
+        return json.loads(out.getvalue())["value_at"]["value"]
+
+    assert value_at(str(x), str(y)) == value_at(str(x * y), "1") == \
+        str(ec(parse_space_expr(expr)).eval_at(x, y))
 
 
 def test_epoly_value_within_digit_limit(capsys):
@@ -971,6 +1002,34 @@ def test_katz_report_loads_no_rationals():
     bare = fresh_python("-c", probe.format("pass")).stdout.split()
     loaded = fresh_python("-c", probe.format(report))
     assert loaded.stdout.split() == bare
+
+
+def _rationals_loaded(*argv):
+    """Which of fractions and decimal `motivic *argv` imports, in its own
+    process or in the one a report forks, beyond what a bare interpreter
+    loads: `-X importtime` writes each first import to stderr."""
+    def imported(*args):
+        err = fresh_python("-X", "importtime", *args).stderr.decode()
+        return {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                if line.startswith("import time:")}
+
+    loaded = imported("-m", "motivic.cli", *argv) - imported("-c", "pass")
+    return sorted(loaded & {"fractions", "decimal"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--format", "json"], ["hilb4", "total"], ["dt", "count"],
+    ["epoly", "gl(4) * cone(grass(2,6))"]],
+    ids=["report", "hilb4-total", "dt-count", "epoly"])
+def test_only_at_loads_rationals(argv):
+    # every E-polynomial is evaluated at an int q by `eval_q`, in ints; a
+    # report's scan-free suites run in a forked child, whose imports count
+    assert _rationals_loaded(*argv) == []
+
+
+def test_epoly_at_loads_rationals():
+    assert "fractions" in _rationals_loaded("epoly", "torus", "--at", "1/2",
+                                            "1/3")
 
 
 def test_package_import_loads_no_module_and_cli_loads_every_layer():

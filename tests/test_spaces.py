@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motivic.errors import (CapExceededError, MissingInclusionError,
                             ParseError)
@@ -341,7 +342,7 @@ def test_parse_errors():
         parse_space_expr("affine(" + "3" * 70000 + ")")
 
 
-def random_expr(depth):
+def random_expr(depth, rng=rng):
     leaves = [Point(), Torus(), Affine(rng.randint(0, 4)),
               Proj(rng.randint(0, 3)), Grass(2, rng.randint(2, 6)),
               GLGroup(rng.randint(1, 4)), SpGroup(2 * rng.randint(1, 3)),
@@ -354,12 +355,15 @@ def random_expr(depth):
     if kind == 0:
         return rng.choice(leaves)
     if kind == 1:
-        return Product(random_expr(depth - 1), random_expr(depth - 1))
+        return Product(random_expr(depth - 1, rng),
+                       random_expr(depth - 1, rng))
     if kind == 2:
-        return FibrationTotal(random_expr(depth - 1), random_expr(depth - 1))
+        return FibrationTotal(random_expr(depth - 1, rng),
+                              random_expr(depth - 1, rng))
     if kind == 3:
-        return Complement(random_expr(depth - 1), random_expr(depth - 1))
-    return Disjoint(tuple(random_expr(depth - 1)
+        return Complement(random_expr(depth - 1, rng),
+                          random_expr(depth - 1, rng))
+    return Disjoint(tuple(random_expr(depth - 1, rng)
                           for _ in range(rng.randint(2, 3))))
 
 
@@ -399,3 +403,16 @@ def test_evaluator_image_is_tate():
     for _ in range(100):
         e = random_tate_expr(rng.randint(0, 4))
         assert ec(e).is_tate()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 6))
+def test_every_value_is_a_polynomial_in_q(source, depth):
+    # what `epoly --at` and every Euler value rest on: E_c of any expression
+    # that evaluates is a polynomial in q = xy, which `eval_q` evaluates
+    try:
+        value = ec(random_expr(depth, source))
+    except (MissingInclusionError, CapExceededError):
+        return
+    assert value.is_tate()
+    assert all(a >= 0 for a, _ in value.terms)
